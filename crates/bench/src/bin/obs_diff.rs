@@ -135,16 +135,22 @@ fn load(path: &str) -> Json {
         eprintln!("obs_diff: {path} is not valid JSON: {e}");
         std::process::exit(2);
     });
+    if let Err(msg) = check_schema(&doc) {
+        eprintln!("obs_diff: {path} {msg}");
+        std::process::exit(2);
+    }
+    doc
+}
+
+/// Accepts only snapshots of the current obs schema.
+fn check_schema(doc: &Json) -> Result<(), String> {
     match doc.get("schema").and_then(Json::as_str) {
-        Some("uavnet-obs/1" | "uavnet-obs/2" | "uavnet-obs/3") => doc,
-        Some(other) => {
-            eprintln!("obs_diff: {path} has unsupported schema {other:?}");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("obs_diff: {path} has no \"schema\" field — not an obs snapshot");
-            std::process::exit(2);
-        }
+        Some(uavnet_obs::SCHEMA) => Ok(()),
+        Some(other) => Err(format!(
+            "has unsupported schema {other:?} (want {:?})",
+            uavnet_obs::SCHEMA
+        )),
+        None => Err("has no \"schema\" field — not an obs snapshot".into()),
     }
 }
 
@@ -296,18 +302,16 @@ fn print_rows(rows: &[Row]) {
 }
 
 fn provenance_line(doc: &Json) -> String {
-    match doc.get("provenance") {
-        None => "(v1 snapshot, no provenance)".into(),
-        Some(p) => format!(
-            "git {} features [{}] threads {} instance {}",
-            p.get("git_sha").and_then(Json::as_str).unwrap_or("?"),
-            p.get("features").and_then(Json::as_str).unwrap_or(""),
-            fmt_value(p.get("threads").and_then(Json::as_f64)),
-            p.get("instance_fingerprint")
-                .and_then(Json::as_str)
-                .unwrap_or("?"),
-        ),
-    }
+    let field = |key: &str| doc.get("provenance").and_then(|p| p.get(key));
+    format!(
+        "git {} features [{}] threads {} instance {}",
+        field("git_sha").and_then(Json::as_str).unwrap_or("?"),
+        field("features").and_then(Json::as_str).unwrap_or(""),
+        fmt_value(field("threads").and_then(Json::as_f64)),
+        field("instance_fingerprint")
+            .and_then(Json::as_str)
+            .unwrap_or("?"),
+    )
 }
 
 fn fingerprint(doc: &Json) -> Option<String> {
@@ -396,5 +400,19 @@ fn main() -> ExitCode {
     } else {
         println!("obs_diff: ok ({} pair(s))", opts.pairs.len());
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_current_schema_is_accepted() {
+        let snapshot = |schema: &str| Json::parse(&format!(r#"{{"schema":"{schema}"}}"#)).unwrap();
+        assert!(check_schema(&snapshot(uavnet_obs::SCHEMA)).is_ok());
+        let err = check_schema(&snapshot("uavnet-obs/2")).unwrap_err();
+        assert!(err.contains("unsupported schema \"uavnet-obs/2\""), "{err}");
+        assert!(check_schema(&Json::parse("{}").unwrap()).is_err());
     }
 }

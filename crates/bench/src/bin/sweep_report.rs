@@ -34,9 +34,7 @@
 //!   by the scale's `strategy_sweep` matrix: each strategy's wall
 //!   clock and honest subset accounting (enumerated / chain-pruned /
 //!   bound-pruned / evaluated), and — where the matrix also carries
-//!   the exhaustive baseline at the same `s` — `speedup_vs_exhaustive`,
-//!   the enumeration-phase speedup (wall minus the one-time substrate
-//!   build), a placement-level `bit_identical_to_exhaustive` verdict,
+//!   the exhaustive baseline at the same `s` — `speedup_vs_exhaustive`
 //!   and `served_ratio_vs_exhaustive`.
 //!
 //! # Measurement protocol (interleaved, warmup-separated)
@@ -45,8 +43,8 @@
 //! scale, generalized from `scripts/obs_overhead.py`'s
 //! alternating-round discipline: first a warm-up pass runs every
 //! configuration once untimed (heating caches and capturing the
-//! deterministic statistics plus the solution used by the differential
-//! checks), then `reps` timing rounds each measure exactly one rep of
+//! deterministic statistics plus the served count every timed rep must
+//! reproduce), then `reps` timing rounds each measure exactly one rep of
 //! every configuration in A/B/A/B order. Clock drift, thermal ramps
 //! and scheduler noise therefore hit all configurations of a scale
 //! alike instead of biasing whichever ran last; `wall_ns_min` is the
@@ -63,7 +61,7 @@
 //! Usage: `cargo run --release -p uavnet-bench --bin sweep_report --
 //! [--threads N] [--reps N] [--out PATH]
 //! [--scale quick|large|xlarge|all] [--sharded]
-//! [--seed-strategy all|exhaustive|bound-pruned|beam[:N]]
+//! [--seed-strategy all|exhaustive|beam[:N]]
 //! [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH]`
 //!
 //! `--reps` overrides every selected scale's default rep count;
@@ -115,7 +113,7 @@ const BASELINE_WALL_NS: &[(&str, usize, u64)] = &[
 
 const USAGE: &str = "usage: sweep_report [--threads N] [--reps N] [--out PATH] \
      [--scale quick|large|xlarge|all] [--sharded] \
-     [--seed-strategy all|exhaustive|bound-pruned|beam[:N]] \
+     [--seed-strategy all|exhaustive|beam[:N]] \
      [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH]";
 
 fn fail_usage(msg: &str) -> ! {
@@ -168,14 +166,14 @@ impl Spec {
 }
 
 /// Per-spec outcome of the interleaved measurement: the warm-up run's
-/// deterministic statistics and solution plus the timing aggregates.
+/// deterministic statistics and served count plus the timing
+/// aggregates.
 struct Timed {
     wall_ns_mean: u64,
     wall_ns_min: u64,
     total_ns: u64,
     stats: ApproxStats,
     served: usize,
-    solution: Solution,
 }
 
 fn solve(instance: &Instance, spec: &Spec, threads: usize) -> (Solution, ApproxStats) {
@@ -208,7 +206,6 @@ fn measure_interleaved(
                 total_ns: 0,
                 stats,
                 served: solution.served_users(),
-                solution,
             }
         })
         .collect();
@@ -319,15 +316,6 @@ fn run_json(r: &RunReport, threads: usize, scale_name: &str) -> String {
     )
 }
 
-/// Wall clock with the one-time substrate build subtracted: the
-/// enumeration-phase figure the strategy speedup gate compares, so a
-/// strategy is credited only for enumeration work it actually avoided.
-fn enumeration_phase_ns(t: &Timed) -> u64 {
-    t.wall_ns_min
-        .saturating_sub(t.stats.profile.substrate_build_ns)
-        .max(1)
-}
-
 fn strategy_json(
     s: usize,
     kind: SeedStrategyKind,
@@ -337,19 +325,12 @@ fn strategy_json(
 ) -> String {
     let comparison = match (kind, baseline) {
         (SeedStrategyKind::Exhaustive, _) | (_, None) => String::new(),
-        (_, Some(exh)) => {
-            let bit_identical = t.served == exh.served
-                && t.solution.deployment().placements() == exh.solution.deployment().placements();
-            format!(
-                "        \"speedup_vs_exhaustive\": {:.2},\n        \
-                 \"enumeration_phase_speedup\": {:.2},\n        \
-                 \"bit_identical_to_exhaustive\": {bit_identical},\n        \
-                 \"served_ratio_vs_exhaustive\": {:.4},\n",
-                exh.wall_ns_min as f64 / t.wall_ns_min.max(1) as f64,
-                enumeration_phase_ns(exh) as f64 / enumeration_phase_ns(t) as f64,
-                t.served as f64 / exh.served.max(1) as f64,
-            )
-        }
+        (_, Some(exh)) => format!(
+            "        \"speedup_vs_exhaustive\": {:.2},\n        \
+             \"served_ratio_vs_exhaustive\": {:.4},\n",
+            exh.wall_ns_min as f64 / t.wall_ns_min.max(1) as f64,
+            t.served as f64 / exh.served.max(1) as f64,
+        ),
     };
     format!(
         "      {{\n        \"s\": {s},\n        \"strategy\": \"{kind}\",\n        \
@@ -825,10 +806,9 @@ mod cli_tests {
             parse(&["--seed-strategy", "exhaustive"]).unwrap().sel,
             Some(StrategySel::One(SeedStrategyKind::Exhaustive))
         ));
-        assert!(matches!(
-            parse(&["--seed-strategy", "bound-pruned"]).unwrap().sel,
-            Some(StrategySel::One(SeedStrategyKind::BoundPruned))
-        ));
+        // The retired strategy name is an operator error (exit 2).
+        let err = parse(&["--seed-strategy", "bound-pruned"]).unwrap_err();
+        assert!(err.contains("bound-pruned"), "got: {err}");
     }
 
     #[test]

@@ -123,7 +123,6 @@ impl Scale {
                 2,
                 vec![
                     SeedStrategyKind::Exhaustive,
-                    SeedStrategyKind::BoundPruned,
                     SeedStrategyKind::Beam {
                         width: DEFAULT_BEAM_WIDTH,
                     },
@@ -176,10 +175,7 @@ impl Scale {
             sharded: false,
             check_sharded: true,
             strategy_sweep: vec![
-                (
-                    2,
-                    vec![SeedStrategyKind::Exhaustive, SeedStrategyKind::BoundPruned],
-                ),
+                (2, vec![SeedStrategyKind::Exhaustive]),
                 (
                     3,
                     vec![SeedStrategyKind::Beam {

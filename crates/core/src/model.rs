@@ -241,7 +241,7 @@ impl Instance {
     }
 
     /// Cached length of the per-(class, cell) coverable list — an O(1)
-    /// lookup, used by the bound-pruned strategy's admissible
+    /// lookup, used by the exhaustive sweep's admissible
     /// reach-coverage over-count.
     #[inline]
     pub(crate) fn coverable_class_count(&self, class: usize, loc: CellIndex) -> usize {

@@ -31,25 +31,28 @@
 //!   query against the truncated view and is re-solved against a
 //!   lazily created global workspace.
 //!
-//! The per-tile reduce uses (served desc, combo lex asc), which equals
-//! the monolithic (served desc, enumeration rank asc) order, so
-//! [`approx_alg_sharded`] returns the same solution and the same
-//! deterministic statistics as [`approx_alg_with_stats`] for any tile
-//! size and thread count — `crate::verify::check_sharded_sweep` pins
-//! exactly that.
+//! Every rank is classified against the same primer incumbent as the
+//! monolithic sweep (`crate::strategy::Primer`), and the per-tile
+//! reduce uses the monolithic (served desc, enumeration rank asc)
+//! order, so [`approx_alg_sharded`] returns the same solution and the
+//! same deterministic statistics as [`approx_alg_with_stats`] for any
+//! tile size and thread count — `crate::verify::check_sharded_sweep`
+//! pins exactly that.
 //!
 //! [`approx_alg_with_stats`]: crate::approx_alg_with_stats
 //! [`SubsetOutcome::EscapedView`]: crate::approx::SubsetOutcome::EscapedView
 
 use crate::approx::{
-    approx_alg_with_stats, binomial, chain_feasible, deploy_leftovers, fallback_single_uav,
-    next_combination, panic_payload_message, pool_distances, seed_pool, ApproxConfig, ApproxStats,
-    PhaseNanos, SubsetOutcome, SweepProfile, SweepWorkspace,
+    approx_alg_with_stats, binomial, deploy_leftovers, fallback_single_uav, next_combination,
+    ApproxConfig, ApproxStats, SubsetOutcome, SweepWorkspace,
 };
 use crate::solution::{score_deployment, Solution};
-use crate::strategy::{chain_survivors_capped, SeedStrategyKind};
+use crate::strategy::{
+    beats, join_workers, rank_of_combination, ExhaustiveEnumeration, Primer, RankClass, RankedBest,
+    SearchContext, SeedStrategy as _, SeedStrategyKind, Tally,
+};
 use crate::{CoreError, Instance, SegmentPlan};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use uavnet_geom::{CellIndex, TilePartition};
 use uavnet_graph::{ConnectivitySubstrate, UNREACHABLE_HOPS};
@@ -305,9 +308,8 @@ pub fn approx_alg_sharded(
     let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
     let substrate_build_ns = t_substrate.elapsed().as_nanos() as u64;
 
-    let pool = seed_pool(instance, config, &substrate);
-    let chain_budgets: Vec<usize> = plan.p()[1..s].iter().map(|&p| p + 1).collect();
-    let pool_dists = pool_distances(config, &pool, &substrate);
+    let ctx = SearchContext::new(instance, config, &plan, &substrate);
+    let pool = &ctx.pool;
 
     // Subsets go to the tile of their lexicographically first pool
     // member; a tile's work item is the sorted list of pool *indices*
@@ -320,7 +322,6 @@ pub fn approx_alg_sharded(
     for (i, &v) in pool.iter().enumerate() {
         tile_members[partition.tile_of(v)].push(i);
     }
-    let tiles: Vec<Vec<usize>> = tile_members.into_iter().filter(|t| !t.is_empty()).collect();
 
     // Everything a subset can touch sits within `chain_span + h_max`
     // hops of its first seed (consecutive seeds within their chain
@@ -330,7 +331,7 @@ pub fn approx_alg_sharded(
     // roam freely, so the view degenerates to the whole grid (the
     // escape protocol would catch violations anyway; this just avoids
     // guaranteed escapes).
-    let chain_span: usize = chain_budgets.iter().sum();
+    let chain_span: usize = ctx.chain_budgets.iter().sum();
     let reach = if s >= 2 && !config.is_chain_pruning() {
         usize::MAX
     } else {
@@ -341,8 +342,7 @@ pub fn approx_alg_sharded(
     // chain-pruned survivor total the monolithic dispatch reports — the
     // typed error fires before any worker thread exists.
     if let Some(limit) = config.subset_limit() {
-        let planned =
-            chain_survivors_capped(pool.len(), s, pool_dists.as_deref(), &chain_budgets, limit);
+        let planned = ExhaustiveEnumeration.planned_evaluations(&ctx, limit);
         if planned > limit {
             return Err(CoreError::InvalidParameters(format!(
                 "strategy exhaustive plans more than {limit} subset evaluations \
@@ -352,37 +352,34 @@ pub fn approx_alg_sharded(
         }
     }
 
+    // The same primer as the monolithic sweep, so every rank lands in
+    // the same class; ranks from the saturated tail on are never
+    // visited, and a tile owning none before it is never built.
     let total = binomial(pool.len(), s);
+    let (primer, primer_best, mut base) = Primer::evaluate(&ctx)?;
+    let end = primer.tail_start(total);
+    base.bound_pruned = (total - end) as usize;
+    let first_rank = |i0: usize| {
+        let first: Vec<usize> = (i0..i0 + s).collect();
+        rank_of_combination(&first, pool.len(), s)
+    };
+    let tiles: Vec<Vec<usize>> = tile_members
+        .into_iter()
+        .filter(|t| {
+            t.iter()
+                .any(|&i0| pool.len() - i0 >= s && first_rank(i0) < end)
+        })
+        .collect();
     let cursor = AtomicUsize::new(0);
-    let survivors = AtomicUsize::new(0);
-    let chain_pruned = AtomicUsize::new(0);
-    let unconnectable = AtomicUsize::new(0);
-    let gain_queries = AtomicU64::new(0);
-    let tiles_solved = AtomicUsize::new(0);
-    let view_escapes = AtomicUsize::new(0);
-    let enumeration_ns = AtomicU64::new(0);
-    let greedy_ns = AtomicU64::new(0);
-    let connection_ns = AtomicU64::new(0);
-    let scoring_ns = AtomicU64::new(0);
-    let substrate_query_ns = AtomicU64::new(0);
-    let tile_view_ns = AtomicU64::new(0);
     let threads = config.num_threads().min(tiles.len().max(1));
 
-    // (served, combo pool indices, placements, seeds) of a worker's
-    // best. Combos compare lexicographically — identical to comparing
-    // monolithic enumeration ranks.
-    type Best = Option<(usize, Vec<usize>, Vec<(usize, CellIndex)>, Vec<CellIndex>)>;
-
-    let worker = || -> Best {
+    let worker = || -> (RankedBest, Tally) {
         let mut scratch = ViewScratch::new(instance.num_users());
         let mut global_ws: Option<SweepWorkspace<'_>> = None;
-        let mut profile = PhaseNanos::default();
+        let mut tally = Tally::default();
         let mut combo: Vec<usize> = Vec::with_capacity(s);
         let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
-        let mut local_best: Best = None;
-        let mut queries = 0u64;
-        let mut escapes = 0usize;
-        let mut solved = 0usize;
+        let mut local_best: RankedBest = None;
         loop {
             let t = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(members) = tiles.get(t) else { break };
@@ -390,7 +387,7 @@ pub fn approx_alg_sharded(
             let t_view = Instant::now();
             let member_cells: Vec<CellIndex> = members.iter().map(|&i| pool[i]).collect();
             let view = build_view(instance, &substrate, &member_cells, reach, &mut scratch);
-            profile.tile_view += t_view.elapsed().as_nanos() as u64;
+            tally.profile.tile_view += t_view.elapsed().as_nanos() as u64;
             let mut ws = SweepWorkspace::with_view(instance, &substrate, &view);
             for &i0 in members {
                 if pool.len() - i0 < s {
@@ -398,136 +395,89 @@ pub fn approx_alg_sharded(
                 }
                 combo.clear();
                 combo.extend(i0..i0 + s);
+                let mut rank = first_rank(i0);
                 loop {
                     let t_enum = Instant::now();
-                    let keep = match &pool_dists {
-                        Some(d) => chain_feasible(d, &combo, &chain_budgets),
-                        None => true,
-                    };
-                    profile.enumeration += t_enum.elapsed().as_nanos() as u64;
-                    if keep {
-                        survivors.fetch_add(1, Ordering::Relaxed);
-                        seeds.clear();
-                        seeds.extend(combo.iter().map(|&i| pool[i]));
-                        let before = ws.gain_queries();
-                        let mut outcome = ws.solve_subset(&plan, &seeds, &mut profile);
-                        let mut winner: &SweepWorkspace<'_> = &ws;
-                        if outcome == SubsetOutcome::EscapedView {
-                            // The tile view cannot score this subset;
-                            // any queries it burnt before noticing are
-                            // discarded so totals match the monolithic
-                            // sweep, where only the deciding (global)
-                            // evaluation exists.
-                            escapes += 1;
-                            let gws = global_ws.get_or_insert_with(|| {
-                                SweepWorkspace::with_substrate(instance, &substrate)
-                            });
-                            let gbefore = gws.gain_queries();
-                            outcome = gws.solve_subset(&plan, &seeds, &mut profile);
-                            queries += gws.gain_queries() - gbefore;
-                            winner = &*gws;
-                        } else {
-                            queries += ws.gain_queries() - before;
-                        }
-                        match outcome {
-                            SubsetOutcome::Served(served) => {
-                                let better = match &local_best {
-                                    None => true,
-                                    Some((bs, bc, _, _)) => {
-                                        served > *bs || (served == *bs && combo < *bc)
+                    let class = primer.classify(&ctx, &combo, rank);
+                    tally.profile.enumeration += t_enum.elapsed().as_nanos() as u64;
+                    match class {
+                        // Ranks only grow along the block: the rest of
+                        // it is tail too, counted up front.
+                        RankClass::Tail => break,
+                        RankClass::ChainPruned => tally.chain_pruned += 1,
+                        RankClass::BoundPruned => tally.bound_pruned += 1,
+                        RankClass::Primer => {}
+                        RankClass::Evaluate => {
+                            tally.evaluated += 1;
+                            seeds.clear();
+                            seeds.extend(combo.iter().map(|&i| pool[i]));
+                            let before = ws.gain_queries();
+                            let mut outcome = ws.solve_subset(&plan, &seeds, &mut tally.profile);
+                            let mut winner: &SweepWorkspace<'_> = &ws;
+                            if outcome == SubsetOutcome::EscapedView {
+                                // The tile view cannot score this subset;
+                                // any queries it burnt before noticing are
+                                // discarded so totals match the monolithic
+                                // sweep, where only the deciding (global)
+                                // evaluation exists.
+                                tally.view_escapes += 1;
+                                let gws = global_ws.get_or_insert_with(|| {
+                                    SweepWorkspace::with_substrate(instance, &substrate)
+                                });
+                                let gbefore = gws.gain_queries();
+                                outcome = gws.solve_subset(&plan, &seeds, &mut tally.profile);
+                                tally.gain_queries += gws.gain_queries() - gbefore;
+                                winner = &*gws;
+                            } else {
+                                tally.gain_queries += ws.gain_queries() - before;
+                            }
+                            match outcome {
+                                SubsetOutcome::Served(served) => {
+                                    if beats(&local_best, served, rank) {
+                                        local_best = Some((
+                                            served,
+                                            rank,
+                                            winner.placements().to_vec(),
+                                            seeds.clone(),
+                                        ));
                                     }
-                                };
-                                if better {
-                                    local_best = Some((
-                                        served,
-                                        combo.clone(),
-                                        winner.placements().to_vec(),
-                                        seeds.clone(),
-                                    ));
+                                }
+                                SubsetOutcome::Unconnectable => tally.unconnectable += 1,
+                                SubsetOutcome::EscapedView => {
+                                    unreachable!("a global workspace has no view to escape")
                                 }
                             }
-                            SubsetOutcome::Unconnectable => {
-                                unconnectable.fetch_add(1, Ordering::Relaxed);
-                            }
-                            SubsetOutcome::EscapedView => {
-                                unreachable!("a global workspace has no view to escape")
-                            }
                         }
-                    } else {
-                        chain_pruned.fetch_add(1, Ordering::Relaxed);
                     }
                     if !next_combination(&mut combo, pool.len()) || combo[0] != i0 {
                         break;
                     }
+                    rank += 1;
                 }
             }
-            solved += 1;
+            tally.tiles_solved += 1;
             uavnet_obs::hists::TILE_SOLVE.record_ns(t_tile.elapsed().as_nanos() as u64);
         }
-        gain_queries.fetch_add(queries, Ordering::Relaxed);
-        tiles_solved.fetch_add(solved, Ordering::Relaxed);
-        view_escapes.fetch_add(escapes, Ordering::Relaxed);
-        enumeration_ns.fetch_add(profile.enumeration, Ordering::Relaxed);
-        greedy_ns.fetch_add(profile.greedy, Ordering::Relaxed);
-        connection_ns.fetch_add(profile.connection, Ordering::Relaxed);
-        scoring_ns.fetch_add(profile.scoring, Ordering::Relaxed);
-        substrate_query_ns.fetch_add(profile.substrate_query, Ordering::Relaxed);
-        tile_view_ns.fetch_add(profile.tile_view, Ordering::Relaxed);
-        local_best
+        (local_best, tally)
     };
 
-    let joined: Vec<Result<Best, Box<dyn std::any::Any + Send>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let mut bests: Vec<Best> = Vec::with_capacity(joined.len());
-    let mut worker_panic: Option<String> = None;
-    for result in joined {
-        match result {
-            Ok(best) => bests.push(best),
-            Err(payload) => {
-                worker_panic.get_or_insert_with(|| panic_payload_message(&*payload));
-            }
-        }
-    }
-    if let Some(message) = worker_panic {
-        return Err(CoreError::Sweep(message));
-    }
-
-    let mut best: Best = None;
-    for cand in bests.into_iter().flatten() {
-        let better = match &best {
-            None => true,
-            Some((bs, bc, _, _)) => cand.0 > *bs || (cand.0 == *bs && cand.1 < *bc),
-        };
-        if better {
-            best = Some(cand);
-        }
-    }
-
+    let (best, tally) = join_workers(threads, worker, primer_best, base)?;
+    let mut profile = tally.sweep_profile(threads * s * 2 * std::mem::size_of::<usize>());
+    profile.substrate_build_ns = substrate_build_ns;
     let stats = ApproxStats {
-        plan,
+        plan: plan.clone(),
         seed_pool_size: pool.len(),
         subsets_enumerated: total as usize,
-        subsets_chain_pruned: chain_pruned.load(Ordering::Relaxed),
-        subsets_bound_pruned: 0,
-        subsets_evaluated: survivors.load(Ordering::Relaxed),
-        subsets_unconnectable: unconnectable.load(Ordering::Relaxed),
+        subsets_chain_pruned: tally.chain_pruned,
+        subsets_bound_pruned: tally.bound_pruned,
+        subsets_evaluated: tally.evaluated,
+        subsets_unconnectable: tally.unconnectable,
         best_seeds: best.as_ref().map(|(_, _, _, seeds)| seeds.clone()),
-        gain_queries: gain_queries.load(Ordering::Relaxed),
-        tiles_solved: tiles_solved.load(Ordering::Relaxed),
-        view_escapes: view_escapes.load(Ordering::Relaxed),
+        gain_queries: tally.gain_queries,
+        tiles_solved: tally.tiles_solved,
+        view_escapes: tally.view_escapes,
         strategy: "exhaustive",
-        profile: SweepProfile {
-            enumeration_ns: enumeration_ns.load(Ordering::Relaxed),
-            greedy_ns: greedy_ns.load(Ordering::Relaxed),
-            connection_ns: connection_ns.load(Ordering::Relaxed),
-            scoring_ns: scoring_ns.load(Ordering::Relaxed),
-            subset_buffer_peak_bytes: threads * s * 2 * std::mem::size_of::<usize>(),
-            substrate_build_ns,
-            substrate_query_ns: substrate_query_ns.load(Ordering::Relaxed),
-            tile_view_ns: tile_view_ns.load(Ordering::Relaxed),
-        },
+        profile,
     };
 
     let mut placements = match best {

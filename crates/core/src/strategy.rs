@@ -1,18 +1,15 @@
 //! Seed-search strategies behind the [`SeedStrategy`] trait — the
 //! pluggable engine of Algorithm 2's subset sweep.
 //!
-//! [`approx_alg`](crate::approx_alg) historically had one way to pick
-//! the winning seed subset: enumerate every `C(pool, s)` combination
-//! and evaluate the survivors of chain pruning. That wall caps both
-//! `s` and the candidate-location count. This module refactors the
-//! exhaustive sweep into one [`SeedStrategy`] implementation and adds
-//! two guided ones:
+//! Two strategies ship:
 //!
-//! * [`SeedStrategyKind::BoundPruned`] — **value-preserving** CELF-style
-//!   enumeration: an admissible per-subset upper bound (see
-//!   [`BoundPrunedEnumeration`]) lets workers skip any subset whose
-//!   optimistic served count cannot beat the incumbent. The winner (and
-//!   its placements) is bit-identical to exhaustive enumeration.
+//! * [`SeedStrategyKind::Exhaustive`] — the **value-exact** engine:
+//!   every rank of the `C(pool, s)` enumeration is either evaluated or
+//!   provably unable to win. Besides chain pruning it skips subsets whose
+//!   admissible served-count upper bound cannot beat a *primer*
+//!   incumbent evaluated before any worker starts (see [`Primer`]), so
+//!   its winner is bit-identical to evaluating every chain survivor
+//!   ([`approx_alg_materialized`](crate::approx_alg_materialized)).
 //! * [`SeedStrategyKind::Beam`] — **density-guided beam search**: seeds
 //!   grow from the highest-coverage cells of the spatial index's
 //!   coverage tables, a beam of width `B` survives each depth, and only
@@ -22,9 +19,8 @@
 //!
 //! Every strategy is deterministic and thread-count invariant: ties
 //! break on enumeration rank (equivalently the lexicographic order of
-//! the seed subset), and the bound-pruned parallel scheme reads the
-//! incumbent only at fixed chunk boundaries so pruning decisions do not
-//! depend on scheduling.
+//! the seed subset), and every pruning decision is a pure function of
+//! the rank's combination and the primer, fixed before workers spawn.
 
 use crate::approx::{
     binomial, chain_feasible, next_combination, panic_payload_message, seed_pool,
@@ -35,8 +31,7 @@ use std::cmp::Reverse;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use uavnet_geom::CellIndex;
 use uavnet_graph::{ConnectivitySubstrate, UNREACHABLE_HOPS};
@@ -48,18 +43,13 @@ use uavnet_graph::{ConnectivitySubstrate, UNREACHABLE_HOPS};
 /// evaluation count constant instead of combinatorial.
 pub const DEFAULT_BEAM_WIDTH: usize = 64;
 
-/// How many top-ranked pool positions the bound-pruned primer combines
-/// when seeding the incumbent before workers spawn.
+/// How many top-ranked pool positions the primer combines when
+/// looking for its second candidate.
 const PRIMER_POOL: usize = 24;
 
-/// How many primer combinations are tried before giving up on a
-/// chain-feasible incumbent (workers then start unprimed).
+/// How many combinations each primer candidate search tries before
+/// giving up on a chain-feasible one.
 const PRIMER_TRIES: usize = 512;
-
-/// Fixed rank-chunk size of the bound-pruned parallel scheme. Must not
-/// depend on the thread count: chunk boundaries are where incumbent
-/// snapshots are taken, so the chunking *is* the determinism contract.
-const BOUND_CHUNK: u64 = 64;
 
 /// Which seed-search strategy the subset sweep runs.
 ///
@@ -68,19 +58,16 @@ const BOUND_CHUNK: u64 = 64;
 /// ```
 /// use uavnet_core::SeedStrategyKind;
 /// assert_eq!("exhaustive".parse(), Ok(SeedStrategyKind::Exhaustive));
-/// assert_eq!("bound-pruned".parse(), Ok(SeedStrategyKind::BoundPruned));
 /// assert_eq!("beam:8".parse(), Ok(SeedStrategyKind::Beam { width: 8 }));
+/// assert!("bound-pruned".parse::<SeedStrategyKind>().is_err());
 /// assert_eq!(SeedStrategyKind::default(), SeedStrategyKind::Exhaustive);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SeedStrategyKind {
-    /// Evaluate every chain-pruning survivor of the full `C(pool, s)`
-    /// enumeration (the literal Algorithm 2 engine).
+    /// The full `C(pool, s)` enumeration (the literal Algorithm 2
+    /// engine), skipping only subsets that provably cannot win.
     #[default]
     Exhaustive,
-    /// Exhaustive enumeration with admissible bound pruning — the same
-    /// winner bit-for-bit, skipping subsets that provably cannot win.
-    BoundPruned,
     /// Density-guided beam search evaluating at most `width` subsets.
     Beam {
         /// Beam width `B`: states kept per depth and final evaluations.
@@ -89,12 +76,11 @@ pub enum SeedStrategyKind {
 }
 
 impl SeedStrategyKind {
-    /// Stable machine-readable name (`"exhaustive"`, `"bound-pruned"`,
-    /// `"beam"`), used in stats, obs events and BENCH_sweep.json.
+    /// Stable machine-readable name (`"exhaustive"`, `"beam"`), used in
+    /// stats, obs events and BENCH_sweep.json.
     pub fn name(self) -> &'static str {
         match self {
             SeedStrategyKind::Exhaustive => "exhaustive",
-            SeedStrategyKind::BoundPruned => "bound-pruned",
             SeedStrategyKind::Beam { .. } => "beam",
         }
     }
@@ -103,7 +89,6 @@ impl SeedStrategyKind {
     pub fn build(self) -> Box<dyn SeedStrategy> {
         match self {
             SeedStrategyKind::Exhaustive => Box::new(ExhaustiveEnumeration),
-            SeedStrategyKind::BoundPruned => Box::new(BoundPrunedEnumeration),
             SeedStrategyKind::Beam { width } => Box::new(DensityBeam { width }),
         }
     }
@@ -124,7 +109,6 @@ impl FromStr for SeedStrategyKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "exhaustive" => Ok(SeedStrategyKind::Exhaustive),
-            "bound-pruned" | "bound_pruned" => Ok(SeedStrategyKind::BoundPruned),
             "beam" => Ok(SeedStrategyKind::Beam {
                 width: DEFAULT_BEAM_WIDTH,
             }),
@@ -134,8 +118,7 @@ impl FromStr for SeedStrategyKind {
                     _ => Err(format!("invalid beam width {w:?} (want beam:<N≥1>)")),
                 },
                 None => Err(format!(
-                    "unknown seed strategy {other:?} \
-                     (want exhaustive | bound-pruned | beam[:N])"
+                    "unknown seed strategy {other:?} (want exhaustive | beam[:N])"
                 )),
             },
         }
@@ -189,6 +172,14 @@ impl<'a> SearchContext<'a> {
     pub fn total_subsets(&self) -> u64 {
         binomial(self.pool.len(), self.config.s())
     }
+
+    /// Whether the pool-index combination survives chain pruning.
+    pub(crate) fn chain_feasible(&self, combo: &[usize]) -> bool {
+        match &self.pool_dists {
+            Some(d) => chain_feasible(d, combo, &self.chain_budgets),
+            None => true,
+        }
+    }
 }
 
 /// The winning candidate of a strategy's search.
@@ -209,14 +200,14 @@ pub struct BestCandidate {
 pub struct SearchResult {
     /// The best candidate, if any subset produced a deployment.
     pub best: Option<BestCandidate>,
-    /// Subsets considered before any pruning (for the enumerative
-    /// strategies this is `C(pool, s)`; the beam counts generated
-    /// states instead).
+    /// Subsets considered before any pruning (for the exhaustive
+    /// strategy this is `C(pool, s)`; the beam counts generated states
+    /// instead).
     pub subsets_enumerated: usize,
     /// Subsets dropped by chain pruning.
     pub subsets_chain_pruned: usize,
     /// Subsets skipped because their admissible upper bound could not
-    /// beat the incumbent (bound-pruned strategy only).
+    /// beat the primer incumbent (exhaustive strategy only).
     pub subsets_bound_pruned: usize,
     /// Subsets fully evaluated (greedy + connection + scoring).
     pub subsets_evaluated: usize,
@@ -314,171 +305,126 @@ pub(crate) fn rank_of_combination(combo: &[usize], n: usize, s: usize) -> u64 {
 }
 
 /// (served, rank, placements, seeds) of a candidate during a sweep.
-type RankedBest = Option<(usize, u64, Vec<(usize, CellIndex)>, Vec<CellIndex>)>;
+pub(crate) type RankedBest = Option<(usize, u64, Vec<(usize, CellIndex)>, Vec<CellIndex>)>;
 
-fn ranked_to_candidate(best: RankedBest) -> Option<BestCandidate> {
-    best.map(|(served, _, placements, seeds)| BestCandidate {
-        served,
-        seeds,
-        placements,
-    })
+/// Whether `(served, rank)` beats `best`: more users served, or as many
+/// at a lower enumeration rank.
+pub(crate) fn beats(best: &RankedBest, served: usize, rank: u64) -> bool {
+    best.as_ref()
+        .is_none_or(|(bs, br, _, _)| served > *bs || (served == *bs && rank < *br))
 }
 
-/// The literal Algorithm 2 engine: evaluate every chain-pruning
-/// survivor of the full `C(pool, s)` enumeration behind a chunked
-/// atomic cursor, one reusable workspace per worker.
-pub struct ExhaustiveEnumeration;
+/// One worker's share of the deterministic counters and phase timings,
+/// summed when the workers are joined.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) chain_pruned: usize,
+    pub(crate) bound_pruned: usize,
+    pub(crate) evaluated: usize,
+    pub(crate) unconnectable: usize,
+    pub(crate) gain_queries: u64,
+    pub(crate) tiles_solved: usize,
+    pub(crate) view_escapes: usize,
+    pub(crate) profile: PhaseNanos,
+}
 
-impl SeedStrategy for ExhaustiveEnumeration {
-    fn name(&self) -> &'static str {
-        "exhaustive"
+impl Tally {
+    fn absorb(&mut self, other: Tally) {
+        self.chain_pruned += other.chain_pruned;
+        self.bound_pruned += other.bound_pruned;
+        self.evaluated += other.evaluated;
+        self.unconnectable += other.unconnectable;
+        self.gain_queries += other.gain_queries;
+        self.tiles_solved += other.tiles_solved;
+        self.view_escapes += other.view_escapes;
+        let (p, q) = (&mut self.profile, other.profile);
+        p.enumeration += q.enumeration;
+        p.greedy += q.greedy;
+        p.connection += q.connection;
+        p.scoring += q.scoring;
+        p.substrate_query += q.substrate_query;
+        p.tile_view += q.tile_view;
     }
 
-    fn search(&self, ctx: &SearchContext<'_>) -> Result<SearchResult, CoreError> {
-        let s = ctx.config.s();
-        let pool = &ctx.pool;
-        let total = binomial(pool.len(), s);
-        let threads_cfg = ctx.config.num_threads();
-        let chunk = (total / (threads_cfg as u64 * 4)).clamp(1, 64);
-        let cursor = AtomicU64::new(0);
-        let evaluated = AtomicUsize::new(0);
-        let chain_pruned = AtomicUsize::new(0);
-        let unconnectable = AtomicUsize::new(0);
-        let gain_queries = AtomicU64::new(0);
-        let enumeration_ns = AtomicU64::new(0);
-        let greedy_ns = AtomicU64::new(0);
-        let connection_ns = AtomicU64::new(0);
-        let scoring_ns = AtomicU64::new(0);
-        let substrate_query_ns = AtomicU64::new(0);
-        let threads = threads_cfg.min(total.div_ceil(chunk).max(1) as usize);
-
-        let worker = || -> RankedBest {
-            let mut ws = SweepWorkspace::with_substrate(ctx.instance, ctx.substrate);
-            let mut profile = PhaseNanos::default();
-            let mut combo: Vec<usize> = Vec::with_capacity(s);
-            let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
-            let mut local_best: RankedBest = None;
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= total {
-                    break;
-                }
-                let end = (start + chunk).min(total);
-                for rank in start..end {
-                    let t_enum = Instant::now();
-                    if rank == start {
-                        unrank_combination(rank, pool.len(), s, &mut combo);
-                    } else {
-                        let advanced = next_combination(&mut combo, pool.len());
-                        debug_assert!(advanced, "rank < total implies a successor");
-                    }
-                    // The injection hook fires on *reaching* the rank,
-                    // before any pruning: tests pick ranks without
-                    // knowing which ones chain pruning will discard.
-                    if ctx.config.panic_rank() == Some(rank) {
-                        panic!("injected worker panic at enumeration rank {rank}");
-                    }
-                    let keep = match &ctx.pool_dists {
-                        Some(d) => chain_feasible(d, &combo, &ctx.chain_budgets),
-                        None => true,
-                    };
-                    profile.enumeration += t_enum.elapsed().as_nanos() as u64;
-                    if !keep {
-                        chain_pruned.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    evaluated.fetch_add(1, Ordering::Relaxed);
-                    seeds.clear();
-                    seeds.extend(combo.iter().map(|&i| pool[i]));
-                    match ws.solve_subset(ctx.plan, &seeds, &mut profile) {
-                        SubsetOutcome::Served(served) => {
-                            let better = match &local_best {
-                                None => true,
-                                Some((bs, br, _, _)) => {
-                                    served > *bs || (served == *bs && rank < *br)
-                                }
-                            };
-                            if better {
-                                local_best =
-                                    Some((served, rank, ws.placements().to_vec(), seeds.clone()));
-                            }
-                        }
-                        SubsetOutcome::Unconnectable => {
-                            unconnectable.fetch_add(1, Ordering::Relaxed);
-                        }
-                        SubsetOutcome::EscapedView => {
-                            unreachable!("the monolithic sweep runs without a tile view")
-                        }
-                    }
-                }
-            }
-            gain_queries.fetch_add(ws.gain_queries(), Ordering::Relaxed);
-            enumeration_ns.fetch_add(profile.enumeration, Ordering::Relaxed);
-            greedy_ns.fetch_add(profile.greedy, Ordering::Relaxed);
-            connection_ns.fetch_add(profile.connection, Ordering::Relaxed);
-            scoring_ns.fetch_add(profile.scoring, Ordering::Relaxed);
-            substrate_query_ns.fetch_add(profile.substrate_query, Ordering::Relaxed);
-            local_best
-        };
-
-        // Join every worker unconditionally, collecting panics instead
-        // of propagating them: a panicking oracle must surface as a
-        // typed error, not abort the process.
-        let joined: Vec<Result<RankedBest, Box<dyn std::any::Any + Send>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-        let mut bests: Vec<RankedBest> = Vec::with_capacity(joined.len());
-        let mut worker_panic: Option<String> = None;
-        for result in joined {
-            match result {
-                Ok(best) => bests.push(best),
-                Err(payload) => {
-                    worker_panic.get_or_insert_with(|| panic_payload_message(&*payload));
-                }
-            }
+    /// The phase timings as a [`SweepProfile`]; `substrate_build_ns` is
+    /// filled by the caller.
+    pub(crate) fn sweep_profile(&self, subset_buffer_peak_bytes: usize) -> SweepProfile {
+        let p = &self.profile;
+        SweepProfile {
+            enumeration_ns: p.enumeration,
+            greedy_ns: p.greedy,
+            connection_ns: p.connection,
+            scoring_ns: p.scoring,
+            subset_buffer_peak_bytes,
+            substrate_build_ns: 0,
+            substrate_query_ns: p.substrate_query,
+            tile_view_ns: p.tile_view,
         }
-        if let Some(message) = worker_panic {
-            return Err(CoreError::Sweep(message));
-        }
-
-        // Join-time reduction by (served desc, rank asc): bit-identical
-        // to a sequential sweep for any chunking.
-        let mut best: RankedBest = None;
-        for cand in bests.into_iter().flatten() {
-            let better = match &best {
-                None => true,
-                Some((bs, br, _, _)) => cand.0 > *bs || (cand.0 == *bs && cand.1 < *br),
-            };
-            if better {
-                best = Some(cand);
-            }
-        }
-
-        Ok(SearchResult {
-            best: ranked_to_candidate(best),
-            subsets_enumerated: total as usize,
-            subsets_chain_pruned: chain_pruned.load(Ordering::Relaxed),
-            subsets_bound_pruned: 0,
-            subsets_evaluated: evaluated.load(Ordering::Relaxed),
-            subsets_unconnectable: unconnectable.load(Ordering::Relaxed),
-            gain_queries: gain_queries.load(Ordering::Relaxed),
-            profile: SweepProfile {
-                enumeration_ns: enumeration_ns.load(Ordering::Relaxed),
-                greedy_ns: greedy_ns.load(Ordering::Relaxed),
-                connection_ns: connection_ns.load(Ordering::Relaxed),
-                scoring_ns: scoring_ns.load(Ordering::Relaxed),
-                subset_buffer_peak_bytes: threads * s * 2 * std::mem::size_of::<usize>(),
-                substrate_build_ns: 0,
-                substrate_query_ns: substrate_query_ns.load(Ordering::Relaxed),
-                tile_view_ns: 0,
-            },
-        })
     }
 }
 
-/// Value-preserving bound-pruned enumeration (CELF-style).
+/// Runs `threads` copies of `worker` and joins every one of them
+/// before returning, folding each worker's best into `best` (by served
+/// desc, rank asc — bit-identical to a sequential sweep for any
+/// scheduling) and its tally into `tally`. A panicking worker surfaces
+/// as [`CoreError::Sweep`] rather than aborting the process.
+pub(crate) fn join_workers<W>(
+    threads: usize,
+    worker: W,
+    mut best: RankedBest,
+    mut tally: Tally,
+) -> Result<(RankedBest, Tally), CoreError>
+where
+    W: Fn() -> (RankedBest, Tally) + Sync,
+{
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(&worker)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut worker_panic: Option<String> = None;
+    for result in joined {
+        match result {
+            Ok((cand, part)) => {
+                tally.absorb(part);
+                if let Some(c) = cand {
+                    if beats(&best, c.0, c.1) {
+                        best = Some(c);
+                    }
+                }
+            }
+            Err(payload) => {
+                worker_panic.get_or_insert_with(|| panic_payload_message(&*payload));
+            }
+        }
+    }
+    match worker_panic {
+        Some(message) => Err(CoreError::Sweep(message)),
+        None => Ok((best, tally)),
+    }
+}
+
+/// How the exhaustive sweep treats one enumeration rank, as decided by
+/// [`Primer::classify`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RankClass {
+    /// Past a primer that already serves `min(Σ capacities, n)`: no
+    /// later rank can win, not even on the tie-break. Counted as
+    /// bound-pruned without a chain check; the sweeps stop here.
+    Tail,
+    /// Rejected by chain pruning.
+    ChainPruned,
+    /// One of the primer's own candidates, evaluated before the
+    /// workers started.
+    Primer,
+    /// Its admissible bound is below the incumbent's served count, or
+    /// equal to it at a higher rank.
+    BoundPruned,
+    /// Must be evaluated.
+    Evaluate,
+}
+
+/// The incumbent of the exhaustive sweep, fixed before any worker
+/// starts, together with the tables of its admissible bound.
 ///
 /// # The admissible bound
 ///
@@ -499,43 +445,186 @@ impl SeedStrategy for ExhaustiveEnumeration {
 /// `ūh(v) ≥ |U_h(v)|`; the implementation uses the cheap cached-count
 /// over-estimate from [`reach_coverage_bounds`].
 ///
-/// # Deterministic parallel pruning
+/// # The primer
 ///
-/// Ranks advance in fixed chunks of [`BOUND_CHUNK`] regardless of the
-/// thread count; all workers process each chunk in lockstep (worker
-/// `w` owns the ranks congruent to `w` within the chunk) behind a
-/// [`Barrier`]. The incumbent is snapshotted once per chunk, *after*
-/// the barrier, and every skip decision compares against that snapshot
-/// only — never against mid-chunk discoveries; a second barrier at the
-/// end of each chunk holds every merge back until all workers have
-/// finished their reads, so no chunk-local best can leak into a
-/// sibling's skip decisions. The set of pruned ranks (and therefore
-/// every counter) is thus identical for 1, 2 or `N` workers. Skipping is safe only when the bound is *strictly* below
-/// the incumbent, or equal with the incumbent at a lower rank: an
-/// equal-bound subset at a lower rank could still win the tie-break.
+/// Up to two chain-feasible candidates are evaluated on the calling
+/// thread, in rank order:
 ///
-/// # Saturation early exit
+/// 1. the lowest-rank chain-feasible combination — under the canonical
+///    greedy pool order (see [`crate::ApproxConfig::seed_strategy`])
+///    this is usually the winner itself, so every later rank with an
+///    equal bound tie-prunes;
+/// 2. the first chain-feasible combination of the highest-`ūh` pool
+///    positions — a served-count safety net for instances where the
+///    greedy order's head does not saturate the fleet.
 ///
-/// `min(Σ capacities, n)` bounds *every* subset, so once the incumbent
-/// reaches it at a rank below the next chunk, the entire remaining
-/// tail is pruned wholesale — without even walking the combinations or
-/// running their chain checks. The canonical greedy pool order (see
-/// [`crate::ApproxConfig::seed_strategy`]) makes this the common case
-/// on capacity-saturated instances: a fleet-saturating subset sits in
-/// the first few ranks, and the sweep stops after a handful of chunks.
-/// Tail ranks skipped this way are counted as bound-pruned even when
-/// the chain filter would also have rejected them — the accounting
-/// identity `enumerated = evaluated + chain_pruned + bound_pruned`
-/// still holds, but `chain_pruned` alone is no longer comparable with
-/// the exhaustive sweep's.
-pub struct BoundPrunedEnumeration;
+/// Evaluation stops early once a candidate reaches `min(Σ capacities,
+/// n)`: every later rank — the second candidate included — belongs to
+/// the [`RankClass::Tail`]. Because the incumbent never changes once
+/// workers run, [`classify`](Self::classify) is a pure function of the
+/// combination, and every counter is independent of the thread count
+/// and of how the sharded sweep tiles the grid.
+pub(crate) struct Primer {
+    /// `(served, rank)` of the best primer candidate: the sweep's
+    /// fixed incumbent.
+    incumbent: Option<(usize, u64)>,
+    /// Ranks the primer evaluated.
+    ranks: Vec<u64>,
+    /// `ūh` per pool position.
+    reach: Vec<u64>,
+    tail_caps: u64,
+    cap_bound: u64,
+}
 
-/// The shared incumbent of the bound-pruned sweep.
-struct Incumbent {
-    served: usize,
-    rank: u64,
-    placements: Vec<(usize, CellIndex)>,
-    seeds: Vec<CellIndex>,
+impl Primer {
+    /// Builds the bound tables and evaluates the primer candidates;
+    /// also returns the best candidate and the primer's own work (the
+    /// bound-table setup counts as enumeration), which seed the sweep's
+    /// reduction.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Sweep`] if evaluating a candidate panicked.
+    pub(crate) fn evaluate(
+        ctx: &SearchContext<'_>,
+    ) -> Result<(Primer, RankedBest, Tally), CoreError> {
+        std::panic::catch_unwind(AssertUnwindSafe(|| Primer::evaluate_inner(ctx)))
+            .map_err(|payload| CoreError::Sweep(panic_payload_message(&*payload)))
+    }
+
+    fn evaluate_inner(ctx: &SearchContext<'_>) -> (Primer, RankedBest, Tally) {
+        let instance = ctx.instance;
+        let s = ctx.config.s();
+        let pool_len = ctx.pool.len();
+        let t_setup = Instant::now();
+        let reach = reach_coverage_bounds(ctx);
+        let cap_total: u64 = instance.uavs().iter().map(|u| u64::from(u.capacity)).sum();
+        let tail_caps: u64 = instance.uavs_by_capacity()[s..]
+            .iter()
+            .map(|&u| u64::from(instance.uavs()[u].capacity))
+            .sum();
+        let cap_bound = cap_total.min(instance.num_users() as u64);
+
+        let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(2);
+        candidates.extend(first_feasible(ctx, pool_len, |slots| slots.to_vec()));
+        let mut order: Vec<usize> = (0..pool_len).collect();
+        order.sort_by_key(|&p| (Reverse(reach[p]), p));
+        order.truncate(PRIMER_POOL);
+        if let Some(top) = first_feasible(ctx, order.len(), |slots| {
+            let mut positions: Vec<usize> = slots.iter().map(|&i| order[i]).collect();
+            positions.sort_unstable();
+            positions
+        }) {
+            if !candidates.contains(&top) {
+                candidates.push(top);
+            }
+        }
+        let mut candidates: Vec<(u64, Vec<usize>)> = candidates
+            .into_iter()
+            .map(|c| (rank_of_combination(&c, pool_len, s), c))
+            .collect();
+        candidates.sort_unstable();
+
+        let mut tally = Tally::default();
+        tally.profile.enumeration = t_setup.elapsed().as_nanos() as u64;
+        let mut best: RankedBest = None;
+        let mut ranks = Vec::with_capacity(candidates.len());
+        let mut ws = SweepWorkspace::with_substrate(instance, ctx.substrate);
+        for (rank, positions) in candidates {
+            if best
+                .as_ref()
+                .is_some_and(|(served, ..)| *served as u64 >= cap_bound)
+            {
+                break;
+            }
+            let seeds: Vec<CellIndex> = positions.iter().map(|&p| ctx.pool[p]).collect();
+            tally.evaluated += 1;
+            ranks.push(rank);
+            match ws.solve_subset(ctx.plan, &seeds, &mut tally.profile) {
+                SubsetOutcome::Served(served) => {
+                    if beats(&best, served, rank) {
+                        best = Some((served, rank, ws.placements().to_vec(), seeds));
+                    }
+                }
+                SubsetOutcome::Unconnectable => tally.unconnectable += 1,
+                SubsetOutcome::EscapedView => {
+                    unreachable!("the primer runs without a tile view")
+                }
+            }
+        }
+        tally.gain_queries = ws.gain_queries();
+        let primer = Primer {
+            incumbent: best.as_ref().map(|(served, rank, _, _)| (*served, *rank)),
+            ranks,
+            reach,
+            tail_caps,
+            cap_bound,
+        };
+        (primer, best, tally)
+    }
+
+    /// The first rank of the [`RankClass::Tail`]: `total` when the
+    /// primer does not saturate the fleet.
+    pub(crate) fn tail_start(&self, total: u64) -> u64 {
+        match self.incumbent {
+            Some((served, rank)) if served as u64 >= self.cap_bound => (rank + 1).min(total),
+            _ => total,
+        }
+    }
+
+    /// Classifies the rank-`rank` pool-index combination `combo`; the
+    /// classes are checked in the order they are declared in
+    /// [`RankClass`].
+    pub(crate) fn classify(
+        &self,
+        ctx: &SearchContext<'_>,
+        combo: &[usize],
+        rank: u64,
+    ) -> RankClass {
+        if rank >= self.tail_start(u64::MAX) {
+            return RankClass::Tail;
+        }
+        if !ctx.chain_feasible(combo) {
+            return RankClass::ChainPruned;
+        }
+        if self.ranks.contains(&rank) {
+            return RankClass::Primer;
+        }
+        if let Some((served, inc_rank)) = self.incumbent {
+            let optimistic = self.tail_caps + combo.iter().map(|&p| self.reach[p]).sum::<u64>();
+            let bound = optimistic.min(self.cap_bound);
+            let served = served as u64;
+            if bound < served || (bound == served && rank > inc_rank) {
+                return RankClass::BoundPruned;
+            }
+        }
+        RankClass::Evaluate
+    }
+}
+
+/// The first chain-feasible combination, within [`PRIMER_TRIES`], of
+/// `s` slots out of `0..n`, with `positions` mapping slots to ascending
+/// pool positions.
+fn first_feasible(
+    ctx: &SearchContext<'_>,
+    n: usize,
+    positions: impl Fn(&[usize]) -> Vec<usize>,
+) -> Option<Vec<usize>> {
+    let s = ctx.config.s();
+    if n < s {
+        return None;
+    }
+    let mut slots: Vec<usize> = (0..s).collect();
+    for _ in 0..PRIMER_TRIES {
+        let combo = positions(&slots);
+        if ctx.chain_feasible(&combo) {
+            return Some(combo);
+        }
+        if !next_combination(&mut slots, n) {
+            break;
+        }
+    }
+    None
 }
 
 /// Admissible over-count of `|U_h(v)|` per pool position: the sum,
@@ -544,9 +633,7 @@ struct Incumbent {
 /// deduplication can only *over*-estimate the true union size, so the
 /// bound stays admissible, while the cached per-(class, cell) counts
 /// turn the computation into O(cells) table lookups per position
-/// instead of a full user-list traversal — the exact union walk cost
-/// tens of milliseconds at the 100k-user scale, dominating the pruned
-/// sweep it was meant to accelerate.
+/// instead of a full user-list traversal.
 fn reach_coverage_bounds(ctx: &SearchContext<'_>) -> Vec<u64> {
     let instance = ctx.instance;
     let h_max = ctx.plan.h_max();
@@ -561,387 +648,116 @@ fn reach_coverage_bounds(ctx: &SearchContext<'_>) -> Vec<u64> {
     ctx.pool
         .iter()
         .map(|&v| {
-            let mut count = 0u64;
-            for (w, &hops) in ctx.substrate.hop_row(v).iter().enumerate() {
-                if hops == UNREACHABLE_HOPS || hops as usize > h_max {
-                    continue;
-                }
-                count += cell_counts[w];
-            }
-            count
+            ctx.substrate
+                .hop_row(v)
+                .iter()
+                .zip(&cell_counts)
+                .filter(|&(&hops, _)| hops != UNREACHABLE_HOPS && hops as usize <= h_max)
+                .map(|(_, &count)| count)
+                .sum()
         })
         .collect()
 }
 
-impl SeedStrategy for BoundPrunedEnumeration {
+/// The literal Algorithm 2 engine: the full `C(pool, s)` enumeration
+/// behind a chunked atomic cursor, one reusable workspace per worker.
+/// Every rank is [classified](Primer::classify) against the primer
+/// before any evaluation, and the cursor stops where the primer's
+/// saturated tail begins.
+pub struct ExhaustiveEnumeration;
+
+impl SeedStrategy for ExhaustiveEnumeration {
     fn name(&self) -> &'static str {
-        "bound-pruned"
+        "exhaustive"
     }
 
-    #[allow(clippy::too_many_lines)]
     fn search(&self, ctx: &SearchContext<'_>) -> Result<SearchResult, CoreError> {
-        let instance = ctx.instance;
         let s = ctx.config.s();
-        let pool_len = ctx.pool.len();
-        let total = binomial(pool_len, s);
+        let pool = &ctx.pool;
+        let total = binomial(pool.len(), s);
+        let (primer, primer_best, mut base) = Primer::evaluate(ctx)?;
+        let end = primer.tail_start(total);
+        let threads_cfg = ctx.config.num_threads();
+        let chunk = (end / (threads_cfg as u64 * 4)).clamp(1, 64);
+        let cursor = AtomicU64::new(0);
+        let threads = threads_cfg.min(end.div_ceil(chunk).max(1) as usize);
 
-        let t_setup = Instant::now();
-        let uh = reach_coverage_bounds(ctx);
-        let cap_total: u64 = instance.uavs().iter().map(|u| u64::from(u.capacity)).sum();
-        let tail_caps: u64 = instance.uavs_by_capacity()[s..]
-            .iter()
-            .map(|&u| u64::from(instance.uavs()[u].capacity))
-            .sum();
-        let cap_bound = cap_total.min(instance.num_users() as u64);
-        let setup_ns = t_setup.elapsed().as_nanos() as u64;
-
-        // Prime the incumbent before any worker spawns, from two
-        // complementary candidates evaluated once on this thread:
-        //
-        // 1. the lowest-rank chain-feasible combination — under the
-        //    canonical greedy pool order this is usually the winner
-        //    itself, and its rank-0-ish position means *every* later
-        //    rank with an equal bound tie-prunes immediately;
-        // 2. the first chain-feasible combination of the highest-|U_h|
-        //    pool positions — a served-count safety net for instances
-        //    where the greedy order's head is not fleet-saturating.
-        //
-        // A strong early incumbent is what lets chunk 0's successors
-        // prune at all.
-        let mut primer_profile = PhaseNanos::default();
-        let mut primer_gain_queries = 0u64;
-        let mut primer_evaluated = 0usize;
-        let mut primer_unconnectable = 0usize;
-        let mut primer_ranks: Vec<u64> = Vec::with_capacity(2);
-        let mut incumbent: Option<Incumbent> = None;
-        {
-            let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(2);
-            if pool_len >= s {
-                let mut combo: Vec<usize> = (0..s).collect();
-                let mut tries = 0usize;
-                loop {
-                    tries += 1;
-                    let feasible = match &ctx.pool_dists {
-                        Some(d) => chain_feasible(d, &combo, &ctx.chain_budgets),
-                        None => true,
-                    };
-                    if feasible {
-                        candidates.push(combo.clone());
-                        break;
-                    }
-                    if tries >= PRIMER_TRIES || !next_combination(&mut combo, pool_len) {
-                        break;
-                    }
+        let worker = || -> (RankedBest, Tally) {
+            let mut ws = SweepWorkspace::with_substrate(ctx.instance, ctx.substrate);
+            let mut tally = Tally::default();
+            let mut combo: Vec<usize> = Vec::with_capacity(s);
+            let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
+            let mut local_best: RankedBest = None;
+            loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= end {
+                    break;
                 }
-            }
-            let mut order: Vec<usize> = (0..pool_len).collect();
-            order.sort_by_key(|&p| (Reverse(uh[p]), p));
-            let top = order.len().min(PRIMER_POOL);
-            if top >= s {
-                let mut slot_combo: Vec<usize> = (0..s).collect();
-                let mut tries = 0usize;
-                loop {
-                    tries += 1;
-                    let mut positions: Vec<usize> = slot_combo.iter().map(|&i| order[i]).collect();
-                    positions.sort_unstable();
-                    let feasible = match &ctx.pool_dists {
-                        Some(d) => chain_feasible(d, &positions, &ctx.chain_budgets),
-                        None => true,
-                    };
-                    if feasible {
-                        if !candidates.contains(&positions) {
-                            candidates.push(positions);
+                for rank in start..(start + chunk).min(end) {
+                    let t_enum = Instant::now();
+                    if rank == start {
+                        unrank_combination(rank, pool.len(), s, &mut combo);
+                    } else {
+                        let advanced = next_combination(&mut combo, pool.len());
+                        debug_assert!(advanced, "rank < total implies a successor");
+                    }
+                    // The injection hook fires on *reaching* the rank,
+                    // before any pruning: tests pick ranks without
+                    // knowing which ones will be pruned.
+                    if ctx.config.panic_rank() == Some(rank) {
+                        panic!("injected worker panic at enumeration rank {rank}");
+                    }
+                    let class = primer.classify(ctx, &combo, rank);
+                    tally.profile.enumeration += t_enum.elapsed().as_nanos() as u64;
+                    match class {
+                        RankClass::Evaluate => {}
+                        RankClass::ChainPruned => {
+                            tally.chain_pruned += 1;
+                            continue;
                         }
-                        break;
+                        RankClass::BoundPruned => {
+                            tally.bound_pruned += 1;
+                            continue;
+                        }
+                        RankClass::Primer => continue,
+                        RankClass::Tail => unreachable!("the cursor stops before the tail"),
                     }
-                    if tries >= PRIMER_TRIES || !next_combination(&mut slot_combo, top) {
-                        break;
-                    }
-                }
-            }
-            if !candidates.is_empty() {
-                let mut ws = SweepWorkspace::with_substrate(instance, ctx.substrate);
-                for positions in candidates {
-                    let seeds: Vec<CellIndex> = positions.iter().map(|&p| ctx.pool[p]).collect();
-                    let rank = rank_of_combination(&positions, pool_len, s);
-                    match ws.solve_subset(ctx.plan, &seeds, &mut primer_profile) {
+                    tally.evaluated += 1;
+                    seeds.clear();
+                    seeds.extend(combo.iter().map(|&i| pool[i]));
+                    match ws.solve_subset(ctx.plan, &seeds, &mut tally.profile) {
                         SubsetOutcome::Served(served) => {
-                            let better = match &incumbent {
-                                None => true,
-                                Some(i) => {
-                                    served > i.served || (served == i.served && rank < i.rank)
-                                }
-                            };
-                            if better {
-                                incumbent = Some(Incumbent {
-                                    served,
-                                    rank,
-                                    placements: ws.placements().to_vec(),
-                                    seeds,
-                                });
+                            if beats(&local_best, served, rank) {
+                                local_best =
+                                    Some((served, rank, ws.placements().to_vec(), seeds.clone()));
                             }
                         }
-                        SubsetOutcome::Unconnectable => primer_unconnectable += 1,
+                        SubsetOutcome::Unconnectable => tally.unconnectable += 1,
                         SubsetOutcome::EscapedView => {
                             unreachable!("the monolithic sweep runs without a tile view")
                         }
                     }
-                    primer_evaluated += 1;
-                    primer_ranks.push(rank);
-                }
-                primer_gain_queries = ws.gain_queries();
-            }
-        }
-
-        let incumbent = Mutex::new(incumbent);
-        let poisoned = AtomicBool::new(false);
-        let panic_msg: Mutex<Option<String>> = Mutex::new(None);
-        let chain_pruned = AtomicUsize::new(0);
-        let bound_pruned = AtomicUsize::new(0);
-        let evaluated = AtomicUsize::new(primer_evaluated);
-        let unconnectable = AtomicUsize::new(primer_unconnectable);
-        let gain_queries = AtomicU64::new(primer_gain_queries);
-        let enumeration_ns = AtomicU64::new(setup_ns + primer_profile.enumeration);
-        let greedy_ns = AtomicU64::new(primer_profile.greedy);
-        let connection_ns = AtomicU64::new(primer_profile.connection);
-        let scoring_ns = AtomicU64::new(primer_profile.scoring);
-        let substrate_query_ns = AtomicU64::new(primer_profile.substrate_query);
-        let threads = ctx
-            .config
-            .num_threads()
-            .min(usize::try_from(total).unwrap_or(usize::MAX))
-            .max(1);
-        let barrier = Barrier::new(threads);
-
-        let worker = |w: usize| {
-            let mut ws = SweepWorkspace::with_substrate(instance, ctx.substrate);
-            let mut profile = PhaseNanos::default();
-            let mut combo: Vec<usize> = Vec::with_capacity(s);
-            let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
-            let mut local_chain = 0usize;
-            let mut local_bound = 0usize;
-            let mut local_eval = 0usize;
-            let mut local_unconn = 0usize;
-            let mut chunk_start = 0u64;
-            while chunk_start < total {
-                // The barrier is the determinism (and memory-ordering)
-                // fence: after it, every merge from the previous chunk
-                // is visible and no sibling is processing ranks, so the
-                // snapshot below is identical across workers.
-                barrier.wait();
-                let snapshot: Option<(usize, u64)> = incumbent
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .as_ref()
-                    .map(|i| (i.served, i.rank));
-                // Saturation early exit: served can never exceed
-                // `cap_bound = min(Σ capacities, n)`, so once the
-                // incumbent reaches that global ceiling at a rank every
-                // remaining combination outranks, no successor can win
-                // — not even on the tie-break. The whole tail is then
-                // bound-prunable wholesale, without walking a single
-                // further combination or chain check. Merges only
-                // happen behind the second fence, so every worker reads
-                // the same snapshot here and they all exit on the same
-                // chunk — the barrier counts stay paired.
-                if let Some((inc_served, inc_rank)) = snapshot {
-                    if inc_served as u64 >= cap_bound && inc_rank < chunk_start {
-                        if w == 0 {
-                            local_bound += (total - chunk_start) as usize;
-                        }
-                        break;
-                    }
-                }
-                let end = (chunk_start + BOUND_CHUNK).min(total);
-                let mut chunk_best: RankedBest = None;
-                let mut dead = false;
-                let mut rank = chunk_start + w as u64;
-                if rank < end {
-                    let t_enum = Instant::now();
-                    unrank_combination(rank, pool_len, s, &mut combo);
-                    profile.enumeration += t_enum.elapsed().as_nanos() as u64;
-                }
-                while rank < end {
-                    let t_enum = Instant::now();
-                    let feasible = match &ctx.pool_dists {
-                        Some(d) => chain_feasible(d, &combo, &ctx.chain_budgets),
-                        None => true,
-                    };
-                    profile.enumeration += t_enum.elapsed().as_nanos() as u64;
-                    if !feasible {
-                        local_chain += 1;
-                    } else if primer_ranks.contains(&rank) {
-                        // Already evaluated (and counted) by the primer.
-                    } else {
-                        let mut optimistic = tail_caps;
-                        for &p in &combo {
-                            optimistic += uh[p];
-                        }
-                        let bound = optimistic.min(cap_bound);
-                        let skip = match snapshot {
-                            None => false,
-                            Some((inc_served, inc_rank)) => {
-                                bound < inc_served as u64
-                                    || (bound == inc_served as u64 && inc_rank < rank)
-                            }
-                        };
-                        if skip {
-                            local_bound += 1;
-                        } else {
-                            seeds.clear();
-                            seeds.extend(combo.iter().map(|&i| ctx.pool[i]));
-                            // Contain panics *inside* the barrier
-                            // discipline: an uncaught panic would strand
-                            // the sibling workers at the next wait.
-                            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                if ctx.config.panic_rank() == Some(rank) {
-                                    panic!("injected worker panic at enumeration rank {rank}");
-                                }
-                                ws.solve_subset(ctx.plan, &seeds, &mut profile)
-                            }));
-                            match outcome {
-                                Ok(SubsetOutcome::Served(served)) => {
-                                    local_eval += 1;
-                                    let better = match &chunk_best {
-                                        None => true,
-                                        Some((bs, br, _, _)) => {
-                                            served > *bs || (served == *bs && rank < *br)
-                                        }
-                                    };
-                                    if better {
-                                        chunk_best = Some((
-                                            served,
-                                            rank,
-                                            ws.placements().to_vec(),
-                                            seeds.clone(),
-                                        ));
-                                    }
-                                }
-                                Ok(SubsetOutcome::Unconnectable) => {
-                                    local_eval += 1;
-                                    local_unconn += 1;
-                                }
-                                Ok(SubsetOutcome::EscapedView) => {
-                                    unreachable!("the monolithic sweep runs without a tile view")
-                                }
-                                Err(payload) => {
-                                    panic_msg
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .get_or_insert_with(|| panic_payload_message(&*payload));
-                                    poisoned.store(true, Ordering::Release);
-                                    dead = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    let next = rank + threads as u64;
-                    if next < end {
-                        let t_enum = Instant::now();
-                        for _ in 0..threads {
-                            next_combination(&mut combo, pool_len);
-                        }
-                        profile.enumeration += t_enum.elapsed().as_nanos() as u64;
-                    }
-                    rank = next;
-                }
-                // Second fence: no worker may merge this chunk's best
-                // until every worker has finished reading the snapshot
-                // and processing its ranks — otherwise a fast sibling's
-                // merge would leak into a slow sibling's skip decisions
-                // and the pruned counter would depend on thread timing.
-                barrier.wait();
-                if !dead {
-                    if let Some((served, rank, placements, seeds)) = chunk_best {
-                        let mut inc = incumbent.lock().unwrap_or_else(|e| e.into_inner());
-                        let better = match &*inc {
-                            None => true,
-                            Some(i) => served > i.served || (served == i.served && rank < i.rank),
-                        };
-                        if better {
-                            *inc = Some(Incumbent {
-                                served,
-                                rank,
-                                placements,
-                                seeds,
-                            });
-                        }
-                    }
-                }
-                chunk_start += BOUND_CHUNK;
-                // Poisoned check: strictly between the second fence and
-                // the next chunk's top fence no worker can be inside
-                // the rank loop, so the flag is stable here — either
-                // every worker sees the panic and they all break
-                // together, or none does. (Checking right after the
-                // *top* fence instead races with a same-chunk panic
-                // from a faster sibling: the store becomes visible
-                // before this worker starts the chunk, it breaks, and
-                // the sibling waits at the second fence forever.)
-                if poisoned.load(Ordering::Acquire) {
-                    break;
                 }
             }
-            chain_pruned.fetch_add(local_chain, Ordering::Relaxed);
-            bound_pruned.fetch_add(local_bound, Ordering::Relaxed);
-            evaluated.fetch_add(local_eval, Ordering::Relaxed);
-            unconnectable.fetch_add(local_unconn, Ordering::Relaxed);
-            gain_queries.fetch_add(ws.gain_queries(), Ordering::Relaxed);
-            enumeration_ns.fetch_add(profile.enumeration, Ordering::Relaxed);
-            greedy_ns.fetch_add(profile.greedy, Ordering::Relaxed);
-            connection_ns.fetch_add(profile.connection, Ordering::Relaxed);
-            scoring_ns.fetch_add(profile.scoring, Ordering::Relaxed);
-            substrate_query_ns.fetch_add(profile.substrate_query, Ordering::Relaxed);
+            tally.gain_queries = ws.gain_queries();
+            (local_best, tally)
         };
 
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| scope.spawn(move || worker(w)))
-                .collect();
-            for h in handles {
-                // Workers contain their own panics via catch_unwind;
-                // a join error would mean a panic outside the guarded
-                // region, which the message slot still reports.
-                if let Err(payload) = h.join() {
-                    panic_msg
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .get_or_insert_with(|| panic_payload_message(&*payload));
-                    poisoned.store(true, Ordering::Release);
-                }
-            }
-        });
-        if let Some(message) = panic_msg.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(CoreError::Sweep(message));
-        }
-
-        let best = incumbent
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .map(|i| BestCandidate {
-                served: i.served,
-                seeds: i.seeds,
-                placements: i.placements,
-            });
+        base.bound_pruned = (total - end) as usize;
+        let (best, tally) = join_workers(threads, worker, primer_best, base)?;
         Ok(SearchResult {
-            best,
+            best: best.map(|(served, _, placements, seeds)| BestCandidate {
+                served,
+                seeds,
+                placements,
+            }),
             subsets_enumerated: total as usize,
-            subsets_chain_pruned: chain_pruned.load(Ordering::Relaxed),
-            subsets_bound_pruned: bound_pruned.load(Ordering::Relaxed),
-            subsets_evaluated: evaluated.load(Ordering::Relaxed),
-            subsets_unconnectable: unconnectable.load(Ordering::Relaxed),
-            gain_queries: gain_queries.load(Ordering::Relaxed),
-            profile: SweepProfile {
-                enumeration_ns: enumeration_ns.load(Ordering::Relaxed),
-                greedy_ns: greedy_ns.load(Ordering::Relaxed),
-                connection_ns: connection_ns.load(Ordering::Relaxed),
-                scoring_ns: scoring_ns.load(Ordering::Relaxed),
-                subset_buffer_peak_bytes: threads * s * 2 * std::mem::size_of::<usize>(),
-                substrate_build_ns: 0,
-                substrate_query_ns: substrate_query_ns.load(Ordering::Relaxed),
-                tile_view_ns: 0,
-            },
+            subsets_chain_pruned: tally.chain_pruned,
+            subsets_bound_pruned: tally.bound_pruned,
+            subsets_evaluated: tally.evaluated,
+            subsets_unconnectable: tally.unconnectable,
+            gain_queries: tally.gain_queries,
+            profile: tally.sweep_profile(threads * s * 2 * std::mem::size_of::<usize>()),
         })
     }
 }
@@ -1131,8 +947,6 @@ mod tests {
     fn kind_parses_displays_and_names() {
         for (text, kind) in [
             ("exhaustive", SeedStrategyKind::Exhaustive),
-            ("bound-pruned", SeedStrategyKind::BoundPruned),
-            ("bound_pruned", SeedStrategyKind::BoundPruned),
             (
                 "beam",
                 SeedStrategyKind::Beam {
@@ -1145,9 +959,11 @@ mod tests {
         }
         assert!("beam:0".parse::<SeedStrategyKind>().is_err());
         assert!("beam:x".parse::<SeedStrategyKind>().is_err());
-        assert!("simulated-annealing".parse::<SeedStrategyKind>().is_err());
+        for retired in ["simulated-annealing", "bound-pruned", "bound_pruned"] {
+            assert!(retired.parse::<SeedStrategyKind>().is_err(), "{retired}");
+        }
         assert_eq!(SeedStrategyKind::Beam { width: 9 }.to_string(), "beam:9");
-        assert_eq!(SeedStrategyKind::BoundPruned.to_string(), "bound-pruned");
+        assert_eq!(SeedStrategyKind::Exhaustive.to_string(), "exhaustive");
         assert_eq!(SeedStrategyKind::Beam { width: 9 }.name(), "beam");
     }
 
@@ -1177,99 +993,16 @@ mod tests {
     }
 
     #[test]
-    fn bound_pruned_is_bit_identical_to_exhaustive() {
-        let inst = two_cluster_instance();
-        for s in [1usize, 2] {
-            let exhaustive = ApproxConfig::with_s(s).threads(2);
-            let pruned = exhaustive
-                .clone()
-                .seed_strategy(SeedStrategyKind::BoundPruned);
-            let (sol_e, stats_e) = approx_alg_with_stats(&inst, &exhaustive).unwrap();
-            let (sol_p, stats_p) = approx_alg_with_stats(&inst, &pruned).unwrap();
-            assert_eq!(
-                sol_p.deployment().placements(),
-                sol_e.deployment().placements(),
-                "s = {s}"
-            );
-            assert_eq!(sol_p.served_users(), sol_e.served_users());
-            assert_eq!(stats_p.best_seeds, stats_e.best_seeds);
-            assert_eq!(stats_p.subsets_enumerated, stats_e.subsets_enumerated);
-            // Stats identity: every rank is accounted exactly once.
-            assert_eq!(
-                stats_p.subsets_enumerated,
-                stats_p.subsets_evaluated
-                    + stats_p.subsets_chain_pruned
-                    + stats_p.subsets_bound_pruned,
-                "s = {s}"
-            );
-            assert_eq!(stats_p.strategy, "bound-pruned");
-        }
-    }
-
-    #[test]
-    fn bound_pruned_counters_are_thread_count_invariant() {
-        let inst = two_cluster_instance();
-        let runs: Vec<_> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| {
-                approx_alg_with_stats(
-                    &inst,
-                    &ApproxConfig::with_s(2)
-                        .threads(t)
-                        .seed_strategy(SeedStrategyKind::BoundPruned),
-                )
-                .unwrap()
-            })
-            .collect();
-        for (sol, stats) in &runs[1..] {
-            assert_eq!(
-                sol.deployment().placements(),
-                runs[0].0.deployment().placements()
-            );
-            assert_eq!(stats.subsets_bound_pruned, runs[0].1.subsets_bound_pruned);
-            assert_eq!(stats.subsets_evaluated, runs[0].1.subsets_evaluated);
-            assert_eq!(stats.gain_queries, runs[0].1.gain_queries);
-        }
-    }
-
-    #[test]
-    fn bound_pruned_worker_panic_is_a_typed_error_not_a_deadlock() {
-        // A rank only panics if the sweep actually evaluates it (chain-
-        // or bound-pruned ranks never reach the hook), so scan a few:
-        // each thread count must surface at least one injected panic as
-        // a typed error, and no injection may deadlock the barrier
-        // scheme (the test would hang) or abort the process.
-        let inst = two_cluster_instance();
-        for threads in [1usize, 2, 4] {
-            let mut hit = false;
-            for rank in 0..12u64 {
-                let config = ApproxConfig::with_s(2)
-                    .threads(threads)
-                    .seed_strategy(SeedStrategyKind::BoundPruned)
-                    .inject_worker_panic_at(rank);
-                match approx_alg_with_stats(&inst, &config) {
-                    Err(CoreError::Sweep(msg)) => {
-                        assert!(msg.contains("injected"), "{msg}");
-                        hit = true;
-                    }
-                    Ok(_) => {} // rank was pruned before evaluation
-                    Err(other) => panic!("expected CoreError::Sweep, got {other:?}"),
-                }
-            }
-            assert!(hit, "no injected rank was evaluated at {threads} threads");
-        }
-    }
-
-    #[test]
     fn untruncated_beam_matches_exhaustive() {
         // C(pool, 2) on this instance is far below a width of 1024, so
-        // the beam degenerates to exhaustive-with-chain-pruning.
+        // the beam degenerates to evaluating every chain survivor — the
+        // unpruned reference sweep.
         let inst = two_cluster_instance();
         let exhaustive = ApproxConfig::with_s(2).threads(2);
         let beam = exhaustive
             .clone()
             .seed_strategy(SeedStrategyKind::Beam { width: 1024 });
-        let (sol_e, stats_e) = approx_alg_with_stats(&inst, &exhaustive).unwrap();
+        let (sol_e, stats_e) = crate::approx_alg_materialized(&inst, &exhaustive).unwrap();
         let (sol_b, stats_b) = approx_alg_with_stats(&inst, &beam).unwrap();
         assert_eq!(
             sol_b.deployment().placements(),
@@ -1279,6 +1012,45 @@ mod tests {
         assert_eq!(stats_b.best_seeds, stats_e.best_seeds);
         assert_eq!(stats_b.subsets_evaluated, stats_e.subsets_evaluated);
         assert_eq!(stats_b.strategy, "beam");
+    }
+
+    #[test]
+    fn bound_pruning_is_value_exact_and_thread_count_invariant() {
+        // One dense hotspot and a small fleet: the primer saturates the
+        // fleet, so the admissible bound has a tail to skip.
+        let mut b = Instance::builder(grid(300.0, 1500.0), 450.0);
+        for i in 0..20 {
+            b.add_user(Point2::new(700.0 + 5.0 * i as f64, 760.0), 2_000.0);
+        }
+        for cap in [3u32, 2, 2] {
+            b.add_uav(cap, UavRadio::new(30.0, 5.0, 400.0));
+        }
+        let inst = b.build().unwrap();
+        for s in [1usize, 2] {
+            let runs: Vec<_> = [1usize, 2, 4]
+                .iter()
+                .map(|&t| {
+                    let config = ApproxConfig::with_s(s).threads(t);
+                    crate::check_sweep_oracles(&inst, &config).unwrap();
+                    approx_alg_with_stats(&inst, &config).unwrap().1
+                })
+                .collect();
+            let first = &runs[0];
+            assert!(
+                first.subsets_bound_pruned > 0,
+                "s = {s}: the bound never fired"
+            );
+            assert_eq!(
+                first.subsets_enumerated,
+                first.subsets_evaluated + first.subsets_chain_pruned + first.subsets_bound_pruned
+            );
+            for stats in &runs[1..] {
+                assert_eq!(stats.subsets_chain_pruned, first.subsets_chain_pruned);
+                assert_eq!(stats.subsets_bound_pruned, first.subsets_bound_pruned);
+                assert_eq!(stats.subsets_evaluated, first.subsets_evaluated);
+                assert_eq!(stats.gain_queries, first.gain_queries);
+            }
+        }
     }
 
     #[test]

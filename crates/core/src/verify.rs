@@ -131,19 +131,6 @@ pub enum VerifyError {
         /// The plan's `Δ`.
         delta: usize,
     },
-    /// A value-preserving guided seed strategy diverged from exhaustive
-    /// enumeration on a field the two must agree on bit-for-bit
-    /// (oracle 8).
-    StrategyMismatch {
-        /// Which deterministic field diverged.
-        field: &'static str,
-        /// The guided strategy's stable name.
-        strategy: &'static str,
-        /// Value from the guided strategy.
-        guided: String,
-        /// Value from exhaustive enumeration.
-        exhaustive: String,
-    },
     /// A non-value-preserving seed strategy's served count fell below
     /// the committed quality floor relative to full enumeration
     /// (oracle 8).
@@ -219,16 +206,6 @@ impl fmt::Display for VerifyError {
                 f,
                 "served {served} violates the 1/(3Δ) guarantee against opt {opt} (Δ = {delta})"
             ),
-            VerifyError::StrategyMismatch {
-                field,
-                strategy,
-                guided,
-                exhaustive,
-            } => write!(
-                f,
-                "{strategy} strategy diverged on {field}: \
-                 guided {guided} vs exhaustive {exhaustive}"
-            ),
             VerifyError::StrategyQualityViolated {
                 strategy,
                 served,
@@ -294,8 +271,13 @@ pub fn check_assignment_oracles(
 }
 
 /// Differential oracle 2 — the streaming subset sweep against the
-/// materialized sequential reference: solutions and every
-/// timing-independent statistic must be bit-for-bit identical.
+/// materialized sequential reference, which evaluates every chain
+/// survivor: the solution, the winning seeds, the plan, the pool size
+/// and the enumeration size must be bit-for-bit identical. The other
+/// counters must be identical too when the admissible bound skipped
+/// nothing; otherwise every rank must still be accounted for exactly
+/// once (`evaluated + chain_pruned + bound_pruned == enumerated`) and
+/// the sweep may not evaluate more subsets than the reference.
 ///
 /// # Errors
 ///
@@ -311,26 +293,63 @@ pub fn check_sweep_oracles(instance: &Instance, config: &ApproxConfig) -> Result
             materialized: m,
         }))
     };
-    if sol.deployment().placements() != ref_sol.deployment().placements() {
-        return mismatch(
+    let exact = [
+        (
             "placements",
             format!("{:?}", sol.deployment().placements()),
             format!("{:?}", ref_sol.deployment().placements()),
-        );
-    }
-    if sol.served_users() != ref_sol.served_users() {
-        return mismatch(
+        ),
+        (
             "served",
             sol.served_users().to_string(),
             ref_sol.served_users().to_string(),
-        );
-    }
-    for (field, s, m) in [
+        ),
+        (
+            "best_seeds",
+            format!("{:?}", stats.best_seeds),
+            format!("{:?}", ref_stats.best_seeds),
+        ),
+        (
+            "plan",
+            format!("{:?}", stats.plan),
+            format!("{:?}", ref_stats.plan),
+        ),
+        (
+            "seed_pool_size",
+            stats.seed_pool_size.to_string(),
+            ref_stats.seed_pool_size.to_string(),
+        ),
         (
             "subsets_enumerated",
-            stats.subsets_enumerated,
-            ref_stats.subsets_enumerated,
+            stats.subsets_enumerated.to_string(),
+            ref_stats.subsets_enumerated.to_string(),
         ),
+    ];
+    for (field, s, m) in exact {
+        if s != m {
+            return mismatch(field, s, m);
+        }
+    }
+    if stats.subsets_bound_pruned > 0 {
+        let accounted =
+            stats.subsets_evaluated + stats.subsets_chain_pruned + stats.subsets_bound_pruned;
+        if accounted != stats.subsets_enumerated {
+            return mismatch(
+                "evaluated + chain_pruned + bound_pruned",
+                accounted.to_string(),
+                ref_stats.subsets_enumerated.to_string(),
+            );
+        }
+        if stats.subsets_evaluated > ref_stats.subsets_evaluated {
+            return mismatch(
+                "subsets_evaluated",
+                stats.subsets_evaluated.to_string(),
+                ref_stats.subsets_evaluated.to_string(),
+            );
+        }
+        return Ok(());
+    }
+    for (field, s, m) in [
         (
             "subsets_chain_pruned",
             stats.subsets_chain_pruned,
@@ -355,13 +374,6 @@ pub fn check_sweep_oracles(instance: &Instance, config: &ApproxConfig) -> Result
         if s != m {
             return mismatch(field, s.to_string(), m.to_string());
         }
-    }
-    if stats.best_seeds != ref_stats.best_seeds {
-        return mismatch(
-            "best_seeds",
-            format!("{:?}", stats.best_seeds),
-            format!("{:?}", ref_stats.best_seeds),
-        );
     }
     Ok(())
 }
@@ -461,18 +473,15 @@ pub const STRATEGY_QUALITY_NUM: usize = 4;
 /// [`STRATEGY_QUALITY_NUM`].
 pub const STRATEGY_QUALITY_DEN: usize = 3;
 
-/// Differential oracle 8 — guided seed strategies against exhaustive
-/// enumeration, on the same instance and configuration:
+/// Differential oracle 8 — the beam against exhaustive enumeration, on
+/// the same instance and configuration (oracle 2 already pins the
+/// exhaustive sweep to the unpruned reference):
 ///
-/// * **bound-pruned** must be bit-identical (placements, served count,
-///   winning seeds) — the bound is admissible, so pruning is
-///   value-preserving by construction and this oracle catches any
-///   regression in that argument;
-/// * **beam** (at [`DEFAULT_BEAM_WIDTH`]) must serve at least the
+/// * the beam (at [`DEFAULT_BEAM_WIDTH`]) must serve at least the
 ///   committed quality fraction of the exhaustive count
 ///   (`4·(served+1) ≥ 3·exhaustive`);
-/// * on instances small enough for [`exact_optimum`], every guided
-///   strategy must additionally clear the integer Theorem 1 floor
+/// * on instances small enough for [`exact_optimum`], both must
+///   additionally clear the integer Theorem 1 floor
 ///   `served · 3Δ ≥ OPT`.
 ///
 /// The incoming `config`'s own strategy setting is ignored — each side
@@ -480,45 +489,12 @@ pub const STRATEGY_QUALITY_DEN: usize = 3;
 ///
 /// # Errors
 ///
-/// [`VerifyError::StrategyMismatch`] /
 /// [`VerifyError::StrategyQualityViolated`] /
 /// [`VerifyError::RatioViolated`] wrapped in [`CoreError`]; solver
 /// errors propagate unchanged.
 pub fn check_strategy_quality(instance: &Instance, config: &ApproxConfig) -> Result<(), CoreError> {
     let base = config.clone().seed_strategy(SeedStrategyKind::Exhaustive);
     let (exh, exh_stats) = approx_alg_with_stats(instance, &base)?;
-
-    let pruned_config = base.clone().seed_strategy(SeedStrategyKind::BoundPruned);
-    let (pruned, pruned_stats) = approx_alg_with_stats(instance, &pruned_config)?;
-    let mismatch = |field: &'static str, guided: String, exhaustive: String| {
-        Err(CoreError::Verification(VerifyError::StrategyMismatch {
-            field,
-            strategy: "bound-pruned",
-            guided,
-            exhaustive,
-        }))
-    };
-    if pruned.deployment().placements() != exh.deployment().placements() {
-        return mismatch(
-            "placements",
-            format!("{:?}", pruned.deployment().placements()),
-            format!("{:?}", exh.deployment().placements()),
-        );
-    }
-    if pruned.served_users() != exh.served_users() {
-        return mismatch(
-            "served",
-            pruned.served_users().to_string(),
-            exh.served_users().to_string(),
-        );
-    }
-    if pruned_stats.best_seeds != exh_stats.best_seeds {
-        return mismatch(
-            "best_seeds",
-            format!("{:?}", pruned_stats.best_seeds),
-            format!("{:?}", exh_stats.best_seeds),
-        );
-    }
 
     let beam_config = base.clone().seed_strategy(SeedStrategyKind::Beam {
         width: DEFAULT_BEAM_WIDTH,
@@ -538,7 +514,7 @@ pub fn check_strategy_quality(instance: &Instance, config: &ApproxConfig) -> Res
     if instance.num_locations() <= 16 && instance.num_uavs() <= 4 {
         let opt = exact_optimum(instance)?;
         let delta = exh_stats.plan.delta();
-        for sol in [&pruned, &beam] {
+        for sol in [&exh, &beam] {
             if !theorem1_ratio_holds(sol.served_users(), opt.served_users(), delta) {
                 return Err(CoreError::Verification(VerifyError::RatioViolated {
                     served: sol.served_users(),

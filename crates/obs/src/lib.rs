@@ -105,8 +105,7 @@
 //! monotone counts. `counter`, `gauge` and `hist` lines are emitted
 //! once per declared metric by [`session_end`], so a complete log
 //! always ends with the final values followed by `session_end`.
-//! `scripts/validate_obs_log.py` checks all of it (and still accepts
-//! `uavnet-obs/1` and `uavnet-obs/2` logs from older runs).
+//! `scripts/validate_obs_log.py` checks all of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -125,15 +124,6 @@ use std::time::Instant;
 
 /// Schema identifier stamped on session-start events and snapshots.
 pub const SCHEMA: &str = "uavnet-obs/3";
-
-/// The first schema (flat spans, no histograms, no provenance);
-/// still accepted by the log validator.
-pub const SCHEMA_V1: &str = "uavnet-obs/1";
-
-/// The second schema (span trees + hists + provenance, but no span
-/// `tid`, no gauges, no cross-thread parents); still accepted by the
-/// log validator.
-pub const SCHEMA_V2: &str = "uavnet-obs/2";
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
@@ -1573,8 +1563,8 @@ pub mod counters {
     pub static RESOLVE_STATIONS_REFRESHED: Counter = Counter::new("resolve.stations_refreshed");
     /// Sweeps that ran a guided (non-exhaustive) seed strategy.
     pub static STRATEGY_GUIDED_RUNS: Counter = Counter::new("strategy.guided_runs");
-    /// Subsets skipped by the admissible served-count upper bound
-    /// (bound-pruned strategy).
+    /// Subsets skipped by the admissible served-count upper bound,
+    /// recorded for every exhaustive sweep.
     pub static STRATEGY_BOUND_PRUNED: Counter = Counter::new("strategy.bound_pruned");
     /// Subsets fully evaluated by the beam strategy's final beam.
     pub static STRATEGY_BEAM_EVALUATIONS: Counter = Counter::new("strategy.beam_evaluations");

@@ -3,11 +3,9 @@
 
 Usage: validate_obs_log.py EVENTS.jsonl [METRICS.json] [--single-root]
 
-Accepts every schema generation (`uavnet-obs/1` through
-`uavnet-obs/3`) and checks the contract downstream tooling (obs_diff,
-the CI artifact consumers) relies on.
-
-Common to all schema generations:
+Accepts the current schema, `uavnet-obs/3`, and checks the contract
+downstream tooling (obs_diff, the CI artifact consumers) relies on. A
+log or snapshot with any other schema id exits 2.
 
 * every line is a self-contained JSON object with integer `seq`,
   integer `t_ns` and a known `type`;
@@ -18,10 +16,7 @@ Common to all schema generations:
   carry `name` and `value`; `run` lines carry `name` and a flat
   string->int `fields` object;
 * the snapshot (if given) carries the same schema id and its counters
-  equal the final `counter` events of the log.
-
-Additional `uavnet-obs/2` checks (also applied to `uavnet-obs/3`):
-
+  equal the final `counter` events of the log;
 * the `session_start` header carries provenance: string `git_sha`,
   string `features`, int `threads`, and an `instance_fingerprint`
   formatted as an 18-char `0x`-prefixed hex string;
@@ -41,33 +36,33 @@ Additional `uavnet-obs/2` checks (also applied to `uavnet-obs/3`):
 * the snapshot's `provenance` equals the log header's, its phases
   report `self_ns <= total_ns` plus p50/p90/p99/max percentiles when
   non-empty, and its `hists` section agrees with the log's trailing
-  `hist` events where names coincide.
-
-Additional `uavnet-obs/3` checks:
-
+  `hist` events where names coincide;
 * `span` lines carry a non-negative int `tid` (stable per-thread
   ordinal, so cross-thread span parenting is reconstructible);
 * `gauge` lines carry `name` and a non-negative int `value`;
 * the snapshot carries a `gauges` object agreeing with the log's
   trailing `gauge` events.
 
-Exits non-zero with a line-numbered message on the first violation.
+Exits 1 with a line-numbered message on the first violation.
 """
 
 import json
 import re
 import sys
 
-SCHEMAS = ("uavnet-obs/1", "uavnet-obs/2", "uavnet-obs/3")
-TYPES_V1 = {"session_start", "session_end", "span", "counter", "run"}
-TYPES_V2 = TYPES_V1 | {"hist"}
-TYPES_V3 = TYPES_V2 | {"gauge"}
+SCHEMA = "uavnet-obs/3"
+TYPES = {"session_start", "session_end", "span", "counter", "run", "hist", "gauge"}
 FINGERPRINT_RE = re.compile(r"^0x[0-9a-f]{16}$")
 
 
-def fail(msg):
+def fail(msg, code=1):
     print(f"validate_obs_log: {msg}", file=sys.stderr)
-    sys.exit(1)
+    sys.exit(code)
+
+
+def check_schema(where, schema):
+    if schema != SCHEMA:
+        fail(f"{where}: unsupported schema {schema!r} (want {SCHEMA!r})", code=2)
 
 
 def check_hist_fields(where, e):
@@ -114,7 +109,6 @@ def check_provenance_fields(where, e):
 
 def validate_events(path, single_root):
     events = []
-    schema = None
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -128,21 +122,14 @@ def validate_events(path, single_root):
                 if not isinstance(e.get(key), ty):
                     fail(f"{path}:{lineno}: missing/mistyped {key!r}")
             if e["type"] == "session_start":
-                schema = e.get("schema")
-                if schema not in SCHEMAS:
-                    fail(f"{path}:{lineno}: schema {schema!r} not in {SCHEMAS}")
-                if schema in ("uavnet-obs/2", "uavnet-obs/3"):
-                    check_provenance_fields(f"{path}:{lineno}", e)
+                check_schema(f"{path}:{lineno}", e.get("schema"))
+                check_provenance_fields(f"{path}:{lineno}", e)
             events.append((lineno, e))
 
     if not events:
         fail(f"{path}: empty log")
     if events[0][1]["type"] != "session_start":
         fail(f"{path}: log must open with session_start")
-    v3 = schema == "uavnet-obs/3"
-    v2plus = v3 or schema == "uavnet-obs/2"
-    types = TYPES_V3 if v3 else TYPES_V2 if v2plus else TYPES_V1
-
     span_ids = {}
     parent_refs = []
     roots = []
@@ -150,37 +137,35 @@ def validate_events(path, single_root):
     gauge_events = {}
     for lineno, e in events:
         where = f"{path}:{lineno}"
-        if e["type"] not in types:
-            fail(f"{where}: unknown type {e['type']!r} for schema {schema}")
+        if e["type"] not in TYPES:
+            fail(f"{where}: unknown type {e['type']!r}")
         if e["type"] == "span":
             if not isinstance(e.get("name"), str) or not isinstance(e.get("ns"), int):
                 fail(f"{where}: span needs string name and int ns")
-            if v2plus:
-                sid = e.get("id")
-                if not isinstance(sid, int) or sid < 1:
-                    fail(f"{where}: span needs a positive int id")
-                if sid in span_ids:
-                    fail(f"{where}: duplicate span id {sid}")
-                span_ids[sid] = lineno
-                self_ns = e.get("self_ns")
-                if not isinstance(self_ns, int) or not 0 <= self_ns <= e["ns"]:
-                    fail(f"{where}: span needs int self_ns in [0, ns]")
-                parent = e.get("parent_id")
-                if parent is None:
-                    roots.append((lineno, e["name"]))
-                else:
-                    if not isinstance(parent, int):
-                        fail(f"{where}: span parent_id must be an int")
-                    if parent >= sid:
-                        fail(
-                            f"{where}: span parent_id {parent} >= id {sid} "
-                            "(parents are entered, and numbered, first)"
-                        )
-                    parent_refs.append((lineno, parent))
-            if v3:
-                tid = e.get("tid")
-                if not isinstance(tid, int) or tid < 1:
-                    fail(f"{where}: v3 span needs a positive int tid")
+            sid = e.get("id")
+            if not isinstance(sid, int) or sid < 1:
+                fail(f"{where}: span needs a positive int id")
+            if sid in span_ids:
+                fail(f"{where}: duplicate span id {sid}")
+            span_ids[sid] = lineno
+            self_ns = e.get("self_ns")
+            if not isinstance(self_ns, int) or not 0 <= self_ns <= e["ns"]:
+                fail(f"{where}: span needs int self_ns in [0, ns]")
+            parent = e.get("parent_id")
+            if parent is None:
+                roots.append((lineno, e["name"]))
+            else:
+                if not isinstance(parent, int):
+                    fail(f"{where}: span parent_id must be an int")
+                if parent >= sid:
+                    fail(
+                        f"{where}: span parent_id {parent} >= id {sid} "
+                        "(parents are entered, and numbered, first)"
+                    )
+                parent_refs.append((lineno, parent))
+            tid = e.get("tid")
+            if not isinstance(tid, int) or tid < 1:
+                fail(f"{where}: span needs a positive int tid")
         if e["type"] == "gauge":
             if not isinstance(e.get("name"), str):
                 fail(f"{where}: gauge needs a string name")
@@ -224,24 +209,20 @@ def validate_events(path, single_root):
     for lineno, parent in parent_refs:
         if parent not in span_ids:
             fail(f"{path}:{lineno}: span parent_id {parent} matches no span id")
-    if single_root:
-        if not v2plus:
-            fail(f"{path}: --single-root requires a uavnet-obs/2+ log")
-        if len(roots) != 1:
-            fail(
-                f"{path}: expected exactly one root span, found "
-                f"{[(n, l) for l, n in roots]}"
-            )
+    if single_root and len(roots) != 1:
+        fail(
+            f"{path}: expected exactly one root span, found "
+            f"{[(n, l) for l, n in roots]}"
+        )
 
     counters = {e["name"]: e["value"] for _, e in events if e["type"] == "counter"}
-    return schema, starts[0], counters, hist_events, gauge_events
+    return starts[0], counters, hist_events, gauge_events
 
 
-def validate_metrics(path, schema, session_start, final_counters, hist_events, gauge_events):
+def validate_metrics(path, session_start, final_counters, hist_events, gauge_events):
     with open(path) as f:
         snap = json.load(f)
-    if snap.get("schema") != schema:
-        fail(f"{path}: schema {snap.get('schema')!r} != log schema {schema!r}")
+    check_schema(path, snap.get("schema"))
     counters = snap.get("counters")
     phases = snap.get("phases")
     if not isinstance(counters, dict) or not isinstance(phases, dict):
@@ -259,12 +240,10 @@ def validate_metrics(path, schema, session_start, final_counters, hist_events, g
             if counters.get(k) != final_counters.get(k)
         }
         fail(f"{path}: snapshot counters diverge from the event log: {diff}")
-    if schema not in ("uavnet-obs/2", "uavnet-obs/3"):
-        return
 
     prov = snap.get("provenance")
     if not isinstance(prov, dict):
-        fail(f"{path}: v2 snapshot needs a provenance object")
+        fail(f"{path}: snapshot needs a provenance object")
     check_provenance_fields(path, prov)
     for key in ("git_sha", "features", "threads", "instance_fingerprint"):
         if prov.get(key) != session_start.get(key):
@@ -283,7 +262,7 @@ def validate_metrics(path, schema, session_start, final_counters, hist_events, g
                 fail(f"{path}: phase {name!r} percentiles not monotone")
     hists = snap.get("hists")
     if not isinstance(hists, dict):
-        fail(f"{path}: v2 snapshot needs a hists object")
+        fail(f"{path}: snapshot needs a hists object")
     for name, h in hists.items():
         for key in ("count", "sum_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"):
             if not isinstance(h.get(key), int) or h[key] < 0:
@@ -295,12 +274,10 @@ def validate_metrics(path, schema, session_start, final_counters, hist_events, g
                 f"{path}: hist {name!r} count {h['count']} != event-log "
                 f"count {hist_events[name]['count']}"
             )
-    if schema != "uavnet-obs/3":
-        return
 
     gauges = snap.get("gauges")
     if not isinstance(gauges, dict):
-        fail(f"{path}: v3 snapshot needs a gauges object")
+        fail(f"{path}: snapshot needs a gauges object")
     for name, value in gauges.items():
         if not isinstance(value, int) or value < 0:
             fail(f"{path}: gauge {name!r} not a non-negative int")
@@ -316,17 +293,12 @@ def main():
     single_root = "--single-root" in sys.argv[1:]
     if len(args) not in (1, 2):
         fail("usage: validate_obs_log.py EVENTS.jsonl [METRICS.json] [--single-root]")
-    schema, session_start, final_counters, hist_events, gauge_events = validate_events(
+    session_start, final_counters, hist_events, gauge_events = validate_events(
         args[0], single_root
     )
     if len(args) == 2:
-        validate_metrics(
-            args[1], schema, session_start, final_counters, hist_events, gauge_events
-        )
-    print(
-        f"validate_obs_log: ok — {len(final_counters)} counters, "
-        f"schema {schema}"
-    )
+        validate_metrics(args[1], session_start, final_counters, hist_events, gauge_events)
+    print(f"validate_obs_log: ok — {len(final_counters)} counters, schema {SCHEMA}")
 
 
 if __name__ == "__main__":

@@ -1,16 +1,18 @@
 //! Properties of the pluggable seed-search strategies: on random
 //! small scenarios, every [`SeedStrategyKind`] must be deterministic
-//! and thread-count invariant, the bound-pruned enumeration must
-//! reproduce the exhaustive sweep bit-for-bit (its bounds are
-//! admissible, so pruning may only skip subsets that cannot win), and
-//! the strategy-quality differential oracle must accept every
-//! strategy the solver ships.
+//! and thread-count invariant — the exhaustive sweep's bound-pruning
+//! counter included, since every pruning decision is fixed before the
+//! workers start — the bound-pruned exhaustive sweep must reproduce
+//! the unpruned reference sweep bit-for-bit (its bounds are admissible,
+//! so pruning may only skip subsets that cannot win), and the
+//! strategy-quality differential oracle must accept every strategy the
+//! solver ships.
 
 use proptest::prelude::*;
 use uavnet::channel::UavRadio;
 use uavnet::core::{
-    approx_alg_with_stats, check_strategy_quality, ApproxConfig, Instance, SeedStrategyKind,
-    DEFAULT_BEAM_WIDTH,
+    approx_alg_materialized, approx_alg_with_stats, check_strategy_quality, ApproxConfig, Instance,
+    SeedStrategyKind, DEFAULT_BEAM_WIDTH,
 };
 use uavnet::geom::{AreaSpec, GridSpec, Point2};
 
@@ -39,10 +41,9 @@ prop_compose! {
     }
 }
 
-fn all_strategies() -> [SeedStrategyKind; 3] {
+fn all_strategies() -> [SeedStrategyKind; 2] {
     [
         SeedStrategyKind::Exhaustive,
-        SeedStrategyKind::BoundPruned,
         SeedStrategyKind::Beam {
             width: DEFAULT_BEAM_WIDTH,
         },
@@ -59,7 +60,7 @@ proptest! {
     ) {
         let s = s.min(instance.num_uavs());
         for strategy in all_strategies() {
-            let mut runs = [1usize, 2, 4].into_iter().map(|threads| {
+            let mut runs = [1usize, 2, 4, 8].into_iter().map(|threads| {
                 let config = ApproxConfig::with_s(s)
                     .threads(threads)
                     .seed_strategy(strategy);
@@ -78,6 +79,8 @@ proptest! {
                 prop_assert_eq!(stats.subsets_chain_pruned, first_stats.subsets_chain_pruned);
                 prop_assert_eq!(stats.subsets_bound_pruned, first_stats.subsets_bound_pruned);
                 prop_assert_eq!(stats.subsets_evaluated, first_stats.subsets_evaluated);
+                prop_assert_eq!(stats.subsets_unconnectable, first_stats.subsets_unconnectable);
+                prop_assert_eq!(stats.gain_queries, first_stats.gain_queries);
                 prop_assert_eq!(stats.best_seeds.clone(), first_stats.best_seeds.clone());
             }
         }
@@ -90,12 +93,9 @@ proptest! {
         threads in 1usize..=4,
     ) {
         let s = s.min(instance.num_uavs());
-        let exhaustive = ApproxConfig::with_s(s).threads(threads);
-        let pruned = ApproxConfig::with_s(s)
-            .threads(threads)
-            .seed_strategy(SeedStrategyKind::BoundPruned);
-        let (exh_sol, exh_stats) = approx_alg_with_stats(&instance, &exhaustive).unwrap();
-        let (bp_sol, bp_stats) = approx_alg_with_stats(&instance, &pruned).unwrap();
+        let config = ApproxConfig::with_s(s).threads(threads);
+        let (bp_sol, bp_stats) = approx_alg_with_stats(&instance, &config).unwrap();
+        let (exh_sol, exh_stats) = approx_alg_materialized(&instance, &config).unwrap();
 
         prop_assert_eq!(
             bp_sol.deployment().placements(),
@@ -106,10 +106,8 @@ proptest! {
         // The pruned sweep sees the same subset universe, and every
         // rank it skips is reclassified (bound-pruned), never lost:
         // the accounting identity covers the whole universe for both.
-        // (Per-category equality would be too strong: the saturation
-        // early exit counts tail ranks as bound-pruned without running
-        // their chain checks.)
         prop_assert_eq!(bp_stats.subsets_enumerated, exh_stats.subsets_enumerated);
+        prop_assert_eq!(exh_stats.subsets_bound_pruned, 0);
         prop_assert_eq!(
             bp_stats.subsets_evaluated
                 + bp_stats.subsets_bound_pruned

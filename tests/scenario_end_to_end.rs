@@ -52,7 +52,7 @@ fn stats_describe_the_sweep() {
     assert!(stats.seed_pool_size <= inst.num_locations());
     assert_eq!(
         stats.subsets_enumerated,
-        stats.subsets_evaluated + stats.subsets_chain_pruned
+        stats.subsets_evaluated + stats.subsets_chain_pruned + stats.subsets_bound_pruned
     );
     assert!(stats.subsets_unconnectable <= stats.subsets_evaluated);
     let seeds = stats.best_seeds.expect("a deployment was found");
