@@ -50,7 +50,7 @@ use crate::connecting::{connect_via_mst, connect_via_substrate};
 use crate::oracle::CoverageOracle;
 use crate::seed_matroid::{seed_matroid, seed_matroid_substrate};
 use crate::solution::{score_deployment, Solution};
-use crate::strategy::{SearchContext, SeedStrategyKind};
+use crate::strategy::{beats, search, RankedBest, SearchContext, SeedStrategyKind, Tally};
 use crate::{CoreError, Instance, SegmentPlan};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -189,11 +189,6 @@ impl ApproxConfig {
         self.strategy
     }
 
-    /// The configured subset-survivor limit, if any.
-    pub(crate) fn subset_limit(&self) -> Option<usize> {
-        self.max_subsets
-    }
-
     /// The injected-panic enumeration rank, if any (test hook).
     pub(crate) fn panic_rank(&self) -> Option<u64> {
         self.panic_at_rank
@@ -309,7 +304,26 @@ pub fn approx_alg_with_stats(
     instance: &Instance,
     config: &ApproxConfig,
 ) -> Result<(Solution, ApproxStats), CoreError> {
-    let k = instance.num_uavs();
+    let (solution, stats) = sweep(instance, config, |ctx| search(ctx, None))?;
+    crate::obs::record_sweep(config, &stats, &solution);
+    Ok((solution, stats))
+}
+
+/// The one driver of Algorithm 2, behind [`approx_alg_with_stats`],
+/// [`approx_alg_sharded`](crate::approx_alg_sharded) and the
+/// materialized reference; they differ only in `search`.
+///
+/// The preamble checks `s`, plans the segments, short-circuits an
+/// unsatisfiable gateway, builds the connectivity substrate (timed),
+/// prepares the [`SearchContext`] and applies the `max_subsets` guard.
+/// The finish takes the winner's placements (or the single-UAV
+/// fallback when no subset produced a deployment), runs the leftover
+/// pass and scores the result.
+pub(crate) fn sweep(
+    instance: &Instance,
+    config: &ApproxConfig,
+    search: impl FnOnce(&SearchContext<'_>) -> Result<(RankedBest, Tally), CoreError>,
+) -> Result<(Solution, ApproxStats), CoreError> {
     let s = config.s;
     let m = instance.num_locations();
     if s > m {
@@ -317,76 +331,71 @@ pub fn approx_alg_with_stats(
             "s = {s} exceeds the {m} candidate locations"
         )));
     }
-    let plan = SegmentPlan::optimal(k, s)?;
-    if gateway_unsatisfiable(instance) {
-        return Ok(infeasible_gateway_result(instance, config, plan));
-    }
-    let _sweep_span = uavnet_obs::phases::SWEEP_TOTAL.span();
-
-    // Build the shared connectivity substrate once: every worker then
-    // reads precomputed hop rows for matroid depths, MST weights and
-    // relay paths instead of re-running BFS per subset.
-    let t_substrate = Instant::now();
-    let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
-    let substrate_build_ns = t_substrate.elapsed().as_nanos() as u64;
-
-    // Strategy dispatch: the seed pool, chain tables and substrate are
-    // prepared once in a SearchContext, the configured SeedStrategy
-    // searches it, and the stats below report whatever honest work the
-    // strategy did. The exhaustive engine lives in strategy.rs as one
-    // implementation among several.
-    let ctx = SearchContext::new(instance, config, &plan, &substrate);
-    let strategy = config.strategy.build();
-    if let Some(limit) = config.subset_limit() {
-        // Pre-spawn guard against accidentally huge enumerations,
-        // checked against the *strategy-adjusted* plan (a beam of
-        // width 3 plans 3 evaluations no matter how large C(pool, s)
-        // is), and before any worker thread exists.
-        let planned = strategy.planned_evaluations(&ctx, limit);
-        if planned > limit {
-            return Err(CoreError::InvalidParameters(format!(
-                "strategy {} plans more than {limit} subset evaluations \
-                 ({planned}+ survive pruning); coarsen the grid, raise \
-                 max_subsets or pick a bounded strategy",
-                strategy.name()
-            )));
+    let plan = SegmentPlan::optimal(instance.num_uavs(), s)?;
+    // An unreachable uplink admits only the empty deployment: nothing
+    // to search, and zeroed statistics.
+    let infeasible = gateway_unsatisfiable(instance);
+    let _sweep_span = (!infeasible).then(|| uavnet_obs::phases::SWEEP_TOTAL.span());
+    let (best, tally, seed_pool_size) = if infeasible {
+        (None, Tally::default(), 0)
+    } else {
+        // Build the shared connectivity substrate once: every worker
+        // then reads precomputed hop rows for matroid depths, MST
+        // weights and relay paths instead of re-running BFS per subset.
+        let t_substrate = Instant::now();
+        let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
+        let substrate_build_ns = t_substrate.elapsed().as_nanos() as u64;
+        let ctx = SearchContext::new(instance, config, &plan, &substrate);
+        if let Some(limit) = config.max_subsets {
+            // Pre-spawn guard against accidentally huge enumerations,
+            // checked against the *strategy-adjusted* plan (a beam of
+            // width 3 plans 3 evaluations no matter how large C(pool, s)
+            // is), and before any worker thread exists.
+            let planned = ctx.planned_evaluations(limit);
+            if planned > limit {
+                return Err(CoreError::InvalidParameters(format!(
+                    "strategy {} plans more than {limit} subset evaluations \
+                     ({planned}+ survive pruning); coarsen the grid, raise \
+                     max_subsets or pick a bounded strategy",
+                    config.strategy.name()
+                )));
+            }
         }
-    }
-    let result = strategy.search(&ctx)?;
-    let pool_len = ctx.pool().len();
-    drop(ctx);
+        let (best, mut tally) = search(&ctx)?;
+        tally.profile.substrate_build_ns = substrate_build_ns;
+        (best, tally, ctx.pool.len())
+    };
 
-    let mut profile = result.profile;
-    profile.substrate_build_ns = substrate_build_ns;
     let stats = ApproxStats {
         plan,
-        seed_pool_size: pool_len,
-        subsets_enumerated: result.subsets_enumerated,
-        subsets_chain_pruned: result.subsets_chain_pruned,
-        subsets_bound_pruned: result.subsets_bound_pruned,
-        subsets_evaluated: result.subsets_evaluated,
-        subsets_unconnectable: result.subsets_unconnectable,
-        best_seeds: result.best.as_ref().map(|b| b.seeds.clone()),
-        gain_queries: result.gain_queries,
-        tiles_solved: 0,
-        view_escapes: 0,
+        seed_pool_size,
+        subsets_enumerated: tally.enumerated,
+        subsets_chain_pruned: tally.chain_pruned,
+        subsets_bound_pruned: tally.bound_pruned,
+        subsets_evaluated: tally.evaluated,
+        subsets_unconnectable: tally.unconnectable,
+        best_seeds: best.as_ref().map(|(.., seeds)| seeds.clone()),
+        gain_queries: tally.gain_queries,
+        tiles_solved: tally.tiles_solved,
+        view_escapes: tally.view_escapes,
         strategy: config.strategy.name(),
-        profile,
+        profile: tally.profile,
     };
-
-    let mut placements = match result.best {
-        Some(best) => best.placements,
-        None => fallback_single_uav(instance),
-    };
-    if config.deploy_leftovers {
-        deploy_leftovers(instance, &mut placements);
+    let mut placements = Vec::new();
+    if !infeasible {
+        placements = match best {
+            Some((_, _, placements, _)) => placements,
+            None => fallback_single_uav(instance),
+        };
+        if config.deploy_leftovers {
+            deploy_leftovers(instance, &mut placements);
+        }
     }
     let solution = score_deployment(instance, placements);
     #[cfg(feature = "debug-validate")]
     solution
         .validate(instance)
         .expect("debug-validate: sweep produced a solution its own validator rejects");
-    crate::obs::record_sweep(config, &stats, &solution);
     Ok((solution, stats))
 }
 
@@ -529,9 +538,10 @@ pub(crate) fn pool_distances(
 
 /// Reference implementation of the subset sweep kept for equivalence
 /// testing: materializes every chain-pruning survivor up front and
-/// evaluates them all sequentially, each with a fresh workspace — no
-/// bound pruning. Produces exactly the same solution as the streaming
-/// sweep in [`approx_alg_with_stats`]; see
+/// evaluates them all sequentially, each with a fresh workspace on the
+/// brute-force BFS backend — no bound pruning. It shares the driver's
+/// preamble and finish with [`approx_alg_with_stats`] and produces
+/// exactly the same solution; see
 /// [`check_sweep_oracles`](crate::check_sweep_oracles) for how their
 /// statistics relate.
 #[doc(hidden)]
@@ -539,106 +549,46 @@ pub fn approx_alg_materialized(
     instance: &Instance,
     config: &ApproxConfig,
 ) -> Result<(Solution, ApproxStats), CoreError> {
-    let k = instance.num_uavs();
-    let s = config.s;
-    let m = instance.num_locations();
-    if s > m {
-        return Err(CoreError::InvalidParameters(format!(
-            "s = {s} exceeds the {m} candidate locations"
-        )));
-    }
-    let plan = SegmentPlan::optimal(k, s)?;
-    // The substrate is still used for pool construction and chain
-    // pruning (those must match the streaming sweep subset-for-subset),
-    // but every per-subset computation below runs on the brute-force
-    // BFS backend — this path is the differential oracle for the
-    // substrate-backed one.
-    let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
-    let pool = seed_pool(instance, config, &substrate);
-    let chain_budgets: Vec<usize> = plan.p()[1..s].iter().map(|&p| p + 1).collect();
-    let pool_dists = pool_distances(config, &pool, &substrate);
-
-    let mut subsets: Vec<Vec<CellIndex>> = Vec::new();
-    let mut enumerated = 0usize;
-    let mut chain_pruned = 0usize;
-    let mut combo = (0..s).collect::<Vec<usize>>();
-    loop {
-        enumerated += 1;
-        let keep = match &pool_dists {
-            Some(d) => chain_feasible(d, &combo, &chain_budgets),
-            None => true,
-        };
-        if keep {
-            subsets.push(combo.iter().map(|&i| pool[i]).collect());
-            if let Some(limit) = config.max_subsets {
-                if subsets.len() > limit {
-                    return Err(CoreError::InvalidParameters(format!(
-                        "more than {limit} seed subsets survive pruning; \
-                         coarsen the grid or raise max_subsets"
-                    )));
+    let config = config.clone().seed_strategy(SeedStrategyKind::Exhaustive);
+    sweep(instance, &config, |ctx| {
+        // The substrate still decides pool construction and chain
+        // pruning (those must match the streaming sweep
+        // subset-for-subset), but every per-subset computation below
+        // runs on the BFS backend — this path is the differential
+        // oracle for the substrate-backed one.
+        let mut tally = Tally::default();
+        let mut subsets: Vec<Vec<CellIndex>> = Vec::new();
+        let mut combo = (0..config.s).collect::<Vec<usize>>();
+        loop {
+            tally.enumerated += 1;
+            if ctx.chain_feasible(&combo) {
+                subsets.push(combo.iter().map(|&i| ctx.pool[i]).collect());
+            } else {
+                tally.chain_pruned += 1;
+            }
+            if !next_combination(&mut combo, ctx.pool.len()) {
+                break;
+            }
+        }
+        let mut best: RankedBest = None;
+        for (rank, seeds) in (0u64..).zip(subsets) {
+            let mut ws = SweepWorkspace::new(instance);
+            tally.evaluated += 1;
+            match ws.solve_subset(ctx.plan, &seeds, &mut tally.profile) {
+                SubsetOutcome::Served(served) => {
+                    if beats(&best, served, rank) {
+                        best = Some((served, rank, ws.placements().to_vec(), seeds));
+                    }
+                }
+                SubsetOutcome::Unconnectable => tally.unconnectable += 1,
+                SubsetOutcome::EscapedView => {
+                    unreachable!("the materialized sweep runs without a tile view")
                 }
             }
-        } else {
-            chain_pruned += 1;
+            tally.gain_queries += ws.gain_queries();
         }
-        if !next_combination(&mut combo, pool.len()) {
-            break;
-        }
-    }
-
-    let mut gain_queries = 0;
-    let mut unconnectable = 0usize;
-    type MaterializedBest = Option<(usize, usize, Vec<(usize, CellIndex)>, Vec<CellIndex>)>;
-    let mut best: MaterializedBest = None;
-    for (i, seeds) in subsets.iter().enumerate() {
-        let mut ws = SweepWorkspace::new(instance);
-        let mut profile = PhaseNanos::default();
-        match ws.solve_subset(&plan, seeds, &mut profile) {
-            SubsetOutcome::Served(served) => {
-                let better = match &best {
-                    None => true,
-                    Some((bs, bi, _, _)) => served > *bs || (served == *bs && i < *bi),
-                };
-                if better {
-                    best = Some((served, i, ws.placements().to_vec(), seeds.clone()));
-                }
-            }
-            SubsetOutcome::Unconnectable => unconnectable += 1,
-            SubsetOutcome::EscapedView => {
-                unreachable!("the monolithic sweep runs without a tile view")
-            }
-        }
-        gain_queries += ws.gain_queries();
-    }
-
-    let stats = ApproxStats {
-        plan,
-        seed_pool_size: pool.len(),
-        subsets_enumerated: enumerated,
-        subsets_chain_pruned: chain_pruned,
-        subsets_bound_pruned: 0,
-        subsets_evaluated: subsets.len(),
-        subsets_unconnectable: unconnectable,
-        best_seeds: best.as_ref().map(|(_, _, _, seeds)| seeds.clone()),
-        gain_queries,
-        tiles_solved: 0,
-        view_escapes: 0,
-        strategy: "exhaustive",
-        profile: SweepProfile::default(),
-    };
-    let mut placements = match best {
-        Some((_, _, placements, _)) => placements,
-        None => fallback_single_uav(instance),
-    };
-    if config.deploy_leftovers {
-        deploy_leftovers(instance, &mut placements);
-    }
-    let solution = score_deployment(instance, placements);
-    #[cfg(feature = "debug-validate")]
-    solution
-        .validate(instance)
-        .expect("debug-validate: sweep produced a solution its own validator rejects");
-    Ok((solution, stats))
+        Ok((best, tally))
+    })
 }
 
 /// Greedily deploys the UAVs Algorithm 2 left grounded (`q_j < K`),
@@ -764,51 +714,19 @@ pub(crate) fn deploy_leftovers(instance: &Instance, placements: &mut Vec<(usize,
     }
 }
 
-/// Best-effort fallback: the largest UAV alone at its best location
-/// (restricted to gateway-capable cells when the scenario has an
-/// uplink and any cell can reach it).
 /// Whether the scenario has a gateway that no candidate cell can
 /// reach. The uplink constraint is then unsatisfiable — every
-/// non-empty deployment fails [`Solution::validate`]
-/// (crate::Solution::validate) — so the sweeps short-circuit to the
-/// empty deployment instead of "deploying" UAVs with no Internet path.
-pub(crate) fn gateway_unsatisfiable(instance: &Instance) -> bool {
+/// non-empty deployment fails [`Solution::validate`] — so the sweep
+/// short-circuits to the empty deployment instead of "deploying" UAVs
+/// with no Internet path.
+fn gateway_unsatisfiable(instance: &Instance) -> bool {
     instance.gateway().is_some() && instance.gateway_cells().is_empty()
 }
 
-/// The empty-deployment result both sweep variants return for an
-/// unsatisfiable gateway, with zeroed statistics; shared so the
-/// sharded path stays bit-identical to the monolithic one.
-pub(crate) fn infeasible_gateway_result(
-    instance: &Instance,
-    config: &ApproxConfig,
-    plan: SegmentPlan,
-) -> (Solution, ApproxStats) {
-    let stats = ApproxStats {
-        plan,
-        seed_pool_size: 0,
-        subsets_enumerated: 0,
-        subsets_chain_pruned: 0,
-        subsets_bound_pruned: 0,
-        subsets_evaluated: 0,
-        subsets_unconnectable: 0,
-        best_seeds: None,
-        gain_queries: 0,
-        tiles_solved: 0,
-        view_escapes: 0,
-        strategy: config.strategy.name(),
-        profile: SweepProfile::default(),
-    };
-    let solution = score_deployment(instance, Vec::new());
-    #[cfg(feature = "debug-validate")]
-    solution
-        .validate(instance)
-        .expect("debug-validate: the empty deployment must always validate");
-    crate::obs::record_sweep(config, &stats, &solution);
-    (solution, stats)
-}
-
-pub(crate) fn fallback_single_uav(instance: &Instance) -> Vec<(usize, CellIndex)> {
+/// Best-effort fallback: the largest UAV alone at its best location
+/// (restricted to gateway-capable cells when the scenario has an
+/// uplink and any cell can reach it).
+fn fallback_single_uav(instance: &Instance) -> Vec<(usize, CellIndex)> {
     let uav = instance.uavs_by_capacity()[0];
     let gateway_cells = instance.gateway_cells();
     let candidates: Vec<usize> = if instance.gateway().is_some() && !gateway_cells.is_empty() {
@@ -880,18 +798,6 @@ fn permute_check(
         perm.swap(fixed, i);
     }
     false
-}
-
-/// Per-worker accumulator for the sweep's phase timings; folded into
-/// the shared atomics once per worker.
-#[derive(Debug, Default)]
-pub(crate) struct PhaseNanos {
-    pub(crate) enumeration: u64,
-    pub(crate) greedy: u64,
-    pub(crate) connection: u64,
-    pub(crate) scoring: u64,
-    pub(crate) substrate_query: u64,
-    pub(crate) tile_view: u64,
 }
 
 /// What [`SweepWorkspace::solve_subset`] decided about one seed subset.
@@ -987,7 +893,7 @@ impl<'a> SweepWorkspace<'a> {
         &mut self,
         plan: &SegmentPlan,
         seeds: &[usize],
-        profile: &mut PhaseNanos,
+        profile: &mut SweepProfile,
     ) -> SubsetOutcome {
         let instance = self.instance;
         let graph = instance.location_graph();
@@ -998,7 +904,7 @@ impl<'a> SweepWorkspace<'a> {
             None => seed_matroid(graph, seeds, plan),
         };
         if self.substrate.is_some() {
-            profile.substrate_query += t.elapsed().as_nanos() as u64;
+            profile.substrate_query_ns += t.elapsed().as_nanos() as u64;
         }
         self.ground.clear();
         self.ground
@@ -1034,7 +940,7 @@ impl<'a> SweepWorkspace<'a> {
         self.locs.clear();
         self.locs
             .extend(self.oracle.placements().iter().map(|&(_, l)| l));
-        profile.greedy += t.elapsed().as_nanos() as u64;
+        profile.greedy_ns += t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();
         let connected = match self.substrate {
@@ -1042,7 +948,7 @@ impl<'a> SweepWorkspace<'a> {
             None => connect_via_mst(graph, &self.locs),
         };
         let Ok(mut all) = connected else {
-            profile.connection += t.elapsed().as_nanos() as u64;
+            profile.connection_ns += t.elapsed().as_nanos() as u64;
             return SubsetOutcome::Unconnectable;
         };
         if instance.gateway().is_some() {
@@ -1058,15 +964,15 @@ impl<'a> SweepWorkspace<'a> {
                 }),
             };
             let Ok(extra) = extended else {
-                profile.connection += t.elapsed().as_nanos() as u64;
+                profile.connection_ns += t.elapsed().as_nanos() as u64;
                 return SubsetOutcome::Unconnectable;
             };
             all.extend(extra);
         }
         let connection = t.elapsed().as_nanos() as u64;
-        profile.connection += connection;
+        profile.connection_ns += connection;
         if self.substrate.is_some() {
-            profile.substrate_query += connection;
+            profile.substrate_query_ns += connection;
         }
         // Relay paths (and any gateway extension) may route through
         // cells outside the view; check before the fleet bound so the
@@ -1096,7 +1002,7 @@ impl<'a> SweepWorkspace<'a> {
             self.oracle.commit(relay);
         }
         let served = self.oracle.served();
-        profile.scoring += t.elapsed().as_nanos() as u64;
+        profile.scoring_ns += t.elapsed().as_nanos() as u64;
         SubsetOutcome::Served(served)
     }
 }

@@ -146,6 +146,14 @@ pub(crate) struct RepairPlan {
     pub dropped: usize,
 }
 
+/// A repair planned by [`SolverLoop`] but not yet installed: the
+/// connectivity plan and, when the fallback fired, the cold solve's
+/// placements that replace it.
+struct Repair {
+    plan: RepairPlan,
+    cold: Option<Vec<(usize, CellIndex)>>,
+}
+
 /// The shared repair planner behind both
 /// [`inject_and_repair`](crate::inject_and_repair) and the
 /// [`SolverLoop`] kill/sever paths:
@@ -295,9 +303,13 @@ pub(crate) fn best_component(
 /// # Failure contract
 ///
 /// Every unrepairable situation is a typed [`CoreError`], never a
-/// panic. After an error from [`apply`](SolverLoop::apply) the loop
-/// state may hold a partially applied delta — discard the loop and
-/// re-seed from a cold solve.
+/// panic, and [`apply`](SolverLoop::apply) is all-or-nothing: every
+/// fallible piece of a delta (the moved, surged or severed instance,
+/// the rebuilt substrate, the repair plan and the cold-solve fallback)
+/// is built aside and installed only once all of them succeeded. After
+/// an error the loop is exactly as it was before the call — same
+/// instance, placements, matching, dead set and stats — and keeps
+/// absorbing deltas.
 ///
 /// # Examples
 ///
@@ -552,33 +564,50 @@ impl SolverLoop {
                 self.instance.num_uavs()
             )));
         }
-        let mut hit_deployment = false;
+        let mut dead = self.dead.clone();
+        let mut survivors = self.placements.clone();
+        let mut station_of = self.station_of.clone();
+        let mut casualties = Vec::new();
         for &u in ids {
-            if self.dead[u] {
+            if dead[u] {
                 continue; // re-kill is a no-op
             }
-            self.dead[u] = true;
-            if let Some(i) = self.placements.iter().position(|&(uav, _)| uav == u) {
-                self.matching.deactivate_station(self.station_of[i]);
-                self.dead_stations += 1;
-                self.placements.swap_remove(i);
-                self.station_of.swap_remove(i);
-                hit_deployment = true;
+            dead[u] = true;
+            if let Some(i) = survivors.iter().position(|&(uav, _)| uav == u) {
+                casualties.push(station_of.swap_remove(i));
+                survivors.swap_remove(i);
             }
         }
-        if !hit_deployment {
-            // Only spares died: the standing network is untouched.
-            return Ok(false);
+        // Only spares died: the standing network is untouched.
+        let repair = if casualties.is_empty() {
+            None
+        } else {
+            let survivors = survivors.clone();
+            Some(self.plan_connectivity(&self.instance, &self.substrate, survivors, &dead)?)
+        };
+        self.dead = dead;
+        for st in casualties {
+            self.matching.deactivate_station(st);
+            self.dead_stations += 1;
         }
-        self.repair_connectivity()
+        self.placements = survivors;
+        self.station_of = station_of;
+        Ok(match repair {
+            Some(repair) => self.commit_repair(repair),
+            None => false,
+        })
     }
 
     fn apply_sever(&mut self, links: &[(CellIndex, CellIndex)]) -> Result<bool, CoreError> {
-        self.instance = self.instance.with_severed_links(links)?;
-        self.substrate = ConnectivitySubstrate::build(self.instance.location_graph())?;
+        let instance = self.instance.with_severed_links(links)?;
+        let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
         // Coverage and user ids are untouched — only the topology
         // needs repair.
-        self.repair_connectivity()
+        let repair =
+            self.plan_connectivity(&instance, &substrate, self.placements.clone(), &self.dead)?;
+        self.instance = instance;
+        self.substrate = substrate;
+        Ok(self.commit_repair(repair))
     }
 
     fn apply_surge(&mut self, users: &[User]) -> Result<bool, CoreError> {
@@ -600,21 +629,26 @@ impl SolverLoop {
     }
 
     fn apply_moves(&mut self, moves: &[(u32, Point2)]) -> Result<bool, CoreError> {
+        if let Some(&(id, _)) = moves
+            .iter()
+            .find(|&&(id, _)| id as usize >= self.instance.num_users())
+        {
+            return Err(CoreError::InvalidParameters(format!(
+                "moved user {id} outside 0..{}",
+                self.instance.num_users()
+            )));
+        }
+        let moved = self.instance.with_moved_users(moves)?;
         self.begin_dirty();
         // Old cells first: a station that only covered the *previous*
         // position must be refreshed too.
         for &(id, _) in moves {
-            let Some(user) = self.instance.users().get(id as usize) else {
-                return Err(CoreError::InvalidParameters(format!(
-                    "moved user {id} outside 0..{}",
-                    self.instance.num_users()
-                )));
-            };
-            if let Some(cell) = self.instance.grid().locate(user.pos) {
+            let old = self.instance.users()[id as usize].pos;
+            if let Some(cell) = self.instance.grid().locate(old) {
                 self.mark_dirty(cell);
             }
         }
-        self.instance = self.instance.with_moved_users(moves)?;
+        self.instance = moved;
         for &(_, pos) in moves {
             if let Some(cell) = self.instance.grid().locate(pos) {
                 self.mark_dirty(cell);
@@ -624,34 +658,47 @@ impl SolverLoop {
         Ok(false)
     }
 
-    /// Re-plans connectivity for the standing placements after a
-    /// topology change, applying the plan's drops and relay additions
-    /// to the matching. Returns whether the cold-solve fallback fired.
-    fn repair_connectivity(&mut self) -> Result<bool, CoreError> {
-        let standing = self.placements.len();
-        let plan = plan_repair(
-            &self.instance,
-            Some(&self.substrate),
-            self.placements.clone(),
-            &self.dead,
-        )?;
-        self.stats.repairs += 1;
-        self.stats.relays_spent += plan.relays_spent;
-        self.stats.dropped_placements += plan.dropped;
-
+    /// Plans connectivity for `survivors` on a (possibly new) instance
+    /// and substrate after a topology change, including the cold-solve
+    /// fallback, without touching the loop.
+    fn plan_connectivity(
+        &self,
+        instance: &Instance,
+        substrate: &ConnectivitySubstrate,
+        survivors: Vec<(usize, CellIndex)>,
+        dead: &[bool],
+    ) -> Result<Repair, CoreError> {
+        let standing = survivors.len();
+        let plan = plan_repair(instance, Some(substrate), survivors, dead)?;
         // Fallback: a repair that abandoned most of the deployment is
         // worse than re-solving — but only the full fleet can be
         // re-solved (the instance cannot express dead UAVs).
-        if standing > 0
-            && !self.dead.iter().any(|&d| d)
+        let cold = if standing > 0
+            && !dead.iter().any(|&d| d)
             && (plan.dropped as f64) > self.config.cold_solve_drop_fraction * standing as f64
         {
+            let solution = approx_alg(instance, &self.config.approx)?;
+            Some(solution.deployment().placements().to_vec())
+        } else {
+            None
+        };
+        Ok(Repair { plan, cold })
+    }
+
+    /// Installs a planned repair, applying its drops and relay
+    /// additions to the matching (or the cold solve's placements).
+    /// Returns whether the cold-solve fallback fired.
+    fn commit_repair(&mut self, repair: Repair) -> bool {
+        let plan = repair.plan;
+        self.stats.repairs += 1;
+        self.stats.relays_spent += plan.relays_spent;
+        self.stats.dropped_placements += plan.dropped;
+        if let Some(placements) = repair.cold {
             uavnet_obs::counters::RESOLVE_COLD_SOLVES.add(1);
             self.stats.cold_solves += 1;
-            let solution = approx_alg(&self.instance, &self.config.approx)?;
-            self.placements = solution.deployment().placements().to_vec();
+            self.placements = placements;
             self.rebuild_matching();
-            return Ok(true);
+            return true;
         }
 
         // Diff the plan against the standing placements on exact
@@ -681,7 +728,7 @@ impl SolverLoop {
         }
         self.maybe_compact();
         self.matching.resaturate();
-        Ok(false)
+        false
     }
 
     /// Clears the dirty-tile scratch for a new user-affecting delta.
@@ -953,6 +1000,66 @@ mod tests {
             Err(CoreError::Connect(_)) => {} // gateway genuinely cut off
             Err(e) => panic!("unexpected error: {e}"),
         }
+    }
+
+    #[test]
+    fn failed_delta_leaves_the_loop_unchanged() {
+        // Only cell 0 reaches the uplink; severing every edge of cell 0
+        // leaves no relay chain to the gateway, so the repair fails.
+        let instance = build_instance(Some(Point2::new(0.0, 0.0)));
+        assert_eq!(instance.gateway_cells(), vec![0]);
+        let mut solver = SolverLoop::new(instance.clone(), config()).unwrap();
+        let before = solver.clone();
+        let links: Vec<(CellIndex, CellIndex)> = instance
+            .location_graph()
+            .neighbors(0)
+            .iter()
+            .map(|&n| (0, n))
+            .collect();
+        let err = solver.apply(Delta::SeverLinks(links)).unwrap_err();
+        assert!(matches!(err, CoreError::Connect(_)), "{err}");
+        assert_eq!(
+            solver.instance().location_graph().num_edges(),
+            instance.location_graph().num_edges()
+        );
+        assert_eq!(solver.placements(), before.placements());
+        assert_eq!(solver.served_users(), before.served_users());
+        assert_eq!(solver.dead_uavs(), before.dead_uavs());
+        assert_eq!(solver.stats(), before.stats());
+        solver.solution().validate(solver.instance()).unwrap();
+
+        // The loop keeps absorbing deltas exactly like one that never
+        // saw the failed delta (oracle 7 holds throughout).
+        let moved = Delta::UserMoved(vec![(0, Point2::new(450.0, 150.0))]);
+        let mut fresh = before;
+        solver.apply(moved.clone()).unwrap();
+        fresh.apply(moved.clone()).unwrap();
+        assert_cold_equivalent(&solver);
+        assert_eq!(
+            solver.solution().deployment(),
+            fresh.solution().deployment()
+        );
+        assert_eq!(solver.served_users(), fresh.served_users());
+        assert_eq!(solver.stats(), fresh.stats());
+        crate::check_incremental(&instance, &config().approx, &[moved]).unwrap();
+    }
+
+    #[test]
+    fn failed_moves_and_kills_leave_the_loop_unchanged() {
+        let instance = build_instance(None);
+        let mut solver = SolverLoop::new(instance, config()).unwrap();
+        let before = solver.clone();
+        // A valid move ahead of a bad id must not leave dirty-tile work
+        // behind; neither may a kill list with a bad id.
+        let moves = vec![(0, Point2::new(700.0, 700.0)), (999, Point2::new(0.0, 0.0))];
+        assert!(solver.apply(Delta::UserMoved(moves)).is_err());
+        let victim = solver.placements()[0].0;
+        assert!(solver.apply(Delta::KillUavs(vec![victim, 99])).is_err());
+        assert_eq!(solver.stats(), before.stats());
+        assert_eq!(solver.placements(), before.placements());
+        assert_eq!(solver.dead_uavs(), before.dead_uavs());
+        assert_eq!(solver.instance().users(), before.instance().users());
+        assert_cold_equivalent(&solver);
     }
 
     #[test]

@@ -110,9 +110,7 @@ pub use shard::{approx_alg_sharded, ShardConfig};
 pub use solution::{
     score_deployment, try_score_deployment, Deployment, Solution, SolutionSummary, ValidationError,
 };
-pub use strategy::{
-    BestCandidate, SearchContext, SearchResult, SeedStrategy, SeedStrategyKind, DEFAULT_BEAM_WIDTH,
-};
+pub use strategy::{SeedStrategyKind, DEFAULT_BEAM_WIDTH};
 pub use verify::{
     check_against_exact, check_assignment_oracles, check_connection_substrate, check_incremental,
     check_relay_bound, check_sharded_sweep, check_strategy_quality, check_sweep_oracles,

@@ -31,29 +31,23 @@
 //!   query against the truncated view and is re-solved against a
 //!   lazily created global workspace.
 //!
-//! Every rank is classified against the same primer incumbent as the
-//! monolithic sweep (`crate::strategy::Primer`), and the per-tile
-//! reduce uses the monolithic (served desc, enumeration rank asc)
-//! order, so [`approx_alg_sharded`] returns the same solution and the
-//! same deterministic statistics as [`approx_alg_with_stats`] for any
-//! tile size and thread count — `crate::verify::check_sharded_sweep`
-//! pins exactly that.
+//! The tiles are only a different way of handing out the work: they
+//! run through the same driver, primer and per-rank worker body as the
+//! monolithic sweep's rank chunks (`crate::strategy`), and the reduce
+//! uses the same (served desc, enumeration rank asc) order, so
+//! [`approx_alg_sharded`] returns the same solution and the same
+//! deterministic statistics as [`approx_alg_with_stats`] for any tile
+//! size and thread count — `crate::verify::check_sharded_sweep` pins
+//! exactly that.
 //!
 //! [`approx_alg_with_stats`]: crate::approx_alg_with_stats
 //! [`SubsetOutcome::EscapedView`]: crate::approx::SubsetOutcome::EscapedView
 
-use crate::approx::{
-    approx_alg_with_stats, binomial, deploy_leftovers, fallback_single_uav, next_combination,
-    ApproxConfig, ApproxStats, SubsetOutcome, SweepWorkspace,
-};
-use crate::solution::{score_deployment, Solution};
-use crate::strategy::{
-    beats, join_workers, rank_of_combination, ExhaustiveEnumeration, Primer, RankClass, RankedBest,
-    SearchContext, SeedStrategy as _, SeedStrategyKind, Tally,
-};
-use crate::{CoreError, Instance, SegmentPlan};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use crate::approx::{binomial, sweep, ApproxConfig, ApproxStats};
+use crate::solution::Solution;
+use crate::strategy::{rank_of_combination, search, SearchContext, Tile, WorkItems};
+use crate::{CoreError, Instance};
+use std::ops::Range;
 use uavnet_geom::{CellIndex, TilePartition};
 use uavnet_graph::{ConnectivitySubstrate, UNREACHABLE_HOPS};
 
@@ -147,7 +141,7 @@ impl TileView {
 /// Per-worker reusable buffers for view construction; the epoch stamp
 /// makes "have I seen this user in this tile?" an O(1) check without
 /// clearing a million-entry array between tiles.
-struct ViewScratch {
+pub(crate) struct ViewScratch {
     stamp: Vec<u32>,
     slot: Vec<u32>,
     epoch: u32,
@@ -155,7 +149,7 @@ struct ViewScratch {
 }
 
 impl ViewScratch {
-    fn new(num_users: usize) -> Self {
+    pub(crate) fn new(num_users: usize) -> Self {
         ViewScratch {
             stamp: vec![0; num_users],
             slot: vec![0; num_users],
@@ -170,7 +164,7 @@ impl ViewScratch {
 /// (per the shared substrate), and the user remap densely renumbers —
 /// in ascending global order, so remapped lists stay sorted — the
 /// users coverable from those locations.
-fn build_view(
+pub(crate) fn build_view(
     instance: &Instance,
     sub: &ConnectivitySubstrate,
     members: &[CellIndex],
@@ -242,11 +236,8 @@ fn build_view(
 /// [`approx_alg_with_stats`](crate::approx_alg_with_stats) over
 /// spatial tiles: bit-identical solution and deterministic statistics,
 /// with per-tile matchings sized to the tile's users instead of the
-/// whole instance.
-///
-/// The fault-injection hook
-/// [`ApproxConfig::inject_worker_panic_at`] keys on enumeration ranks
-/// of the monolithic chunking and is ignored here.
+/// whole instance. The beam strategy has no ranks to shard, so it runs
+/// exactly as in the monolithic sweep.
 ///
 /// # Errors
 ///
@@ -282,46 +273,31 @@ pub fn approx_alg_sharded(
     config: &ApproxConfig,
     shard: &ShardConfig,
 ) -> Result<(Solution, ApproxStats), CoreError> {
-    // Guided strategies evaluate orders of magnitude fewer subsets than
-    // the per-tile view construction amortizes, so the sharded path is
-    // a pure loss for them; delegate to the monolithic dispatch, which
-    // is bit-identical by definition (it is the same strategy).
-    if config.strategy() != SeedStrategyKind::Exhaustive {
-        return approx_alg_with_stats(instance, config);
-    }
-    let s = config.s();
-    let m = instance.num_locations();
-    if s > m {
-        return Err(CoreError::InvalidParameters(format!(
-            "s = {s} exceeds the {m} candidate locations"
-        )));
-    }
-    let plan = SegmentPlan::optimal(instance.num_uavs(), s)?;
-    if crate::approx::gateway_unsatisfiable(instance) {
-        return Ok(crate::approx::infeasible_gateway_result(
-            instance, config, plan,
-        ));
-    }
-    let _sweep_span = uavnet_obs::phases::SWEEP_TOTAL.span();
+    let (solution, stats) = sweep(instance, config, |ctx| search(ctx, Some(shard)))?;
+    crate::obs::record_sweep(config, &stats, &solution);
+    Ok((solution, stats))
+}
 
-    let t_substrate = Instant::now();
-    let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
-    let substrate_build_ns = t_substrate.elapsed().as_nanos() as u64;
-
-    let ctx = SearchContext::new(instance, config, &plan, &substrate);
-    let pool = &ctx.pool;
-
-    // Subsets go to the tile of their lexicographically first pool
-    // member; a tile's work item is the sorted list of pool *indices*
-    // it owns, so per-member enumeration below walks exactly the
-    // monolithic combination order restricted to first elements in the
-    // tile.
-    let grid = instance.grid();
+/// The sharded sweep's work items for the ranks `0..end`. Every pool
+/// position goes to the tile holding its cell, and a tile owns the
+/// rank block of every combination whose lexicographically first
+/// member it holds — so walking the blocks visits exactly the
+/// monolithic ranks. Tiles owning no rank below `end` are dropped
+/// before any view is built.
+pub(crate) fn tiles(ctx: &SearchContext<'_>, shard: &ShardConfig, end: u64) -> WorkItems {
+    let (n, s) = (ctx.pool.len(), ctx.config.s());
+    let grid = ctx.instance.grid();
     let partition = TilePartition::build(grid.cols(), grid.rows(), shard.tile_cells);
-    let mut tile_members: Vec<Vec<usize>> = vec![Vec::new(); partition.num_tiles()];
-    for (i, &v) in pool.iter().enumerate() {
-        tile_members[partition.tile_of(v)].push(i);
+    let mut tiles = vec![Tile::default(); partition.num_tiles()];
+    for (i0, &v) in ctx.pool.iter().enumerate() {
+        let tile = &mut tiles[partition.tile_of(v)];
+        tile.members.push(i0);
+        let block = first_member_block(i0, n, s, end);
+        if !block.is_empty() {
+            tile.blocks.push(block);
+        }
     }
+    tiles.retain(|t| !t.blocks.is_empty());
 
     // Everything a subset can touch sits within `chain_span + h_max`
     // hops of its first seed (consecutive seeds within their chain
@@ -332,168 +308,24 @@ pub fn approx_alg_sharded(
     // escape protocol would catch violations anyway; this just avoids
     // guaranteed escapes).
     let chain_span: usize = ctx.chain_budgets.iter().sum();
-    let reach = if s >= 2 && !config.is_chain_pruning() {
+    let reach = if s >= 2 && !ctx.config.is_chain_pruning() {
         usize::MAX
     } else {
-        3 * (chain_span + plan.h_max())
+        3 * (chain_span + ctx.plan.h_max())
     };
+    WorkItems::Tiles { tiles, reach }
+}
 
-    // Pre-spawn `max_subsets` guard, counted against the same
-    // chain-pruned survivor total the monolithic dispatch reports — the
-    // typed error fires before any worker thread exists.
-    if let Some(limit) = config.subset_limit() {
-        let planned = ExhaustiveEnumeration.planned_evaluations(&ctx, limit);
-        if planned > limit {
-            return Err(CoreError::InvalidParameters(format!(
-                "strategy exhaustive plans more than {limit} subset evaluations \
-                 ({planned}+ survive pruning); coarsen the grid, raise \
-                 max_subsets or pick a bounded strategy"
-            )));
-        }
+/// The ranks of every `s`-combination of `0..n` whose first element is
+/// `i0` — one contiguous block of the lexicographic order — clipped to
+/// `..end`.
+fn first_member_block(i0: usize, n: usize, s: usize, end: u64) -> Range<u64> {
+    if n - i0 < s {
+        return 0..0;
     }
-
-    // The same primer as the monolithic sweep, so every rank lands in
-    // the same class; ranks from the saturated tail on are never
-    // visited, and a tile owning none before it is never built.
-    let total = binomial(pool.len(), s);
-    let (primer, primer_best, mut base) = Primer::evaluate(&ctx)?;
-    let end = primer.tail_start(total);
-    base.bound_pruned = (total - end) as usize;
-    let first_rank = |i0: usize| {
-        let first: Vec<usize> = (i0..i0 + s).collect();
-        rank_of_combination(&first, pool.len(), s)
-    };
-    let tiles: Vec<Vec<usize>> = tile_members
-        .into_iter()
-        .filter(|t| {
-            t.iter()
-                .any(|&i0| pool.len() - i0 >= s && first_rank(i0) < end)
-        })
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    let threads = config.num_threads().min(tiles.len().max(1));
-
-    let worker = || -> (RankedBest, Tally) {
-        let mut scratch = ViewScratch::new(instance.num_users());
-        let mut global_ws: Option<SweepWorkspace<'_>> = None;
-        let mut tally = Tally::default();
-        let mut combo: Vec<usize> = Vec::with_capacity(s);
-        let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
-        let mut local_best: RankedBest = None;
-        loop {
-            let t = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(members) = tiles.get(t) else { break };
-            let t_tile = Instant::now();
-            let t_view = Instant::now();
-            let member_cells: Vec<CellIndex> = members.iter().map(|&i| pool[i]).collect();
-            let view = build_view(instance, &substrate, &member_cells, reach, &mut scratch);
-            tally.profile.tile_view += t_view.elapsed().as_nanos() as u64;
-            let mut ws = SweepWorkspace::with_view(instance, &substrate, &view);
-            for &i0 in members {
-                if pool.len() - i0 < s {
-                    continue;
-                }
-                combo.clear();
-                combo.extend(i0..i0 + s);
-                let mut rank = first_rank(i0);
-                loop {
-                    let t_enum = Instant::now();
-                    let class = primer.classify(&ctx, &combo, rank);
-                    tally.profile.enumeration += t_enum.elapsed().as_nanos() as u64;
-                    match class {
-                        // Ranks only grow along the block: the rest of
-                        // it is tail too, counted up front.
-                        RankClass::Tail => break,
-                        RankClass::ChainPruned => tally.chain_pruned += 1,
-                        RankClass::BoundPruned => tally.bound_pruned += 1,
-                        RankClass::Primer => {}
-                        RankClass::Evaluate => {
-                            tally.evaluated += 1;
-                            seeds.clear();
-                            seeds.extend(combo.iter().map(|&i| pool[i]));
-                            let before = ws.gain_queries();
-                            let mut outcome = ws.solve_subset(&plan, &seeds, &mut tally.profile);
-                            let mut winner: &SweepWorkspace<'_> = &ws;
-                            if outcome == SubsetOutcome::EscapedView {
-                                // The tile view cannot score this subset;
-                                // any queries it burnt before noticing are
-                                // discarded so totals match the monolithic
-                                // sweep, where only the deciding (global)
-                                // evaluation exists.
-                                tally.view_escapes += 1;
-                                let gws = global_ws.get_or_insert_with(|| {
-                                    SweepWorkspace::with_substrate(instance, &substrate)
-                                });
-                                let gbefore = gws.gain_queries();
-                                outcome = gws.solve_subset(&plan, &seeds, &mut tally.profile);
-                                tally.gain_queries += gws.gain_queries() - gbefore;
-                                winner = &*gws;
-                            } else {
-                                tally.gain_queries += ws.gain_queries() - before;
-                            }
-                            match outcome {
-                                SubsetOutcome::Served(served) => {
-                                    if beats(&local_best, served, rank) {
-                                        local_best = Some((
-                                            served,
-                                            rank,
-                                            winner.placements().to_vec(),
-                                            seeds.clone(),
-                                        ));
-                                    }
-                                }
-                                SubsetOutcome::Unconnectable => tally.unconnectable += 1,
-                                SubsetOutcome::EscapedView => {
-                                    unreachable!("a global workspace has no view to escape")
-                                }
-                            }
-                        }
-                    }
-                    if !next_combination(&mut combo, pool.len()) || combo[0] != i0 {
-                        break;
-                    }
-                    rank += 1;
-                }
-            }
-            tally.tiles_solved += 1;
-            uavnet_obs::hists::TILE_SOLVE.record_ns(t_tile.elapsed().as_nanos() as u64);
-        }
-        (local_best, tally)
-    };
-
-    let (best, tally) = join_workers(threads, worker, primer_best, base)?;
-    let mut profile = tally.sweep_profile(threads * s * 2 * std::mem::size_of::<usize>());
-    profile.substrate_build_ns = substrate_build_ns;
-    let stats = ApproxStats {
-        plan: plan.clone(),
-        seed_pool_size: pool.len(),
-        subsets_enumerated: total as usize,
-        subsets_chain_pruned: tally.chain_pruned,
-        subsets_bound_pruned: tally.bound_pruned,
-        subsets_evaluated: tally.evaluated,
-        subsets_unconnectable: tally.unconnectable,
-        best_seeds: best.as_ref().map(|(_, _, _, seeds)| seeds.clone()),
-        gain_queries: tally.gain_queries,
-        tiles_solved: tally.tiles_solved,
-        view_escapes: tally.view_escapes,
-        strategy: "exhaustive",
-        profile,
-    };
-
-    let mut placements = match best {
-        Some((_, _, placements, _)) => placements,
-        None => fallback_single_uav(instance),
-    };
-    if config.is_leftover_deployment() {
-        deploy_leftovers(instance, &mut placements);
-    }
-    let solution = score_deployment(instance, placements);
-    #[cfg(feature = "debug-validate")]
-    solution
-        .validate(instance)
-        .expect("debug-validate: sharded sweep produced a solution its own validator rejects");
-    crate::obs::record_sweep(config, &stats, &solution);
-    Ok((solution, stats))
+    let first: Vec<usize> = (i0..i0 + s).collect();
+    let start = rank_of_combination(&first, n, s);
+    start.min(end)..start.saturating_add(binomial(n - i0 - 1, s - 1)).min(end)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-//! Seed-search strategies behind the [`SeedStrategy`] trait — the
-//! pluggable engine of Algorithm 2's subset sweep.
+//! Seed search — the engine of Algorithm 2's subset sweep.
 //!
-//! Two strategies ship:
+//! [`SeedStrategyKind`] selects one of two searches over a prepared
+//! [`SearchContext`]:
 //!
 //! * [`SeedStrategyKind::Exhaustive`] — the **value-exact** engine:
 //!   every rank of the `C(pool, s)` enumeration is either evaluated or
@@ -17,21 +17,29 @@
 //!   [`check_strategy_quality`](crate::check_strategy_quality) rather
 //!   than an identity proof.
 //!
-//! Every strategy is deterministic and thread-count invariant: ties
+//! The exhaustive engine is one worker loop over [`WorkItems`]: rank
+//! chunks for the monolithic sweep, spatial tiles (a view plus the rank
+//! blocks of the tile's members) for the sharded one. Both kinds feed
+//! the same per-rank body — unrank, fault-injection hook, classify,
+//! evaluate — so both sweeps report the same counters and winner.
+//!
+//! Every search is deterministic and thread-count invariant: ties
 //! break on enumeration rank (equivalently the lexicographic order of
 //! the seed subset), and every pruning decision is a pure function of
 //! the rank's combination and the primer, fixed before workers spawn.
 
 use crate::approx::{
     binomial, chain_feasible, next_combination, panic_payload_message, seed_pool,
-    unrank_combination, ApproxConfig, PhaseNanos, SubsetOutcome, SweepProfile, SweepWorkspace,
+    unrank_combination, ApproxConfig, SubsetOutcome, SweepProfile, SweepWorkspace,
 };
+use crate::shard::{build_view, ShardConfig, ViewScratch};
 use crate::{CoreError, Instance, SegmentPlan};
 use std::cmp::Reverse;
 use std::fmt;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use uavnet_geom::CellIndex;
 use uavnet_graph::{ConnectivitySubstrate, UNREACHABLE_HOPS};
@@ -84,14 +92,6 @@ impl SeedStrategyKind {
             SeedStrategyKind::Beam { .. } => "beam",
         }
     }
-
-    /// Instantiates the strategy behind this kind.
-    pub fn build(self) -> Box<dyn SeedStrategy> {
-        match self {
-            SeedStrategyKind::Exhaustive => Box::new(ExhaustiveEnumeration),
-            SeedStrategyKind::Beam { width } => Box::new(DensityBeam { width }),
-        }
-    }
 }
 
 impl fmt::Display for SeedStrategyKind {
@@ -125,12 +125,11 @@ impl FromStr for SeedStrategyKind {
     }
 }
 
-/// Everything a strategy needs to search one instance: the problem,
-/// the plan, the shared connectivity substrate, and the precomputed
-/// seed pool with its chain-pruning tables. Built internally by
-/// [`approx_alg_with_stats`](crate::approx_alg_with_stats); strategies
-/// never construct one themselves.
-pub struct SearchContext<'a> {
+/// Everything a search needs about one instance: the problem, the
+/// plan, the shared connectivity substrate, and the precomputed seed
+/// pool with its chain-pruning tables. Built once per sweep by the
+/// driver in `approx.rs`.
+pub(crate) struct SearchContext<'a> {
     pub(crate) instance: &'a Instance,
     pub(crate) config: &'a ApproxConfig,
     pub(crate) plan: &'a SegmentPlan,
@@ -162,17 +161,6 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// The seed pool: candidate locations admitted to the enumeration,
-    /// ascending.
-    pub fn pool(&self) -> &[usize] {
-        &self.pool
-    }
-
-    /// Total `C(pool, s)` subsets of the full enumeration (saturating).
-    pub fn total_subsets(&self) -> u64 {
-        binomial(self.pool.len(), self.config.s())
-    }
-
     /// Whether the pool-index combination survives chain pruning.
     pub(crate) fn chain_feasible(&self, combo: &[usize]) -> bool {
         match &self.pool_dists {
@@ -180,90 +168,33 @@ impl<'a> SearchContext<'a> {
             None => true,
         }
     }
-}
 
-/// The winning candidate of a strategy's search.
-#[derive(Debug, Clone)]
-pub struct BestCandidate {
-    /// Users served by the candidate's deployment (before the
-    /// leftover pass).
-    pub served: usize,
-    /// The seed subset, in ascending location order.
-    pub seeds: Vec<CellIndex>,
-    /// The full deployment: greedy picks, forced seeds, then relays.
-    pub placements: Vec<(usize, CellIndex)>,
-}
-
-/// What a strategy's search produced, in the units
-/// [`ApproxStats`](crate::ApproxStats) reports.
-#[derive(Debug, Clone)]
-pub struct SearchResult {
-    /// The best candidate, if any subset produced a deployment.
-    pub best: Option<BestCandidate>,
-    /// Subsets considered before any pruning (for the exhaustive
-    /// strategy this is `C(pool, s)`; the beam counts generated states
-    /// instead).
-    pub subsets_enumerated: usize,
-    /// Subsets dropped by chain pruning.
-    pub subsets_chain_pruned: usize,
-    /// Subsets skipped because their admissible upper bound could not
-    /// beat the primer incumbent (exhaustive strategy only).
-    pub subsets_bound_pruned: usize,
-    /// Subsets fully evaluated (greedy + connection + scoring).
-    pub subsets_evaluated: usize,
-    /// Evaluated subsets whose connected set exceeded the fleet.
-    pub subsets_unconnectable: usize,
-    /// Marginal-gain queries issued across the search.
-    pub gain_queries: u64,
-    /// Phase timings; `substrate_build_ns` is filled by the caller.
-    pub profile: SweepProfile,
-}
-
-/// A seed-search strategy: given a prepared [`SearchContext`], find
-/// the best seed subset and report honest work statistics.
-///
-/// # Contract
-///
-/// * **Determinism** — for a fixed instance and configuration, `search`
-///   must return the same [`BestCandidate`] and the same deterministic
-///   counters (`subsets_*`, `gain_queries`) regardless of
-///   [`ApproxConfig::num_threads`]. Ties between equal-served subsets
-///   break toward the lexicographically smallest seed subset
-///   (equivalently, the lowest enumeration rank).
-/// * **Honest stats** — `subsets_evaluated` counts real
-///   greedy+connection+scoring evaluations; pruned work is reported in
-///   the pruning counters, never hidden.
-pub trait SeedStrategy {
-    /// Stable machine-readable strategy name.
-    fn name(&self) -> &'static str;
-
-    /// Searches the context for the best seed subset.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Sweep`] if a worker thread panicked (all workers
-    /// are drained first).
-    fn search(&self, ctx: &SearchContext<'_>) -> Result<SearchResult, CoreError>;
-
-    /// An upper bound on how many subsets this strategy would evaluate,
-    /// short-circuiting once the count exceeds `limit` (the returned
-    /// value is then at least `limit + 1`). Used by the `max_subsets`
-    /// guard *before* any worker spawns.
-    fn planned_evaluations(&self, ctx: &SearchContext<'_>, limit: usize) -> usize {
-        chain_survivors_capped(
-            ctx.pool.len(),
-            ctx.config.s(),
-            ctx.pool_dists.as_deref(),
-            &ctx.chain_budgets,
-            limit,
-        )
+    /// An upper bound on how many subsets the configured search would
+    /// evaluate, short-circuiting once the count exceeds `limit` (the
+    /// returned value is then at least `limit + 1`): the chain
+    /// survivors for the exhaustive engine, at most `width` for the
+    /// beam. The `max_subsets` guard checks it before any worker
+    /// spawns.
+    pub(crate) fn planned_evaluations(&self, limit: usize) -> usize {
+        let s = self.config.s();
+        match self.config.strategy() {
+            SeedStrategyKind::Exhaustive => chain_survivors_capped(
+                self.pool.len(),
+                s,
+                self.pool_dists.as_deref(),
+                &self.chain_budgets,
+                limit,
+            ),
+            SeedStrategyKind::Beam { width } => usize::try_from(binomial(self.pool.len(), s))
+                .unwrap_or(usize::MAX)
+                .min(width.max(1)),
+        }
     }
 }
 
 /// Counts chain-pruning survivors of the `C(pool_len, s)` enumeration,
-/// stopping as soon as the count exceeds `limit`. Shared by the
-/// monolithic and sharded pre-spawn `max_subsets` guards.
-pub(crate) fn chain_survivors_capped(
+/// stopping as soon as the count exceeds `limit`.
+fn chain_survivors_capped(
     pool_len: usize,
     s: usize,
     pool_dists: Option<&[Vec<Option<u32>>]>,
@@ -314,10 +245,12 @@ pub(crate) fn beats(best: &RankedBest, served: usize, rank: u64) -> bool {
         .is_none_or(|(bs, br, _, _)| served > *bs || (served == *bs && rank < *br))
 }
 
-/// One worker's share of the deterministic counters and phase timings,
-/// summed when the workers are joined.
+/// The deterministic counters and phase timings of a search (or one
+/// worker's share of it, summed when the workers are joined), in the
+/// units [`ApproxStats`](crate::ApproxStats) reports.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
+    pub(crate) enumerated: usize,
     pub(crate) chain_pruned: usize,
     pub(crate) bound_pruned: usize,
     pub(crate) evaluated: usize,
@@ -325,11 +258,12 @@ pub(crate) struct Tally {
     pub(crate) gain_queries: u64,
     pub(crate) tiles_solved: usize,
     pub(crate) view_escapes: usize,
-    pub(crate) profile: PhaseNanos,
+    pub(crate) profile: SweepProfile,
 }
 
 impl Tally {
     fn absorb(&mut self, other: Tally) {
+        self.enumerated += other.enumerated;
         self.chain_pruned += other.chain_pruned;
         self.bound_pruned += other.bound_pruned;
         self.evaluated += other.evaluated;
@@ -338,28 +272,12 @@ impl Tally {
         self.tiles_solved += other.tiles_solved;
         self.view_escapes += other.view_escapes;
         let (p, q) = (&mut self.profile, other.profile);
-        p.enumeration += q.enumeration;
-        p.greedy += q.greedy;
-        p.connection += q.connection;
-        p.scoring += q.scoring;
-        p.substrate_query += q.substrate_query;
-        p.tile_view += q.tile_view;
-    }
-
-    /// The phase timings as a [`SweepProfile`]; `substrate_build_ns` is
-    /// filled by the caller.
-    pub(crate) fn sweep_profile(&self, subset_buffer_peak_bytes: usize) -> SweepProfile {
-        let p = &self.profile;
-        SweepProfile {
-            enumeration_ns: p.enumeration,
-            greedy_ns: p.greedy,
-            connection_ns: p.connection,
-            scoring_ns: p.scoring,
-            subset_buffer_peak_bytes,
-            substrate_build_ns: 0,
-            substrate_query_ns: p.substrate_query,
-            tile_view_ns: p.tile_view,
-        }
+        p.enumeration_ns += q.enumeration_ns;
+        p.greedy_ns += q.greedy_ns;
+        p.connection_ns += q.connection_ns;
+        p.scoring_ns += q.scoring_ns;
+        p.substrate_query_ns += q.substrate_query_ns;
+        p.tile_view_ns += q.tile_view_ns;
     }
 }
 
@@ -368,7 +286,7 @@ impl Tally {
 /// desc, rank asc — bit-identical to a sequential sweep for any
 /// scheduling) and its tally into `tally`. A panicking worker surfaces
 /// as [`CoreError::Sweep`] rather than aborting the process.
-pub(crate) fn join_workers<W>(
+fn join_workers<W>(
     threads: usize,
     worker: W,
     mut best: RankedBest,
@@ -403,13 +321,254 @@ where
     }
 }
 
+/// Runs the configured search over `ctx`. The exhaustive engine works
+/// through rank chunks, or through tiles when `shard` is given; the
+/// beam has no ranks to shard and ignores it.
+///
+/// # Errors
+///
+/// [`CoreError::Sweep`] if a worker (or the primer) panicked; every
+/// worker is joined first.
+pub(crate) fn search(
+    ctx: &SearchContext<'_>,
+    shard: Option<&ShardConfig>,
+) -> Result<(RankedBest, Tally), CoreError> {
+    match ctx.config.strategy() {
+        SeedStrategyKind::Exhaustive => exhaustive(ctx, shard),
+        SeedStrategyKind::Beam { width } => Ok(beam(ctx, width)),
+    }
+}
+
+/// How the exhaustive engine's workers share the ranks `0..end` that
+/// come before the primer's saturated tail. Items are handed out one
+/// at a time from an atomic cursor.
+pub(crate) enum WorkItems {
+    /// Ranks `0..end` in chunks of `chunk`, each solved in the worker's
+    /// global workspace (the monolithic sweep).
+    Chunks { chunk: u64, end: u64 },
+    /// Spatial tiles, each solved inside a view `reach` hops around its
+    /// members (the sharded sweep).
+    Tiles { tiles: Vec<Tile>, reach: usize },
+}
+
+impl WorkItems {
+    fn len(&self) -> usize {
+        match self {
+            WorkItems::Chunks { chunk, end } => end.div_ceil(*chunk) as usize,
+            WorkItems::Tiles { tiles, .. } => tiles.len(),
+        }
+    }
+}
+
+/// One tile of the sharded sweep: the pool positions whose cells it
+/// holds, around which its view is built, and the non-empty rank
+/// blocks of the combinations those positions start.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Tile {
+    pub(crate) members: Vec<usize>,
+    pub(crate) blocks: Vec<Range<u64>>,
+}
+
+/// The exhaustive engine: the primer fixes the incumbent on the
+/// calling thread, then the workers drain the work items and every
+/// rank before the primer's saturated tail is
+/// [classified](Primer::classify) and, if it must be, evaluated.
+fn exhaustive(
+    ctx: &SearchContext<'_>,
+    shard: Option<&ShardConfig>,
+) -> Result<(RankedBest, Tally), CoreError> {
+    let s = ctx.config.s();
+    let total = binomial(ctx.pool.len(), s);
+    let (primer, primer_best, mut base) = Primer::evaluate(ctx)?;
+    let end = primer.tail_start(total);
+    base.enumerated = total as usize;
+    base.bound_pruned = (total - end) as usize;
+    let threads = ctx.config.num_threads();
+    let items = match shard {
+        None => WorkItems::Chunks {
+            chunk: (end / (threads as u64 * 4)).clamp(1, 64),
+            end,
+        },
+        Some(shard) => crate::shard::tiles(ctx, shard, end),
+    };
+    let threads = threads.min(items.len().max(1));
+    let cursor = AtomicUsize::new(0);
+    let worker = || Worker::new(ctx, &primer).run(&items, &cursor);
+    let (best, mut tally) = join_workers(threads, worker, primer_best, base)?;
+    tally.profile.subset_buffer_peak_bytes = threads * s * 2 * std::mem::size_of::<usize>();
+    Ok((best, tally))
+}
+
+/// One exhaustive worker: its share of the tally, its best candidate
+/// and the reusable buffers of its loop.
+struct Worker<'c> {
+    ctx: &'c SearchContext<'c>,
+    primer: &'c Primer,
+    /// Created on first use: solves every rank of a chunk item and
+    /// every subset that escapes a tile view.
+    global: Option<SweepWorkspace<'c>>,
+    /// View-construction buffers, created on the first tile item.
+    scratch: Option<ViewScratch>,
+    combo: Vec<usize>,
+    seeds: Vec<CellIndex>,
+    best: RankedBest,
+    tally: Tally,
+}
+
+impl<'c> Worker<'c> {
+    fn new(ctx: &'c SearchContext<'c>, primer: &'c Primer) -> Self {
+        let s = ctx.config.s();
+        Worker {
+            ctx,
+            primer,
+            global: None,
+            scratch: None,
+            combo: Vec::with_capacity(s),
+            seeds: Vec::with_capacity(s),
+            best: None,
+            tally: Tally::default(),
+        }
+    }
+
+    /// Drains work items until the cursor passes the last one.
+    fn run(mut self, items: &WorkItems, cursor: &AtomicUsize) -> (RankedBest, Tally) {
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            match items {
+                WorkItems::Chunks { chunk, end } => {
+                    let start = (i as u64).saturating_mul(*chunk);
+                    if start >= *end {
+                        break;
+                    }
+                    self.sweep(start..start.saturating_add(*chunk).min(*end), None);
+                }
+                WorkItems::Tiles { tiles, reach } => {
+                    let Some(tile) = tiles.get(i) else { break };
+                    self.solve_tile(tile, *reach);
+                }
+            }
+        }
+        (self.best, self.tally)
+    }
+
+    /// Builds the tile's view around its members, then sweeps the
+    /// tile's rank blocks inside it.
+    fn solve_tile(&mut self, tile: &Tile, reach: usize) {
+        let ctx = self.ctx;
+        let t_tile = Instant::now();
+        let member_cells: Vec<CellIndex> = tile.members.iter().map(|&i| ctx.pool[i]).collect();
+        let scratch = self
+            .scratch
+            .get_or_insert_with(|| ViewScratch::new(ctx.instance.num_users()));
+        let view = build_view(ctx.instance, ctx.substrate, &member_cells, reach, scratch);
+        self.tally.profile.tile_view_ns += t_tile.elapsed().as_nanos() as u64;
+        let mut ws = SweepWorkspace::with_view(ctx.instance, ctx.substrate, &view);
+        for block in &tile.blocks {
+            self.sweep(block.clone(), Some(&mut ws));
+        }
+        self.tally.tiles_solved += 1;
+        uavnet_obs::hists::TILE_SOLVE.record_ns(t_tile.elapsed().as_nanos() as u64);
+    }
+
+    /// Walks consecutive ranks: each is unranked (or advanced from its
+    /// predecessor), offered to the fault-injection hook, classified,
+    /// and evaluated when it must be.
+    fn sweep(&mut self, ranks: Range<u64>, mut view: Option<&mut SweepWorkspace<'_>>) {
+        let ctx = self.ctx;
+        let (n, s) = (ctx.pool.len(), ctx.config.s());
+        for rank in ranks.clone() {
+            let t_enum = Instant::now();
+            if rank == ranks.start {
+                unrank_combination(rank, n, s, &mut self.combo);
+            } else {
+                let advanced = next_combination(&mut self.combo, n);
+                debug_assert!(advanced, "rank < total implies a successor");
+            }
+            // The injection hook fires on *reaching* the rank, before
+            // any pruning: tests pick ranks without knowing which ones
+            // will be pruned.
+            if ctx.config.panic_rank() == Some(rank) {
+                panic!("injected worker panic at enumeration rank {rank}");
+            }
+            let class = self.primer.classify(ctx, &self.combo, rank);
+            self.tally.profile.enumeration_ns += t_enum.elapsed().as_nanos() as u64;
+            match class {
+                RankClass::Evaluate => self.evaluate(rank, view.as_deref_mut()),
+                RankClass::ChainPruned => self.tally.chain_pruned += 1,
+                RankClass::BoundPruned => self.tally.bound_pruned += 1,
+                RankClass::Primer => {}
+                RankClass::Tail => unreachable!("work items stop before the tail"),
+            }
+        }
+    }
+
+    /// Evaluates the current combination in the tile view, if any, and
+    /// in the global workspace otherwise or when the subset escapes the
+    /// view.
+    fn evaluate(&mut self, rank: u64, view: Option<&mut SweepWorkspace<'_>>) {
+        let ctx = self.ctx;
+        self.tally.evaluated += 1;
+        self.seeds.clear();
+        self.seeds.extend(self.combo.iter().map(|&i| ctx.pool[i]));
+        let in_view = view.map(|ws| {
+            (
+                solve_counted(ws, ctx.plan, &self.seeds, &mut self.tally),
+                &*ws,
+            )
+        });
+        let (outcome, ws) = match in_view {
+            Some((outcome, ws)) if outcome != SubsetOutcome::EscapedView => (outcome, ws),
+            _ => {
+                let ws = self.global.get_or_insert_with(|| {
+                    SweepWorkspace::with_substrate(ctx.instance, ctx.substrate)
+                });
+                (
+                    solve_counted(ws, ctx.plan, &self.seeds, &mut self.tally),
+                    &*ws,
+                )
+            }
+        };
+        match outcome {
+            SubsetOutcome::Served(served) => {
+                if beats(&self.best, served, rank) {
+                    self.best = Some((served, rank, ws.placements().to_vec(), self.seeds.clone()));
+                }
+            }
+            SubsetOutcome::Unconnectable => self.tally.unconnectable += 1,
+            SubsetOutcome::EscapedView => {
+                unreachable!("a global workspace has no view to escape")
+            }
+        }
+    }
+}
+
+/// Solves `seeds` in `ws`. Gain queries count only when `ws` decides:
+/// those a view burns before noticing an escape are discarded, so the
+/// totals match the monolithic sweep, where only the global evaluation
+/// exists.
+fn solve_counted(
+    ws: &mut SweepWorkspace<'_>,
+    plan: &SegmentPlan,
+    seeds: &[CellIndex],
+    tally: &mut Tally,
+) -> SubsetOutcome {
+    let before = ws.gain_queries();
+    let outcome = ws.solve_subset(plan, seeds, &mut tally.profile);
+    if outcome == SubsetOutcome::EscapedView {
+        tally.view_escapes += 1;
+    } else {
+        tally.gain_queries += ws.gain_queries() - before;
+    }
+    outcome
+}
+
 /// How the exhaustive sweep treats one enumeration rank, as decided by
 /// [`Primer::classify`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RankClass {
+enum RankClass {
     /// Past a primer that already serves `min(Σ capacities, n)`: no
     /// later rank can win, not even on the tie-break. Counted as
-    /// bound-pruned without a chain check; the sweeps stop here.
+    /// bound-pruned without a chain check; the work items stop here.
     Tail,
     /// Rejected by chain pruning.
     ChainPruned,
@@ -451,9 +610,8 @@ pub(crate) enum RankClass {
 /// thread, in rank order:
 ///
 /// 1. the lowest-rank chain-feasible combination — under the canonical
-///    greedy pool order (see [`crate::ApproxConfig::seed_strategy`])
-///    this is usually the winner itself, so every later rank with an
-///    equal bound tie-prunes;
+///    greedy pool order (see [`seed_pool`]) this is usually the winner
+///    itself, so every later rank with an equal bound tie-prunes;
 /// 2. the first chain-feasible combination of the highest-`ūh` pool
 ///    positions — a served-count safety net for instances where the
 ///    greedy order's head does not saturate the fleet.
@@ -464,7 +622,7 @@ pub(crate) enum RankClass {
 /// workers run, [`classify`](Self::classify) is a pure function of the
 /// combination, and every counter is independent of the thread count
 /// and of how the sharded sweep tiles the grid.
-pub(crate) struct Primer {
+struct Primer {
     /// `(served, rank)` of the best primer candidate: the sweep's
     /// fixed incumbent.
     incumbent: Option<(usize, u64)>,
@@ -485,9 +643,7 @@ impl Primer {
     /// # Errors
     ///
     /// [`CoreError::Sweep`] if evaluating a candidate panicked.
-    pub(crate) fn evaluate(
-        ctx: &SearchContext<'_>,
-    ) -> Result<(Primer, RankedBest, Tally), CoreError> {
+    fn evaluate(ctx: &SearchContext<'_>) -> Result<(Primer, RankedBest, Tally), CoreError> {
         std::panic::catch_unwind(AssertUnwindSafe(|| Primer::evaluate_inner(ctx)))
             .map_err(|payload| CoreError::Sweep(panic_payload_message(&*payload)))
     }
@@ -526,7 +682,7 @@ impl Primer {
         candidates.sort_unstable();
 
         let mut tally = Tally::default();
-        tally.profile.enumeration = t_setup.elapsed().as_nanos() as u64;
+        tally.profile.enumeration_ns = t_setup.elapsed().as_nanos() as u64;
         let mut best: RankedBest = None;
         let mut ranks = Vec::with_capacity(candidates.len());
         let mut ws = SweepWorkspace::with_substrate(instance, ctx.substrate);
@@ -565,7 +721,7 @@ impl Primer {
 
     /// The first rank of the [`RankClass::Tail`]: `total` when the
     /// primer does not saturate the fleet.
-    pub(crate) fn tail_start(&self, total: u64) -> u64 {
+    fn tail_start(&self, total: u64) -> u64 {
         match self.incumbent {
             Some((served, rank)) if served as u64 >= self.cap_bound => (rank + 1).min(total),
             _ => total,
@@ -575,12 +731,7 @@ impl Primer {
     /// Classifies the rank-`rank` pool-index combination `combo`; the
     /// classes are checked in the order they are declared in
     /// [`RankClass`].
-    pub(crate) fn classify(
-        &self,
-        ctx: &SearchContext<'_>,
-        combo: &[usize],
-        rank: u64,
-    ) -> RankClass {
+    fn classify(&self, ctx: &SearchContext<'_>, combo: &[usize], rank: u64) -> RankClass {
         if rank >= self.tail_start(u64::MAX) {
             return RankClass::Tail;
         }
@@ -659,109 +810,6 @@ fn reach_coverage_bounds(ctx: &SearchContext<'_>) -> Vec<u64> {
         .collect()
 }
 
-/// The literal Algorithm 2 engine: the full `C(pool, s)` enumeration
-/// behind a chunked atomic cursor, one reusable workspace per worker.
-/// Every rank is [classified](Primer::classify) against the primer
-/// before any evaluation, and the cursor stops where the primer's
-/// saturated tail begins.
-pub struct ExhaustiveEnumeration;
-
-impl SeedStrategy for ExhaustiveEnumeration {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
-    fn search(&self, ctx: &SearchContext<'_>) -> Result<SearchResult, CoreError> {
-        let s = ctx.config.s();
-        let pool = &ctx.pool;
-        let total = binomial(pool.len(), s);
-        let (primer, primer_best, mut base) = Primer::evaluate(ctx)?;
-        let end = primer.tail_start(total);
-        let threads_cfg = ctx.config.num_threads();
-        let chunk = (end / (threads_cfg as u64 * 4)).clamp(1, 64);
-        let cursor = AtomicU64::new(0);
-        let threads = threads_cfg.min(end.div_ceil(chunk).max(1) as usize);
-
-        let worker = || -> (RankedBest, Tally) {
-            let mut ws = SweepWorkspace::with_substrate(ctx.instance, ctx.substrate);
-            let mut tally = Tally::default();
-            let mut combo: Vec<usize> = Vec::with_capacity(s);
-            let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
-            let mut local_best: RankedBest = None;
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= end {
-                    break;
-                }
-                for rank in start..(start + chunk).min(end) {
-                    let t_enum = Instant::now();
-                    if rank == start {
-                        unrank_combination(rank, pool.len(), s, &mut combo);
-                    } else {
-                        let advanced = next_combination(&mut combo, pool.len());
-                        debug_assert!(advanced, "rank < total implies a successor");
-                    }
-                    // The injection hook fires on *reaching* the rank,
-                    // before any pruning: tests pick ranks without
-                    // knowing which ones will be pruned.
-                    if ctx.config.panic_rank() == Some(rank) {
-                        panic!("injected worker panic at enumeration rank {rank}");
-                    }
-                    let class = primer.classify(ctx, &combo, rank);
-                    tally.profile.enumeration += t_enum.elapsed().as_nanos() as u64;
-                    match class {
-                        RankClass::Evaluate => {}
-                        RankClass::ChainPruned => {
-                            tally.chain_pruned += 1;
-                            continue;
-                        }
-                        RankClass::BoundPruned => {
-                            tally.bound_pruned += 1;
-                            continue;
-                        }
-                        RankClass::Primer => continue,
-                        RankClass::Tail => unreachable!("the cursor stops before the tail"),
-                    }
-                    tally.evaluated += 1;
-                    seeds.clear();
-                    seeds.extend(combo.iter().map(|&i| pool[i]));
-                    match ws.solve_subset(ctx.plan, &seeds, &mut tally.profile) {
-                        SubsetOutcome::Served(served) => {
-                            if beats(&local_best, served, rank) {
-                                local_best =
-                                    Some((served, rank, ws.placements().to_vec(), seeds.clone()));
-                            }
-                        }
-                        SubsetOutcome::Unconnectable => tally.unconnectable += 1,
-                        SubsetOutcome::EscapedView => {
-                            unreachable!("the monolithic sweep runs without a tile view")
-                        }
-                    }
-                }
-            }
-            tally.gain_queries = ws.gain_queries();
-            (local_best, tally)
-        };
-
-        base.bound_pruned = (total - end) as usize;
-        let (best, tally) = join_workers(threads, worker, primer_best, base)?;
-        Ok(SearchResult {
-            best: best.map(|(served, _, placements, seeds)| BestCandidate {
-                served,
-                seeds,
-                placements,
-            }),
-            subsets_enumerated: total as usize,
-            subsets_chain_pruned: tally.chain_pruned,
-            subsets_bound_pruned: tally.bound_pruned,
-            subsets_evaluated: tally.evaluated,
-            subsets_unconnectable: tally.unconnectable,
-            gain_queries: tally.gain_queries,
-            profile: tally.sweep_profile(threads * s * 2 * std::mem::size_of::<usize>()),
-        })
-    }
-}
-
 /// Density-guided beam search seeded from the highest-coverage cells.
 ///
 /// Depth 1 admits the `width` pool members with the largest
@@ -772,147 +820,92 @@ impl SeedStrategy for ExhaustiveEnumeration {
 /// ordering always survives, so no feasible final subset becomes
 /// unreachable — only truncation loses candidates), scores states by
 /// summed density and keeps the best `width`. Only the final beam is
-/// fully evaluated, sequentially in lexicographic order so ties break
-/// exactly like the enumerative strategies. When `C(pool, s)` fits
-/// inside the width the beam degenerates to exhaustive enumeration
-/// with chain pruning.
+/// fully evaluated, sequentially in lexicographic order and ranked by
+/// position, so ties break exactly like the enumerative engine. When
+/// `C(pool, s)` fits inside the width the beam degenerates to
+/// exhaustive enumeration with chain pruning.
 ///
 /// The injected-panic test hook (`inject_worker_panic_at`) addresses
-/// enumeration ranks, which the beam does not have; like the sharded
-/// sweep, it ignores the hook.
-pub struct DensityBeam {
-    /// Beam width `B`.
-    pub width: usize,
-}
+/// enumeration ranks, which the beam does not have, so it ignores the
+/// hook.
+fn beam(ctx: &SearchContext<'_>, width: usize) -> (RankedBest, Tally) {
+    let instance = ctx.instance;
+    let s = ctx.config.s();
+    let width = width.max(1);
+    let pool_len = ctx.pool.len();
+    let t_enum = Instant::now();
+    let density: Vec<u64> = ctx
+        .pool
+        .iter()
+        .map(|&v| instance.best_coverage_count(v) as u64)
+        .collect();
+    let mut tally = Tally::default();
+    let mut peak_states = 0usize;
 
-impl SeedStrategy for DensityBeam {
-    fn name(&self) -> &'static str {
-        "beam"
-    }
+    let mut order: Vec<usize> = (0..pool_len).collect();
+    order.sort_by_key(|&p| (Reverse(density[p]), p));
+    let mut beam: Vec<Vec<usize>> = order.iter().take(width).map(|&p| vec![p]).collect();
+    tally.enumerated += beam.len();
 
-    fn search(&self, ctx: &SearchContext<'_>) -> Result<SearchResult, CoreError> {
-        let instance = ctx.instance;
-        let s = ctx.config.s();
-        let width = self.width.max(1);
-        let pool_len = ctx.pool.len();
-        let t_enum = Instant::now();
-        let density: Vec<u64> = ctx
-            .pool
-            .iter()
-            .map(|&v| instance.best_coverage_count(v) as u64)
-            .collect();
-        let mut enumerated = 0usize;
-        let mut chain_pruned = 0usize;
-        let mut peak_states = 0usize;
-
-        let mut order: Vec<usize> = (0..pool_len).collect();
-        order.sort_by_key(|&p| (Reverse(density[p]), p));
-        let mut beam: Vec<Vec<usize>> = order.iter().take(width).map(|&p| vec![p]).collect();
-        enumerated += beam.len();
-
-        for depth in 2..=s {
-            let mut candidates: Vec<Vec<usize>> = Vec::new();
-            for state in &beam {
-                for q in 0..pool_len {
-                    if state.contains(&q) {
-                        continue;
-                    }
-                    let mut next = Vec::with_capacity(depth);
-                    next.extend_from_slice(state);
-                    next.push(q);
-                    next.sort_unstable();
-                    candidates.push(next);
-                }
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            peak_states = peak_states.max(candidates.len() * depth);
-            enumerated += candidates.len();
-            if let Some(d) = &ctx.pool_dists {
-                let before = candidates.len();
-                candidates.retain(|c| chain_feasible(d, c, &ctx.chain_budgets[..depth - 1]));
-                chain_pruned += before - candidates.len();
-            }
-            let score = |state: &[usize]| -> u64 { state.iter().map(|&p| density[p]).sum::<u64>() };
-            candidates.sort_by(|a, b| score(b).cmp(&score(a)).then_with(|| a.cmp(b)));
-            candidates.truncate(width);
-            candidates.sort_unstable();
-            beam = candidates;
-            if beam.is_empty() {
-                break;
-            }
-        }
-        let mut profile = PhaseNanos::default();
-        profile.enumeration += t_enum.elapsed().as_nanos() as u64;
-
-        // Full evaluation of the final beam, in lexicographic subset
-        // order: accepting only strict improvements makes the earliest
-        // (lowest-rank) subset win ties, like the enumerative engines.
-        let mut ws = SweepWorkspace::with_substrate(instance, ctx.substrate);
-        let mut evaluated = 0usize;
-        let mut unconnectable = 0usize;
-        let mut best: Option<(usize, Vec<usize>)> = None;
-        let mut best_placements: Vec<(usize, CellIndex)> = Vec::new();
-        let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
+    for depth in 2..=s {
+        let mut candidates: Vec<Vec<usize>> = Vec::new();
         for state in &beam {
-            seeds.clear();
-            seeds.extend(state.iter().map(|&p| ctx.pool[p]));
-            match ws.solve_subset(ctx.plan, &seeds, &mut profile) {
-                SubsetOutcome::Served(served) => {
-                    evaluated += 1;
-                    let better = match &best {
-                        None => true,
-                        Some((bs, _)) => served > *bs,
-                    };
-                    if better {
-                        best = Some((served, state.clone()));
-                        best_placements = ws.placements().to_vec();
-                    }
+            for q in 0..pool_len {
+                if state.contains(&q) {
+                    continue;
                 }
-                SubsetOutcome::Unconnectable => {
-                    evaluated += 1;
-                    unconnectable += 1;
-                }
-                SubsetOutcome::EscapedView => {
-                    unreachable!("the monolithic sweep runs without a tile view")
-                }
+                let mut next = Vec::with_capacity(depth);
+                next.extend_from_slice(state);
+                next.push(q);
+                next.sort_unstable();
+                candidates.push(next);
             }
         }
-        let gain_queries = ws.gain_queries();
-
-        Ok(SearchResult {
-            best: best.map(|(served, state)| BestCandidate {
-                served,
-                seeds: state.iter().map(|&p| ctx.pool[p]).collect(),
-                placements: best_placements,
-            }),
-            subsets_enumerated: enumerated,
-            subsets_chain_pruned: chain_pruned,
-            subsets_bound_pruned: 0,
-            subsets_evaluated: evaluated,
-            subsets_unconnectable: unconnectable,
-            gain_queries,
-            profile: SweepProfile {
-                enumeration_ns: profile.enumeration,
-                greedy_ns: profile.greedy,
-                connection_ns: profile.connection,
-                scoring_ns: profile.scoring,
-                subset_buffer_peak_bytes: peak_states
-                    .max(width * s)
-                    .max(pool_len)
-                    .saturating_mul(std::mem::size_of::<usize>()),
-                substrate_build_ns: 0,
-                substrate_query_ns: profile.substrate_query,
-                tile_view_ns: 0,
-            },
-        })
+        candidates.sort_unstable();
+        candidates.dedup();
+        peak_states = peak_states.max(candidates.len() * depth);
+        tally.enumerated += candidates.len();
+        if let Some(d) = &ctx.pool_dists {
+            let before = candidates.len();
+            candidates.retain(|c| chain_feasible(d, c, &ctx.chain_budgets[..depth - 1]));
+            tally.chain_pruned += before - candidates.len();
+        }
+        let score = |state: &[usize]| -> u64 { state.iter().map(|&p| density[p]).sum::<u64>() };
+        candidates.sort_by(|a, b| score(b).cmp(&score(a)).then_with(|| a.cmp(b)));
+        candidates.truncate(width);
+        candidates.sort_unstable();
+        beam = candidates;
+        if beam.is_empty() {
+            break;
+        }
     }
+    tally.profile.enumeration_ns += t_enum.elapsed().as_nanos() as u64;
 
-    fn planned_evaluations(&self, ctx: &SearchContext<'_>, _limit: usize) -> usize {
-        usize::try_from(ctx.total_subsets())
-            .unwrap_or(usize::MAX)
-            .min(self.width.max(1))
+    let mut ws = SweepWorkspace::with_substrate(instance, ctx.substrate);
+    let mut best: RankedBest = None;
+    let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
+    for (rank, state) in (0u64..).zip(&beam) {
+        seeds.clear();
+        seeds.extend(state.iter().map(|&p| ctx.pool[p]));
+        tally.evaluated += 1;
+        match ws.solve_subset(ctx.plan, &seeds, &mut tally.profile) {
+            SubsetOutcome::Served(served) => {
+                if beats(&best, served, rank) {
+                    best = Some((served, rank, ws.placements().to_vec(), seeds.clone()));
+                }
+            }
+            SubsetOutcome::Unconnectable => tally.unconnectable += 1,
+            SubsetOutcome::EscapedView => {
+                unreachable!("the beam runs without a tile view")
+            }
+        }
     }
+    tally.gain_queries = ws.gain_queries();
+    tally.profile.subset_buffer_peak_bytes = peak_states
+        .max(width * s)
+        .max(pool_len)
+        .saturating_mul(std::mem::size_of::<usize>());
+    (best, tally)
 }
 
 #[cfg(test)]
@@ -1027,6 +1020,8 @@ mod tests {
         }
         let inst = b.build().unwrap();
         for s in [1usize, 2] {
+            // Oracle 6: the sharded sweep skips the same ranks.
+            crate::check_sharded_sweep(&inst, &ApproxConfig::with_s(s).threads(2)).unwrap();
             let runs: Vec<_> = [1usize, 2, 4]
                 .iter()
                 .map(|&t| {

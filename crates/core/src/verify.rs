@@ -432,6 +432,11 @@ pub fn check_sharded_sweep(instance: &Instance, config: &ApproxConfig) -> Result
                 mono_stats.subsets_chain_pruned,
             ),
             (
+                "subsets_bound_pruned",
+                stats.subsets_bound_pruned,
+                mono_stats.subsets_bound_pruned,
+            ),
+            (
                 "subsets_evaluated",
                 stats.subsets_evaluated,
                 mono_stats.subsets_evaluated,
