@@ -18,7 +18,7 @@
 //! Reads come back as a borrowed [`UserList`], which the matching
 //! kernel walks without decoding, so gain queries stay allocation-free.
 //! Under `debug-validate` every encoded list is decoded and checked
-//! bit-identical against the uncompressed input at build time.
+//! bit-identical against the uncompressed input when it is pushed.
 
 use serde::{Deserialize, Serialize};
 use uavnet_flow::{UserList, UserRun};
@@ -57,11 +57,12 @@ pub struct CoverageMemory {
 /// per list and stored structure-of-arrays.
 ///
 /// Lists are pushed in row-major order (`class * locations + loc`) by
-/// the instance builder and are immutable afterwards. [`list`]
-/// (CoverageTables::list) returns a borrowed view; [`count`]
-/// (CoverageTables::count) is an O(1) table lookup (the decoded length
-/// is cached), which is what the CELF upper bound reads.
-#[derive(Debug, Clone)]
+/// the instance builder. A mobility or surge patch never edits a list
+/// in place: it writes a new store in the same order, so a patched
+/// store equals a fresh build field for field. [`list`](CoverageTables::list) returns a borrowed
+/// view; [`count`](CoverageTables::count) is an O(1) table lookup (the
+/// decoded length is cached), which is what the CELF upper bound reads.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageTables {
     classes: usize,
     locations: usize,
@@ -172,6 +173,82 @@ impl CoverageTables {
                 "debug-validate: compressed coverage list diverges at entry {i}"
             );
         }
+    }
+
+    /// Appends entry `i` of `from` as already encoded: the same bytes
+    /// [`push_list`](Self::push_list) would append for its decoded list.
+    fn push_encoded(&mut self, from: &CoverageTables, i: usize) {
+        let (s, l) = (from.start[i], from.len[i] as usize);
+        self.enc.push(from.enc[i]);
+        self.len.push(from.len[i]);
+        self.count.push(from.count[i]);
+        self.base.push(from.base[i]);
+        self.uncompressed_bytes += std::mem::size_of::<Vec<u32>>() + 4 * from.count[i] as usize;
+        let start = match from.enc[i] {
+            Enc::Ids => {
+                self.ids.extend_from_slice(&from.ids[s..s + l]);
+                self.ids.len() - l
+            }
+            Enc::Runs => {
+                self.runs.extend_from_slice(&from.runs[s..s + l]);
+                self.runs.len() - l
+            }
+            Enc::Bits => {
+                self.words.extend_from_slice(&from.words[s..s + l]);
+                self.words.len() - l
+            }
+        };
+        self.start.push(start);
+    }
+
+    /// This store with membership edits applied. Each `(entry, user,
+    /// member)` adds (`member`) or removes one user id from the list at
+    /// row-major `entry`; an edit that already holds changes nothing.
+    /// `edits` must be sorted by entry, then user. Unedited lists are
+    /// copied forward as already encoded and edited ones decoded,
+    /// edited and re-encoded through [`push_list`](Self::push_list),
+    /// all in row-major order, so the result equals a fresh build of
+    /// the edited lists byte for byte — with no garbage to compact.
+    pub(crate) fn with_edits(&self, edits: &[(usize, u32, bool)]) -> Self {
+        debug_assert!(
+            edits
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "coverage edits must be sorted by (entry, user) without repeats"
+        );
+        let mut out = CoverageTables::with_shape(self.classes, self.locations);
+        out.ids.reserve(self.ids.len());
+        out.runs.reserve(self.runs.len());
+        out.words.reserve(self.words.len());
+        let mut list = Vec::new();
+        let mut rest = edits;
+        for i in 0..self.enc.len() {
+            let n = rest.iter().take_while(|e| e.0 == i).count();
+            if n == 0 {
+                out.push_encoded(self, i);
+                continue;
+            }
+            let (group, tail) = rest.split_at(n);
+            rest = tail;
+            // Merge the old list with the edits, both ascending.
+            let mut pending = group.iter().map(|&(_, id, member)| (id, member)).peekable();
+            list.clear();
+            self.list(i / self.locations, i % self.locations)
+                .for_each_while(|id| {
+                    while let Some((add, member)) = pending.next_if(|&(e, _)| e < id) {
+                        if member {
+                            list.push(add);
+                        }
+                    }
+                    if pending.next_if(|&(e, _)| e == id) != Some((id, false)) {
+                        list.push(id);
+                    }
+                    true
+                });
+            list.extend(pending.filter(|&(_, member)| member).map(|(id, _)| id));
+            out.push_list(&list);
+        }
+        out.finish()
     }
 
     /// Seals the store; panics if the number of pushed lists does not

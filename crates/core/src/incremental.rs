@@ -8,6 +8,9 @@
 //! [`ConnectivitySubstrate`], consumes a typed [`Delta`] stream, and
 //! applies *localized* repair instead of a full re-solve:
 //!
+//! * **instance patch** — moves and surges re-encode only the coverage
+//!   lists within range of a changed user, in place
+//!   (see [`Instance::with_moved_users`]);
 //! * **dirty-tile invalidation** — user-affecting deltas mark the
 //!   [`TilePartition`] tiles around every changed position (dilated by
 //!   the fleet's maximum coverage radius), and only stations hovering
@@ -303,13 +306,14 @@ pub(crate) fn best_component(
 /// # Failure contract
 ///
 /// Every unrepairable situation is a typed [`CoreError`], never a
-/// panic, and [`apply`](SolverLoop::apply) is all-or-nothing: every
-/// fallible piece of a delta (the moved, surged or severed instance,
-/// the rebuilt substrate, the repair plan and the cold-solve fallback)
-/// is built aside and installed only once all of them succeeded. After
-/// an error the loop is exactly as it was before the call — same
-/// instance, placements, matching, dead set and stats — and keeps
-/// absorbing deltas.
+/// panic, and [`apply`](SolverLoop::apply) is all-or-nothing: a move or
+/// surge batch is validated whole before the instance is patched in
+/// place, and every fallible piece of a topology delta (the severed
+/// instance, the rebuilt substrate, the repair plan and the cold-solve
+/// fallback) is built aside and installed only once all of them
+/// succeeded. After an error the loop is exactly as it was before the
+/// call — same instance, placements, matching, dead set and stats —
+/// and keeps absorbing deltas.
 ///
 /// # Examples
 ///
@@ -508,8 +512,8 @@ impl SolverLoop {
     ///
     /// * [`CoreError::InvalidParameters`] for out-of-range UAV ids,
     ///   user ids or link endpoints;
-    /// * [`CoreError::InvalidInstance`] for surge/move positions the
-    ///   instance builder rejects;
+    /// * [`CoreError::InvalidInstance`] for surge/move positions or
+    ///   rates the instance builder would reject;
     /// * [`CoreError::Connect`] when no relay chain can restore the
     ///   gateway link;
     /// * [`CoreError::Substrate`] if a severed-link rebuild exceeds
@@ -611,7 +615,7 @@ impl SolverLoop {
     }
 
     fn apply_surge(&mut self, users: &[User]) -> Result<bool, CoreError> {
-        self.instance = self.instance.with_extra_users(users)?;
+        self.patch_instance(&[], users)?;
         // Existing ids are preserved, so the standing assignment stays
         // valid; grow_users re-derives the free bitset so the surged
         // ids become visible to the word-AND pre-passes.
@@ -629,26 +633,21 @@ impl SolverLoop {
     }
 
     fn apply_moves(&mut self, moves: &[(u32, Point2)]) -> Result<bool, CoreError> {
-        if let Some(&(id, _)) = moves
-            .iter()
-            .find(|&&(id, _)| id as usize >= self.instance.num_users())
-        {
-            return Err(CoreError::InvalidParameters(format!(
-                "moved user {id} outside 0..{}",
-                self.instance.num_users()
-            )));
-        }
-        let moved = self.instance.with_moved_users(moves)?;
-        self.begin_dirty();
         // Old cells first: a station that only covered the *previous*
-        // position must be refreshed too.
-        for &(id, _) in moves {
-            let old = self.instance.users()[id as usize].pos;
-            if let Some(cell) = self.instance.grid().locate(old) {
-                self.mark_dirty(cell);
-            }
+        // position must be refreshed too. They are read before the
+        // patch and marked once it succeeded, so a rejected batch
+        // leaves the stats alone.
+        let grid = self.instance.grid();
+        let users = self.instance.users();
+        let old_cells: Vec<CellIndex> = moves
+            .iter()
+            .filter_map(|&(id, _)| grid.locate(users.get(id as usize)?.pos))
+            .collect();
+        self.patch_instance(moves, &[])?;
+        self.begin_dirty();
+        for cell in old_cells {
+            self.mark_dirty(cell);
         }
-        self.instance = moved;
         for &(_, pos) in moves {
             if let Some(cell) = self.instance.grid().locate(pos) {
                 self.mark_dirty(cell);
@@ -656,6 +655,13 @@ impl SolverLoop {
         }
         self.refresh_dirty_stations();
         Ok(false)
+    }
+
+    /// Patches the standing instance in place (see
+    /// [`Instance::with_moved_users`]); all-or-nothing.
+    fn patch_instance(&mut self, moves: &[(u32, Point2)], extra: &[User]) -> Result<(), CoreError> {
+        let _span = uavnet_obs::phases::RESOLVE_PATCH.span();
+        self.instance.patch_users(moves, extra)
     }
 
     /// Plans connectivity for `survivors` on a (possibly new) instance
@@ -761,6 +767,7 @@ impl SolverLoop {
     /// (deactivate + re-add with the current instance's list), then
     /// restores matching maximality with one resaturation pass.
     fn refresh_dirty_stations(&mut self) {
+        let _span = uavnet_obs::phases::RESOLVE_REFRESH.span();
         for i in 0..self.placements.len() {
             let (uav, loc) = self.placements[i];
             if !self.tile_dirty[self.partition.tile_of(loc)] {
@@ -1055,11 +1062,75 @@ mod tests {
         assert!(solver.apply(Delta::UserMoved(moves)).is_err());
         let victim = solver.placements()[0].0;
         assert!(solver.apply(Delta::KillUavs(vec![victim, 99])).is_err());
+        // Bad positions and rates are caught before the instance is
+        // patched, wherever they sit in the batch: a last entry outside
+        // the zone, a NaN coordinate, a surge with a zero rate.
+        let ok = Point2::new(700.0, 700.0);
+        for bad in [
+            Delta::UserMoved(vec![(0, ok), (3, ok), (5, Point2::new(1_500.5, 10.0))]),
+            Delta::UserMoved(vec![(0, ok), (2, Point2::new(f64::NAN, 100.0)), (4, ok)]),
+            Delta::UserSurge(vec![
+                User {
+                    pos: ok,
+                    min_rate_bps: 2_000.0,
+                },
+                User {
+                    pos: ok,
+                    min_rate_bps: 0.0,
+                },
+            ]),
+        ] {
+            let err = solver.apply(bad).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidInstance(_)), "{err}");
+        }
         assert_eq!(solver.stats(), before.stats());
         assert_eq!(solver.placements(), before.placements());
+        assert_eq!(solver.served_users(), before.served_users());
         assert_eq!(solver.dead_uavs(), before.dead_uavs());
         assert_eq!(solver.instance().users(), before.instance().users());
+        assert_eq!(
+            solver.instance().coverage_tables(),
+            before.instance().coverage_tables()
+        );
         assert_cold_equivalent(&solver);
+
+        // The loop goes on exactly like one that never saw them.
+        let moved = Delta::UserMoved(vec![(5, Point2::new(1_250.0, 1_250.0))]);
+        let mut fresh = before;
+        assert_eq!(
+            solver.apply(moved.clone()).unwrap(),
+            fresh.apply(moved).unwrap()
+        );
+        assert_eq!(
+            solver.solution().deployment(),
+            fresh.solution().deployment()
+        );
+        assert_eq!(solver.stats(), fresh.stats());
+        assert_eq!(
+            solver.instance().coverage_tables(),
+            fresh.instance().coverage_tables()
+        );
+    }
+
+    #[test]
+    fn a_repeated_id_ends_at_its_last_position() {
+        let instance = build_instance(None);
+        // User 7 starts at (290, 150). `b` and `a` lie out of coverage
+        // range of the start and of each other: a patch that took `a`
+        // as the old position would leave user 7 in the lists of the
+        // cells around its start.
+        let (a, b) = (Point2::new(150.0, 1_400.0), Point2::new(1_200.0, 150.0));
+        let mut twice = SolverLoop::new(instance, config()).unwrap();
+        let mut once = twice.clone();
+        let out_twice = twice.apply(Delta::UserMoved(vec![(7, a), (7, b)])).unwrap();
+        let out_once = once.apply(Delta::UserMoved(vec![(7, b)])).unwrap();
+        assert_eq!(out_twice, out_once);
+        assert_eq!(twice.served_users(), once.served_users());
+        assert_eq!(twice.instance().users(), once.instance().users());
+        let tables = twice.instance().coverage_tables();
+        assert_eq!(tables, once.instance().coverage_tables());
+        assert_eq!(tables, twice.instance().coverage_tables_bruteforce());
+        assert_cold_equivalent(&twice);
     }
 
     #[test]

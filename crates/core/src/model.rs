@@ -6,7 +6,7 @@ use crate::CoreError;
 use serde::{Deserialize, Serialize};
 use uavnet_channel::{AtgChannel, UavRadio, UavToUavChannel};
 use uavnet_flow::UserList;
-use uavnet_geom::{CellIndex, Grid, Point2, SpatialIndex};
+use uavnet_geom::{AreaSpec, CellIndex, Grid, Point2, SpatialIndex};
 use uavnet_graph::Graph;
 
 /// A ground user: position and minimum data-rate requirement
@@ -29,8 +29,7 @@ pub struct Uav {
     pub radio: UavRadio,
 }
 
-/// An immutable, preprocessed instance of the maximum connected
-/// coverage problem.
+/// A preprocessed instance of the maximum connected coverage problem.
 ///
 /// Construction (via [`Instance::builder`]) precomputes:
 ///
@@ -39,6 +38,15 @@ pub struct Uav {
 /// * **coverage tables**: for every distinct radio class and location,
 ///   the list of users that a UAV with that radio could serve there
 ///   (range *and* rate admissible).
+///
+/// The public API never mutates an instance:
+/// [`with_moved_users`](Instance::with_moved_users),
+/// [`with_extra_users`](Instance::with_extra_users) and
+/// [`with_severed_links`](Instance::with_severed_links) return changed
+/// copies. The incremental engine ([`SolverLoop`](crate::SolverLoop))
+/// patches its own instance in place with the code behind the first
+/// two, which re-derives only the coverage lists the changed users can
+/// affect.
 #[derive(Debug, Clone)]
 pub struct Instance {
     grid: Grid,
@@ -49,11 +57,6 @@ pub struct Instance {
     location_graph: Graph,
     /// Distinct radio classes; `radio_class[k]` maps UAV `k` to one.
     radio_class: Vec<usize>,
-    /// User positions, extracted once for spatial-index queries.
-    user_positions: Vec<Point2>,
-    /// Uniform-grid index over `user_positions`, binned by the
-    /// coarsest coverage radius of the fleet.
-    user_index: SpatialIndex,
     /// Compressed `(class, location)` → coverable-user lists.
     coverage: CoverageTables,
     /// `best_coverage[location]` = max coverage count over all classes.
@@ -273,23 +276,17 @@ impl Instance {
         self.best_coverage[loc]
     }
 
-    /// Calls `f` with the id of every user within `radius_m`
-    /// (inclusive, planar) of `center`, via the spatial index built at
-    /// construction time. Ids arrive bin-grouped, **not** globally
-    /// sorted. This is the same index that backs the coverage tables
-    /// and the leftover/redeploy paths.
-    pub fn for_each_user_within(&self, center: Point2, radius_m: f64, f: impl FnMut(u32)) {
-        self.user_index
-            .for_each_within(&self.user_positions, center, radius_m, f);
-    }
-
-    /// Sorted ids of the users within `radius_m` (inclusive, planar)
-    /// of `center`.
-    pub fn users_within(&self, center: Point2, radius_m: f64) -> Vec<u32> {
-        let mut ids = Vec::new();
-        self.for_each_user_within(center, radius_m, |id| ids.push(id));
-        ids.sort_unstable();
-        ids
+    /// The radio of every class, by class id. Class ids follow the
+    /// first occurrence of each radio in the fleet, as the builder
+    /// assigns them.
+    fn class_radios(&self) -> Vec<UavRadio> {
+        let mut radios = Vec::with_capacity(self.num_radio_classes());
+        for (uav, &class) in self.radio_class.iter().enumerate() {
+            if class == radios.len() {
+                radios.push(self.uavs[uav].radio);
+            }
+        }
+        radios
     }
 
     /// Recomputes the coverage tables by the all-pairs reference scan
@@ -298,21 +295,14 @@ impl Instance {
     /// indexed builder; not part of the public API surface.
     #[doc(hidden)]
     pub fn coverage_tables_bruteforce(&self) -> Vec<Vec<Vec<u32>>> {
-        let m = self.num_locations();
-        let num_classes = self.coverage.num_classes();
-        let mut tables = vec![vec![Vec::new(); m]; num_classes];
-        for (class, per_loc) in tables.iter_mut().enumerate() {
-            let uav = self
-                .radio_class
-                .iter()
-                .position(|&c| c == class)
-                .expect("every class has a UAV");
-            let radio = self.uavs[uav].radio;
-            for (loc, slot) in per_loc.iter_mut().enumerate() {
-                *slot = coverable_bruteforce(&self.atg, &radio, &self.grid, loc, &self.users);
-            }
-        }
-        tables
+        self.class_radios()
+            .iter()
+            .map(|radio| {
+                (0..self.num_locations())
+                    .map(|loc| coverable_bruteforce(&self.atg, radio, &self.grid, loc, &self.users))
+                    .collect()
+            })
+            .collect()
     }
 
     /// The coverage tables decoded into the legacy `[class][location]`
@@ -359,63 +349,202 @@ impl Instance {
     }
 
     /// A copy of this instance with `extra` users appended (a demand
-    /// surge). Coverage tables are rebuilt; existing user ids are
-    /// preserved, the new users take ids `n..n + extra.len()`.
+    /// surge). Existing user ids are preserved, the new users take ids
+    /// `n..n + extra.len()`; only the coverage lists within range of a
+    /// new user are re-encoded, and the location graph (possibly
+    /// degraded by severed links) is kept.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidInstance`] if an extra user lies outside the
-    /// zone or has an invalid minimum rate.
+    /// zone or has an invalid minimum rate, or the user count would
+    /// exceed `u32::MAX`.
     pub fn with_extra_users(&self, extra: &[User]) -> Result<Instance, CoreError> {
-        let builder = InstanceBuilder {
-            grid: self.grid.clone(),
-            users: self.users.iter().chain(extra).copied().collect(),
-            uavs: self.uavs.clone(),
-            atg: self.atg,
-            uav_channel: self.uav_channel,
-            gateway: self.gateway,
-        };
-        let mut rebuilt = builder.build()?;
-        // Preserve this instance's connectivity, which may already be
-        // degraded by severed links.
-        rebuilt.location_graph = self.location_graph.clone();
-        Ok(rebuilt)
+        let mut surged = self.clone();
+        surged.patch_users(&[], extra)?;
+        Ok(surged)
     }
 
     /// A copy of this instance with the listed users relocated (a
-    /// mobility tick). Coverage tables are rebuilt; every user keeps
-    /// its id, rate demand and ordering — only positions change.
+    /// mobility tick). Every user keeps its id, rate demand and
+    /// ordering — only positions change, and a repeated id ends at its
+    /// last position. Only the coverage lists within range of an old
+    /// or new position are re-encoded, and the location graph
+    /// (possibly degraded by severed links) is kept.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidParameters`] if a move names a user id that
     /// does not exist; [`CoreError::InvalidInstance`] if a new position
-    /// lies outside the zone.
+    /// lies outside the zone or is not finite.
     pub fn with_moved_users(&self, moves: &[(u32, Point2)]) -> Result<Instance, CoreError> {
-        let n = self.num_users();
-        let mut users = self.users.clone();
-        for &(id, pos) in moves {
-            let Some(user) = users.get_mut(id as usize) else {
-                return Err(CoreError::InvalidParameters(format!(
-                    "moved user {id} outside 0..{n}"
-                )));
-            };
-            user.pos = pos;
+        let mut moved = self.clone();
+        moved.patch_users(moves, &[])?;
+        Ok(moved)
+    }
+
+    /// Moves the `moves` users and appends the `extra` ones in place,
+    /// re-deriving only the coverage lists they can change. The whole
+    /// batch is validated before anything is mutated, so an error
+    /// leaves the instance untouched. The result equals a fresh build
+    /// of the same users, fleet and gateway (checked after every patch
+    /// under `debug-validate`), with this instance's location graph.
+    ///
+    /// A user's membership can change only in the lists of cells
+    /// within its class's range of its old or its new position, so
+    /// those are the only cells visited, with the builder's own
+    /// prefilter and admissibility check.
+    ///
+    /// # Errors
+    ///
+    /// As [`with_moved_users`](Self::with_moved_users) and
+    /// [`with_extra_users`](Self::with_extra_users).
+    pub(crate) fn patch_users(
+        &mut self,
+        moves: &[(u32, Point2)],
+        extra: &[User],
+    ) -> Result<(), CoreError> {
+        let n = self.users.len();
+        if let Some(&(id, _)) = moves.iter().find(|&&(id, _)| id as usize >= n) {
+            return Err(CoreError::InvalidParameters(format!(
+                "moved user {id} outside 0..{n}"
+            )));
         }
-        let builder = InstanceBuilder {
+        let area = self.grid.spec().area();
+        for &(id, pos) in moves {
+            let user = User {
+                pos,
+                ..self.users[id as usize]
+            };
+            check_user(&area, id as usize, &user)?;
+        }
+        for (i, user) in extra.iter().enumerate() {
+            check_user(&area, n + i, user)?;
+        }
+        if n + extra.len() > u32::MAX as usize {
+            return Err(CoreError::InvalidInstance(
+                "more than u32::MAX users".into(),
+            ));
+        }
+
+        // One entry per changed user: its id, its position before the
+        // batch (none for a surged user) and its new state. A repeated
+        // id keeps its last position: reversed, a stable sort by id and
+        // a dedup keep exactly that entry.
+        let mut last: Vec<(u32, Point2)> = moves.iter().rev().copied().collect();
+        last.sort_by_key(|&(id, _)| id);
+        last.dedup_by_key(|&mut (id, _)| id);
+        let changed: Vec<(u32, Option<Point2>, User)> = last
+            .iter()
+            .map(|&(id, pos)| {
+                let old = self.users[id as usize];
+                (id, Some(old.pos), User { pos, ..old })
+            })
+            .chain(
+                extra
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &user)| ((n + i) as u32, None, user)),
+            )
+            .collect();
+
+        let m = self.num_locations();
+        let mut edits: Vec<(usize, u32, bool)> = Vec::new();
+        for (class, radio) in self.class_radios().iter().enumerate() {
+            let range = radio.user_range_m();
+            let range_sq = range * range;
+            for &(id, old, user) in &changed {
+                for loc in self.grid.cells_within(user.pos, range) {
+                    let hover = self.grid.hover_position(loc);
+                    let member = self
+                        .atg
+                        .can_serve(radio, hover, user.pos, user.min_rate_bps);
+                    if member != self.coverage.list(class, loc).contains(id) {
+                        edits.push((class * m + loc, id, member));
+                    }
+                }
+                let Some(old) = old else { continue };
+                for loc in self.grid.cells_within(old, range) {
+                    // Cells in range of the new position were decided
+                    // above; the rest can only lose the user.
+                    if self.grid.cell_center(loc).distance_sq(user.pos) > range_sq
+                        && self.coverage.list(class, loc).contains(id)
+                    {
+                        edits.push((class * m + loc, id, false));
+                    }
+                }
+            }
+        }
+        edits.sort_unstable();
+
+        self.coverage = self.coverage.with_edits(&edits);
+        for &(id, pos) in &last {
+            self.users[id as usize].pos = pos;
+        }
+        self.users.extend_from_slice(extra);
+        for loc in edits.iter().map(|&(entry, _, _)| entry % m) {
+            self.best_coverage[loc] = (0..self.coverage.num_classes())
+                .map(|class| self.coverage.count(class, loc))
+                .max()
+                .unwrap_or(0);
+        }
+        #[cfg(feature = "debug-validate")]
+        self.assert_matches_fresh_build();
+        Ok(())
+    }
+
+    /// The patch oracle: a patched instance must equal a fresh build of
+    /// the same users, fleet and gateway. Compiled only under
+    /// `debug-validate`.
+    #[cfg(feature = "debug-validate")]
+    fn assert_matches_fresh_build(&self) {
+        let fresh = InstanceBuilder {
             grid: self.grid.clone(),
-            users,
+            users: self.users.clone(),
             uavs: self.uavs.clone(),
             atg: self.atg,
             uav_channel: self.uav_channel,
             gateway: self.gateway,
-        };
-        let mut rebuilt = builder.build()?;
-        // Preserve this instance's connectivity, which may already be
-        // degraded by severed links.
-        rebuilt.location_graph = self.location_graph.clone();
-        Ok(rebuilt)
+        }
+        .build()
+        .expect("debug-validate: a patched instance must rebuild");
+        assert_eq!(
+            self.users, fresh.users,
+            "debug-validate: patched users diverge from a fresh build"
+        );
+        assert!(
+            self.coverage == fresh.coverage,
+            "debug-validate: patched coverage tables diverge from a fresh build"
+        );
+        assert_eq!(
+            self.best_coverage, fresh.best_coverage,
+            "debug-validate: patched best coverage diverges from a fresh build"
+        );
+        assert_eq!(
+            self.coverage_memory(),
+            fresh.coverage_memory(),
+            "debug-validate: patched coverage memory diverges from a fresh build"
+        );
     }
+}
+
+/// The builder's per-user admissibility check: inside the zone (which
+/// also rejects non-finite coordinates) with a finite, positive
+/// minimum rate.
+fn check_user(area: &AreaSpec, i: usize, user: &User) -> Result<(), CoreError> {
+    if !area.contains(user.pos) {
+        return Err(CoreError::InvalidInstance(format!(
+            "user {i} at {} outside the disaster zone",
+            user.pos
+        )));
+    }
+    if !(user.min_rate_bps.is_finite() && user.min_rate_bps > 0.0) {
+        return Err(CoreError::InvalidInstance(format!(
+            "user {i} has invalid minimum rate {}",
+            user.min_rate_bps
+        )));
+    }
+    Ok(())
 }
 
 /// Reference all-pairs coverage scan for one (radio, location) pair:
@@ -511,19 +640,8 @@ impl InstanceBuilder {
             return Err(CoreError::InvalidInstance("fleet is empty".into()));
         }
         let area = self.grid.spec().area();
-        for (i, u) in self.users.iter().enumerate() {
-            if !area.contains(u.pos) {
-                return Err(CoreError::InvalidInstance(format!(
-                    "user {i} at {} outside the disaster zone",
-                    u.pos
-                )));
-            }
-            if !(u.min_rate_bps.is_finite() && u.min_rate_bps > 0.0) {
-                return Err(CoreError::InvalidInstance(format!(
-                    "user {i} has invalid minimum rate {}",
-                    u.min_rate_bps
-                )));
-            }
+        for (i, user) in self.users.iter().enumerate() {
+            check_user(&area, i, user)?;
         }
         if self.users.len() > u32::MAX as usize {
             return Err(CoreError::InvalidInstance(
@@ -643,8 +761,6 @@ impl InstanceBuilder {
             uav_channel: self.uav_channel,
             location_graph,
             radio_class,
-            user_positions,
-            user_index,
             coverage,
             best_coverage,
             uavs_by_capacity,
@@ -868,26 +984,6 @@ mod tests {
         let mem = inst.coverage_memory();
         assert!(mem.compressed_bytes <= mem.uncompressed_bytes + 24 * mem.lists);
         assert_eq!(mem.lists, mem.ids_lists + mem.run_lists + mem.bitset_lists);
-    }
-
-    #[test]
-    fn users_within_matches_linear_scan() {
-        let mut b = Instance::builder(grid_900(300.0), 600.0);
-        b.add_user(Point2::new(150.0, 150.0), 2_000.0);
-        b.add_user(Point2::new(450.0, 450.0), 2_000.0);
-        b.add_user(Point2::new(850.0, 850.0), 2_000.0);
-        b.add_uav(10, radio());
-        let inst = b.build().unwrap();
-        let center = Point2::new(450.0, 450.0);
-        let expect: Vec<u32> = inst
-            .users()
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.pos.distance_sq(center) <= 500.0 * 500.0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(inst.users_within(center, 500.0), expect);
-        assert!(inst.users_within(center, -1.0).is_empty());
     }
 
     #[test]

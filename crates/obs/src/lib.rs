@@ -1670,6 +1670,14 @@ pub mod phases {
     /// single delta (dirty-tile triage, coverage refresh, repair or
     /// cold fallback).
     pub static RESOLVE_APPLY: Phase = Phase::new("resolve.apply");
+    /// The in-place instance patch of a mobility or surge delta
+    /// (re-encoding the coverage lists the changed users can affect),
+    /// inside `resolve.apply`.
+    pub static RESOLVE_PATCH: Phase = Phase::new("resolve.patch");
+    /// Re-deriving the dirty-tile stations of a mobility or surge
+    /// delta, including compaction and the resaturation pass, inside
+    /// `resolve.apply`.
+    pub static RESOLVE_REFRESH: Phase = Phase::new("resolve.refresh");
     /// The solver-service worker thread's whole lifetime — the root
     /// span every per-delta service span attaches under (directly or
     /// via a cross-thread [`SpanHandle`](super::SpanHandle)).
@@ -1704,6 +1712,8 @@ pub mod phases {
         &VERIFY,
         &REPAIR,
         &RESOLVE_APPLY,
+        &RESOLVE_PATCH,
+        &RESOLVE_REFRESH,
         &SERVICE_WORKER,
         &SERVICE_INGRESS,
         &SERVICE_QUEUE_WAIT,

@@ -1,8 +1,9 @@
 //! Property tests over the scale layer: the spatial-index coverage
 //! builder against the all-pairs reference, the compressed coverage
-//! tables against their decode, the connectivity substrate
-//! (precomputed hop rows + canonical paths) against fresh per-call
-//! BFS, and the tile-sharded sweep against the monolithic one.
+//! tables against their decode, in-place mobility and surge patches
+//! against a fresh build, the connectivity substrate (precomputed hop
+//! rows + canonical paths) against fresh per-call BFS, and the
+//! tile-sharded sweep against the monolithic one.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -10,7 +11,7 @@ use proptest::prelude::*;
 use uavnet::channel::UavRadio;
 use uavnet::core::{
     approx_alg_sharded, approx_alg_with_stats, check_connection_substrate, ApproxConfig, Instance,
-    ShardConfig,
+    ShardConfig, User,
 };
 use uavnet::geom::{AreaSpec, GridSpec, Point2};
 use uavnet::graph::{
@@ -46,6 +47,63 @@ prop_compose! {
         }
         b.build().expect("valid instance")
     }
+}
+
+prop_compose! {
+    /// A position in the 1 500 m zone of `instances()`; about half lie
+    /// on an edge or a corner, where the range checks are inclusive.
+    fn zone_points()(
+        x in 0.0f64..1_500.0,
+        y in 0.0f64..1_500.0,
+        place in 0u8..10,
+    ) -> Point2 {
+        let snap = |v: f64| if v < 750.0 { 0.0 } else { 1_500.0 };
+        match place {
+            0 => Point2::new(0.0, y),
+            1 => Point2::new(1_500.0, y),
+            2 => Point2::new(x, 0.0),
+            3 => Point2::new(x, 1_500.0),
+            4 => Point2::new(snap(x), snap(y)),
+            _ => Point2::new(x, y),
+        }
+    }
+}
+
+/// One mutation of a `patched_instance_equals_fresh_build` run.
+#[derive(Debug, Clone)]
+enum PatchStep {
+    /// Raw ids (taken modulo the user count) and their new positions.
+    Move(Vec<(u32, Point2)>),
+    /// Users appended by a surge.
+    Surge(Vec<Point2>),
+}
+
+prop_compose! {
+    /// A move batch of 1–40 ids drawn with replacement (so ids repeat)
+    /// or a surge of 1–10 users.
+    fn patch_steps()(
+        surge in 0u8..2,
+        moves in vec((0u32..1_000, zone_points()), 1..41),
+        extra in vec(zone_points(), 1..11),
+    ) -> PatchStep {
+        if surge == 1 {
+            PatchStep::Surge(extra)
+        } else {
+            PatchStep::Move(moves)
+        }
+    }
+}
+
+/// A fresh build of `instance`'s users, fleet, channels and gateway.
+fn fresh_build(instance: &Instance) -> Instance {
+    let mut b = Instance::builder(instance.grid().clone(), instance.uav_channel().range_m());
+    b.atg_channel(*instance.atg())
+        .users(instance.users().iter().copied())
+        .uavs(instance.uavs().iter().copied());
+    if let Some(gw) = instance.gateway() {
+        b.gateway(gw);
+    }
+    b.build().expect("a patched instance rebuilds")
 }
 
 prop_compose! {
@@ -118,27 +176,41 @@ proptest! {
         prop_assert_eq!(stats.best_seeds, mono_stats.best_seeds);
     }
 
-    /// The index-backed radius query agrees with a linear scan for
-    /// arbitrary centers and radii (including ones unrelated to any
-    /// radio class).
+    /// Mobility and surge deltas patch only the coverage lists they
+    /// can change; after every step the patched instance must equal a
+    /// fresh build of the same users: decoded lists, encoded bytes,
+    /// best coverage per cell, users and fingerprint.
     #[test]
-    fn users_within_matches_linear_scan(
+    fn patched_instance_equals_fresh_build(
         instance in instances(),
-        cx in -200.0f64..1_700.0,
-        cy in -200.0f64..1_700.0,
-        r in 0.0f64..900.0,
+        steps in vec(patch_steps(), 1..5),
     ) {
-        let center = Point2::new(cx, cy);
-        let got = instance.users_within(center, r);
-        let r2 = r * r;
-        let want: Vec<u32> = instance
-            .users()
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.pos.distance_sq(center) <= r2)
-            .map(|(i, _)| i as u32)
-            .collect();
-        prop_assert_eq!(got, want);
+        let mut patched = instance;
+        for step in steps {
+            patched = match step {
+                PatchStep::Move(moves) => {
+                    let n = patched.num_users() as u32;
+                    let moves: Vec<(u32, Point2)> =
+                        moves.into_iter().map(|(id, pos)| (id % n, pos)).collect();
+                    patched.with_moved_users(&moves).unwrap()
+                }
+                PatchStep::Surge(points) => {
+                    let extra: Vec<User> = points
+                        .into_iter()
+                        .map(|pos| User { pos, min_rate_bps: 2_000.0 })
+                        .collect();
+                    patched.with_extra_users(&extra).unwrap()
+                }
+            };
+            let fresh = fresh_build(&patched);
+            prop_assert_eq!(patched.coverage_tables(), fresh.coverage_tables());
+            prop_assert_eq!(patched.coverage_memory(), fresh.coverage_memory());
+            for loc in 0..patched.num_locations() {
+                prop_assert_eq!(patched.best_coverage_count(loc), fresh.best_coverage_count(loc));
+            }
+            prop_assert_eq!(patched.users(), fresh.users());
+            prop_assert_eq!(patched.fingerprint(), fresh.fingerprint());
+        }
     }
 
     /// Tentpole part 2: every substrate hop row equals a fresh BFS
