@@ -9,13 +9,19 @@
 //! the paper-vs-measured comparison of each table.
 
 use std::process::ExitCode;
+use uavnet_bench::report::Harness;
 use uavnet_bench::{
     ablation, fig4, fig5, fig6, render_ablation_table, render_csv, render_served_table,
     render_time_table, Scale,
 };
 
+const HARNESS: Harness = Harness {
+    name: "figures",
+    usage: "usage: figures [fig4|fig5|fig6a|fig6b|ablate|all] \
+            [--quick|--laptop|--paper] [--threads N] [--trials T] [--out DIR]",
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which = "all".to_string();
     let mut scale = Scale::laptop();
     let mut threads = std::thread::available_parallelism()
@@ -24,46 +30,25 @@ fn main() -> ExitCode {
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut trials_override: Option<usize> = None;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "fig4" | "fig5" | "fig6a" | "fig6b" | "ablate" | "all" => which = arg.clone(),
-            "--quick" => scale = Scale::quick(),
-            "--laptop" => scale = Scale::laptop(),
-            "--paper" => scale = Scale::paper(),
-            "--out" => match it.next() {
-                Some(dir) => out_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threads" => match it.next().and_then(|t| t.parse().ok()) {
-                Some(t) => threads = t,
-                None => {
-                    eprintln!("--threads needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trials" => match it.next().and_then(|t| t.parse().ok()) {
-                Some(t) => trials_override = Some(t),
-                None => {
-                    eprintln!("--trials needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: figures [fig4|fig5|fig6a|fig6b|ablate|all] \
-                     [--quick|--laptop|--paper] [--threads N] [--trials T] [--out DIR]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
+    let help = HARNESS.options(|args| {
+        while let Some(arg) = args.next_flag() {
+            match arg.as_str() {
+                "fig4" | "fig5" | "fig6a" | "fig6b" | "ablate" | "all" => which = arg,
+                "--quick" => scale = Scale::quick(),
+                "--laptop" => scale = Scale::laptop(),
+                "--paper" => scale = Scale::paper(),
+                "--out" => out_dir = Some(args.value(&arg)?.into()),
+                "--threads" => threads = args.number(&arg)?,
+                "--trials" => trials_override = Some(args.number(&arg)?),
+                "--help" | "-h" => return Ok(true),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
+        Ok(false)
+    });
+    if help {
+        println!("{}", HARNESS.usage);
+        return ExitCode::SUCCESS;
     }
 
     if let Some(t) = trials_override {

@@ -17,8 +17,8 @@
 //! Wall-clock-dependent counters (`service.slow_deltas`, which
 //! compares elapsed time against a threshold) are excluded from the
 //! deterministic gate entirely. Timing metrics (`*_ns` totals,
-//! self-times, percentiles) are machine-dependent and only compared
-//! under `--timings`, with their own looser tolerance.
+//! self-times, percentiles) are machine-dependent and not compared;
+//! wall-clock regressions are the end-to-end benchmark's job.
 //!
 //! Usage:
 //!
@@ -26,9 +26,6 @@
 //! obs_diff BASELINE.json CURRENT.json [BASELINE2.json CURRENT2.json]...
 //!          [--tol REL]              # default drift tolerance (default 0.10)
 //!          [--tol-metric NAME=REL]  # per-metric override, repeatable
-//!          [--timings]              # also gate timing metrics
-//!          [--timing-tol REL]       # tolerance for --timings (default 0.50)
-//!          [--strict-provenance]    # fail on instance-fingerprint mismatch
 //! ```
 //!
 //! Exit codes: 0 pass, 1 regression, 2 usage/parse error.
@@ -36,16 +33,20 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use uavnet_bench::json::Json;
+use uavnet_bench::report::{Args, Harness};
+use uavnet_json::Json;
+
+const HARNESS: Harness = Harness {
+    name: "obs_diff",
+    usage: "usage: obs_diff BASELINE.json CURRENT.json [BASELINE2.json CURRENT2.json]... \
+            [--tol REL] [--tol-metric NAME=REL]...",
+};
 
 struct Options {
     /// (baseline, current) snapshot pairs, gated independently.
     pairs: Vec<(String, String)>,
     tol: f64,
     per_metric: BTreeMap<String, f64>,
-    timings: bool,
-    timing_tol: f64,
-    strict_provenance: bool,
 }
 
 #[derive(PartialEq)]
@@ -63,81 +64,47 @@ struct Row {
     note: String,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: obs_diff BASELINE.json CURRENT.json [BASELINE2.json CURRENT2.json]... \
-         [--tol REL] [--tol-metric NAME=REL]... \
-         [--timings] [--timing-tol REL] [--strict-provenance]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Options {
+fn parse_args(args: &mut Args) -> Result<Options, String> {
     let mut positional = Vec::new();
     let mut opts = Options {
         pairs: Vec::new(),
         tol: 0.10,
         per_metric: BTreeMap::new(),
-        timings: false,
-        timing_tol: 0.50,
-        strict_provenance: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("obs_diff: {name} needs a value");
-                usage()
-            })
-        };
+    while let Some(arg) = args.next_flag() {
         match arg.as_str() {
-            "--tol" => {
-                opts.tol = value("--tol").parse().unwrap_or_else(|_| usage());
-            }
+            "--tol" => opts.tol = args.number(&arg)?,
             "--tol-metric" => {
-                let spec = value("--tol-metric");
-                let Some((name, rel)) = spec.split_once('=') else {
-                    eprintln!("obs_diff: --tol-metric wants NAME=REL, got {spec:?}");
-                    usage();
-                };
-                let rel: f64 = rel.parse().unwrap_or_else(|_| usage());
+                let spec = args.value(&arg)?;
+                let (name, rel) = spec
+                    .split_once('=')
+                    .ok_or_else(|| format!("--tol-metric wants NAME=REL, got {spec:?}"))?;
+                let rel = rel
+                    .parse()
+                    .map_err(|_| format!("--tol-metric expects a number, got {rel:?}"))?;
                 opts.per_metric.insert(name.to_string(), rel);
             }
-            "--timings" => opts.timings = true,
-            "--timing-tol" => {
-                opts.timing_tol = value("--timing-tol").parse().unwrap_or_else(|_| usage());
-            }
-            "--strict-provenance" => opts.strict_provenance = true,
-            "--help" | "-h" => usage(),
-            other if other.starts_with('-') => {
-                eprintln!("obs_diff: unknown flag {other:?}");
-                usage();
-            }
+            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             other => positional.push(other.to_string()),
         }
     }
     if positional.is_empty() || positional.len() % 2 != 0 {
-        usage();
+        return Err("expects BASELINE CURRENT pairs".to_string());
     }
     let mut it = positional.into_iter();
     while let (Some(b), Some(c)) = (it.next(), it.next()) {
         opts.pairs.push((b, c));
     }
-    opts
+    Ok(opts)
 }
 
 fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("obs_diff: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("obs_diff: {path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| HARNESS.refuse(&format!("cannot read {path}: {e}")));
+    let doc = Json::parse(&text)
+        .unwrap_or_else(|e| HARNESS.refuse(&format!("{path} is not valid JSON: {e}")));
     if let Err(msg) = check_schema(&doc) {
-        eprintln!("obs_diff: {path} {msg}");
-        std::process::exit(2);
+        HARNESS.refuse(&format!("{path} {msg}"));
     }
     doc
 }
@@ -184,28 +151,6 @@ fn gated_metrics(doc: &Json) -> BTreeMap<String, f64> {
     out
 }
 
-/// Flattens the timing metrics: `phases.<name>.{total_ns,self_ns,
-/// p50_ns,p90_ns,p99_ns,max_ns}` and the same percentiles on hists.
-fn timing_metrics(doc: &Json) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    for section in ["phases", "hists"] {
-        if let Some(obj) = doc.get(section).and_then(Json::as_obj) {
-            for (name, v) in obj {
-                if let Some(fields) = v.as_obj() {
-                    for (field, fv) in fields {
-                        if field.ends_with("_ns") {
-                            if let Some(n) = fv.as_f64() {
-                                out.insert(format!("{section}.{name}.{field}"), n);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 fn is_failure_counter(name: &str) -> bool {
     name.ends_with(".failures") || name.ends_with(".panics") || name.contains("poisoned")
 }
@@ -214,15 +159,10 @@ fn rel_change(base: f64, cur: f64) -> f64 {
     (cur - base) / base.abs().max(1.0)
 }
 
-fn compare(
-    base: &BTreeMap<String, f64>,
-    cur: &BTreeMap<String, f64>,
-    opts: &Options,
-    default_tol: f64,
-) -> Vec<Row> {
+fn compare(base: &BTreeMap<String, f64>, cur: &BTreeMap<String, f64>, opts: &Options) -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, &b) in base {
-        let tol = *opts.per_metric.get(name).unwrap_or(&default_tol);
+        let tol = *opts.per_metric.get(name).unwrap_or(&opts.tol);
         match cur.get(name) {
             None => rows.push(Row {
                 name: name.clone(),
@@ -332,55 +272,27 @@ fn diff_pair(baseline: &str, current: &str, opts: &Options) -> bool {
     println!("          {}", provenance_line(&cur_doc));
     println!();
 
-    let mut failed = false;
     if let (Some(bf), Some(cf)) = (fingerprint(&base_doc), fingerprint(&cur_doc)) {
         if bf != cf {
-            if opts.strict_provenance {
-                println!("FAIL  instance fingerprint mismatch: {bf} vs {cf}");
-                failed = true;
-            } else {
-                println!(
-                    "note  instance fingerprint mismatch ({bf} vs {cf}): \
-                     the runs measured different instances, counter drift is expected"
-                );
-            }
+            println!(
+                "note  instance fingerprint mismatch ({bf} vs {cf}): \
+                 the runs measured different instances, counter drift is expected"
+            );
             println!();
         }
     }
 
-    let rows = compare(
-        &gated_metrics(&base_doc),
-        &gated_metrics(&cur_doc),
-        opts,
-        opts.tol,
-    );
+    let rows = compare(&gated_metrics(&base_doc), &gated_metrics(&cur_doc), opts);
     println!(
         "deterministic metrics (gated, tol {:.0}%):",
         opts.tol * 100.0
     );
     print_rows(&rows);
-    failed |= rows.iter().any(|r| r.status == Status::Fail);
-
-    if opts.timings {
-        let rows = compare(
-            &timing_metrics(&base_doc),
-            &timing_metrics(&cur_doc),
-            opts,
-            opts.timing_tol,
-        );
-        println!();
-        println!(
-            "timing metrics (gated by --timings, tol {:.0}%):",
-            opts.timing_tol * 100.0
-        );
-        print_rows(&rows);
-        failed |= rows.iter().any(|r| r.status == Status::Fail);
-    }
-    failed
+    rows.iter().any(|r| r.status == Status::Fail)
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
+    let opts = HARNESS.options(parse_args);
     let mut failed_pairs = Vec::new();
     for (i, (baseline, current)) in opts.pairs.iter().enumerate() {
         if opts.pairs.len() > 1 {

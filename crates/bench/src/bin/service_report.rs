@@ -21,83 +21,79 @@
 //!
 //! The report *merges*: an existing `--out` file keeps every other
 //! top-level section (sweep and resolve evidence) and only the
-//! `service` member is replaced.
+//! `service` member is replaced. Once it is written, a recorded run
+//! checks that the repair stage saw at least one sample and exits 1
+//! otherwise (exit codes in `uavnet_bench::report`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::process::ExitCode;
 use std::time::Duration;
 
-use uavnet_bench::json::Json;
-use uavnet_bench::Scale;
-use uavnet_core::{check_incremental, ApproxConfig, Delta, Instance, LoopConfig, SolverLoop};
+use uavnet_bench::report::{self, obj, Args, Common, Harness};
+use uavnet_bench::{Scale, MOBILITY_THRESHOLD_M};
+use uavnet_core::{check_incremental, ApproxConfig, Delta, Instance, SolverLoop};
+use uavnet_json::Json;
 use uavnet_service::{
     proto::TOPIC_DEPLOYMENTS, ClientConfig, Reply, ServiceClient, ServiceConfig, SolverService,
 };
-use uavnet_workload::{MobilityModel, MobilitySimulator};
 
-/// Per-step Gaussian displacement (m) and the jitter threshold,
-/// matching `resolve_report`'s mobility stream.
-const MOBILITY_SIGMA_M: f64 = 25.0;
-const MOBILITY_THRESHOLD_M: f64 = 5.0;
+const HARNESS: Harness = Harness {
+    name: "service_report",
+    usage: "usage: service_report [--scale quick|large] [--threads N] [--ticks N] \
+            [--out PATH] [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH] \
+            [--trace-out PATH]",
+};
 
-const USAGE: &str = "usage: service_report [--scale quick|large] [--threads N] [--ticks N] \
-                     [--out PATH] [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH] \
-                     [--trace-out PATH]";
-
-fn fail_usage(msg: &str) -> ! {
-    eprintln!("service_report: {msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+/// Everything `main` needs, parsed and validated.
+#[derive(Debug)]
+struct Options {
+    common: Common,
+    scale: Scale,
+    ticks: usize,
 }
 
-fn parse_flag<T: std::str::FromStr>(raw: &str, name: &str) -> T {
-    raw.parse()
-        .unwrap_or_else(|_| fail_usage(&format!("{name} expects a number, got {raw:?}")))
-}
-
-/// Scale-aware tuning knob kept next to the numbers it shapes
-/// (mirrors `resolve_report`).
-trait Tuned {
-    fn tuned_for(self, scale: &Scale) -> Self;
-}
-
-impl Tuned for LoopConfig {
-    fn tuned_for(mut self, scale: &Scale) -> Self {
-        // Quick's 5×5 grid fits one tile per station neighborhood at
-        // side 2; the large 20×20 grid gets the default 16-cell tiles.
-        if scale.name == "quick" {
-            self.tile_cells = 2;
+fn parse_args(args: &mut Args) -> Result<Options, String> {
+    let mut scale = Scale::quick();
+    let mut ticks = None;
+    let mut common = Common::default();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => scale = args.scales(&["quick", "large"])?.remove(0),
+            "--ticks" => ticks = Some(args.positive(&flag)?),
+            "--trace-out" => common.obs.trace = Some(args.value(&flag)?),
+            _ => common.parse_flag(&flag, args)?,
         }
-        self
     }
+    // Large runs default shorter: every delta also cold-rescored by
+    // the oracle, and a 100k-user rescore dominates the wall clock.
+    let ticks = ticks.unwrap_or(if scale.name == "quick" { 24 } else { 6 });
+    Ok(Options {
+        common,
+        scale,
+        ticks,
+    })
+}
+
+/// The recorded repair stage saw at least one sample: the spliced-in
+/// UAV kill reached the solver's repair path.
+fn check_repair_stage(repair_count: u64) -> Result<(), String> {
+    report::at_least("stages.repair.count", repair_count as f64, 1.0)
 }
 
 /// The streamed workload: `ticks` mobility batches with a UAV kill
 /// spliced into the middle — the disaster the service exists to
 /// absorb online.
 fn delta_stream(instance: &Instance, ticks: usize, seed: u64) -> Vec<Delta> {
-    let mut sim = MobilitySimulator::new(
-        instance.grid().spec().area(),
-        instance.users().iter().map(|u| u.pos).collect(),
-        MobilityModel::GaussianWalk {
-            sigma_m: MOBILITY_SIGMA_M,
-        },
-        seed,
-    );
+    let mut mobility = uavnet_bench::mobility(instance, seed);
     let mut deltas = Vec::with_capacity(ticks + 1);
     for tick in 0..ticks {
         if tick == ticks / 2 {
             deltas.push(Delta::KillUavs(vec![0]));
         }
-        deltas.push(Delta::UserMoved(sim.step_deltas(MOBILITY_THRESHOLD_M)));
+        deltas.push(Delta::UserMoved(mobility.step_deltas(MOBILITY_THRESHOLD_M)));
     }
     deltas
-}
-
-fn median_ns(samples: &mut [u64]) -> u64 {
-    assert!(!samples.is_empty());
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// Minimal HTTP GET against the service telemetry endpoint.
@@ -123,68 +119,25 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 /// One per-stage latency block for the report: sample count and
 /// p50/p90/p99 nanoseconds.
 fn stage_json(count: u64, p50: u64, p90: u64, p99: u64) -> Json {
-    Json::Obj(vec![
-        ("count".into(), Json::Num(count as f64)),
-        ("p50_ns".into(), Json::Num(p50 as f64)),
-        ("p90_ns".into(), Json::Num(p90 as f64)),
-        ("p99_ns".into(), Json::Num(p99 as f64)),
+    obj(vec![
+        ("count", Json::Num(count as f64)),
+        ("p50_ns", Json::Num(p50 as f64)),
+        ("p90_ns", Json::Num(p90 as f64)),
+        ("p99_ns", Json::Num(p99 as f64)),
     ])
 }
 
-fn main() {
-    let mut scale_name = String::from("quick");
-    let mut threads = 2usize;
-    let mut ticks: Option<usize> = None;
-    let mut out = String::from("BENCH_sweep.json");
-    let mut obs_log: Option<String> = None;
-    let mut obs_metrics: Option<String> = None;
-    let mut obs_prom: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| fail_usage(&format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--scale" => scale_name = value("--scale"),
-            "--threads" => threads = parse_flag(&value("--threads"), "--threads"),
-            "--ticks" => ticks = Some(parse_flag(&value("--ticks"), "--ticks")),
-            "--out" => out = value("--out"),
-            "--obs-log" => obs_log = Some(value("--obs-log")),
-            "--obs-metrics" => obs_metrics = Some(value("--obs-metrics")),
-            "--obs-prom" => obs_prom = Some(value("--obs-prom")),
-            "--trace-out" => trace_out = Some(value("--trace-out")),
-            other => fail_usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    if threads == 0 {
-        fail_usage("--threads must be positive");
-    }
-    let scale = match scale_name.as_str() {
-        "quick" => Scale::quick(),
-        "large" => Scale::large(),
-        other => fail_usage(&format!("--scale wants quick or large, got {other:?}")),
-    };
-    // Large runs default shorter: every delta also cold-rescored by
-    // the oracle, and a 100k-user rescore dominates the wall clock.
-    let ticks = ticks.unwrap_or(if scale.name == "quick" { 24 } else { 6 });
-    if ticks == 0 {
-        fail_usage("--ticks must be positive");
-    }
-
-    let want_obs =
-        obs_log.is_some() || obs_metrics.is_some() || obs_prom.is_some() || trace_out.is_some();
-    if want_obs && !uavnet_obs::is_enabled() {
-        eprintln!(
-            "service_report: --obs-log/--obs-metrics/--obs-prom/--trace-out need the \
-             instrumentation compiled in; rebuild with `--features obs`"
-        );
-        std::process::exit(2);
-    }
+fn main() -> ExitCode {
+    let Options {
+        common,
+        scale,
+        ticks,
+    } = HARNESS.options(parse_args);
+    let threads = common.threads;
+    let run = HARNESS.start(&common);
 
     let instance = scale.instance(scale.n_max(), scale.k_max());
-    let loop_config = LoopConfig::new(ApproxConfig::with_s(1).threads(threads)).tuned_for(&scale);
+    let loop_config = scale.loop_config(threads);
     let deltas = delta_stream(&instance, ticks, scale.seed ^ 0x5e51);
 
     // The in-process twin the wire protocol must coincide with.
@@ -200,13 +153,7 @@ fn main() {
     // handle — one rooted tree.
     let record_obs = uavnet_obs::is_enabled();
     if record_obs {
-        let mut provenance = uavnet_obs::Provenance::detect();
-        provenance.features = "obs,enabled".to_string();
-        provenance.threads = threads as u64;
-        provenance.instance_fingerprint =
-            (0xcbf2_9ce4_8422_2325u64 ^ instance.fingerprint()).wrapping_mul(0x0100_0000_01b3);
-        uavnet_obs::try_session_begin_with(provenance)
-            .expect("begin obs session for the service run");
+        run.begin_recording(threads, report::fingerprint([&instance]));
     }
     let report_span = uavnet_obs::phases::REPORT.span();
     let handle = SolverService::spawn(
@@ -310,19 +257,17 @@ fn main() {
     assert_eq!(summary.placements, twin.placements().to_vec());
 
     // Close the report root (the worker's root, its child, already
-    // closed at drain) and end the session we began.
+    // closed at drain), end the session we began and write its
+    // artifacts: the session is closed, so the buffered events are
+    // the complete single-root log.
     drop(report_span);
-    let metrics = if record_obs {
-        Some(uavnet_obs::session_end().expect("active session yields a snapshot"))
-    } else {
-        None
-    };
+    let metrics = run.end_recording();
 
     // Per-stage latency attribution from the recorded session:
     // queue-wait / apply / publish from the `service.*` phases, repair
     // from the solver's repair histogram.
-    let mut stages: Vec<(String, Json)> = Vec::new();
-    if let Some(metrics) = &metrics {
+    let stages = metrics.as_ref().map(|metrics| {
+        let mut stages = Vec::new();
         for (label, phase) in [
             ("queue_wait", "service.queue_wait"),
             ("apply", "service.apply"),
@@ -336,52 +281,19 @@ fn main() {
                 deltas.len() as u64,
                 "{phase}: one span per published delta"
             );
-            stages.push((
-                label.into(),
-                stage_json(p.count, p.p50_ns, p.p90_ns, p.p99_ns),
-            ));
+            stages.push((label, stage_json(p.count, p.p50_ns, p.p90_ns, p.p99_ns)));
         }
         let repair = metrics
             .hist("resolve.repair_ns")
             .expect("recorded session must carry the repair histogram");
         stages.push((
-            "repair".into(),
+            "repair",
             stage_json(repair.count, repair.p50_ns, repair.p90_ns, repair.p99_ns),
         ));
-    }
+        (obj(stages), repair.count)
+    });
 
-    // Obs artifacts: the session is closed, so the buffered events
-    // are the complete single-root log.
-    if want_obs {
-        let metrics = metrics
-            .as_ref()
-            .expect("obs builds record the service session");
-        let events = uavnet_obs::drain_events();
-        if let Some(path) = &obs_log {
-            let mut lines = String::with_capacity(events.len() * 64);
-            for e in &events {
-                lines.push_str(&e.to_json_line());
-                lines.push('\n');
-            }
-            std::fs::write(path, lines).expect("write obs event log");
-            eprintln!("service_report: wrote {path} ({} events)", events.len());
-        }
-        if let Some(path) = &obs_metrics {
-            std::fs::write(path, metrics.to_json()).expect("write obs metrics snapshot");
-            eprintln!("service_report: wrote {path}");
-        }
-        if let Some(path) = &obs_prom {
-            std::fs::write(path, metrics.to_prometheus()).expect("write obs prometheus export");
-            eprintln!("service_report: wrote {path}");
-        }
-        if let Some(path) = &trace_out {
-            std::fs::write(path, uavnet_obs::dump_trace_event(&events))
-                .expect("write trace-event file");
-            eprintln!("service_report: wrote {path} (load at ui.perfetto.dev)");
-        }
-    }
-
-    let rtt_median = median_ns(&mut rtt_ns);
+    let rtt_median = report::median(&mut rtt_ns);
     eprintln!(
         "service_report: {} n={} K={} deltas={} -> {} deployments published, \
          served {} -> {}, median publish rtt {:.3} ms, bit-identical, oracle ok",
@@ -395,45 +307,86 @@ fn main() {
         rtt_median as f64 / 1e6,
     );
 
-    let mut section_members = vec![
-        ("scale".into(), Json::Str(scale.name.into())),
-        ("users".into(), Json::Num(instance.num_users() as f64)),
-        ("uavs".into(), Json::Num(instance.num_uavs() as f64)),
-        ("threads".into(), Json::Num(threads as f64)),
-        ("deltas".into(), Json::Num(deltas.len() as f64)),
-        (
-            "deployments_published".into(),
-            Json::Num(deployments as f64),
-        ),
-        ("served_first".into(), Json::Num(served_first as f64)),
-        ("served_last".into(), Json::Num(served_last as f64)),
-        ("publish_rtt_median_ns".into(), Json::Num(rtt_median as f64)),
-        ("trace_ids_round_tripped".into(), Json::Bool(true)),
-        ("bit_identical_to_in_process".into(), Json::Bool(true)),
-        ("incremental_equals_cold".into(), Json::Bool(true)),
-        ("metrics_scraped_live".into(), Json::Bool(record_obs)),
-        ("repairs".into(), Json::Num(summary.stats.repairs as f64)),
-        (
-            "relays_spent".into(),
-            Json::Num(summary.stats.relays_spent as f64),
-        ),
+    let mut section = vec![
+        ("scale", Json::Str(scale.name.into())),
+        ("users", Json::Num(instance.num_users() as f64)),
+        ("uavs", Json::Num(instance.num_uavs() as f64)),
+        ("threads", Json::Num(threads as f64)),
+        ("deltas", Json::Num(deltas.len() as f64)),
+        ("deployments_published", Json::Num(deployments as f64)),
+        ("served_first", Json::Num(served_first as f64)),
+        ("served_last", Json::Num(served_last as f64)),
+        ("publish_rtt_median_ns", Json::Num(rtt_median as f64)),
+        ("trace_ids_round_tripped", Json::Bool(true)),
+        ("bit_identical_to_in_process", Json::Bool(true)),
+        ("incremental_equals_cold", Json::Bool(true)),
+        ("metrics_scraped_live", Json::Bool(record_obs)),
+        ("repairs", Json::Num(summary.stats.repairs as f64)),
+        ("relays_spent", Json::Num(summary.stats.relays_spent as f64)),
     ];
-    if !stages.is_empty() {
-        section_members.push(("stages".into(), Json::Obj(stages)));
+    let mut checks = Vec::new();
+    if let Some((stages, repair_count)) = stages {
+        section.push(("stages", stages));
+        checks.push(check_repair_stage(repair_count));
     }
-    let section = Json::Obj(section_members);
+    run.finish(vec![("service", obj(section))], checks)
+}
 
-    // Merge: keep every other top-level section of an existing report.
-    let mut doc = match std::fs::read_to_string(&out) {
-        Ok(text) => Json::parse(&text).unwrap_or_else(|e| {
-            panic!("existing {out} is not valid JSON ({e}); refusing to clobber")
-        }),
-        Err(_) => Json::Obj(vec![(
-            "benchmark".into(),
-            Json::Str("sweep_hotpath".into()),
-        )]),
-    };
-    doc.set("service", section);
-    std::fs::write(&out, doc.dump()).expect("write report");
-    eprintln!("service_report: wrote {out}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Options, String> {
+        parse_args(&mut Args::new(args.split_whitespace().map(String::from)))
+    }
+
+    #[test]
+    fn defaults_are_quick_with_scale_dependent_ticks() {
+        let opts = parse("").unwrap();
+        assert_eq!(opts.common, Common::default());
+        assert_eq!((opts.scale.name, opts.ticks), ("quick", 24));
+        let large = parse("--scale large").unwrap();
+        assert_eq!((large.scale.name, large.ticks), ("large", 6));
+        assert_eq!(parse("--ticks 3 --scale large").unwrap().ticks, 3);
+    }
+
+    #[test]
+    fn full_flag_surface_parses() {
+        let opts = parse(
+            "--scale quick --threads 3 --ticks 5 --out x.json \
+             --obs-log l --obs-metrics m --obs-prom p --trace-out t",
+        )
+        .unwrap();
+        assert_eq!((opts.common.threads, opts.ticks), (3, 5));
+        assert_eq!(opts.common.out, "x.json");
+        let obs = &opts.common.obs;
+        let set = [&obs.log, &obs.metrics, &obs.prom, &obs.trace].map(Option::is_some);
+        assert_eq!(set, [true; 4]);
+    }
+
+    #[test]
+    fn bad_flags_are_errors_naming_the_flag() {
+        for args in [
+            "--bogus",
+            "--ticks",
+            "--trace-out",
+            "--threads two",
+            "--threads 0",
+            "--ticks -3",
+            "--ticks 0",
+            "--scale all",
+            "--scale xlarge",
+        ] {
+            let err = parse(args).unwrap_err();
+            let flag = args.split_whitespace().next().unwrap();
+            assert!(err.contains(flag), "{args}: {err}");
+        }
+    }
+
+    #[test]
+    fn repair_stage_needs_one_sample() {
+        assert!(check_repair_stage(1).is_ok());
+        let err = check_repair_stage(0).unwrap_err();
+        assert!(err.contains("stages.repair.count = 0"), "{err}");
+    }
 }

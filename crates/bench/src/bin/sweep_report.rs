@@ -1,62 +1,29 @@
 //! Regenerates `BENCH_sweep.json`: machine-readable evidence for the
-//! subset-sweep hot path — the zero-allocation matching kernel, the
-//! streaming enumeration, (PR 3) the spatial-index instance build plus
-//! the shared connectivity substrate, (PR 6) the compressed coverage
-//! tables plus the tile-sharded sweep, and (PR 8) the pruned
-//! seed-search strategies behind the [`SeedStrategyKind`] dispatch.
-//!
-//! For each selected scale, runs the FIG6-style workload
-//! (`n = n_max`, `K = k_max`, every `s` in `s_sweep`) through
-//! [`approx_alg_with_stats`] (or [`approx_alg_sharded`] for scales
-//! marked `sharded`, currently `xlarge` at one million users) and
-//! reports:
-//!
-//! * instance-construction time (`build_ns` — the spatial-index
-//!   coverage build; the `large`/`xlarge` scales at 100 000 / 1 000 000
-//!   users exist to exercise exactly this path),
-//! * the coverage-table memory footprint from the instance build
-//!   (compressed store vs the `Vec<Vec<u32>>` layout it replaced, with
-//!   per-encoding list tallies),
-//! * wall-clock per sweep (mean and min over the scale's reps),
-//! * per-phase wall-clock from [`SweepProfile`] (enumeration, greedy,
-//!   connection, scoring — summed across worker threads — plus the
-//!   one-time substrate build, the portion of greedy/connection spent
-//!   on substrate reads, and tile-view construction on sharded runs),
-//! * marginal-gain queries per second (the sweep's throughput metric;
-//!   the query *count* is deterministic, thread-count invariant and
-//!   identical between the sharded and monolithic paths, so
-//!   before/after throughput is directly comparable),
-//! * peak subset-combination buffer bytes,
-//! * on scales marked `check_sharded` (quick, large), the verdict of
-//!   the sharded-vs-monolithic differential oracle
-//!   ([`check_sharded_sweep`]) as `"sharded_equals_monolithic"`,
-//! * with `--seed-strategy`, a per-scale `"strategy"` section driven
-//!   by the scale's `strategy_sweep` matrix: each strategy's wall
-//!   clock and honest subset accounting (enumerated / chain-pruned /
-//!   bound-pruned / evaluated), and — where the matrix also carries
-//!   the exhaustive baseline at the same `s` — `speedup_vs_exhaustive`
-//!   and `served_ratio_vs_exhaustive`.
+//! subset-sweep hot path. For each selected scale it runs the
+//! FIG6-style workload (`n = n_max`, `K = k_max`, every `s` in
+//! `s_sweep`) through [`approx_alg_with_stats`] (or
+//! [`approx_alg_sharded`] on scales marked `sharded`) and records the
+//! instance build time and coverage-table memory, the sweep wall clock
+//! (mean and min), the per-phase [`SweepProfile`] nanoseconds (summed
+//! across worker threads), gain queries per second (the query *count*
+//! is deterministic, thread-count invariant and identical between the
+//! sharded and monolithic paths), the subset accounting, and — on
+//! scales marked `check_sharded` — the verdict of the
+//! sharded-vs-monolithic oracle ([`check_sharded_sweep`]).
+//! `--seed-strategy` adds a per-scale `strategy` section from the
+//! scale's `strategy_sweep` matrix, with `speedup_vs_exhaustive` and
+//! `served_ratio_vs_exhaustive` wherever the matrix carries the
+//! exhaustive baseline at the same `s`.
 //!
 //! # Measurement protocol (interleaved, warmup-separated)
 //!
-//! All wall times in the report come from one shared protocol per
-//! scale, generalized from `scripts/obs_overhead.py`'s
-//! alternating-round discipline: first a warm-up pass runs every
-//! configuration once untimed (heating caches and capturing the
-//! deterministic statistics plus the served count every timed rep must
-//! reproduce), then `reps` timing rounds each measure exactly one rep of
-//! every configuration in A/B/A/B order. Clock drift, thermal ramps
-//! and scheduler noise therefore hit all configurations of a scale
-//! alike instead of biasing whichever ran last; `wall_ns_min` is the
-//! min over rounds (the low-noise statistic the strategy comparisons
-//! use) and `wall_ns_mean` the mean (the statistic the historical
+//! A warm-up pass runs every configuration of a scale once untimed
+//! (heating caches and capturing the deterministic statistics every
+//! timed rep must reproduce), then `reps` rounds each time one rep of
+//! every configuration in A/B/A/B order, so drift hits all of them
+//! alike. `wall_ns_min` is the min over rounds (what the strategy
+//! comparisons use), `wall_ns_mean` the mean (what the historical
 //! `baseline_wall_ns` figures were recorded with).
-//!
-//! The `baseline_wall_ns` figures are pre-optimization means of the
-//! `fig6_s_sweep` Criterion bench on the same instance: the growth
-//! seed's seed-commit algorithm for the `quick` scale, and the PR 5
-//! monolithic sweep for the `large` scale — so the JSON carries its
-//! own before/after comparison.
 //!
 //! Usage: `cargo run --release -p uavnet-bench --bin sweep_report --
 //! [--threads N] [--reps N] [--out PATH]
@@ -64,36 +31,34 @@
 //! [--seed-strategy all|exhaustive|beam[:N]]
 //! [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH]`
 //!
-//! `--reps` overrides every selected scale's default rep count;
-//! `--sharded` forces the tile-sharded solver on every selected scale
-//! (scales marked `sharded` use it regardless; strategy runs always
-//! use the monolithic dispatch — guided strategies delegate there
-//! anyway). `--seed-strategy all` measures each scale's full
-//! `strategy_sweep` matrix; naming one strategy filters the matrix to
-//! that strategy plus its exhaustive baselines (`beam:N` overrides the
-//! matrix beam width). Unknown flags, a flag missing its value, or an
-//! unknown scale print the usage line and exit nonzero instead of
-//! panicking.
+//! `--reps` overrides every selected scale's rep count; `--sharded`
+//! forces the tile-sharded solver on the plain runs (strategy runs are
+//! always monolithic). `--seed-strategy all` measures the full matrix;
+//! naming one strategy keeps it plus its exhaustive baselines
+//! (`beam:N` overrides the beam width). The `--obs-*` flags need
+//! `--features obs`; instances are built before the recording window
+//! opens, so the session header carries their combined fingerprint.
 //!
-//! The `--obs-*` flags require the `obs` cargo feature
-//! (`--features obs`): they wrap the whole report in a `uavnet-obs`
-//! recording session and write the JSON-lines event log, the
-//! end-of-run metrics snapshot, and/or a Prometheus text-format
-//! export of that snapshot to the given paths. The session header
-//! carries run provenance (git SHA, features, thread count, and an
-//! FNV-1a fingerprint folded over every instance measured), so
-//! instances are constructed *before* the recording window opens;
-//! everything measured afterwards nests under a single `report` root
-//! span, giving the event log one rooted span tree.
+//! Once the report is written, the binary checks every strategy entry
+//! and exits 1 if one fails (exit codes in `uavnet_bench::report`):
+//! an exhaustive entry evaluates or prunes each enumerated rank
+//! exactly once, and a beam entry serves at least 3/4 of the
+//! exhaustive sweep at its `s` (`STRATEGY_QUALITY_NUM · served ≥
+//! STRATEGY_QUALITY_DEN · exhaustive_served`). Wall-clock floors are
+//! left to the caller, because they depend on the machine and flags.
+//!
+//! [`SweepProfile`]: uavnet_core::SweepProfile
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use uavnet_bench::json::Json;
+use uavnet_bench::report::{self, obj, round_to, Args, Common, Harness};
 use uavnet_bench::Scale;
 use uavnet_core::{
     approx_alg_sharded, approx_alg_with_stats, check_sharded_sweep, ApproxConfig, ApproxStats,
-    Instance, SeedStrategyKind, ShardConfig, Solution,
+    Instance, SeedStrategyKind, ShardConfig, Solution, STRATEGY_QUALITY_DEN, STRATEGY_QUALITY_NUM,
 };
+use uavnet_json::Json;
 
 /// Pre-optimization wall-clock means (ns) per `(scale, s)`, measured
 /// at `threads = 2`: the growth seed's seed-commit algorithm for
@@ -111,16 +76,13 @@ const BASELINE_WALL_NS: &[(&str, usize, u64)] = &[
     ("large", 1, 197_000_000),
 ];
 
-const USAGE: &str = "usage: sweep_report [--threads N] [--reps N] [--out PATH] \
-     [--scale quick|large|xlarge|all] [--sharded] \
-     [--seed-strategy all|exhaustive|beam[:N]] \
-     [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH]";
-
-fn fail_usage(msg: &str) -> ! {
-    eprintln!("sweep_report: {msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
+const HARNESS: Harness = Harness {
+    name: "sweep_report",
+    usage: "usage: sweep_report [--threads N] [--reps N] [--out PATH] \
+            [--scale quick|large|xlarge|all] [--sharded] \
+            [--seed-strategy all|exhaustive|beam[:N]] \
+            [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH]",
+};
 
 fn baseline_wall_ns(scale: &str, s: usize) -> Option<u64> {
     BASELINE_WALL_NS
@@ -171,7 +133,6 @@ impl Spec {
 struct Timed {
     wall_ns_mean: u64,
     wall_ns_min: u64,
-    total_ns: u64,
     stats: ApproxStats,
     served: usize,
 }
@@ -203,7 +164,6 @@ fn measure_interleaved(
             Timed {
                 wall_ns_mean: 0,
                 wall_ns_min: u64::MAX,
-                total_ns: 0,
                 stats,
                 served: solution.served_users(),
             }
@@ -220,100 +180,123 @@ fn measure_interleaved(
                 "non-deterministic sweep at {}",
                 spec.label()
             );
-            t.total_ns += ns;
+            t.wall_ns_mean += ns;
             t.wall_ns_min = t.wall_ns_min.min(ns);
         }
     }
     for t in &mut timed {
-        t.wall_ns_mean = t.total_ns / u64::from(reps.max(1));
+        t.wall_ns_mean /= u64::from(reps.max(1));
     }
     timed
-}
-
-struct RunReport {
-    s: usize,
-    reps: u32,
-    sharded: bool,
-    /// Verdict of [`check_sharded_sweep`]; `None` when the oracle was
-    /// not run at this scale.
-    sharded_equals_monolithic: Option<bool>,
-    wall_ns_mean: u64,
-    wall_ns_min: u64,
-    stats: ApproxStats,
-    served: usize,
 }
 
 fn queries_per_sec(queries: u64, wall_ns: u64) -> f64 {
     queries as f64 * 1e9 / wall_ns as f64
 }
 
-fn run_json(r: &RunReport, threads: usize, scale_name: &str) -> String {
-    let p = &r.stats.profile;
-    let after_qps = queries_per_sec(r.stats.gain_queries, r.wall_ns_mean);
-    let (baseline_fields, speedup_fields) = match baseline_wall_ns(scale_name, r.s) {
-        Some(base_ns) => {
-            let before_qps = queries_per_sec(r.stats.gain_queries, base_ns);
+fn subsets_json(stats: &ApproxStats) -> Json {
+    obj(vec![
+        ("enumerated", Json::Num(stats.subsets_enumerated as f64)),
+        ("chain_pruned", Json::Num(stats.subsets_chain_pruned as f64)),
+        ("bound_pruned", Json::Num(stats.subsets_bound_pruned as f64)),
+        ("evaluated", Json::Num(stats.subsets_evaluated as f64)),
+        (
+            "unconnectable",
+            Json::Num(stats.subsets_unconnectable as f64),
+        ),
+    ])
+}
+
+/// An exhaustive sweep evaluates or prunes every enumerated rank
+/// exactly once: `accounted` is `[evaluated, chain_pruned,
+/// bound_pruned]`.
+fn check_accounting(label: &str, enumerated: usize, accounted: [usize; 3]) -> Result<(), String> {
+    let sum: usize = accounted.iter().sum();
+    if sum == enumerated {
+        Ok(())
+    } else {
+        Err(format!(
+            "{label}: evaluated + chain_pruned + bound_pruned = {sum}, want enumerated = {enumerated}"
+        ))
+    }
+}
+
+/// A guided strategy serves at least `STRATEGY_QUALITY_DEN /
+/// STRATEGY_QUALITY_NUM` (3/4) of the exhaustive sweep at the same `s`
+/// (an exhaustive count of 0 counts as 1, as the reported ratio does).
+fn check_beam_quality(label: &str, served: usize, exhaustive_served: usize) -> Result<(), String> {
+    if STRATEGY_QUALITY_NUM * served >= STRATEGY_QUALITY_DEN * exhaustive_served.max(1) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{label}: served {served} of exhaustive {exhaustive_served}, \
+             below the {STRATEGY_QUALITY_DEN}/{STRATEGY_QUALITY_NUM} floor"
+        ))
+    }
+}
+
+/// One plain `s_sweep` entry; `oracle` is the verdict of
+/// [`check_sharded_sweep`], `None` where it did not run.
+fn run_json(
+    scale: &str,
+    s: usize,
+    threads: usize,
+    reps: u32,
+    sharded: bool,
+    oracle: Option<bool>,
+    t: &Timed,
+) -> Json {
+    let p = &t.stats.profile;
+    let queries = t.stats.gain_queries;
+    let mut members = vec![
+        ("s", Json::Num(s as f64)),
+        ("threads", Json::Num(threads as f64)),
+        ("reps", Json::Num(f64::from(reps))),
+        ("sharded", Json::Bool(sharded)),
+    ];
+    members.extend(oracle.map(|ok| ("sharded_equals_monolithic", Json::Bool(ok))));
+    members.extend([
+        ("served_users", Json::Num(t.served as f64)),
+        ("wall_ns_mean", Json::Num(t.wall_ns_mean as f64)),
+        ("wall_ns_min", Json::Num(t.wall_ns_min as f64)),
+    ]);
+    if let Some(base_ns) = baseline_wall_ns(scale, s) {
+        let before_qps = queries_per_sec(queries, base_ns);
+        let speedup = base_ns as f64 / t.wall_ns_mean as f64;
+        members.extend([
+            ("baseline_wall_ns", Json::Num(base_ns as f64)),
             (
-                format!(
-                    "        \"baseline_wall_ns\": {base_ns},\n        \
-                     \"baseline_gain_queries_per_sec\": {before_qps:.1},\n"
-                ),
-                format!(
-                    "        \"speedup_vs_baseline\": {:.2},\n",
-                    base_ns as f64 / r.wall_ns_mean as f64
-                ),
-            )
-        }
-        None => (String::new(), String::new()),
-    };
-    let oracle_field = match r.sharded_equals_monolithic {
-        Some(ok) => format!("        \"sharded_equals_monolithic\": {ok},\n"),
-        None => String::new(),
-    };
-    format!(
-        "      {{\n        \"s\": {s},\n        \"threads\": {threads},\n        \
-         \"reps\": {reps},\n        \"sharded\": {sharded},\n{oracle_field}        \
-         \"served_users\": {served},\n        \
-         \"wall_ns_mean\": {mean},\n        \"wall_ns_min\": {min},\n\
-         {baseline_fields}{speedup_fields}        \
-         \"gain_queries\": {queries},\n        \
-         \"gain_queries_per_sec\": {qps:.1},\n        \
-         \"phases_ns\": {{\n          \"enumeration\": {enumeration},\n          \
-         \"greedy\": {greedy},\n          \"connection\": {connection},\n          \
-         \"scoring\": {scoring},\n          \
-         \"substrate_build\": {sub_build},\n          \
-         \"substrate_query\": {sub_query},\n          \
-         \"tile_view\": {tile_view}\n        }},\n        \
-         \"subset_buffer_peak_bytes\": {peak},\n        \
-         \"subsets\": {{\n          \"enumerated\": {enumerated},\n          \
-         \"chain_pruned\": {pruned},\n          \"bound_pruned\": {bound},\n          \
-         \"evaluated\": {evaluated},\n          \
-         \"unconnectable\": {unconnectable}\n        }},\n        \
-         \"tiles_solved\": {tiles},\n        \"view_escapes\": {escapes}\n      }}",
-        s = r.s,
-        reps = r.reps,
-        sharded = r.sharded,
-        served = r.served,
-        mean = r.wall_ns_mean,
-        min = r.wall_ns_min,
-        queries = r.stats.gain_queries,
-        qps = after_qps,
-        enumeration = p.enumeration_ns,
-        greedy = p.greedy_ns,
-        connection = p.connection_ns,
-        scoring = p.scoring_ns,
-        sub_build = p.substrate_build_ns,
-        sub_query = p.substrate_query_ns,
-        tile_view = p.tile_view_ns,
-        peak = p.subset_buffer_peak_bytes,
-        enumerated = r.stats.subsets_enumerated,
-        pruned = r.stats.subsets_chain_pruned,
-        bound = r.stats.subsets_bound_pruned,
-        evaluated = r.stats.subsets_evaluated,
-        unconnectable = r.stats.subsets_unconnectable,
-        tiles = r.stats.tiles_solved,
-        escapes = r.stats.view_escapes,
-    )
+                "baseline_gain_queries_per_sec",
+                Json::Num(round_to(before_qps, 1)),
+            ),
+            ("speedup_vs_baseline", Json::Num(round_to(speedup, 2))),
+        ]);
+    }
+    let after_qps = queries_per_sec(queries, t.wall_ns_mean);
+    members.extend([
+        ("gain_queries", Json::Num(queries as f64)),
+        ("gain_queries_per_sec", Json::Num(round_to(after_qps, 1))),
+        (
+            "phases_ns",
+            obj(vec![
+                ("enumeration", Json::Num(p.enumeration_ns as f64)),
+                ("greedy", Json::Num(p.greedy_ns as f64)),
+                ("connection", Json::Num(p.connection_ns as f64)),
+                ("scoring", Json::Num(p.scoring_ns as f64)),
+                ("substrate_build", Json::Num(p.substrate_build_ns as f64)),
+                ("substrate_query", Json::Num(p.substrate_query_ns as f64)),
+                ("tile_view", Json::Num(p.tile_view_ns as f64)),
+            ]),
+        ),
+        (
+            "subset_buffer_peak_bytes",
+            Json::Num(p.subset_buffer_peak_bytes as f64),
+        ),
+        ("subsets", subsets_json(&t.stats)),
+        ("tiles_solved", Json::Num(t.stats.tiles_solved as f64)),
+        ("view_escapes", Json::Num(t.stats.view_escapes as f64)),
+    ]);
+    obj(members)
 }
 
 fn strategy_json(
@@ -322,38 +305,32 @@ fn strategy_json(
     t: &Timed,
     baseline: Option<&Timed>,
     reps: u32,
-) -> String {
-    let comparison = match (kind, baseline) {
-        (SeedStrategyKind::Exhaustive, _) | (_, None) => String::new(),
-        (_, Some(exh)) => format!(
-            "        \"speedup_vs_exhaustive\": {:.2},\n        \
-             \"served_ratio_vs_exhaustive\": {:.4},\n",
-            exh.wall_ns_min as f64 / t.wall_ns_min.max(1) as f64,
-            t.served as f64 / exh.served.max(1) as f64,
+) -> Json {
+    let mut members = vec![
+        ("s", Json::Num(s as f64)),
+        ("strategy", Json::Str(kind.to_string())),
+        ("reps", Json::Num(f64::from(reps))),
+        ("served_users", Json::Num(t.served as f64)),
+        ("wall_ns_mean", Json::Num(t.wall_ns_mean as f64)),
+        ("wall_ns_min", Json::Num(t.wall_ns_min as f64)),
+        (
+            "substrate_build_ns",
+            Json::Num(t.stats.profile.substrate_build_ns as f64),
         ),
-    };
-    format!(
-        "      {{\n        \"s\": {s},\n        \"strategy\": \"{kind}\",\n        \
-         \"reps\": {reps},\n        \
-         \"served_users\": {served},\n        \
-         \"wall_ns_mean\": {mean},\n        \"wall_ns_min\": {min},\n        \
-         \"substrate_build_ns\": {sub_build},\n{comparison}        \
-         \"gain_queries\": {queries},\n        \
-         \"subsets\": {{\n          \"enumerated\": {enumerated},\n          \
-         \"chain_pruned\": {pruned},\n          \"bound_pruned\": {bound},\n          \
-         \"evaluated\": {evaluated},\n          \
-         \"unconnectable\": {unconnectable}\n        }}\n      }}",
-        served = t.served,
-        mean = t.wall_ns_mean,
-        min = t.wall_ns_min,
-        sub_build = t.stats.profile.substrate_build_ns,
-        queries = t.stats.gain_queries,
-        enumerated = t.stats.subsets_enumerated,
-        pruned = t.stats.subsets_chain_pruned,
-        bound = t.stats.subsets_bound_pruned,
-        evaluated = t.stats.subsets_evaluated,
-        unconnectable = t.stats.subsets_unconnectable,
-    )
+    ];
+    if let (false, Some(exh)) = (kind == SeedStrategyKind::Exhaustive, baseline) {
+        let speedup = exh.wall_ns_min as f64 / t.wall_ns_min.max(1) as f64;
+        let ratio = t.served as f64 / exh.served.max(1) as f64;
+        members.extend([
+            ("speedup_vs_exhaustive", Json::Num(round_to(speedup, 2))),
+            ("served_ratio_vs_exhaustive", Json::Num(round_to(ratio, 4))),
+        ]);
+    }
+    members.extend([
+        ("gain_queries", Json::Num(t.stats.gain_queries as f64)),
+        ("subsets", subsets_json(&t.stats)),
+    ]);
+    obj(members)
 }
 
 /// The `(s, strategy)` pairs to measure for a scale: the full
@@ -383,6 +360,8 @@ fn strategy_matrix(scale: &Scale, sel: Option<StrategySel>) -> Vec<(usize, SeedS
         .collect()
 }
 
+/// Measures one scale: its report section and the verdicts of its
+/// strategy checks.
 fn scale_json(
     scale: &Scale,
     instance: &Instance,
@@ -391,7 +370,7 @@ fn scale_json(
     reps: u32,
     sharded: bool,
     sel: Option<StrategySel>,
-) -> String {
+) -> (Json, Vec<Result<(), String>>) {
     let mem = instance.coverage_memory();
     eprintln!(
         "sweep_report: scale={} n={} K={} m={} build {:.3} ms, coverage {:.1} KiB \
@@ -425,223 +404,152 @@ fn scale_json(
 
     let timed = measure_interleaved(instance, &specs, threads, reps);
 
-    let runs: Vec<String> = timed[..plain]
+    let runs: Vec<Json> = timed[..plain]
         .iter()
         .zip(&scale.s_sweep)
         .map(|(t, &s)| {
-            let mut report = RunReport {
-                s,
-                reps,
-                sharded,
-                sharded_equals_monolithic: None,
-                wall_ns_mean: t.wall_ns_mean,
-                wall_ns_min: t.wall_ns_min,
-                stats: t.stats.clone(),
-                served: t.served,
-            };
-            if scale.check_sharded {
+            let oracle = scale.check_sharded.then(|| {
                 let config = ApproxConfig::with_s(s).threads(threads);
                 check_sharded_sweep(instance, &config)
                     .unwrap_or_else(|e| panic!("sharded differential oracle failed at s={s}: {e}"));
-                report.sharded_equals_monolithic = Some(true);
-            }
+                true
+            });
             eprintln!(
                 "  s={s}: mean {:.3} ms, {} gain queries, {:.0} queries/s{}",
-                report.wall_ns_mean as f64 / 1e6,
-                report.stats.gain_queries,
-                queries_per_sec(report.stats.gain_queries, report.wall_ns_mean),
-                match report.sharded_equals_monolithic {
-                    Some(true) => ", sharded == monolithic",
-                    _ => "",
+                t.wall_ns_mean as f64 / 1e6,
+                t.stats.gain_queries,
+                queries_per_sec(t.stats.gain_queries, t.wall_ns_mean),
+                if oracle.is_some() {
+                    ", sharded == monolithic"
+                } else {
+                    ""
                 },
             );
-            run_json(&report, threads, scale.name)
+            run_json(scale.name, s, threads, reps, sharded, oracle, t)
         })
         .collect();
 
-    let strategy_runs: Vec<String> = matrix
-        .iter()
-        .enumerate()
-        .map(|(i, &(s, kind))| {
-            let t = &timed[plain + i];
-            let baseline = matrix
-                .iter()
-                .position(|&(bs, bk)| bs == s && bk == SeedStrategyKind::Exhaustive)
-                .map(|j| &timed[plain + j]);
-            eprintln!(
-                "  strategy s={s} {kind}: min {:.3} ms, served {}, \
-                 evaluated {} / bound-pruned {} of {} enumerated",
-                t.wall_ns_min as f64 / 1e6,
-                t.served,
-                t.stats.subsets_evaluated,
-                t.stats.subsets_bound_pruned,
-                t.stats.subsets_enumerated,
-            );
-            strategy_json(s, kind, t, baseline, reps)
-        })
-        .collect();
-    let strategy_block = if strategy_runs.is_empty() {
-        String::new()
-    } else {
-        format!(
-            ",\n      \"strategy\": [\n{}\n      ]",
-            strategy_runs.join(",\n")
-        )
-    };
-
-    format!(
-        "    {{\n      \"scale\": \"{name}\",\n      \
-         \"instance\": {{\n        \"users\": {n},\n        \"uavs\": {k},\n        \
-         \"candidate_locations\": {m},\n        \"build_ns\": {build_ns},\n        \
-         \"coverage_memory\": {{\n          \
-         \"compressed_bytes\": {cbytes},\n          \
-         \"uncompressed_bytes\": {ubytes},\n          \
-         \"lists\": {lists},\n          \
-         \"ids_lists\": {ids},\n          \
-         \"run_lists\": {runs_enc},\n          \
-         \"bitset_lists\": {bits}\n        }}\n      }},\n      \
-         \"runs\": [\n{runs}\n      ]{strategy_block}\n    }}",
-        name = scale.name,
-        n = instance.num_users(),
-        k = instance.num_uavs(),
-        m = instance.num_locations(),
-        cbytes = mem.compressed_bytes,
-        ubytes = mem.uncompressed_bytes,
-        lists = mem.lists,
-        ids = mem.ids_lists,
-        runs_enc = mem.run_lists,
-        bits = mem.bitset_lists,
-        runs = runs.join(",\n"),
-    )
-}
-
-/// Which scales `--scale` selected, resolved eagerly so malformed
-/// names surface from [`parse_args`] rather than mid-run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ScaleSel {
-    Quick,
-    Large,
-    Xlarge,
-    All,
-}
-
-impl ScaleSel {
-    fn scales(self) -> Vec<Scale> {
-        match self {
-            ScaleSel::Quick => vec![Scale::quick()],
-            ScaleSel::Large => vec![Scale::large()],
-            ScaleSel::Xlarge => vec![Scale::xlarge()],
-            ScaleSel::All => vec![Scale::quick(), Scale::large(), Scale::xlarge()],
+    let mut strategy_runs = Vec::new();
+    let mut checks = Vec::new();
+    for (i, &(s, kind)) in matrix.iter().enumerate() {
+        let t = &timed[plain + i];
+        let baseline = matrix
+            .iter()
+            .position(|&(bs, bk)| bs == s && bk == SeedStrategyKind::Exhaustive)
+            .map(|j| &timed[plain + j]);
+        eprintln!(
+            "  strategy s={s} {kind}: min {:.3} ms, served {}, \
+             evaluated {} / bound-pruned {} of {} enumerated",
+            t.wall_ns_min as f64 / 1e6,
+            t.served,
+            t.stats.subsets_evaluated,
+            t.stats.subsets_bound_pruned,
+            t.stats.subsets_enumerated,
+        );
+        let label = format!("{} s={s} {kind}", scale.name);
+        match (kind, baseline) {
+            (SeedStrategyKind::Exhaustive, _) => {
+                let st = &t.stats;
+                let accounted = [
+                    st.subsets_evaluated,
+                    st.subsets_chain_pruned,
+                    st.subsets_bound_pruned,
+                ];
+                checks.push(check_accounting(&label, st.subsets_enumerated, accounted));
+            }
+            (_, Some(exh)) => checks.push(check_beam_quality(&label, t.served, exh.served)),
+            (_, None) => {}
         }
+        strategy_runs.push(strategy_json(s, kind, t, baseline, reps));
     }
+
+    let mut members = vec![
+        ("scale", Json::Str(scale.name.into())),
+        (
+            "instance",
+            obj(vec![
+                ("users", Json::Num(instance.num_users() as f64)),
+                ("uavs", Json::Num(instance.num_uavs() as f64)),
+                (
+                    "candidate_locations",
+                    Json::Num(instance.num_locations() as f64),
+                ),
+                ("build_ns", Json::Num(build_ns as f64)),
+                (
+                    "coverage_memory",
+                    obj(vec![
+                        ("compressed_bytes", Json::Num(mem.compressed_bytes as f64)),
+                        (
+                            "uncompressed_bytes",
+                            Json::Num(mem.uncompressed_bytes as f64),
+                        ),
+                        ("lists", Json::Num(mem.lists as f64)),
+                        ("ids_lists", Json::Num(mem.ids_lists as f64)),
+                        ("run_lists", Json::Num(mem.run_lists as f64)),
+                        ("bitset_lists", Json::Num(mem.bitset_lists as f64)),
+                    ]),
+                ),
+            ]),
+        ),
+        ("runs", Json::Arr(runs)),
+    ];
+    if !strategy_runs.is_empty() {
+        members.push(("strategy", Json::Arr(strategy_runs)));
+    }
+    (obj(members), checks)
 }
 
 /// Everything `main` needs, parsed and validated. Kept separate from
 /// `main` so the whole flag surface is unit-testable without spawning
-/// processes; any `Err` exits 2 through [`fail_usage`] — the binary
-/// must never panic on operator input.
+/// processes; any `Err` exits 2 with the usage line — the binary must
+/// never panic on operator input.
 #[derive(Debug)]
 struct CliOptions {
-    threads: usize,
+    common: Common,
     reps_override: Option<u32>,
-    out: String,
-    scale: ScaleSel,
+    scales: Vec<Scale>,
     force_sharded: bool,
     sel: Option<StrategySel>,
-    obs_log: Option<String>,
-    obs_metrics: Option<String>,
-    obs_prom: Option<String>,
 }
 
-fn parse_num<T: std::str::FromStr>(raw: &str, name: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{name} expects a number, got {raw:?}"))
-}
-
-fn parse_args(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
+fn parse_args(args: &mut Args) -> Result<CliOptions, String> {
     let mut opts = CliOptions {
-        threads: 2,
+        common: Common::default(),
         reps_override: None,
-        out: String::from("BENCH_sweep.json"),
-        scale: ScaleSel::Quick,
+        scales: vec![Scale::quick()],
         force_sharded: false,
         sel: None,
-        obs_log: None,
-        obs_metrics: None,
-        obs_prom: None,
     };
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        match arg.as_str() {
-            "--threads" => opts.threads = parse_num(&value("--threads")?, "--threads")?,
-            "--reps" => opts.reps_override = Some(parse_num(&value("--reps")?, "--reps")?),
-            "--out" => opts.out = value("--out")?,
-            "--scale" => {
-                opts.scale = match value("--scale")?.as_str() {
-                    "quick" => ScaleSel::Quick,
-                    "large" => ScaleSel::Large,
-                    "xlarge" => ScaleSel::Xlarge,
-                    "all" => ScaleSel::All,
-                    other => {
-                        return Err(format!(
-                            "unknown --scale {other:?} (expected quick|large|xlarge|all)"
-                        ))
-                    }
-                }
-            }
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--reps" => opts.reps_override = Some(args.positive(&flag)?),
+            "--scale" => opts.scales = args.scales(&["quick", "large", "xlarge", "all"])?,
             "--sharded" => opts.force_sharded = true,
             "--seed-strategy" => {
-                let raw = value("--seed-strategy")?;
+                let raw = args.value(&flag)?;
                 opts.sel = Some(if raw == "all" {
                     StrategySel::All
                 } else {
                     StrategySel::One(raw.parse().map_err(|e| format!("--seed-strategy: {e}"))?)
                 });
             }
-            "--obs-log" => opts.obs_log = Some(value("--obs-log")?),
-            "--obs-metrics" => opts.obs_metrics = Some(value("--obs-metrics")?),
-            "--obs-prom" => opts.obs_prom = Some(value("--obs-prom")?),
-            other => return Err(format!("unknown argument {other:?}")),
+            _ => opts.common.parse_flag(&flag, args)?,
         }
-    }
-    if opts.threads == 0 {
-        return Err("--threads must be positive".to_string());
-    }
-    if opts.reps_override == Some(0) {
-        return Err("--reps must be positive".to_string());
     }
     Ok(opts)
 }
 
-fn main() {
-    let CliOptions {
-        threads,
-        reps_override,
-        out,
-        scale,
-        force_sharded,
-        sel,
-        obs_log,
-        obs_metrics,
-        obs_prom,
-    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| fail_usage(&msg));
-    let scales = scale.scales();
-
-    let want_obs = obs_log.is_some() || obs_metrics.is_some() || obs_prom.is_some();
-    if want_obs && !uavnet_obs::is_enabled() {
-        eprintln!(
-            "sweep_report: --obs-log/--obs-metrics/--obs-prom need the instrumentation \
-             compiled in; rebuild with `--features obs`"
-        );
-        std::process::exit(2);
-    }
+fn main() -> ExitCode {
+    let opts = HARNESS.options(parse_args);
+    let threads = opts.common.threads;
+    let run = HARNESS.start(&opts.common);
 
     // Instances are built before the recording window opens so the
     // session header can carry their combined fingerprint; per-run
     // work (substrate builds included) still happens inside it.
-    let prepared: Vec<(Scale, Instance, u64)> = scales
-        .into_iter()
+    let prepared: Vec<(&Scale, Instance, u64)> = opts
+        .scales
+        .iter()
         .map(|scale| {
             let t_build = Instant::now();
             let instance = scale.instance(scale.n_max(), scale.k_max());
@@ -649,95 +557,58 @@ fn main() {
             (scale, instance, build_ns)
         })
         .collect();
-
-    if want_obs {
-        let mut provenance = uavnet_obs::Provenance::detect();
-        provenance.features = if uavnet_obs::is_enabled() {
-            "obs,enabled".to_string()
-        } else {
-            String::new()
-        };
-        provenance.threads = threads as u64;
-        provenance.instance_fingerprint = prepared
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325, |h: u64, (_, instance, _)| {
-                (h ^ instance.fingerprint()).wrapping_mul(0x0100_0000_01b3)
-            });
-        assert!(
-            uavnet_obs::session_begin_with(provenance),
-            "obs session already active"
-        );
+    if opts.common.obs.any() {
+        let fingerprint = report::fingerprint(prepared.iter().map(|(_, instance, _)| instance));
+        run.begin_recording(threads, fingerprint);
     }
 
-    let scale_blocks: Vec<String> = {
+    let mut scales = Vec::new();
+    let mut checks = Vec::new();
+    {
         // All recorded spans nest under this root, so the event log
         // forms a single rooted tree (a no-op without a session).
         let _report_span = uavnet_obs::phases::REPORT.span();
-        prepared
-            .iter()
-            .map(|(scale, instance, build_ns)| {
-                scale_json(
-                    scale,
-                    instance,
-                    *build_ns,
-                    threads,
-                    reps_override.unwrap_or(scale.reps),
-                    scale.sharded || force_sharded,
-                    sel,
-                )
-            })
-            .collect()
-    };
-
-    if want_obs {
-        let snap = uavnet_obs::session_end().expect("obs session was begun above");
-        let events = uavnet_obs::drain_events();
-        if let Some(path) = &obs_log {
-            let mut lines = String::with_capacity(events.len() * 64);
-            for e in &events {
-                lines.push_str(&e.to_json_line());
-                lines.push('\n');
-            }
-            std::fs::write(path, lines).expect("write obs event log");
-            eprintln!("sweep_report: wrote {path} ({} events)", events.len());
-        }
-        if let Some(path) = &obs_metrics {
-            std::fs::write(path, snap.to_json()).expect("write obs metrics snapshot");
-            eprintln!("sweep_report: wrote {path}");
-        }
-        if let Some(path) = &obs_prom {
-            std::fs::write(path, snap.to_prometheus()).expect("write obs prometheus export");
-            eprintln!("sweep_report: wrote {path}");
+        for (scale, instance, build_ns) in &prepared {
+            let (section, scale_checks) = scale_json(
+                scale,
+                instance,
+                *build_ns,
+                threads,
+                opts.reps_override.unwrap_or(scale.reps),
+                scale.sharded || opts.force_sharded,
+                opts.sel,
+            );
+            scales.push(section);
+            checks.extend(scale_checks);
         }
     }
+    run.end_recording();
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"sweep_hotpath\",\n  \
-         \"baseline\": \"threads = 2 means: growth-seed seed-commit algorithm (quick, fig6_s_sweep), pre-compression Vec<Vec<u32>> coverage tables (large, interleaved same-box re-measurement)\",\n  \
-         \"regenerate\": \"cargo run --release -p uavnet-bench --bin sweep_report -- --scale all --threads 2 --seed-strategy all\",\n  \
-         \"scales\": [\n{blocks}\n  ]\n}}\n",
-        blocks = scale_blocks.join(",\n"),
-    );
     // The incremental-engine (`resolve_report`) and service-smoke
-    // (`service_report`) sections live in the same file; carry them
-    // across a sweep regeneration instead of clobbering them.
-    let old = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|old| Json::parse(&old).ok());
-    let json = match old {
-        Some(old) => {
-            let mut doc = Json::parse(&json).expect("sweep_report emits valid JSON");
-            for section in ["resolve", "service"] {
-                if let Some(kept) = old.get(section) {
-                    doc.set(section, kept.clone());
-                }
-            }
-            doc.dump()
-        }
-        None => json,
-    };
-    std::fs::write(&out, json).expect("write report");
-    eprintln!("sweep_report: wrote {out}");
+    // (`service_report`) sections live in the same file and survive a
+    // sweep regeneration.
+    let members = vec![
+        ("benchmark", Json::Str("sweep_hotpath".into())),
+        (
+            "baseline",
+            Json::Str(
+                "threads = 2 means: growth-seed seed-commit algorithm (quick, fig6_s_sweep), \
+                 pre-compression Vec<Vec<u32>> coverage tables (large, interleaved same-box \
+                 re-measurement)"
+                    .into(),
+            ),
+        ),
+        (
+            "regenerate",
+            Json::Str(
+                "cargo run --release -p uavnet-bench --bin sweep_report -- --scale all \
+                 --threads 2 --seed-strategy all"
+                    .into(),
+            ),
+        ),
+        ("scales", Json::Arr(scales)),
+    ];
+    run.finish(members, checks)
 }
 
 #[cfg(test)]
@@ -745,75 +616,63 @@ mod cli_tests {
     use super::*;
     use uavnet_core::SeedStrategyKind;
 
-    fn parse(args: &[&str]) -> Result<CliOptions, String> {
-        parse_args(args.iter().map(|s| s.to_string()))
+    fn parse(args: &str) -> Result<CliOptions, String> {
+        parse_args(&mut Args::new(args.split_whitespace().map(String::from)))
+    }
+
+    fn scale_names(opts: &CliOptions) -> Vec<&'static str> {
+        opts.scales.iter().map(|s| s.name).collect()
     }
 
     #[test]
     fn defaults_are_quick_two_threads() {
-        let opts = parse(&[]).expect("no args is valid");
-        assert_eq!(opts.threads, 2);
+        let opts = parse("").expect("no args is valid");
+        assert_eq!(opts.common, Common::default());
         assert_eq!(opts.reps_override, None);
-        assert_eq!(opts.out, "BENCH_sweep.json");
-        assert_eq!(opts.scale, ScaleSel::Quick);
+        assert_eq!(scale_names(&opts), ["quick"]);
         assert!(!opts.force_sharded);
         assert!(opts.sel.is_none());
     }
 
     #[test]
     fn full_flag_surface_parses() {
-        let opts = parse(&[
-            "--threads",
-            "4",
-            "--reps",
-            "7",
-            "--out",
-            "x.json",
-            "--scale",
-            "all",
-            "--sharded",
-            "--seed-strategy",
-            "beam:8",
-            "--obs-log",
-            "l.jsonl",
-            "--obs-metrics",
-            "m.json",
-            "--obs-prom",
-            "p.prom",
-        ])
+        let opts = parse(
+            "--threads 4 --reps 7 --out x.json --scale all --sharded --seed-strategy beam:8 \
+             --obs-log l.jsonl --obs-metrics m.json --obs-prom p.prom",
+        )
         .expect("valid");
-        assert_eq!(opts.threads, 4);
+        assert_eq!(opts.common.threads, 4);
         assert_eq!(opts.reps_override, Some(7));
-        assert_eq!(opts.out, "x.json");
-        assert_eq!(opts.scale, ScaleSel::All);
+        assert_eq!(opts.common.out, "x.json");
+        assert_eq!(scale_names(&opts), ["quick", "large", "xlarge"]);
         assert!(opts.force_sharded);
         match opts.sel {
             Some(StrategySel::One(SeedStrategyKind::Beam { width: 8 })) => {}
             _ => panic!("beam:8 must select a width-8 beam"),
         }
-        assert_eq!(opts.obs_log.as_deref(), Some("l.jsonl"));
-        assert_eq!(opts.obs_metrics.as_deref(), Some("m.json"));
-        assert_eq!(opts.obs_prom.as_deref(), Some("p.prom"));
+        assert_eq!(opts.common.obs.log.as_deref(), Some("l.jsonl"));
+        assert_eq!(opts.common.obs.metrics.as_deref(), Some("m.json"));
+        assert_eq!(opts.common.obs.prom.as_deref(), Some("p.prom"));
     }
 
     #[test]
     fn seed_strategy_all_and_named() {
         assert!(matches!(
-            parse(&["--seed-strategy", "all"]).unwrap().sel,
+            parse("--seed-strategy all").unwrap().sel,
             Some(StrategySel::All)
         ));
         assert!(matches!(
-            parse(&["--seed-strategy", "exhaustive"]).unwrap().sel,
+            parse("--seed-strategy exhaustive").unwrap().sel,
             Some(StrategySel::One(SeedStrategyKind::Exhaustive))
         ));
         // The retired strategy name is an operator error (exit 2).
-        let err = parse(&["--seed-strategy", "bound-pruned"]).unwrap_err();
+        let err = parse("--seed-strategy bound-pruned").unwrap_err();
         assert!(err.contains("bound-pruned"), "got: {err}");
     }
 
     #[test]
     fn unknown_seed_strategy_is_an_error_not_a_panic() {
-        let err = parse(&["--seed-strategy", "genetic"]).unwrap_err();
+        let err = parse("--seed-strategy genetic").unwrap_err();
         assert!(err.contains("--seed-strategy"), "got: {err}");
         assert!(err.contains("genetic"), "got: {err}");
     }
@@ -821,69 +680,69 @@ mod cli_tests {
     #[test]
     fn malformed_beam_widths_are_errors() {
         for bad in ["beam:0", "beam:abc", "beam:-1", "beam:"] {
-            let err = parse(&["--seed-strategy", bad]).unwrap_err();
+            let err = parse(&format!("--seed-strategy {bad}")).unwrap_err();
             assert!(err.contains("beam"), "{bad}: {err}");
         }
     }
 
     #[test]
     fn unknown_scale_is_an_error() {
-        let err = parse(&["--scale", "huge"]).unwrap_err();
+        let err = parse("--scale huge").unwrap_err();
         assert!(err.contains("huge"), "got: {err}");
         assert!(err.contains("quick|large|xlarge|all"), "got: {err}");
     }
 
     #[test]
     fn malformed_numbers_are_errors() {
-        for args in [
-            &["--threads", "two"][..],
-            &["--threads", "-1"],
-            &["--reps", "1.5"],
-            &["--reps", "many"],
-        ] {
+        for args in ["--threads two", "--threads -1", "--reps 1.5", "--reps many"] {
             let err = parse(args).unwrap_err();
-            assert!(err.contains("expects a number"), "{args:?}: {err}");
+            assert!(err.contains("expects a number"), "{args}: {err}");
         }
     }
 
     #[test]
     fn zero_threads_and_zero_reps_are_rejected() {
-        assert!(parse(&["--threads", "0"])
+        assert!(parse("--threads 0")
             .unwrap_err()
             .contains("--threads must be positive"));
-        assert!(parse(&["--reps", "0"])
+        assert!(parse("--reps 0")
             .unwrap_err()
             .contains("--reps must be positive"));
     }
 
     #[test]
     fn missing_values_are_errors() {
-        for flag in [
-            "--threads",
-            "--reps",
-            "--out",
-            "--scale",
-            "--seed-strategy",
-            "--obs-log",
-            "--obs-metrics",
-            "--obs-prom",
-        ] {
-            let err = parse(&[flag]).unwrap_err();
-            assert_eq!(err, format!("{flag} needs a value"));
+        for flag in
+            "--threads --reps --out --scale --seed-strategy --obs-log --obs-metrics --obs-prom"
+                .split_whitespace()
+        {
+            assert_eq!(parse(flag).unwrap_err(), format!("{flag} needs a value"));
         }
     }
 
     #[test]
     fn unknown_flags_are_errors() {
-        let err = parse(&["--frobnicate"]).unwrap_err();
-        assert!(err.contains("unknown argument"), "got: {err}");
-        // A typo'd positional is rejected the same way.
-        assert!(parse(&["quick"]).unwrap_err().contains("unknown argument"));
+        // A typo'd flag, a positional and the service-only trace flag.
+        for args in ["--frobnicate", "quick", "--trace-out t.json"] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("unknown argument"), "{args}: {err}");
+        }
     }
 
     #[test]
-    fn scale_selectors_resolve() {
-        assert_eq!(ScaleSel::Quick.scales().len(), 1);
-        assert_eq!(ScaleSel::All.scales().len(), 3);
+    fn accounting_fails_one_rank_short() {
+        assert!(check_accounting("quick s=2 exhaustive", 10, [5, 3, 2]).is_ok());
+        let err = check_accounting("quick s=2 exhaustive", 10, [4, 3, 2]).unwrap_err();
+        assert!(err.contains("= 9, want enumerated = 10"), "{err}");
+    }
+
+    #[test]
+    fn beam_quality_floor_is_three_quarters() {
+        assert!(check_beam_quality("quick s=2 beam:8", 3, 4).is_ok());
+        let err = check_beam_quality("quick s=2 beam:8", 2, 3).unwrap_err();
+        assert!(err.contains("served 2 of exhaustive 3"), "{err}");
+        // An exhaustive count of 0 counts as 1, as the reported ratio does.
+        assert!(check_beam_quality("x", 0, 0).is_err());
+        assert!(check_beam_quality("x", 1, 0).is_ok());
     }
 }

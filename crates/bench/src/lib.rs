@@ -20,19 +20,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Hand-rolled JSON reader/writer, now shared with the solver
-/// service protocol; re-exported so the bench bins keep their
-/// `uavnet_bench::json::Json` path.
-pub use uavnet_json as json;
+pub mod report;
 
 use std::time::Instant;
 use uavnet_baselines::{
     DeploymentAlgorithm, GreedyAssign, MaxThroughput, Mcs, MotionCtrl, RandomConnected,
 };
 use uavnet_core::{
-    approx_alg, ApproxConfig, CoreError, Instance, SeedStrategyKind, Solution, DEFAULT_BEAM_WIDTH,
+    approx_alg, ApproxConfig, CoreError, Instance, LoopConfig, SeedStrategyKind, Solution,
+    DEFAULT_BEAM_WIDTH,
 };
-use uavnet_workload::{ScenarioSpec, UserDistribution};
+use uavnet_workload::{MobilityModel, MobilitySimulator, ScenarioSpec, UserDistribution};
 
 /// `approAlg` wrapped as a [`DeploymentAlgorithm`], clamping `s` to
 /// the fleet size (the paper plots `K = 2` with `s = 3`, which only
@@ -233,6 +231,29 @@ impl Scale {
         }
     }
 
+    /// The report scale called `name`: `quick`, `large` or `xlarge`.
+    pub fn named(name: &str) -> Option<Scale> {
+        match name {
+            "quick" => Some(Scale::quick()),
+            "large" => Some(Scale::large()),
+            "xlarge" => Some(Scale::xlarge()),
+            _ => None,
+        }
+    }
+
+    /// The incremental-loop configuration the resolve and service
+    /// reports run at this scale: `s = 1` cold solves on `threads`
+    /// threads. Quick's 5×5 grid fits one tile per station
+    /// neighborhood at side 2; larger grids keep the default 16-cell
+    /// tiles.
+    pub fn loop_config(&self, threads: usize) -> LoopConfig {
+        let mut config = LoopConfig::new(ApproxConfig::with_s(1).threads(threads));
+        if self.name == "quick" {
+            config.tile_cells = 2;
+        }
+        config
+    }
+
     /// Builds the instance for `n` users and `k` UAVs at this scale.
     ///
     /// # Panics
@@ -283,6 +304,27 @@ impl Scale {
     pub fn k_max(&self) -> usize {
         *self.k_sweep.last().expect("non-empty sweep")
     }
+}
+
+/// Per-step Gaussian displacement (m) of the reports' mobility
+/// streams.
+pub const MOBILITY_SIGMA_M: f64 = 25.0;
+
+/// Moves shorter than this (m) are dropped from a mobility batch as
+/// jitter: pass it to [`MobilitySimulator::step_deltas`].
+pub const MOBILITY_THRESHOLD_M: f64 = 5.0;
+
+/// The mobility stream the resolve and service reports drive: a
+/// Gaussian walk ([`MOBILITY_SIGMA_M`]) of `instance`'s users.
+pub fn mobility(instance: &Instance, seed: u64) -> MobilitySimulator {
+    MobilitySimulator::new(
+        instance.grid().spec().area(),
+        instance.users().iter().map(|u| u.pos).collect(),
+        MobilityModel::GaussianWalk {
+            sigma_m: MOBILITY_SIGMA_M,
+        },
+        seed,
+    )
 }
 
 /// One measurement: an algorithm's served users and wall-clock time.

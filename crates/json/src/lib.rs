@@ -2,8 +2,8 @@
 //! workspace.
 //!
 //! The workspace builds offline with vendored stand-in crates, so
-//! there is no `serde_json`; the bench report consumers (`obs_diff`,
-//! `sweep_report`/`resolve_report` section merging) and the
+//! there is no `serde_json`; the bench reports (written through
+//! `uavnet_bench::report`, snapshots read by `obs_diff`) and the
 //! `uavnet-service` wire protocol both parse and emit JSON with this
 //! ~150-line reader instead. It supports the full JSON value grammar
 //! minus exotic escapes (`\uXXXX` outside the BMP is passed through
