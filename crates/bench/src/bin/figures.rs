@@ -54,6 +54,10 @@ fn main() -> ExitCode {
     if let Some(t) = trials_override {
         scale.trials = t.max(1);
     }
+    if let Some(dir) = &out_dir {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| HARNESS.refuse(&format!("cannot create {}: {e}", dir.display())));
+    }
     println!(
         "# uavnet evaluation — scale: {} (cell {:.0} m, n ≤ {}, K ≤ {}), {} threads\n",
         scale.name,
@@ -65,8 +69,10 @@ fn main() -> ExitCode {
 
     let dump = |name: &str, csv: String| {
         if let Some(dir) = &out_dir {
-            std::fs::create_dir_all(dir).expect("create --out dir");
-            std::fs::write(dir.join(format!("{name}.csv")), csv).expect("write csv");
+            let path = dir.join(format!("{name}.csv"));
+            std::fs::write(&path, csv).unwrap_or_else(|e| {
+                HARNESS.refuse(&format!("cannot write {}: {e}", path.display()))
+            });
         }
     };
     if which == "fig4" || which == "all" {

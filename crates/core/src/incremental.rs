@@ -20,11 +20,11 @@
 //!   ([`CapacitatedMatching`]); one
 //!   [`resaturate`](CapacitatedMatching::resaturate) pass then restores
 //!   the maximum matching (no cold rebuild);
-//! * **connectivity repair** — topology-affecting deltas reuse the
-//!   fault path's component triage, MST re-bridging and gateway
-//!   re-extension (shared with
-//!   [`inject_and_repair`](crate::inject_and_repair) via
-//!   [`plan_repair`]), spending spare UAVs as relays.
+//! * **connectivity repair** — kills and link cuts go through
+//!   [`plan_repair`]: component triage, MST re-bridging and gateway
+//!   re-extension on the substrate, spending spare UAVs as relays.
+//!   This is the only repair path; fault injection drives it through
+//!   [`SolverLoop::from_solution`] and [`SolverLoop::apply`].
 //!
 //! Correctness is pinned by verify **oracle 7**
 //! ([`check_incremental`](crate::verify::check_incremental)): after any
@@ -37,11 +37,9 @@
 
 use crate::approx::{approx_alg, ApproxConfig};
 use crate::assign::{assign_users, Assignment};
-use crate::connecting::{
-    connect_via_mst, connect_via_substrate, extend_to_gateway, extend_to_gateway_substrate,
-};
+use crate::connecting::{connect_via_substrate, extend_to_gateway_substrate};
 use crate::model::User;
-use crate::solution::{try_score_deployment, Solution};
+use crate::solution::{check_placement_ranges, try_score_deployment, Solution};
 use crate::{CoreError, Instance};
 use std::cmp::Reverse;
 use uavnet_flow::CapacitatedMatching;
@@ -78,25 +76,24 @@ pub struct LoopConfig {
     /// the whole grid in one tile (every user delta refreshes every
     /// station — correct, never fast).
     pub tile_cells: usize,
-    /// When a repair abandons more than this fraction of the standing
-    /// placements *and no UAV has died*, the loop falls back to a full
-    /// cold solve on the mutated instance instead of limping on with
-    /// the remnant. (With dead UAVs the instance cannot express the
-    /// reduced fleet, so the localized repair result stands.)
-    pub cold_solve_drop_fraction: f64,
 }
 
 impl LoopConfig {
-    /// A configuration with the default tile side (16 cells) and cold
-    /// fallback threshold (0.5).
+    /// A configuration with the default tile side (16 cells).
     pub fn new(approx: ApproxConfig) -> Self {
         LoopConfig {
             approx,
             tile_cells: 16,
-            cold_solve_drop_fraction: 0.5,
         }
     }
 }
+
+/// When a repair abandons more than this fraction of the standing
+/// placements *and no UAV has died*, the loop falls back to a full cold
+/// solve on the mutated instance instead of limping on with the
+/// remnant. (With dead UAVs the instance cannot express the reduced
+/// fleet, so the localized repair result stands.)
+const COLD_SOLVE_DROP_FRACTION: f64 = 0.5;
 
 /// Cumulative work counters of a [`SolverLoop`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -140,7 +137,7 @@ pub struct DeltaOutcome {
 
 /// What a connectivity repair decided: the placements to keep (kept
 /// survivors plus spare relays) and what it cost.
-pub(crate) struct RepairPlan {
+struct RepairPlan {
     /// Surviving placements plus `(spare, relay cell)` bridges.
     pub placements: Vec<(usize, CellIndex)>,
     /// Spares spent on relay/gateway cells.
@@ -157,9 +154,7 @@ struct Repair {
     cold: Option<Vec<(usize, CellIndex)>>,
 }
 
-/// The shared repair planner behind both
-/// [`inject_and_repair`](crate::inject_and_repair) and the
-/// [`SolverLoop`] kill/sever paths:
+/// The repair planner behind the [`SolverLoop`] kill/sever paths:
 ///
 /// 1. if the survivors' network fell apart, keep the connected
 ///    component serving the most users ([`best_component`]);
@@ -174,12 +169,11 @@ struct Repair {
 /// placements — the fix for the repair-after-repair staleness bug
 /// where a second pass re-deployed first-pass casualties as relays.
 ///
-/// With `sub`, distance decisions read the precomputed hop rows
-/// (bit-identical results, no per-call BFS); the substrate must have
-/// been built from `degraded`'s location graph.
-pub(crate) fn plan_repair(
+/// Distance decisions read `sub`'s precomputed hop rows, so `sub` must
+/// have been built from `degraded`'s location graph.
+fn plan_repair(
     degraded: &Instance,
-    sub: Option<&ConnectivitySubstrate>,
+    sub: &ConnectivitySubstrate,
     mut survivors: Vec<(usize, CellIndex)>,
     dead: &[bool],
 ) -> Result<RepairPlan, CoreError> {
@@ -221,18 +215,12 @@ pub(crate) fn plan_repair(
             break;
         }
         let locs: Vec<usize> = survivors.iter().map(|&(_, l)| l).collect();
-        let all = match sub {
-            Some(sub) => connect_via_substrate(graph, sub, &locs)?,
-            None => connect_via_mst(graph, &locs)?,
-        };
+        let all = connect_via_substrate(graph, sub, &locs)?;
         let mut extra_cells: Vec<usize> = all[locs.len()..].to_vec();
         if degraded.gateway().is_some() {
             // The gateway being unreachable from this component cannot
             // be fixed by shrinking the component further — propagate.
-            let gw = match sub {
-                Some(sub) => extend_to_gateway_substrate(graph, sub, &all, &gateway_cells)?,
-                None => extend_to_gateway(graph, &all, |c| degraded.is_gateway_cell(c))?,
-            };
+            let gw = extend_to_gateway_substrate(graph, sub, &all, &gateway_cells)?;
             extra_cells.extend(gw);
         }
         if extra_cells.len() <= spares.len() {
@@ -266,7 +254,7 @@ pub(crate) fn plan_repair(
 /// users (ties: more placements, then the smaller first placement
 /// index) — deterministic triage after severed links split the graph.
 /// Returns all survivors unchanged when they share one component.
-pub(crate) fn best_component(
+fn best_component(
     degraded: &Instance,
     survivors: &[(usize, CellIndex)],
 ) -> Vec<(usize, CellIndex)> {
@@ -369,19 +357,23 @@ impl SolverLoop {
         Self::from_solution(instance, &solution, config)
     }
 
-    /// Stands up the loop on an existing solution for `instance`
-    /// (e.g. the output of a prior cold solve or a repaired
-    /// [`DegradationReport`](crate::DegradationReport)).
+    /// Stands up the loop on an existing solution for `instance` (e.g.
+    /// the output of a prior cold solve, or a deployment to inject
+    /// faults into).
     ///
     /// # Errors
     ///
-    /// [`CoreError::Substrate`] when the location graph exceeds the
-    /// substrate's node limit.
+    /// * [`CoreError::Validation`] when a placement names a UAV outside
+    ///   the fleet or a cell outside the grid (a solution scored on
+    ///   another instance);
+    /// * [`CoreError::Substrate`] when the location graph exceeds the
+    ///   substrate's node limit.
     pub fn from_solution(
         instance: Instance,
         solution: &Solution,
         config: LoopConfig,
     ) -> Result<Self, CoreError> {
+        check_placement_ranges(&instance, solution.deployment().placements())?;
         let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
         let partition = TilePartition::build(
             instance.grid().cols(),
@@ -675,13 +667,13 @@ impl SolverLoop {
         dead: &[bool],
     ) -> Result<Repair, CoreError> {
         let standing = survivors.len();
-        let plan = plan_repair(instance, Some(substrate), survivors, dead)?;
+        let plan = plan_repair(instance, substrate, survivors, dead)?;
         // Fallback: a repair that abandoned most of the deployment is
         // worse than re-solving — but only the full fleet can be
         // re-solved (the instance cannot express dead UAVs).
         let cold = if standing > 0
             && !dead.iter().any(|&d| d)
-            && (plan.dropped as f64) > self.config.cold_solve_drop_fraction * standing as f64
+            && (plan.dropped as f64) > COLD_SOLVE_DROP_FRACTION * standing as f64
         {
             let solution = approx_alg(instance, &self.config.approx)?;
             Some(solution.deployment().placements().to_vec())

@@ -34,9 +34,12 @@
 //!   implementation pair (matching vs max-flow, streaming vs
 //!   materialized sweep, closed-form vs `Σ Q_h` relay bound,
 //!   substrate-backed vs per-call-BFS connection, approx vs exact with
-//!   the Theorem 1 floor) plus fault injection with typed
-//!   repair ([`inject_and_repair`]); the hot-path cross-checks compile
-//!   in under the `debug-validate` cargo feature.
+//!   the Theorem 1 floor, incremental loop vs cold rescore); the
+//!   hot-path cross-checks compile in under the `debug-validate` cargo
+//!   feature;
+//! * [`SolverLoop`] — the standing deployment that absorbs user moves,
+//!   surges, UAV losses and link cuts ([`Delta`]) by localized repair:
+//!   the one repair path, for the service and fault injection alike.
 //!
 //! # Examples
 //!
@@ -114,6 +117,5 @@ pub use strategy::{SeedStrategyKind, DEFAULT_BEAM_WIDTH};
 pub use verify::{
     check_against_exact, check_assignment_oracles, check_connection_substrate, check_incremental,
     check_relay_bound, check_sharded_sweep, check_strategy_quality, check_sweep_oracles,
-    inject_and_repair, theorem1_ratio_holds, verify_pipeline, DegradationReport, Fault,
-    VerifyError, STRATEGY_QUALITY_DEN, STRATEGY_QUALITY_NUM,
+    theorem1_ratio_holds, verify_pipeline, VerifyError, STRATEGY_QUALITY_DEN, STRATEGY_QUALITY_NUM,
 };

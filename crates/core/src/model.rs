@@ -317,8 +317,8 @@ impl Instance {
     /// A degraded copy of this instance whose location graph lost the
     /// given UAV-to-UAV links (unordered cell pairs; pairs that were
     /// never edges are ignored). Coverage tables, fleet and users are
-    /// shared semantics — only connectivity changes. Used by the
-    /// fault-injection harness ([`crate::verify`]) to model jammed or
+    /// shared semantics — only connectivity changes. Applies
+    /// [`Delta::SeverLinks`](crate::Delta::SeverLinks): jammed or
     /// shadowed inter-UAV links.
     ///
     /// # Errors
@@ -627,7 +627,7 @@ impl InstanceBuilder {
     ///
     /// A zone with **zero users** is a valid (degenerate) instance:
     /// every deployment serves nobody, but the solvers, validators and
-    /// the fault-injection harness all degrade gracefully instead of
+    /// the solver loop's repair all degrade gracefully instead of
     /// erroring — a disaster zone can empty out mid-mission.
     ///
     /// # Errors

@@ -34,8 +34,8 @@ fn coverable_list<'a>(
 /// evaluations upper-bound later ones — exactly the contract the lazy
 /// greedy requires.
 ///
-/// The oracle is designed for *workspace reuse*: [`reset`]
-/// (CoverageOracle::reset) rolls it back to the no-UAV state while
+/// The oracle is designed for *workspace reuse*: [`reset`](Self::reset)
+/// rolls it back to the no-UAV state while
 /// keeping the matching's internal buffers allocated, so a sweep that
 /// evaluates thousands of seed subsets against the same instance pays
 /// for its scratch memory once. Gain queries themselves are

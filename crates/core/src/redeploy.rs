@@ -24,8 +24,8 @@ use crate::{CoreError, Instance};
 /// Fleet-movement summary of a re-deployment.
 ///
 /// Launch-site convention: UAVs entering or leaving the air are **not**
-/// `moved_uavs` — they are counted separately as [`launched`]
-/// (RedeployStats::launched) / [`grounded`](RedeployStats::grounded),
+/// `moved_uavs` — they are counted separately as
+/// [`launched`](Self::launched) / [`grounded`](Self::grounded),
 /// because no launch site is modeled and their flight distance is
 /// unknown. This keeps `moved_uavs` and `total_move_m` consistent: a
 /// UAV contributes to `moved_uavs` exactly when its (possibly zero-m)
@@ -34,8 +34,8 @@ use crate::{CoreError, Instance};
 #[derive(Debug, Clone, PartialEq)]
 pub struct RedeployStats {
     /// UAVs deployed in *both* plans whose hovering cell changed; each
-    /// contributes its cell-center distance to [`total_move_m`]
-    /// (RedeployStats::total_move_m).
+    /// contributes its cell-center distance to
+    /// [`total_move_m`](RedeployStats::total_move_m).
     pub moved_uavs: usize,
     /// UAVs deployed in the new plan but not the old one (flight from
     /// the unmodeled launch site, 0 m by convention).

@@ -142,14 +142,7 @@ impl Solution {
                 fleet: instance.num_uavs(),
             });
         }
-        for &(uav, loc) in placements {
-            if uav >= instance.num_uavs() {
-                return Err(ValidationError::BadUavIndex { uav });
-            }
-            if loc >= instance.num_locations() {
-                return Err(ValidationError::BadLocationIndex { loc });
-            }
-        }
+        check_placement_ranges(instance, placements)?;
         // Assignment sanity plus constraint (i) and (ii).
         let mut loads = vec![0u32; placements.len()];
         if self.assignment.user_placement.len() != instance.num_users() {
@@ -297,26 +290,42 @@ pub fn score_deployment(instance: &Instance, placements: Vec<(usize, CellIndex)>
 ///
 /// # Errors
 ///
-/// [`CoreError::Validation`] wrapping the first malformed placement
-/// (bad index or duplicate).
+/// [`CoreError::Validation`](crate::CoreError::Validation) wrapping the
+/// first malformed placement (bad index or duplicate).
 pub fn try_score_deployment(
     instance: &Instance,
     placements: Vec<(usize, CellIndex)>,
 ) -> Result<Solution, crate::CoreError> {
-    for &(uav, loc) in &placements {
-        if uav >= instance.num_uavs() {
-            return Err(ValidationError::BadUavIndex { uav }.into());
-        }
-        if loc >= instance.num_locations() {
-            return Err(ValidationError::BadLocationIndex { loc }.into());
-        }
-    }
+    check_placement_ranges(instance, &placements)?;
     let deployment = Deployment::try_new(placements)?;
     let assignment = assign_users(instance, deployment.placements());
     Ok(Solution {
         deployment,
         assignment,
     })
+}
+
+/// Checks that every placement names a UAV of `instance`'s fleet and a
+/// cell of its grid.
+///
+/// # Errors
+///
+/// [`ValidationError::BadUavIndex`] or
+/// [`ValidationError::BadLocationIndex`] for the first placement out of
+/// range.
+pub(crate) fn check_placement_ranges(
+    instance: &Instance,
+    placements: &[(usize, CellIndex)],
+) -> Result<(), ValidationError> {
+    for &(uav, loc) in placements {
+        if uav >= instance.num_uavs() {
+            return Err(ValidationError::BadUavIndex { uav });
+        }
+        if loc >= instance.num_locations() {
+            return Err(ValidationError::BadLocationIndex { loc });
+        }
+    }
+    Ok(())
 }
 
 /// A violated constraint found by [`Solution::validate`].

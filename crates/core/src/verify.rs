@@ -1,4 +1,4 @@
-//! Differential verification & fault-injection harness.
+//! Differential verification harness.
 //!
 //! The repo carries several *pairs* of independent implementations of
 //! the same quantity — the incremental matching vs the literal Lemma 1
@@ -9,14 +9,9 @@
 //! compare, and report any divergence as a typed [`VerifyError`]
 //! instead of silently trusting one implementation.
 //!
-//! The second half is a **fault-injection** harness
-//! ([`inject_and_repair`]): take a solved [`Solution`], kill UAVs,
-//! sever inter-UAV links or surge the user population, then drive the
-//! repair path (largest surviving component → relay reconnection via
-//! [`connect_via_mst`] → gateway re-extension → re-assignment) and
-//! report how gracefully coverage degraded as a
-//! [`DegradationReport`]. Every failure mode is a typed
-//! [`CoreError`] — repair never panics on a representable fault.
+//! Faults (killed UAVs, severed links, user surges) have no harness of
+//! their own: they are [`Delta`]s, repaired by [`SolverLoop::apply`]
+//! and checked by oracle 7 ([`check_incremental`]).
 //!
 //! The cheap oracle checks are additionally wired into the hot paths
 //! behind the `debug-validate` cargo feature (see
@@ -30,9 +25,8 @@ use crate::connecting::{
     connect_via_mst, connect_via_substrate, extend_to_gateway, extend_to_gateway_substrate,
 };
 use crate::exact::exact_optimum;
-use crate::incremental::{plan_repair, Delta, LoopConfig, SolverLoop};
-use crate::model::User;
-use crate::solution::{try_score_deployment, Solution};
+use crate::incremental::{Delta, LoopConfig, SolverLoop};
+use crate::solution::Solution;
 use crate::strategy::{SeedStrategyKind, DEFAULT_BEAM_WIDTH};
 use crate::{CoreError, Instance, SegmentPlan};
 use std::error::Error;
@@ -733,182 +727,6 @@ fn tally<T>(result: Result<T, CoreError>) -> Result<T, CoreError> {
     result
 }
 
-/// A fault injected into a solved scenario.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Fault {
-    /// The listed UAVs (fleet indices) crash or are withdrawn; their
-    /// placements disappear and they are unavailable as relays.
-    KillUavs(Vec<usize>),
-    /// The listed inter-UAV links (unordered cell pairs of the
-    /// location graph) are jammed or shadowed.
-    SeverLinks(Vec<(CellIndex, CellIndex)>),
-    /// Extra users appear (a demand surge into the disaster zone).
-    UserSurge(Vec<User>),
-}
-
-/// The outcome of [`inject_and_repair`]: how far coverage degraded at
-/// each stage, what the repair spent, and the repaired solution
-/// together with the degraded instance it is valid against.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct DegradationReport {
-    /// Users served before any fault.
-    pub served_before: usize,
-    /// Users served by the surviving placements immediately after the
-    /// fault, before any repair (re-assigned optimally, but possibly
-    /// on a disconnected or gateway-less network).
-    pub served_after_fault: usize,
-    /// Users served by the repaired, validate-clean solution.
-    pub served_after_repair: usize,
-    /// Killed UAV indices (deduplicated).
-    pub killed_uavs: Vec<usize>,
-    /// Number of severed links applied.
-    pub severed_links: usize,
-    /// Number of surged users appended.
-    pub surged_users: usize,
-    /// Spare (undeployed, surviving) UAVs spent as relays or gateway
-    /// bridges during the repair.
-    pub relays_spent: usize,
-    /// Surviving placements the repair had to abandon (disconnected
-    /// fragments or relay-budget shortfalls).
-    pub dropped_placements: usize,
-    /// The repaired solution; `validate` passes against [`instance`]
-    /// (DegradationReport::instance).
-    pub solution: Solution,
-    /// The degraded instance (severed links and surged users applied)
-    /// the repaired solution lives on.
-    pub instance: Instance,
-}
-
-/// Injects `faults` into a solved scenario and drives the repair path:
-///
-/// 1. apply link/user faults to a copy of the instance and drop the
-///    killed UAVs' placements;
-/// 2. if the survivors' network fell apart, keep the connected
-///    component serving the most users (ties: larger component, then
-///    smaller placement index);
-/// 3. reconnect through [`connect_via_mst`] and re-extend to the
-///    gateway, spending spare (surviving, undeployed) UAVs as relays —
-///    largest spares on the most coverable relay cells; when the spare
-///    budget is short, abandon the least-coverable survivor and retry;
-/// 4. re-run the optimal assignment and independently validate.
-///
-/// The repair is deterministic and total over representable faults:
-/// any unrepairable situation (e.g. the gateway cut off from every
-/// survivor) is a typed [`CoreError`], never a panic.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidParameters`] for out-of-range UAV ids or
-///   link endpoints, or invalid surge users;
-/// * [`CoreError::Connect`] when no relay chain can restore the
-///   gateway link;
-/// * [`CoreError::Validation`] if the repaired solution fails its own
-///   independent validation (a genuine harness bug — surfaced, not
-///   masked).
-pub fn inject_and_repair(
-    instance: &Instance,
-    solution: &Solution,
-    faults: &[Fault],
-) -> Result<DegradationReport, CoreError> {
-    inject_and_repair_from(instance, solution, faults, &[])
-}
-
-/// [`inject_and_repair`] with a set of *previously* killed UAVs
-/// threaded through: `prior_dead` UAVs are neither survivors nor
-/// spares, even though they no longer appear among the placements.
-/// This is what makes repair-after-repair sound — without it, a second
-/// pass counted first-pass casualties as fresh spare relays.
-fn inject_and_repair_from(
-    instance: &Instance,
-    solution: &Solution,
-    faults: &[Fault],
-    prior_dead: &[usize],
-) -> Result<DegradationReport, CoreError> {
-    let mut killed: Vec<usize> = Vec::new();
-    let mut severed: Vec<(CellIndex, CellIndex)> = Vec::new();
-    let mut extra: Vec<User> = Vec::new();
-    for fault in faults {
-        match fault {
-            Fault::KillUavs(ids) => killed.extend(ids.iter().copied()),
-            Fault::SeverLinks(links) => severed.extend(links.iter().copied()),
-            Fault::UserSurge(users) => extra.extend(users.iter().copied()),
-        }
-    }
-    killed.extend(prior_dead.iter().copied());
-    killed.sort_unstable();
-    killed.dedup();
-    if let Some(&bad) = killed.iter().find(|&&u| u >= instance.num_uavs()) {
-        return Err(CoreError::InvalidParameters(format!(
-            "killed UAV {bad} outside the fleet of {}",
-            instance.num_uavs()
-        )));
-    }
-    let mut dead = vec![false; instance.num_uavs()];
-    for &u in &killed {
-        dead[u] = true;
-    }
-
-    let mut degraded = instance.clone();
-    if !severed.is_empty() {
-        degraded = degraded.with_severed_links(&severed)?;
-    }
-    if !extra.is_empty() {
-        degraded = degraded.with_extra_users(&extra)?;
-    }
-
-    let served_before = solution.served_users();
-    let survivors: Vec<(usize, CellIndex)> = solution
-        .deployment()
-        .placements()
-        .iter()
-        .copied()
-        .filter(|&(uav, _)| !dead[uav])
-        .collect();
-    let served_after_fault = assign_users(&degraded, &survivors).served;
-
-    // Steps 2–3 (component triage, MST re-bridging, gateway
-    // re-extension, spare budgeting) live in the incremental engine
-    // now — the solver loop and this harness share one planner.
-    let plan = plan_repair(&degraded, None, survivors, &dead)?;
-
-    // Step 4: typed-error scoring plus independent validation.
-    let repaired = try_score_deployment(&degraded, plan.placements)?;
-    repaired.validate(&degraded)?;
-    Ok(DegradationReport {
-        served_before,
-        served_after_fault,
-        served_after_repair: repaired.served_users(),
-        killed_uavs: killed,
-        severed_links: severed.len(),
-        surged_users: extra.len(),
-        relays_spent: plan.relays_spent,
-        dropped_placements: plan.dropped,
-        solution: repaired,
-        instance: degraded,
-    })
-}
-
-impl DegradationReport {
-    /// Injects further faults into this report's repaired scenario,
-    /// remembering every UAV already lost: [`killed_uavs`]
-    /// (DegradationReport::killed_uavs) are excluded from the spare
-    /// pool, so chained repairs can never re-deploy a casualty (the
-    /// repair-after-repair staleness bug). The returned report's
-    /// `killed_uavs` is the running union.
-    ///
-    /// Calling with no faults is idempotent: the repair re-plans the
-    /// same placements and serves the same users.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`inject_and_repair`].
-    pub fn reinject(&self, faults: &[Fault]) -> Result<DegradationReport, CoreError> {
-        inject_and_repair_from(&self.instance, &self.solution, faults, &self.killed_uavs)
-    }
-}
-
 /// Verify oracle 7: drives a [`SolverLoop`] from a cold solve through
 /// `deltas`, and after **every** delta checks the incremental state
 /// against a cold rescore of the same placements on the mutated
@@ -1056,106 +874,5 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("connection"), "{msg}");
         assert!(msg.contains("[0, 4]"), "{msg}");
-    }
-
-    #[test]
-    fn kill_fault_repairs_to_a_valid_solution() {
-        let inst = instance_3x3(450.0, &[2, 2, 1]);
-        let sol = approx_alg(&inst, &ApproxConfig::with_s(1).threads(1)).unwrap();
-        sol.validate(&inst).unwrap();
-        for &(uav, _) in sol.deployment().placements() {
-            let report = inject_and_repair(&inst, &sol, &[Fault::KillUavs(vec![uav])]).unwrap();
-            report.solution.validate(&report.instance).unwrap();
-            assert!(report
-                .solution
-                .deployment()
-                .placements()
-                .iter()
-                .all(|&(u, _)| u != uav));
-            assert!(report.served_after_repair <= report.served_before);
-            assert_eq!(report.killed_uavs, vec![uav]);
-        }
-    }
-
-    #[test]
-    fn severed_link_fault_triages_the_best_component() {
-        // Chain deployment across the diagonal; cutting a middle link
-        // must keep the component serving more users.
-        let inst = instance_3x3(450.0, &[2, 2, 1]);
-        let sol = approx_alg(&inst, &ApproxConfig::with_s(1).threads(1)).unwrap();
-        let links: Vec<(usize, usize)> = inst.location_graph().edges().collect();
-        for &link in links.iter().take(6) {
-            let report = inject_and_repair(&inst, &sol, &[Fault::SeverLinks(vec![link])]).unwrap();
-            report.solution.validate(&report.instance).unwrap();
-        }
-    }
-
-    #[test]
-    fn user_surge_fault_reassigns() {
-        let inst = instance_3x3(450.0, &[2, 2, 1]);
-        let sol = approx_alg(&inst, &ApproxConfig::with_s(1).threads(1)).unwrap();
-        let surge: Vec<User> = (0..3)
-            .map(|i| User {
-                pos: Point2::new(150.0 + 5.0 * i as f64, 160.0),
-                min_rate_bps: 2_000.0,
-            })
-            .collect();
-        let report = inject_and_repair(&inst, &sol, &[Fault::UserSurge(surge)]).unwrap();
-        assert_eq!(report.surged_users, 3);
-        assert_eq!(report.instance.num_users(), inst.num_users() + 3);
-        report.solution.validate(&report.instance).unwrap();
-        // More demand can only help the served count.
-        assert!(report.served_after_repair >= report.served_before.min(1));
-    }
-
-    #[test]
-    fn combined_faults_and_whole_fleet_loss_degrade_gracefully() {
-        let inst = instance_3x3(450.0, &[2, 2, 1]);
-        let sol = approx_alg(&inst, &ApproxConfig::with_s(1).threads(1)).unwrap();
-        // Everything at once.
-        let report = inject_and_repair(
-            &inst,
-            &sol,
-            &[
-                Fault::KillUavs(vec![0]),
-                Fault::SeverLinks(vec![(0, 1)]),
-                Fault::UserSurge(vec![User {
-                    pos: Point2::new(450.0, 460.0),
-                    min_rate_bps: 2_000.0,
-                }]),
-            ],
-        )
-        .unwrap();
-        report.solution.validate(&report.instance).unwrap();
-        // The whole fleet gone: empty but valid.
-        let report = inject_and_repair(&inst, &sol, &[Fault::KillUavs(vec![0, 1, 2])]).unwrap();
-        assert_eq!(report.served_after_repair, 0);
-        assert!(report.solution.deployment().is_empty());
-        report.solution.validate(&report.instance).unwrap();
-    }
-
-    #[test]
-    fn malformed_faults_are_typed_errors() {
-        let inst = instance_3x3(450.0, &[2, 1]);
-        let sol = approx_alg(&inst, &ApproxConfig::with_s(1).threads(1)).unwrap();
-        assert!(matches!(
-            inject_and_repair(&inst, &sol, &[Fault::KillUavs(vec![99])]),
-            Err(CoreError::InvalidParameters(_))
-        ));
-        assert!(matches!(
-            inject_and_repair(&inst, &sol, &[Fault::SeverLinks(vec![(0, 99)])]),
-            Err(CoreError::InvalidParameters(_))
-        ));
-        assert!(matches!(
-            inject_and_repair(
-                &inst,
-                &sol,
-                &[Fault::UserSurge(vec![User {
-                    pos: Point2::new(-10.0, 0.0),
-                    min_rate_bps: 2_000.0,
-                }])]
-            ),
-            Err(CoreError::InvalidInstance(_))
-        ));
     }
 }

@@ -122,8 +122,8 @@ impl Json {
     }
 
     /// Serializes to pretty-printed JSON (2-space indent, members in
-    /// stored order, trailing newline) — the inverse of [`parse`]
-    /// (Json::parse) for every value this reader produces, so report
+    /// stored order, trailing newline) — the inverse of
+    /// [`parse`](Json::parse) for every value this reader produces, so report
     /// files survive a parse → mutate → dump round trip with minimal
     /// diffs.
     pub fn dump(&self) -> String {

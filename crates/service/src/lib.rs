@@ -17,9 +17,9 @@
 //!   subscribers, and a numeric degradation report to `degradation`
 //!   subscribers whenever coverage was lost or a repair spent relays.
 //! * **Robustness** — the ingress queue is bounded and overflow gets
-//!   a typed [`Reply::Busy`](proto::Reply::Busy) (memory never grows
+//!   a typed [`Reply::Busy`] (memory never grows
 //!   with a flooding client); connections run under read/write
-//!   timeouts; [`ServiceClient`](client::ServiceClient) retries with
+//!   timeouts; [`ServiceClient`] retries with
 //!   exponential backoff; graceful shutdown drains in-flight deltas
 //!   and publishes a final snapshot; a worker panic is contained as a
 //!   typed [`ServiceError::WorkerPanicked`] that poisons the solver

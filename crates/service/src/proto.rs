@@ -257,8 +257,8 @@ pub struct DeploymentMsg {
 }
 
 /// Numeric degradation report, published on `degradation` whenever a
-/// delta cost coverage or forced a repair (the wire-sized counterpart
-/// of `uavnet_core::DegradationReport`, which carries whole instances).
+/// delta cost coverage or forced a repair: the served count before the
+/// delta plus the delta's [`DeltaOutcome`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradationMsg {
     /// Epoch of the triggering delta.

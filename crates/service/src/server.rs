@@ -337,7 +337,8 @@ impl ServiceHandle {
 
     /// Requests graceful shutdown (idempotent): stop accepting,
     /// drain in-flight deltas, publish a final snapshot. Returns
-    /// immediately; use [`join`](Self::join) to wait.
+    /// immediately; use [`shutdown_and_join`](Self::shutdown_and_join)
+    /// to wait.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }

@@ -1,16 +1,15 @@
 //! Property tests for the differential-verification harness: the
 //! assignment oracle pair agrees on arbitrary deployments, the
 //! validator accepts every solver output (including degenerate
-//! instances), fault injection + repair is panic-free and
-//! validate-clean across random faults, and the incremental solver
-//! loop tracks a cold solve across random delta interleavings
-//! (verify oracle 7).
+//! instances), the solver loop's repair of random faults is panic-free
+//! and validate-clean, and the loop tracks a cold solve across random
+//! delta interleavings (verify oracle 7).
 
 use proptest::prelude::*;
 use uavnet::channel::UavRadio;
 use uavnet::core::{
     approx_alg, assign_users, assign_users_max_flow, check_assignment_oracles, check_incremental,
-    inject_and_repair, ApproxConfig, CoreError, Delta, Fault, Instance, User,
+    ApproxConfig, CoreError, Delta, Instance, LoopConfig, SolverLoop, User,
 };
 use uavnet::geom::{AreaSpec, GridSpec, Point2};
 
@@ -111,17 +110,24 @@ proptest! {
         kill_mask in 0usize..32,
         cut_picks in proptest::collection::vec((0usize..64, 0usize..64), 0..4),
     ) {
-        let sol = approx_alg(&instance, &ApproxConfig::with_s(1).threads(1)).unwrap();
+        let config = ApproxConfig::with_s(1).threads(1);
+        let sol = approx_alg(&instance, &config).unwrap();
         let kills: Vec<usize> =
             (0..instance.num_uavs()).filter(|u| kill_mask >> u & 1 == 1).collect();
         let m = instance.num_locations();
         let cuts: Vec<(usize, usize)> =
             cut_picks.iter().map(|&(a, b)| (a % m, b % m)).collect();
-        let faults = [Fault::KillUavs(kills), Fault::SeverLinks(cuts)];
-        match inject_and_repair(&instance, &sol, &faults) {
-            Ok(report) => {
-                prop_assert!(report.solution.validate(&report.instance).is_ok());
-                prop_assert!(report.served_after_repair <= report.served_before);
+        // The kill and the cut are two deltas on one loop.
+        let repaired = SolverLoop::from_solution(instance.clone(), &sol, LoopConfig::new(config))
+            .and_then(|mut solver| {
+                solver.apply(Delta::KillUavs(kills))?;
+                solver.apply(Delta::SeverLinks(cuts))?;
+                Ok(solver)
+            });
+        match repaired {
+            Ok(solver) => {
+                prop_assert!(solver.solution().validate(solver.instance()).is_ok());
+                prop_assert!(solver.served_users() <= sol.served_users());
             }
             // Gateway-less instances can't hit Connect errors here, but
             // typed failures remain acceptable outcomes by contract.
