@@ -69,8 +69,19 @@ impl UavRadio {
     }
 }
 
+/// Relative widening of [`AtgChannel::rate_floor_bps`], applied to
+/// the linear SNR and again to the rate. It is far above the rounding
+/// of a link budget (~1e-13 relative), so it covers the gap between
+/// the ideal monotone rate curve and the computed one.
+const FLOOR_MARGIN: f64 = 1e-9;
+
 /// The air-to-ground channel of §II-B, combining LoS probability and
 /// excess losses into a mean pathloss, SNR and data rate.
+///
+/// Admissibility ([`can_serve`](Self::can_serve)) is the exact test.
+/// Coverage-table builders call it only for demands above a radio's
+/// [`rate_floor_bps`](Self::rate_floor_bps), which with uniform
+/// voice-rate demand is nowhere.
 ///
 /// # Examples
 ///
@@ -153,6 +164,49 @@ impl AtgChannel {
             return false;
         }
         self.data_rate_bps(radio, uav, user) >= min_rate_bps
+    }
+
+    /// A lower bound on the rate a UAV with `radio` hovering at
+    /// `altitude_m` offers anywhere within its coverage radius
+    /// `R_user`: the rate at ground distance `R_user`, widened down by
+    /// a relative margin of 1e-9 (applied to the SNR before the
+    /// Shannon map, whose `1 + SNR` rounding quantizes low rates
+    /// coarsely, and again to the rate). An in-range user demanding at
+    /// most this much is served without evaluating the channel.
+    ///
+    /// That the rate at `R_user` bounds the disc rests on the rate
+    /// falling with ground distance. It does when NLoS loses at least
+    /// as much as LoS, both S-curve constants are non-negative and the
+    /// UAV is not below ground (then the LoS probability falls with
+    /// distance, and the free-space loss rises). Otherwise, or if the
+    /// floor is not finite, this is `None` and every verdict is left
+    /// to [`can_serve`](Self::can_serve).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uavnet_channel::{AtgChannel, UavRadio};
+    /// use uavnet_geom::{Point2, Point3};
+    ///
+    /// let ch = AtgChannel::default();
+    /// let radio = UavRadio::new(30.0, 5.0, 500.0);
+    /// let floor = ch.rate_floor_bps(&radio, 300.0).unwrap();
+    /// assert!(2_000.0 <= floor); // a voice call is served anywhere in range
+    /// let uav = Point3::new(0.0, 0.0, 300.0);
+    /// assert!(floor < ch.data_rate_bps(&radio, uav, Point2::new(500.0, 0.0)));
+    /// ```
+    pub fn rate_floor_bps(&self, radio: &UavRadio, altitude_m: f64) -> Option<f64> {
+        let p = &self.params;
+        let monotone = p.eta_nlos_db() >= p.eta_los_db()
+            && p.s_curve_a() >= 0.0
+            && p.s_curve_b() >= 0.0
+            && altitude_m >= 0.0;
+        let uav = Point3::new(0.0, 0.0, altitude_m);
+        let edge = Point2::new(radio.user_range_m(), 0.0);
+        let widen = 1.0 - FLOOR_MARGIN;
+        let snr = snr_linear_from_db(self.snr_db(radio, uav, edge));
+        let floor = shannon_rate_bps(p.bandwidth_hz(), snr * widen) * widen;
+        (monotone && floor.is_finite()).then_some(floor)
     }
 }
 
@@ -289,6 +343,31 @@ mod tests {
         let rate = ch.data_rate_bps(&radio, uav, user);
         assert!(ch.can_serve(&radio, uav, user, rate * 0.9));
         assert!(!ch.can_serve(&radio, uav, user, rate * 1.1));
+    }
+
+    #[test]
+    fn rate_floor_sits_just_below_the_edge_rate() {
+        let ch = urban();
+        let radio = UavRadio::new(30.0, 5.0, 500.0);
+        let uav = Point3::new(0.0, 0.0, 300.0);
+        let floor = ch.rate_floor_bps(&radio, 300.0).unwrap();
+        let edge = ch.data_rate_bps(&radio, uav, Point2::new(500.0, 0.0));
+        assert!(floor < edge && edge - floor < edge * 1e-8);
+    }
+
+    #[test]
+    fn rate_floor_is_none_without_monotonicity() {
+        let radio = UavRadio::new(30.0, 5.0, 500.0);
+        let swapped = ChannelParams::builder().excess_loss_db(20.0, 1.0).build();
+        let inverted = ChannelParams::builder().s_curve(9.61, -0.16).build();
+        let negative_a = ChannelParams::builder().s_curve(-1.0, 0.16).build();
+        for params in [swapped, inverted, negative_a] {
+            let floor = AtgChannel::new(params).rate_floor_bps(&radio, 300.0);
+            assert_eq!(floor, None, "{params:?}");
+        }
+        assert_eq!(urban().rate_floor_bps(&radio, -1.0), None);
+        let blazing = UavRadio::new(f64::INFINITY, 0.0, 500.0);
+        assert_eq!(urban().rate_floor_bps(&blazing, 300.0), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::CoreError;
 use serde::{Deserialize, Serialize};
 use uavnet_channel::{AtgChannel, UavRadio, UavToUavChannel};
 use uavnet_flow::UserList;
-use uavnet_geom::{AreaSpec, CellIndex, Grid, Point2, SpatialIndex};
+use uavnet_geom::{AreaSpec, CellIndex, Grid, Point2, Point3, SpatialIndex};
 use uavnet_graph::Graph;
 
 /// A ground user: position and minimum data-rate requirement
@@ -37,7 +37,11 @@ pub struct Uav {
 ///   hovering locations within `R_uav` of each other;
 /// * **coverage tables**: for every distinct radio class and location,
 ///   the list of users that a UAV with that radio could serve there
-///   (range *and* rate admissible).
+///   (range *and* rate admissible). A demand at or below the class's
+///   [`rate_floor_bps`](AtgChannel::rate_floor_bps) is admitted on
+///   the range test alone, and only higher demands evaluate the exact
+///   [`AtgChannel::can_serve`], with the same lists as the exact test
+///   alone.
 ///
 /// The public API never mutates an instance:
 /// [`with_moved_users`](Instance::with_moved_users),
@@ -393,7 +397,8 @@ impl Instance {
     /// A user's membership can change only in the lists of cells
     /// within its class's range of its old or its new position, so
     /// those are the only cells visited, with the builder's own
-    /// prefilter and admissibility check.
+    /// prefilter and admissibility predicate (range, then the class's
+    /// rate floor, then the exact channel for demands above it).
     ///
     /// # Errors
     ///
@@ -449,16 +454,17 @@ impl Instance {
             .collect();
 
         let m = self.num_locations();
+        let altitude = self.grid.spec().altitude_m();
         let mut edits: Vec<(usize, u32, bool)> = Vec::new();
         for (class, radio) in self.class_radios().iter().enumerate() {
             let range = radio.user_range_m();
             let range_sq = range * range;
+            let floor = self.atg.rate_floor_bps(radio, altitude);
             for &(id, old, user) in &changed {
                 for loc in self.grid.cells_within(user.pos, range) {
                     let hover = self.grid.hover_position(loc);
-                    let member = self
-                        .atg
-                        .can_serve(radio, hover, user.pos, user.min_rate_bps);
+                    let d_sq = hover.to_plane().distance_sq(user.pos);
+                    let member = admits(&self.atg, radio, floor, hover, d_sq, &user);
                     if member != self.coverage.list(class, loc).contains(id) {
                         edits.push((class * m + loc, id, member));
                     }
@@ -572,6 +578,26 @@ fn coverable_bruteforce(
     list
 }
 
+/// The builder's admissibility predicate, equal to
+/// [`AtgChannel::can_serve`] for a user at squared planar distance
+/// `d_sq` from `hover` (as [`Point2::distance_sq`] computes it, so
+/// `d_sq.sqrt()` is bitwise `can_serve`'s range distance): the same
+/// range test, then the radio's rate `floor`
+/// ([`AtgChannel::rate_floor_bps`]), and the exact channel only for
+/// demands above it.
+fn admits(
+    atg: &AtgChannel,
+    radio: &UavRadio,
+    floor: Option<f64>,
+    hover: Point3,
+    d_sq: f64,
+    user: &User,
+) -> bool {
+    d_sq.sqrt() <= radio.user_range_m()
+        && (floor.is_some_and(|f| user.min_rate_bps <= f)
+            || atg.can_serve(radio, hover, user.pos, user.min_rate_bps))
+}
+
 /// Builder for [`Instance`]; see [`Instance::builder`].
 #[derive(Debug, Clone)]
 pub struct InstanceBuilder {
@@ -624,6 +650,18 @@ impl InstanceBuilder {
     }
 
     /// Validates and preprocesses the instance.
+    ///
+    /// The coverage tables come from one scan of a spatial index per
+    /// (radio class, location), which visits only the users in the bins
+    /// around the location. Each radio class gets its
+    /// [`rate_floor_bps`](AtgChannel::rate_floor_bps) once: when the
+    /// floor admits the highest minimum rate of all users (uniform
+    /// voice-rate demand), every user the index returns is served and
+    /// no user record or channel is consulted; otherwise an in-range
+    /// user demanding at most the floor is served, and only higher
+    /// demands evaluate [`AtgChannel::can_serve`]. Under
+    /// `debug-validate` every list is checked against the exact
+    /// all-pairs scan.
     ///
     /// A zone with **zero users** is a valid (degenerate) instance:
     /// every deployment serves nobody, but the solvers, validators and
@@ -681,42 +719,49 @@ impl InstanceBuilder {
         // coverage radius: a per-class query then touches only the
         // bins overlapping that class's coverage disc, making the
         // tables O(users + hits) per location instead of all-pairs.
-        let user_positions: Vec<Point2> = self.users.iter().map(|u| u.pos).collect();
         let max_range = classes
             .iter()
             .map(|r| r.user_range_m())
             .fold(0.0_f64, f64::max);
-        let user_index = SpatialIndex::build(&user_positions, max_range);
+        let user_index = SpatialIndex::build(self.users.iter().map(|u| u.pos), max_range);
+        let max_rate = self
+            .users
+            .iter()
+            .map(|u| u.min_rate_bps)
+            .fold(0.0_f64, f64::max);
+        let altitude = self.grid.spec().altitude_m();
 
         // Coverage tables per class and location, via the index. The
         // inclusive d² ≤ r² planar prefilter happens inside the index
-        // scan; the full admissibility check (rate requirement) runs
-        // on the survivors. Ids arrive bin-grouped, so each list is
-        // sorted before encoding to restore the ascending-uid
-        // invariant. Each list is encoded into the compressed store as
-        // soon as it is built — the uncompressed `Vec<Vec<u32>>` shape
-        // never materializes; one scratch buffer is reused throughout.
+        // scan; `admits` decides the survivors. When the class's rate
+        // floor admits even the most demanding user, every survivor is
+        // served (the prefilter implies `admits`' range test, since
+        // √fl(R²) = R in binary floating point) and no user record is
+        // read. Ids arrive as ascending per-bin runs, so each list is
+        // merged back into ascending-uid order before encoding. Each
+        // list is encoded into the compressed store as soon as it is
+        // built — the uncompressed `Vec<Vec<u32>>` shape never
+        // materializes; one scratch buffer is reused throughout.
         let mut coverage = CoverageTables::with_shape(classes.len(), m);
         let mut list: Vec<u32> = Vec::new();
+        let (atg, users) = (&self.atg, &self.users);
         for radio in &classes {
+            let range = radio.user_range_m();
+            let floor = atg.rate_floor_bps(radio, altitude);
+            let all_served = floor.is_some_and(|f| max_rate <= f);
             for loc in 0..m {
                 let center = self.grid.cell_center(loc);
                 let hover = self.grid.hover_position(loc);
                 list.clear();
-                user_index.for_each_within(&user_positions, center, radio.user_range_m(), |uid| {
-                    let user = &self.users[uid as usize];
-                    if self
-                        .atg
-                        .can_serve(radio, hover, user.pos, user.min_rate_bps)
-                    {
+                user_index.for_each_within(center, range, |uid, d_sq| {
+                    if all_served || admits(atg, radio, floor, hover, d_sq, &users[uid as usize]) {
                         list.push(uid);
                     }
                 });
-                list.sort_unstable();
+                list.sort();
                 #[cfg(feature = "debug-validate")]
                 {
-                    let brute =
-                        coverable_bruteforce(&self.atg, radio, &self.grid, loc, &self.users);
+                    let brute = coverable_bruteforce(atg, radio, &self.grid, loc, users);
                     assert_eq!(
                         list, brute,
                         "debug-validate: spatial coverage table diverges at loc {loc}"

@@ -463,13 +463,13 @@ impl CapacitatedMatching {
             matched, self.matched,
             "debug-validate: matched count drifted"
         );
-        for st in 0..self.num_stations() {
+        for (st, &load) in loads.iter().enumerate() {
             assert_eq!(
-                loads[st], self.station_load[st],
+                load, self.station_load[st],
                 "debug-validate: station {st} load drifted"
             );
             assert!(
-                loads[st] <= self.station_cap[st],
+                load <= self.station_cap[st],
                 "debug-validate: station {st} over capacity"
             );
         }

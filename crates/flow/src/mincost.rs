@@ -239,10 +239,10 @@ mod tests {
         // best of all 6 permutations.
         let costs = [[4i64, 1, 3], [2, 0, 5], [3, 2, 2]];
         let mut net = MinCostFlow::new(8); // s, w0..2, j0..2, t
-        for w in 0..3 {
+        for (w, row) in costs.iter().enumerate() {
             net.add_arc(0, 1 + w, 1, 0);
-            for j in 0..3 {
-                net.add_arc(1 + w, 4 + j, 1, costs[w][j]);
+            for (j, &cost) in row.iter().enumerate() {
+                net.add_arc(1 + w, 4 + j, 1, cost);
             }
         }
         for j in 0..3 {

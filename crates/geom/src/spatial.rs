@@ -13,19 +13,21 @@ use crate::Point2;
 ///
 /// Points are stored in CSR layout: `starts[b]..starts[b + 1]` slices
 /// `ids` with the (ascending) indices of the points falling into bin
-/// `b`. Queries scan the bins overlapping the query disc's bounding
-/// box and apply the exact `d² ≤ r²` test per point.
+/// `b`, and `pts` with their coordinates in the same order, so a query
+/// streams through contiguous memory instead of gathering by id. It
+/// scans the bins overlapping the query disc's bounding box and
+/// applies the exact `d² ≤ r²` test per point.
 ///
 /// # Examples
 ///
 /// ```
 /// use uavnet_geom::{Point2, SpatialIndex};
 ///
-/// let pts = vec![Point2::new(10.0, 10.0), Point2::new(500.0, 500.0)];
-/// let index = SpatialIndex::build(&pts, 100.0);
-/// let mut near: Vec<u32> = Vec::new();
-/// index.for_each_within(&pts, Point2::new(0.0, 0.0), 50.0, |id| near.push(id));
-/// assert_eq!(near, vec![0]);
+/// let pts = [Point2::new(10.0, 10.0), Point2::new(500.0, 500.0)];
+/// let index = SpatialIndex::build(pts.iter().copied(), 100.0);
+/// let mut near: Vec<(u32, f64)> = Vec::new();
+/// index.for_each_within(Point2::new(0.0, 0.0), 50.0, |id, d_sq| near.push((id, d_sq)));
+/// assert_eq!(near, vec![(0, 200.0)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
@@ -38,10 +40,15 @@ pub struct SpatialIndex {
     starts: Vec<u32>,
     /// Point indices grouped by bin, ascending within each bin.
     ids: Vec<u32>,
+    /// `pts[i]` is the position of point `ids[i]`.
+    pts: Vec<Point2>,
 }
 
 impl SpatialIndex {
-    /// Builds an index over `points` with square bins of side `bin_m`.
+    /// Builds an index over `points` (point `i` is the `i`-th item)
+    /// with square bins of side `bin_m`. The iterator is walked three
+    /// times, so callers can index positions held inside larger
+    /// records without first copying them out.
     ///
     /// The bin side should be on the order of the largest query radius:
     /// a radius-`r` query then touches at most `⌈r/bin⌉ + 2` bins per
@@ -50,9 +57,8 @@ impl SpatialIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `points.len()` exceeds `u32::MAX`.
-    pub fn build(points: &[Point2], bin_m: f64) -> Self {
-        assert!(points.len() <= u32::MAX as usize, "too many points");
+    /// Panics if there are more than `u32::MAX` points.
+    pub fn build(points: impl Iterator<Item = Point2> + Clone, bin_m: f64) -> Self {
         let bin_m = if bin_m.is_finite() && bin_m > 0.0 {
             bin_m
         } else {
@@ -60,13 +66,16 @@ impl SpatialIndex {
         };
         let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
         let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for p in points {
+        let mut len = 0usize;
+        for p in points.clone() {
             min_x = min_x.min(p.x);
             min_y = min_y.min(p.y);
             max_x = max_x.max(p.x);
             max_y = max_y.max(p.y);
+            len += 1;
         }
-        if points.is_empty() {
+        assert!(len <= u32::MAX as usize, "too many points");
+        if len == 0 {
             return SpatialIndex {
                 bin_m: 1.0,
                 min_x: 0.0,
@@ -75,6 +84,7 @@ impl SpatialIndex {
                 rows: 1,
                 starts: vec![0, 0],
                 ids: Vec::new(),
+                pts: Vec::new(),
             };
         }
         let span_x = (max_x - min_x).max(0.0);
@@ -96,18 +106,21 @@ impl SpatialIndex {
             by * cols + bx
         };
         let mut counts = vec![0u32; num_bins + 1];
-        for p in points {
-            counts[bin_of(p) + 1] += 1;
+        for p in points.clone() {
+            counts[bin_of(&p) + 1] += 1;
         }
         for b in 0..num_bins {
             counts[b + 1] += counts[b];
         }
         let starts = counts.clone();
-        let mut ids = vec![0u32; points.len()];
+        let mut ids = vec![0u32; len];
+        let mut pts = vec![Point2::ORIGIN; len];
         let mut cursor = counts;
-        for (i, p) in points.iter().enumerate() {
-            let b = bin_of(p);
-            ids[cursor[b] as usize] = i as u32;
+        for (i, p) in points.enumerate() {
+            let b = bin_of(&p);
+            let slot = cursor[b] as usize;
+            ids[slot] = i as u32;
+            pts[slot] = p;
             cursor[b] += 1;
         }
         SpatialIndex {
@@ -118,6 +131,7 @@ impl SpatialIndex {
             rows,
             starts,
             ids,
+            pts,
         }
     }
 
@@ -139,20 +153,15 @@ impl SpatialIndex {
         self.bin_m
     }
 
-    /// Calls `f` with the id of every indexed point within `radius_m`
-    /// (Euclidean, inclusive: `d² ≤ r²`) of `center`.
+    /// Calls `f(id, d²)` for every indexed point within `radius_m`
+    /// (Euclidean, inclusive: `d² ≤ r²`) of `center`, where `d²` is
+    /// [`Point2::distance_sq`] from the point to `center`.
     ///
-    /// Ids arrive grouped by bin — ascending within a bin but **not**
-    /// globally sorted; callers needing sorted output must sort. The
-    /// caller supplies the point coordinates, so the exact distance
-    /// test runs here against the index's own copy-free CSR ids.
-    pub fn for_each_within(
-        &self,
-        points: &[Point2],
-        center: Point2,
-        radius_m: f64,
-        mut f: impl FnMut(u32),
-    ) {
+    /// Ids arrive as one ascending run per scanned bin (at most nine
+    /// when `radius_m` is at most the bin side) but are **not**
+    /// globally sorted; callers needing sorted output must sort, and a
+    /// run-aware sort such as `slice::sort` merges the runs cheaply.
+    pub fn for_each_within(&self, center: Point2, radius_m: f64, mut f: impl FnMut(u32, f64)) {
         if radius_m < 0.0 || !radius_m.is_finite() || self.ids.is_empty() {
             return;
         }
@@ -169,13 +178,13 @@ impl SpatialIndex {
         let hi_bx = hi_bx.min(self.cols - 1);
         let hi_by = hi_by.min(self.rows - 1);
         for by in lo_by..=hi_by {
-            for bx in lo_bx..=hi_bx {
-                let b = by * self.cols + bx;
-                let (s, e) = (self.starts[b] as usize, self.starts[b + 1] as usize);
-                for &id in &self.ids[s..e] {
-                    if points[id as usize].distance_sq(center) <= r_sq {
-                        f(id);
-                    }
+            // The bins `lo_bx..=hi_bx` of one row are adjacent in CSR.
+            let s = self.starts[by * self.cols + lo_bx] as usize;
+            let e = self.starts[by * self.cols + hi_bx + 1] as usize;
+            for (&id, p) in self.ids[s..e].iter().zip(&self.pts[s..e]) {
+                let d_sq = p.distance_sq(center);
+                if d_sq <= r_sq {
+                    f(id, d_sq);
                 }
             }
         }
@@ -333,7 +342,7 @@ mod tests {
     fn matches_bruteforce_across_radii_and_bins() {
         let pts = cloud();
         for bin in [30.0, 100.0, 333.0, 5000.0] {
-            let index = SpatialIndex::build(&pts, bin);
+            let index = SpatialIndex::build(pts.iter().copied(), bin);
             for (cx, cy, r) in [
                 (0.0, 0.0, 150.0),
                 (500.0, 500.0, 100.0),
@@ -344,7 +353,10 @@ mod tests {
             ] {
                 let center = Point2::new(cx, cy);
                 let mut got = Vec::new();
-                index.for_each_within(&pts, center, r, |id| got.push(id));
+                index.for_each_within(center, r, |id, d_sq| {
+                    assert_eq!(d_sq, pts[id as usize].distance_sq(center));
+                    got.push(id);
+                });
                 got.sort_unstable();
                 assert_eq!(
                     got,
@@ -357,18 +369,18 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        let empty = SpatialIndex::build(&[], 100.0);
+        let empty = SpatialIndex::build(std::iter::empty(), 100.0);
         assert!(empty.is_empty());
         let mut hits = 0;
-        empty.for_each_within(&[], Point2::new(0.0, 0.0), 1e9, |_| hits += 1);
+        empty.for_each_within(Point2::new(0.0, 0.0), 1e9, |_, _| hits += 1);
         assert_eq!(hits, 0);
 
         // All points coincident; zero span still indexes.
-        let pts = vec![Point2::new(5.0, 5.0); 4];
-        let idx = SpatialIndex::build(&pts, 10.0);
+        let pts = [Point2::new(5.0, 5.0); 4];
+        let idx = SpatialIndex::build(pts.iter().copied(), 10.0);
         assert_eq!(idx.len(), 4);
         let mut got = Vec::new();
-        idx.for_each_within(&pts, Point2::new(5.0, 5.0), 0.0, |id| got.push(id));
+        idx.for_each_within(Point2::new(5.0, 5.0), 0.0, |id, _| got.push(id));
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
     }
@@ -377,10 +389,10 @@ mod tests {
     fn invalid_bin_degrades_to_single_bin() {
         let pts = cloud();
         for bad in [0.0, -5.0, f64::NAN, f64::INFINITY] {
-            let idx = SpatialIndex::build(&pts, bad);
+            let idx = SpatialIndex::build(pts.iter().copied(), bad);
             let center = Point2::new(400.0, 600.0);
             let mut got = Vec::new();
-            idx.for_each_within(&pts, center, 250.0, |id| got.push(id));
+            idx.for_each_within(center, 250.0, |id, _| got.push(id));
             got.sort_unstable();
             assert_eq!(got, brute(&pts, center, 250.0), "bin {bad}");
         }
@@ -389,20 +401,20 @@ mod tests {
     #[test]
     fn negative_or_nan_radius_yields_nothing() {
         let pts = cloud();
-        let idx = SpatialIndex::build(&pts, 100.0);
+        let idx = SpatialIndex::build(pts.iter().copied(), 100.0);
         for r in [-1.0, f64::NAN] {
             let mut hits = 0;
-            idx.for_each_within(&pts, Point2::new(500.0, 500.0), r, |_| hits += 1);
+            idx.for_each_within(Point2::new(500.0, 500.0), r, |_, _| hits += 1);
             assert_eq!(hits, 0);
         }
     }
 
     #[test]
     fn boundary_distance_is_inclusive() {
-        let pts = vec![Point2::new(0.0, 0.0), Point2::new(100.0, 0.0)];
-        let idx = SpatialIndex::build(&pts, 50.0);
+        let pts = [Point2::new(0.0, 0.0), Point2::new(100.0, 0.0)];
+        let idx = SpatialIndex::build(pts.iter().copied(), 50.0);
         let mut got = Vec::new();
-        idx.for_each_within(&pts, Point2::new(0.0, 0.0), 100.0, |id| got.push(id));
+        idx.for_each_within(Point2::new(0.0, 0.0), 100.0, |id, _| got.push(id));
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]); // d == r is inside
     }

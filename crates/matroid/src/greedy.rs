@@ -291,11 +291,11 @@ mod tests {
         let mut chosen: Vec<usize> = Vec::new();
         for _ in 0..max_picks {
             let mut best: Option<(u64, usize)> = None;
-            for e in 0..sets.len() {
+            for (e, set) in sets.iter().enumerate() {
                 if chosen.contains(&e) || !feasible(&chosen, e) {
                     continue;
                 }
-                let g = sets[e].iter().filter(|&&i| !covered[i]).count() as u64;
+                let g = set.iter().filter(|&&i| !covered[i]).count() as u64;
                 let better = match best {
                     None => true,
                     Some((bg, be)) => g > bg || (g == bg && e < be),
@@ -489,9 +489,9 @@ mod tests {
                     continue;
                 }
                 let mut cov = vec![false; universe];
-                for e in 0..num_sets {
+                for (e, set) in sets.iter().enumerate() {
                     if mask >> e & 1 == 1 {
-                        for &i in &sets[e] {
+                        for &i in set {
                             cov[i] = true;
                         }
                     }

@@ -127,3 +127,79 @@ proptest! {
         prop_assert_eq!(served, in_range && rate_ok);
     }
 }
+
+prop_compose! {
+    /// Channel parameters of one of the four environments, as is or
+    /// with a shape under which the rate need not fall with ground
+    /// distance: the excess losses swapped (`η_NLoS < η_LoS`) or the
+    /// S-curve slope `b` negated. The flag says whether the rate is
+    /// monotone.
+    fn floor_params()(env in environments(), shape in 0u8..6) -> (ChannelParams, bool) {
+        let mut builder = ChannelParams::builder();
+        builder.environment(env);
+        let (los, nlos) = env.excess_loss_db();
+        let (a, b) = env.s_curve();
+        match shape {
+            0 => builder.excess_loss_db(nlos, los),
+            1 => builder.s_curve(a, -b),
+            _ => &mut builder,
+        };
+        (builder.build(), shape >= 2)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// An in-range user demanding exactly a radio's rate floor (and
+    /// so any lower demand) is served by the exact `can_serve`, from
+    /// the hover point to exactly `R_user`, and the floor sits within
+    /// 1e-8 of the rate at `R_user`. Half the users sit at `R_user` up
+    /// to rounding, where an unwidened floor fails. A channel whose
+    /// rate need not fall with distance has no floor.
+    #[test]
+    fn rate_floor_never_contradicts_can_serve(
+        (params, monotone) in floor_params(),
+        altitude in 50.0f64..1_000.0,
+        (tx_dbm, gain_dbi) in (-40.0f64..40.0, 0.0f64..10.0),
+        range in 100.0f64..2_000.0,
+        (center_x, center_y) in (0.0f64..12_000.0, 0.0f64..12_000.0),
+        angle in 0.0f64..std::f64::consts::TAU,
+        (place, frac) in (0u8..4, 0.0f64..1.2),
+    ) {
+        let ch = AtgChannel::new(params);
+        let radio = UavRadio::new(tx_dbm, gain_dbi, range);
+        let floor = ch.rate_floor_bps(&radio, altitude);
+        prop_assert_eq!(floor.is_some(), monotone, "{:?}", params);
+        prop_assume!(monotone);
+        let floor = floor.unwrap();
+        let origin = Point3::new(0.0, 0.0, altitude);
+        let at_edge = ch.data_rate_bps(&radio, origin, Point2::new(range, 0.0));
+        prop_assert!(floor <= at_edge && at_edge - floor <= at_edge * 1e-8);
+
+        // Exactly R_user from a UAV at the origin, R_user up to
+        // rounding from an off-origin UAV, or anywhere in [0, 1.2·R].
+        let (uav, user) = match place {
+            0 => (origin, Point2::new(range, 0.0)),
+            1 | 2 => (
+                Point3::new(center_x, center_y, altitude),
+                Point2::new(center_x + range * angle.cos(), center_y + range * angle.sin()),
+            ),
+            _ => (
+                Point3::new(center_x, center_y, altitude),
+                Point2::new(
+                    center_x + frac * range * angle.cos(),
+                    center_y + frac * range * angle.sin(),
+                ),
+            ),
+        };
+        if uav.to_plane().distance(user) <= range {
+            prop_assert!(
+                ch.can_serve(&radio, uav, user, floor),
+                "floor {} rate {}",
+                floor,
+                ch.data_rate_bps(&radio, uav, user)
+            );
+        }
+    }
+}

@@ -8,24 +8,91 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use uavnet::channel::UavRadio;
+use uavnet::channel::{AtgChannel, ChannelParams, Environment, UavRadio};
 use uavnet::core::{
     approx_alg_sharded, approx_alg_with_stats, check_connection_substrate, ApproxConfig, Instance,
     ShardConfig, User,
 };
-use uavnet::geom::{AreaSpec, GridSpec, Point2};
+use uavnet::geom::{AreaSpec, GridSpec, Point2, Point3};
 use uavnet::graph::{
     bfs_hops, connected_components, ConnectivitySubstrate, Graph, UNREACHABLE_HOPS,
 };
 
+/// A user's minimum-rate demand, resolved against an instance's
+/// channel and radio classes by [`min_rate`].
+#[derive(Debug, Clone, Copy)]
+struct Demand {
+    /// A 2 kbit/s voice call; otherwise a rate between one class's
+    /// rates at `R_user` and overhead, above that class's rate floor,
+    /// which only the exact channel decides.
+    voice: bool,
+    /// The class a non-voice demand is drawn against.
+    class: usize,
+    /// Where in that class's rate range a non-voice demand lies.
+    t: f64,
+}
+
 prop_compose! {
-    /// Random small scenario; some draws get a gateway so the
-    /// gateway-extension arm of the substrate oracle is exercised.
+    fn demands()(voice in 0u8..2, class in 0usize..2, t in 0.0f64..1.0) -> Demand {
+        Demand { voice: voice == 1, class, t }
+    }
+}
+
+prop_compose! {
+    /// Channel parameters of one of the four environments, or of a
+    /// channel whose rate does not fall with ground distance (high-rise
+    /// with its excess losses swapped, so the rate rises toward the
+    /// coverage edge; or urban with a negated S-curve slope), on which
+    /// no class has a rate floor and every verdict is exact.
+    fn channels()(shape in 0u8..6) -> ChannelParams {
+        let mut b = ChannelParams::builder();
+        match shape {
+            0 => b.environment(Environment::Suburban),
+            1 => b.environment(Environment::Urban),
+            2 => b.environment(Environment::DenseUrban),
+            3 => b.environment(Environment::Highrise),
+            4 => b.environment(Environment::Highrise).excess_loss_db(34.0, 2.3),
+            _ => b.s_curve(9.61, -0.16),
+        };
+        b.build()
+    }
+}
+
+/// The minimum rate `demand` asks for, given the channel, the two
+/// radio classes and the hovering altitude.
+fn min_rate(atg: &AtgChannel, radios: [UavRadio; 2], altitude: f64, demand: Demand) -> f64 {
+    if demand.voice {
+        return 2_000.0;
+    }
+    let radio = radios[demand.class];
+    let uav = Point3::new(0.0, 0.0, altitude);
+    let edge = atg.data_rate_bps(&radio, uav, Point2::new(radio.user_range_m(), 0.0));
+    let overhead = atg.data_rate_bps(&radio, uav, Point2::ORIGIN);
+    edge.min(overhead) + demand.t * (edge - overhead).abs()
+}
+
+/// The two radio classes of an instance built by `instances()`: UAVs
+/// alternate between them (a one-UAV fleet has only the first).
+fn class_radios(instance: &Instance) -> [UavRadio; 2] {
+    let uavs = instance.uavs();
+    [uavs[0].radio, uavs[uavs.len().min(2) - 1].radio]
+}
+
+prop_compose! {
+    /// Random small scenario whose UAVs alternate between two radio
+    /// classes; some draws get a gateway so the gateway-extension arm
+    /// of the substrate oracle is exercised. A third of the draws give
+    /// every user 2 kbit/s, so the builder admits whole classes without
+    /// reading users; the rest mix voice calls with demands inside a
+    /// class's rate range.
     fn instances()(
-        seed_users in vec((0.0f64..1_500.0, 0.0f64..1_500.0), 1..30),
+        seed_users in vec((0.0f64..1_500.0, 0.0f64..1_500.0, demands()), 1..30),
         caps in vec(1u32..8, 1..5),
         uav_range in 320.0f64..700.0,
         user_range in 250.0f64..500.0,
+        weak in (-40.0f64..30.0, 250.0f64..500.0),
+        params in channels(),
+        voice_only in 0u8..3,
         gateway in proptest::option::of((0.0f64..1_500.0, 0.0f64..1_500.0)),
     ) -> Instance {
         let grid = GridSpec::new(
@@ -35,12 +102,19 @@ prop_compose! {
         )
         .unwrap()
         .build();
+        let atg = AtgChannel::new(params);
+        let radios = [UavRadio::new(30.0, 5.0, user_range), UavRadio::new(weak.0, 3.0, weak.1)];
         let mut b = Instance::builder(grid, uav_range);
-        for (x, y) in seed_users {
-            b.add_user(Point2::new(x, y), 2_000.0);
+        b.atg_channel(atg);
+        for (x, y, demand) in seed_users {
+            let rate = match voice_only {
+                0 => 2_000.0,
+                _ => min_rate(&atg, radios, 300.0, demand),
+            };
+            b.add_user(Point2::new(x, y), rate);
         }
-        for cap in caps {
-            b.add_uav(cap, UavRadio::new(30.0, 5.0, user_range));
+        for (k, cap) in caps.into_iter().enumerate() {
+            b.add_uav(cap, radios[k % 2]);
         }
         if let Some((gx, gy)) = gateway {
             b.gateway(Point2::new(gx, gy));
@@ -75,7 +149,7 @@ enum PatchStep {
     /// Raw ids (taken modulo the user count) and their new positions.
     Move(Vec<(u32, Point2)>),
     /// Users appended by a surge.
-    Surge(Vec<Point2>),
+    Surge(Vec<(Point2, Demand)>),
 }
 
 prop_compose! {
@@ -84,7 +158,7 @@ prop_compose! {
     fn patch_steps()(
         surge in 0u8..2,
         moves in vec((0u32..1_000, zone_points()), 1..41),
-        extra in vec(zone_points(), 1..11),
+        extra in vec((zone_points(), demands()), 1..11),
     ) -> PatchStep {
         if surge == 1 {
             PatchStep::Surge(extra)
@@ -178,8 +252,9 @@ proptest! {
 
     /// Mobility and surge deltas patch only the coverage lists they
     /// can change; after every step the patched instance must equal a
-    /// fresh build of the same users: decoded lists, encoded bytes,
-    /// best coverage per cell, users and fingerprint.
+    /// fresh build of the same users (decoded lists, encoded bytes,
+    /// best coverage per cell, users and fingerprint) and the
+    /// all-pairs exact-channel tables.
     #[test]
     fn patched_instance_equals_fresh_build(
         instance in instances(),
@@ -195,15 +270,23 @@ proptest! {
                     patched.with_moved_users(&moves).unwrap()
                 }
                 PatchStep::Surge(points) => {
+                    let (atg, radios) = (patched.atg(), class_radios(&patched));
+                    let altitude = patched.grid().spec().altitude_m();
                     let extra: Vec<User> = points
                         .into_iter()
-                        .map(|pos| User { pos, min_rate_bps: 2_000.0 })
+                        .map(|(pos, demand)| User {
+                            pos,
+                            min_rate_bps: min_rate(atg, radios, altitude, demand),
+                        })
                         .collect();
                     patched.with_extra_users(&extra).unwrap()
                 }
             };
             let fresh = fresh_build(&patched);
             prop_assert_eq!(patched.coverage_tables(), fresh.coverage_tables());
+            // Both share the builder's predicate; the all-pairs scan
+            // with the exact channel is the independent check.
+            prop_assert_eq!(patched.coverage_tables(), patched.coverage_tables_bruteforce());
             prop_assert_eq!(patched.coverage_memory(), fresh.coverage_memory());
             for loc in 0..patched.num_locations() {
                 prop_assert_eq!(patched.best_coverage_count(loc), fresh.best_coverage_count(loc));
