@@ -242,8 +242,8 @@ fn main() -> ExitCode {
     )));
     if record_obs {
         assert!(
-            metrics_body.contains("uavnet_resolve_deltas_total"),
-            "obs build must scrape live resolve.* counters:\n{metrics_body}"
+            metrics_body.contains("uavnet_phase_count{phase=\"resolve.apply\"}"),
+            "obs build must scrape live resolve.* phases:\n{metrics_body}"
         );
         assert!(
             metrics_body.contains("uavnet_service_uptime_seconds"),
@@ -265,7 +265,7 @@ fn main() -> ExitCode {
 
     // Per-stage latency attribution from the recorded session:
     // queue-wait / apply / publish from the `service.*` phases, repair
-    // from the solver's repair histogram.
+    // from the solver's `repair` phase.
     let stages = metrics.as_ref().map(|metrics| {
         let mut stages = Vec::new();
         for (label, phase) in [
@@ -284,8 +284,8 @@ fn main() -> ExitCode {
             stages.push((label, stage_json(p.count, p.p50_ns, p.p90_ns, p.p99_ns)));
         }
         let repair = metrics
-            .hist("resolve.repair_ns")
-            .expect("recorded session must carry the repair histogram");
+            .phase("repair")
+            .expect("recorded session must carry the repair phase");
         stages.push((
             "repair",
             stage_json(repair.count, repair.p50_ns, repair.p90_ns, repair.p99_ns),

@@ -50,7 +50,6 @@ impl SegmentPlan {
                 "s = {s} exceeds the fleet size K = {k}"
             )));
         }
-        uavnet_obs::counters::ALG1_PLANS.add(1);
         let _span = uavnet_obs::phases::ALG1_PLAN.span();
         // Binary search the largest feasible L in [s, k]: the minimal
         // relay bound is non-decreasing in L, and L = s is always

@@ -225,6 +225,10 @@ pub struct ApproxStats {
     /// sweep. Deterministic for a given instance and configuration,
     /// independent of the thread count.
     pub gain_queries: u64,
+    /// Work of the per-subset kernels (greedy, matching, connection)
+    /// over every evaluated subset; deterministic and thread-count
+    /// invariant like `gain_queries`.
+    pub kernel: KernelCounts,
     /// Spatial tiles solved by the sharded sweep (zero for the
     /// monolithic paths).
     pub tiles_solved: usize,
@@ -240,6 +244,72 @@ pub struct ApproxStats {
     /// Wall-clock and memory profile of the sweep (not deterministic;
     /// excluded from equivalence comparisons).
     pub profile: SweepProfile,
+}
+
+/// Work counts of Algorithm 2's per-subset kernels — the lazy greedy,
+/// the matching behind its gain queries and commits, and the MST
+/// connection — summed over the subsets a sweep evaluated.
+///
+/// Each kernel counts into its own workspace, and the sweep adds a
+/// subset's share to its totals only once the subset is decided: work
+/// a tile view spends on a subset that escapes it is dropped. The
+/// totals therefore do not depend on the thread count or the tiling,
+/// and the materialized reference reproduces them whenever nothing was
+/// bound-pruned. The leftover pass and the final scoring are not
+/// counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct KernelCounts {
+    /// Lazy-greedy heap pops answered by a still-current cached gain,
+    /// without an oracle evaluation (CELF bound hits).
+    pub greedy_bound_hits: u64,
+    /// Lazy-greedy heap re-seeds after a radio-class change between
+    /// picks invalidated the cached gains.
+    pub greedy_bound_reseeds: u64,
+    /// Locations the lazy greedy committed.
+    pub greedy_commits: u64,
+    /// Augmenting-path BFS runs of the matching, in gain queries and
+    /// commits alike.
+    pub matching_bfs_restarts: u64,
+    /// Users the matching's free-user pre-pass claimed without a BFS.
+    pub matching_prepass_hits: u64,
+    /// MST connections of two or more chosen locations.
+    pub mst_connections: u64,
+    /// Relay cells those connections added.
+    pub relays_added: u64,
+    /// Gateway extensions that had to add cells.
+    pub gateway_extensions: u64,
+    /// Connections and gateway extensions that found no path.
+    pub connect_failures: u64,
+}
+
+impl KernelCounts {
+    fn zip(self, o: Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        KernelCounts {
+            greedy_bound_hits: f(self.greedy_bound_hits, o.greedy_bound_hits),
+            greedy_bound_reseeds: f(self.greedy_bound_reseeds, o.greedy_bound_reseeds),
+            greedy_commits: f(self.greedy_commits, o.greedy_commits),
+            matching_bfs_restarts: f(self.matching_bfs_restarts, o.matching_bfs_restarts),
+            matching_prepass_hits: f(self.matching_prepass_hits, o.matching_prepass_hits),
+            mst_connections: f(self.mst_connections, o.mst_connections),
+            relays_added: f(self.relays_added, o.relays_added),
+            gateway_extensions: f(self.gateway_extensions, o.gateway_extensions),
+            connect_failures: f(self.connect_failures, o.connect_failures),
+        }
+    }
+}
+
+impl std::ops::AddAssign for KernelCounts {
+    fn add_assign(&mut self, o: Self) {
+        *self = self.zip(o, |a, b| a + b);
+    }
+}
+
+impl std::ops::Sub for KernelCounts {
+    type Output = Self;
+    fn sub(self, o: Self) -> Self {
+        self.zip(o, |a, b| a - b)
+    }
 }
 
 /// Per-phase wall-clock profile of the subset sweep, summed across
@@ -343,7 +413,7 @@ pub(crate) fn sweep(
         // then reads precomputed hop rows for matroid depths, MST
         // weights and relay paths instead of re-running BFS per subset.
         let t_substrate = Instant::now();
-        let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
+        let substrate = build_substrate(instance)?;
         let substrate_build_ns = t_substrate.elapsed().as_nanos() as u64;
         let ctx = SearchContext::new(instance, config, &plan, &substrate);
         if let Some(limit) = config.max_subsets {
@@ -376,6 +446,7 @@ pub(crate) fn sweep(
         subsets_unconnectable: tally.unconnectable,
         best_seeds: best.as_ref().map(|(.., seeds)| seeds.clone()),
         gain_queries: tally.gain_queries,
+        kernel: tally.kernel,
         tiles_solved: tally.tiles_solved,
         view_escapes: tally.view_escapes,
         strategy: config.strategy.name(),
@@ -397,6 +468,13 @@ pub(crate) fn sweep(
         .validate(instance)
         .expect("debug-validate: sweep produced a solution its own validator rejects");
     Ok((solution, stats))
+}
+
+/// The instance's connectivity substrate, timed as the
+/// `substrate_build` phase.
+pub(crate) fn build_substrate(instance: &Instance) -> Result<ConnectivitySubstrate, CoreError> {
+    let _span = uavnet_obs::phases::SUBSTRATE_BUILD.span();
+    Ok(ConnectivitySubstrate::build(instance.location_graph())?)
 }
 
 /// The seed pool: locations admitted as enumeration candidates, in
@@ -586,6 +664,7 @@ pub fn approx_alg_materialized(
                 }
             }
             tally.gain_queries += ws.gain_queries();
+            tally.kernel += ws.counts();
         }
         Ok((best, tally))
     })
@@ -832,6 +911,9 @@ pub(crate) struct SweepWorkspace<'a> {
     gateway_cells: Vec<CellIndex>,
     oracle: CoverageOracle<'a>,
     greedy: LazyGreedyWorkspace,
+    /// The connection fields of [`counts`](Self::counts); the greedy
+    /// and matching fields stay zero here.
+    connect: KernelCounts,
     ground: Vec<usize>,
     locs: Vec<usize>,
     relays: Vec<usize>,
@@ -846,6 +928,7 @@ impl<'a> SweepWorkspace<'a> {
             gateway_cells: instance.gateway_cells(),
             oracle: CoverageOracle::new(instance),
             greedy: LazyGreedyWorkspace::new(),
+            connect: KernelCounts::default(),
             ground: Vec::new(),
             locs: Vec::new(),
             relays: Vec::new(),
@@ -884,6 +967,20 @@ impl<'a> SweepWorkspace<'a> {
     /// evaluated.
     pub(crate) fn gain_queries(&self) -> u64 {
         self.oracle.gain_queries()
+    }
+
+    /// Cumulative kernel work across every subset this workspace
+    /// evaluated.
+    pub(crate) fn counts(&self) -> KernelCounts {
+        let (greedy, matching) = (self.greedy.counts(), self.oracle.matching_counts());
+        KernelCounts {
+            greedy_bound_hits: greedy.bound_hits,
+            greedy_bound_reseeds: greedy.bound_reseeds,
+            greedy_commits: greedy.commits,
+            matching_bfs_restarts: matching.bfs_restarts,
+            matching_prepass_hits: matching.prepass_hits,
+            ..self.connect
+        }
     }
 
     /// Greedy + connection + scoring for one seed subset; on
@@ -948,9 +1045,14 @@ impl<'a> SweepWorkspace<'a> {
             None => connect_via_mst(graph, &self.locs),
         };
         let Ok(mut all) = connected else {
+            self.connect.connect_failures += 1;
             profile.connection_ns += t.elapsed().as_nanos() as u64;
             return SubsetOutcome::Unconnectable;
         };
+        if self.locs.len() > 1 {
+            self.connect.mst_connections += 1;
+            self.connect.relays_added += (all.len() - self.locs.len()) as u64;
+        }
         if instance.gateway().is_some() {
             let extended = match self.substrate {
                 Some(sub) => crate::connecting::extend_to_gateway_substrate(
@@ -964,9 +1066,11 @@ impl<'a> SweepWorkspace<'a> {
                 }),
             };
             let Ok(extra) = extended else {
+                self.connect.connect_failures += 1;
                 profile.connection_ns += t.elapsed().as_nanos() as u64;
                 return SubsetOutcome::Unconnectable;
             };
+            self.connect.gateway_extensions += u64::from(!extra.is_empty());
             all.extend(extra);
         }
         let connection = t.elapsed().as_nanos() as u64;

@@ -125,7 +125,6 @@ pub fn connect_via_mst(graph: &Graph, nodes: &[usize]) -> Result<Vec<usize>, Con
                 .copied()
                 .find(|&w| d[w].is_none())
                 .unwrap_or(nodes[0]);
-            uavnet_obs::counters::CONNECT_FAILURES.add(1);
             return Err(ConnectError::Unreachable { a: nodes[0], b });
         }
     };
@@ -151,8 +150,6 @@ pub fn connect_via_mst(graph: &Graph, nodes: &[usize]) -> Result<Vec<usize>, Con
         }
     }
     let pruned = prune_relay_leaves(graph, nodes, all);
-    uavnet_obs::counters::CONNECT_MST_CONNECTIONS.add(1);
-    uavnet_obs::counters::CONNECT_RELAYS_ADDED.add((pruned.len() - nodes.len()) as u64);
     #[cfg(feature = "debug-validate")]
     {
         assert!(
@@ -222,7 +219,6 @@ pub fn connect_via_substrate(
                 .copied()
                 .find(|&w| row[w] == UNREACHABLE_HOPS)
                 .unwrap_or(nodes[0]);
-            uavnet_obs::counters::CONNECT_FAILURES.add(1);
             return Err(ConnectError::Unreachable { a: nodes[0], b });
         }
     };
@@ -255,8 +251,6 @@ pub fn connect_via_substrate(
         }
     }
     let pruned = prune_relay_leaves(graph, nodes, all);
-    uavnet_obs::counters::CONNECT_MST_CONNECTIONS.add(1);
-    uavnet_obs::counters::CONNECT_RELAYS_ADDED.add((pruned.len() - nodes.len()) as u64);
     #[cfg(feature = "debug-validate")]
     {
         assert_eq!(
@@ -358,7 +352,6 @@ pub fn extend_to_gateway(
         .filter_map(|c| dist[c].map(|d| (d, c)))
         .min();
     let Some((_, target)) = target else {
-        uavnet_obs::counters::CONNECT_FAILURES.add(1);
         return Err(ConnectError::Unreachable {
             a: current[0],
             b: (0..graph.num_nodes())
@@ -384,7 +377,6 @@ pub fn extend_to_gateway(
         .expect("target reachable implies a finite back-distance");
     let path = shortest_path(graph, start, target)
         .expect("finite back-distance implies a path on the same graph");
-    uavnet_obs::counters::CONNECT_GATEWAY_EXTENSIONS.add(1);
     Ok(path.into_iter().filter(|v| !current.contains(v)).collect())
 }
 
@@ -435,7 +427,6 @@ pub fn extend_to_gateway_substrate(
         })
         .min();
     let Some((_, target)) = target else {
-        uavnet_obs::counters::CONNECT_FAILURES.add(1);
         return Err(ConnectError::Unreachable {
             a: current[0],
             b: gateway_cells.first().copied().unwrap_or(current[0]),
@@ -462,7 +453,6 @@ pub fn extend_to_gateway_substrate(
             b: target,
         });
     };
-    uavnet_obs::counters::CONNECT_GATEWAY_EXTENSIONS.add(1);
     Ok(path.into_iter().filter(|v| !current.contains(v)).collect())
 }
 

@@ -35,7 +35,7 @@
 //! `debug-validate` every [`SolverLoop::apply`] call runs that
 //! comparison inline.
 
-use crate::approx::{approx_alg, ApproxConfig};
+use crate::approx::{approx_alg, build_substrate, ApproxConfig};
 use crate::assign::{assign_users, Assignment};
 use crate::connecting::{connect_via_substrate, extend_to_gateway_substrate};
 use crate::model::User;
@@ -177,8 +177,6 @@ fn plan_repair(
     mut survivors: Vec<(usize, CellIndex)>,
     dead: &[bool],
 ) -> Result<RepairPlan, CoreError> {
-    uavnet_obs::counters::RESOLVE_REPAIRS.add(1);
-    let _timer = uavnet_obs::hists::REPAIR_NS.timer();
     let _span = uavnet_obs::phases::REPAIR.span();
     let graph = degraded.location_graph();
     let mut dropped = 0usize;
@@ -374,7 +372,7 @@ impl SolverLoop {
         config: LoopConfig,
     ) -> Result<Self, CoreError> {
         check_placement_ranges(&instance, solution.deployment().placements())?;
-        let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
+        let substrate = build_substrate(&instance)?;
         let partition = TilePartition::build(
             instance.grid().cols(),
             instance.grid().rows(),
@@ -511,9 +509,7 @@ impl SolverLoop {
     /// * [`CoreError::Substrate`] if a severed-link rebuild exceeds
     ///   the substrate's limits.
     pub fn apply(&mut self, delta: Delta) -> Result<DeltaOutcome, CoreError> {
-        uavnet_obs::counters::RESOLVE_DELTAS.add(1);
         let _span = uavnet_obs::phases::RESOLVE_APPLY.span();
-        let _timer = uavnet_obs::hists::DELTA_APPLY.timer();
         let before = self.stats.clone();
         let cold_solved = match delta {
             Delta::KillUavs(ids) => self.apply_kill(&ids)?,
@@ -524,14 +520,16 @@ impl SolverLoop {
         self.stats.deltas_applied += 1;
         #[cfg(feature = "debug-validate")]
         self.assert_matches_cold_rescore();
-        Ok(DeltaOutcome {
+        let outcome = DeltaOutcome {
             served: self.served_users(),
             dirty_tiles: self.stats.dirty_tiles - before.dirty_tiles,
             stations_refreshed: self.stats.stations_refreshed - before.stations_refreshed,
             relays_spent: self.stats.relays_spent - before.relays_spent,
             dropped_placements: self.stats.dropped_placements - before.dropped_placements,
             cold_solved,
-        })
+        };
+        crate::obs::record_delta(&outcome);
+        Ok(outcome)
     }
 
     /// Inline oracle 7: the incremental matching must serve exactly as
@@ -596,7 +594,7 @@ impl SolverLoop {
 
     fn apply_sever(&mut self, links: &[(CellIndex, CellIndex)]) -> Result<bool, CoreError> {
         let instance = self.instance.with_severed_links(links)?;
-        let substrate = ConnectivitySubstrate::build(instance.location_graph())?;
+        let substrate = build_substrate(&instance)?;
         // Coverage and user ids are untouched — only the topology
         // needs repair.
         let repair =
@@ -692,7 +690,6 @@ impl SolverLoop {
         self.stats.relays_spent += plan.relays_spent;
         self.stats.dropped_placements += plan.dropped;
         if let Some(placements) = repair.cold {
-            uavnet_obs::counters::RESOLVE_COLD_SOLVES.add(1);
             self.stats.cold_solves += 1;
             self.placements = placements;
             self.rebuild_matching();
@@ -749,7 +746,6 @@ impl SolverLoop {
                 if !self.tile_dirty[t] {
                     self.tile_dirty[t] = true;
                     self.stats.dirty_tiles += 1;
-                    uavnet_obs::counters::RESOLVE_DIRTY_TILES.add(1);
                 }
             }
         }
@@ -773,7 +769,6 @@ impl SolverLoop {
             );
             self.station_of[i] = st;
             self.stats.stations_refreshed += 1;
-            uavnet_obs::counters::RESOLVE_STATIONS_REFRESHED.add(1);
         }
         self.maybe_compact();
         self.matching.resaturate();

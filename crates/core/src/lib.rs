@@ -90,7 +90,9 @@ mod verify;
 pub use alg1::SegmentPlan;
 #[doc(hidden)]
 pub use approx::approx_alg_materialized;
-pub use approx::{approx_alg, approx_alg_with_stats, ApproxConfig, ApproxStats, SweepProfile};
+pub use approx::{
+    approx_alg, approx_alg_with_stats, ApproxConfig, ApproxStats, KernelCounts, SweepProfile,
+};
 pub use assign::{
     assign_users, assign_users_max_flow, assign_users_max_rate, Assignment, ThroughputAssignment,
 };

@@ -1,16 +1,18 @@
-//! Bridge from the solver's deterministic run statistics to the
-//! `uavnet-obs` facade.
+//! Bridge from the solver's run statistics to the `uavnet-obs` facade.
 //!
-//! The sweep keeps its own aggregation ([`ApproxStats`] /
-//! [`SweepProfile`](crate::SweepProfile)) because those numbers are
-//! part of the public stats API and must stay deterministic and
-//! thread-count invariant. This module mirrors them into the obs
-//! counters/phases once per run and emits one structured `"sweep"`
-//! run event, so an active obs session sees the same values the
-//! caller gets — nothing is computed twice and nothing observable
-//! changes when no session is recording.
+//! Every counted number has one owner: the sweep's [`ApproxStats`] /
+//! [`SweepProfile`](crate::SweepProfile), which the kernels feed
+//! through the workers' tallies, and the incremental loop's
+//! [`DeltaOutcome`]. Those are the public stats API and stay
+//! deterministic and thread-count invariant. This module derives the
+//! obs counters and phases from them once per run or delta, so an
+//! active obs session sees the same values the caller gets — nothing
+//! is counted twice and nothing observable changes when no session is
+//! recording. Apart from the verify battery's check tally, no other
+//! solver code writes an obs counter.
 
 use crate::approx::{ApproxConfig, ApproxStats};
+use crate::incremental::DeltaOutcome;
 use crate::solution::Solution;
 use uavnet_obs::{counters, emit_run, phases};
 
@@ -29,6 +31,20 @@ pub(crate) fn record_sweep(config: &ApproxConfig, stats: &ApproxStats, solution:
     counters::SWEEP_SUBSETS_EVALUATED.add(stats.subsets_evaluated as u64);
     counters::SWEEP_SUBSETS_UNCONNECTABLE.add(stats.subsets_unconnectable as u64);
     counters::SWEEP_GAIN_QUERIES.add(stats.gain_queries);
+    let k = &stats.kernel;
+    for (counter, n) in [
+        (&counters::GREEDY_BOUND_HITS, k.greedy_bound_hits),
+        (&counters::GREEDY_BOUND_RESEEDS, k.greedy_bound_reseeds),
+        (&counters::GREEDY_COMMITS, k.greedy_commits),
+        (&counters::MATCHING_BFS_RESTARTS, k.matching_bfs_restarts),
+        (&counters::MATCHING_PREPASS_HITS, k.matching_prepass_hits),
+        (&counters::CONNECT_MST_CONNECTIONS, k.mst_connections),
+        (&counters::CONNECT_RELAYS_ADDED, k.relays_added),
+        (&counters::CONNECT_GATEWAY_EXTENSIONS, k.gateway_extensions),
+        (&counters::CONNECT_FAILURES, k.connect_failures),
+    ] {
+        counter.add(n);
+    }
     // Shard metrics only exist for the sharded path; keeping them
     // silent for monolithic sweeps keeps those snapshots unchanged.
     if stats.tiles_solved > 0 {
@@ -75,4 +91,13 @@ pub(crate) fn record_sweep(config: &ApproxConfig, stats: &ApproxStats, solution:
             ("deployed_uavs", solution.deployment().len() as u64),
         ],
     );
+}
+
+/// Records one successfully applied delta into the active obs session.
+/// Rejected deltas leave no counts; the `resolve.apply` phase counts
+/// every call.
+pub(crate) fn record_delta(outcome: &DeltaOutcome) {
+    counters::RESOLVE_DIRTY_TILES.add(outcome.dirty_tiles as u64);
+    counters::RESOLVE_STATIONS_REFRESHED.add(outcome.stations_refreshed as u64);
+    counters::RESOLVE_COLD_SOLVES.add(u64::from(outcome.cold_solved));
 }

@@ -2,7 +2,7 @@
 
 use crate::shard::TileView;
 use crate::Instance;
-use uavnet_flow::{CapacitatedMatching, UserList};
+use uavnet_flow::{CapacitatedMatching, MatchingCounts, UserList};
 use uavnet_geom::CellIndex;
 use uavnet_matroid::MarginalOracle;
 
@@ -114,6 +114,12 @@ impl<'a> CoverageOracle<'a> {
         self.gain_queries
     }
 
+    /// The matching kernel's work over the oracle's lifetime (kept by
+    /// [`reset`](Self::reset), like [`gain_queries`](Self::gain_queries)).
+    pub(crate) fn matching_counts(&self) -> MatchingCounts {
+        self.matching.counts()
+    }
+
     /// The UAV that the next commit will deploy, or `None` when the
     /// whole fleet is placed.
     pub fn next_uav(&self) -> Option<usize> {
@@ -171,6 +177,7 @@ impl MarginalOracle for CoverageOracle<'_> {
             .next_uav()
             .expect("gain queried with the whole fleet already placed");
         self.gain_queries += 1;
+        let _timer = uavnet_obs::hists::GAIN_QUERY.timer();
         let cap = self.instance.uavs()[uav].capacity;
         let users = coverable_list(self.instance, self.view, uav, loc);
         u64::from(self.matching.evaluate_station_list(cap, users))

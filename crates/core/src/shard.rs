@@ -372,6 +372,7 @@ mod tests {
                 assert_eq!(sol.deployment(), mono.deployment(), "tile {tile_cells}");
                 assert_eq!(stats.best_seeds, mono_stats.best_seeds);
                 assert_eq!(stats.gain_queries, mono_stats.gain_queries);
+                assert_eq!(stats.kernel, mono_stats.kernel);
                 assert_eq!(stats.subsets_enumerated, mono_stats.subsets_enumerated);
                 assert_eq!(stats.subsets_chain_pruned, mono_stats.subsets_chain_pruned);
                 assert_eq!(stats.subsets_evaluated, mono_stats.subsets_evaluated);
@@ -394,6 +395,7 @@ mod tests {
         assert_eq!(sol.served_users(), mono.served_users());
         assert_eq!(sol.deployment(), mono.deployment());
         assert_eq!(stats.gain_queries, mono_stats.gain_queries);
+        assert_eq!(stats.kernel, mono_stats.kernel);
     }
 
     #[test]
@@ -407,6 +409,7 @@ mod tests {
                     .unwrap();
             assert_eq!(other.0.deployment(), base.0.deployment());
             assert_eq!(other.1.gain_queries, base.1.gain_queries);
+            assert_eq!(other.1.kernel, base.1.kernel);
         }
     }
 

@@ -30,7 +30,7 @@
 
 use crate::approx::{
     binomial, chain_feasible, next_combination, panic_payload_message, seed_pool,
-    unrank_combination, ApproxConfig, SubsetOutcome, SweepProfile, SweepWorkspace,
+    unrank_combination, ApproxConfig, KernelCounts, SubsetOutcome, SweepProfile, SweepWorkspace,
 };
 use crate::shard::{build_view, ShardConfig, ViewScratch};
 use crate::{CoreError, Instance, SegmentPlan};
@@ -256,6 +256,7 @@ pub(crate) struct Tally {
     pub(crate) evaluated: usize,
     pub(crate) unconnectable: usize,
     pub(crate) gain_queries: u64,
+    pub(crate) kernel: KernelCounts,
     pub(crate) tiles_solved: usize,
     pub(crate) view_escapes: usize,
     pub(crate) profile: SweepProfile,
@@ -269,6 +270,7 @@ impl Tally {
         self.evaluated += other.evaluated;
         self.unconnectable += other.unconnectable;
         self.gain_queries += other.gain_queries;
+        self.kernel += other.kernel;
         self.tiles_solved += other.tiles_solved;
         self.view_escapes += other.view_escapes;
         let (p, q) = (&mut self.profile, other.profile);
@@ -542,22 +544,23 @@ impl<'c> Worker<'c> {
     }
 }
 
-/// Solves `seeds` in `ws`. Gain queries count only when `ws` decides:
-/// those a view burns before noticing an escape are discarded, so the
-/// totals match the monolithic sweep, where only the global evaluation
-/// exists.
+/// Solves `seeds` in `ws`. Gain queries and kernel work count only
+/// when `ws` decides: what a view burns before noticing an escape is
+/// discarded, so the totals match the monolithic sweep, where only the
+/// global evaluation exists.
 fn solve_counted(
     ws: &mut SweepWorkspace<'_>,
     plan: &SegmentPlan,
     seeds: &[CellIndex],
     tally: &mut Tally,
 ) -> SubsetOutcome {
-    let before = ws.gain_queries();
+    let (queries, kernel) = (ws.gain_queries(), ws.counts());
     let outcome = ws.solve_subset(plan, seeds, &mut tally.profile);
     if outcome == SubsetOutcome::EscapedView {
         tally.view_escapes += 1;
     } else {
-        tally.gain_queries += ws.gain_queries() - before;
+        tally.gain_queries += ws.gain_queries() - queries;
+        tally.kernel += ws.counts() - kernel;
     }
     outcome
 }
@@ -709,6 +712,7 @@ impl Primer {
             }
         }
         tally.gain_queries = ws.gain_queries();
+        tally.kernel = ws.counts();
         let primer = Primer {
             incumbent: best.as_ref().map(|(served, rank, _, _)| (*served, *rank)),
             ranks,
@@ -901,6 +905,7 @@ fn beam(ctx: &SearchContext<'_>, width: usize) -> (RankedBest, Tally) {
         }
     }
     tally.gain_queries = ws.gain_queries();
+    tally.kernel = ws.counts();
     tally.profile.subset_buffer_peak_bytes = peak_states
         .max(width * s)
         .max(pool_len)

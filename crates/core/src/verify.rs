@@ -369,6 +369,13 @@ pub fn check_sweep_oracles(instance: &Instance, config: &ApproxConfig) -> Result
             return mismatch(field, s.to_string(), m.to_string());
         }
     }
+    if stats.kernel != ref_stats.kernel {
+        return mismatch(
+            "kernel",
+            format!("{:?}", stats.kernel),
+            format!("{:?}", ref_stats.kernel),
+        );
+    }
     Ok(())
 }
 
@@ -449,6 +456,13 @@ pub fn check_sharded_sweep(instance: &Instance, config: &ApproxConfig) -> Result
             if s != m {
                 return mismatch(field, s.to_string(), m.to_string());
             }
+        }
+        if stats.kernel != mono_stats.kernel {
+            return mismatch(
+                "kernel",
+                format!("{:?}", stats.kernel),
+                format!("{:?}", mono_stats.kernel),
+            );
         }
         if stats.best_seeds != mono_stats.best_seeds {
             return mismatch(

@@ -41,6 +41,6 @@ mod mincost;
 mod users;
 
 pub use dinic::{ArcId, FlowNetwork};
-pub use matching::{CapacitatedMatching, StationId};
+pub use matching::{CapacitatedMatching, MatchingCounts, StationId};
 pub use mincost::{CostArcId, MinCostFlow};
 pub use users::{UserList, UserListIter, UserRun};

@@ -52,6 +52,18 @@ enum StationAdj {
     Words { start: usize, len: usize, base: u32 },
 }
 
+/// Work counts of a [`CapacitatedMatching`], summed over its lifetime
+/// ([`reset`](CapacitatedMatching::reset) keeps them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatchingCounts {
+    /// Augmenting-path BFS runs started, successful or not.
+    pub bfs_restarts: u64,
+    /// Users claimed by the free-user pre-pass of
+    /// [`saturate`](CapacitatedMatching::saturate) and trial
+    /// insertions: length-1 augmenting paths applied without a BFS.
+    pub prepass_hits: u64,
+}
+
 /// A maximum capacitated matching maintained incrementally.
 ///
 /// # Examples
@@ -94,6 +106,7 @@ pub struct CapacitatedMatching {
     // and the `(user, previous station)` log a trial insertion unwinds.
     queue: Vec<usize>,
     rollback: Vec<(u32, Option<StationId>)>,
+    counts: MatchingCounts,
 }
 
 impl CapacitatedMatching {
@@ -116,6 +129,7 @@ impl CapacitatedMatching {
             parent_user: vec![u32::MAX],
             queue: Vec::new(),
             rollback: Vec::new(),
+            counts: MatchingCounts::default(),
         }
     }
 
@@ -163,9 +177,15 @@ impl CapacitatedMatching {
         self.station_cap[st]
     }
 
+    /// The work of every saturation and trial insertion so far.
+    #[inline]
+    pub fn counts(&self) -> MatchingCounts {
+        self.counts
+    }
+
     /// Clears all stations and assignments while keeping every buffer's
     /// capacity, so a reused instance performs no fresh allocations.
-    /// The user count is unchanged.
+    /// The user count and the [`counts`](Self::counts) are unchanged.
     pub fn reset(&mut self) {
         self.user_station.fill(None);
         let tail = self.user_station.len() % 64;
@@ -258,8 +278,7 @@ impl CapacitatedMatching {
     /// never stored. With `record`, every user reassignment is pushed
     /// onto the persistent rollback log for the caller to unwind.
     fn augment_once(&mut self, st: usize, trial: Option<UserList<'_>>, record: bool) -> bool {
-        uavnet_obs::counters::MATCHING_BFS_RESTARTS.add(1);
-        let _bfs_timer = uavnet_obs::hists::BFS_RESTART.timer();
+        self.counts.bfs_restarts += 1;
         self.epoch += 1;
         let epoch = self.epoch;
         let trial_id = self.station_cap.len();
@@ -412,7 +431,6 @@ impl CapacitatedMatching {
                         self.station_load[st] += 1;
                         self.matched += 1;
                         gained += 1;
-                        uavnet_obs::counters::MATCHING_PREPASS_HITS.add(1);
                     }
                 }
             }
@@ -435,11 +453,11 @@ impl CapacitatedMatching {
                         self.station_load[st] += 1;
                         self.matched += 1;
                         gained += 1;
-                        uavnet_obs::counters::MATCHING_PREPASS_HITS.add(1);
                     }
                 }
             }
         }
+        self.counts.prepass_hits += u64::from(gained);
         while self.station_load[st] < self.station_cap[st] && self.augment_once(st, None, false) {
             gained += 1;
         }
@@ -513,7 +531,6 @@ impl CapacitatedMatching {
         if let Some(max) = users.max_id() {
             assert!((max as usize) < n, "user {max} out of range for {n} users");
         }
-        uavnet_obs::counters::MATCHING_TRIAL_EVALUATIONS.add(1);
         let trial_id = self.station_cap.len();
         self.rollback.clear();
         let mut gained = 0;
@@ -542,7 +559,6 @@ impl CapacitatedMatching {
                         self.free[w0 + i] &= !(1u64 << (u % 64));
                         self.matched += 1;
                         gained += 1;
-                        uavnet_obs::counters::MATCHING_PREPASS_HITS.add(1);
                     }
                 }
             }
@@ -556,11 +572,11 @@ impl CapacitatedMatching {
                     self.free[(u / 64) as usize] &= !(1u64 << (u % 64));
                     self.matched += 1;
                     gained += 1;
-                    uavnet_obs::counters::MATCHING_PREPASS_HITS.add(1);
                 }
                 true
             }),
         }
+        self.counts.prepass_hits += u64::from(gained);
         while gained < cap && self.augment_once(trial_id, Some(users), true) {
             gained += 1;
         }
@@ -722,6 +738,25 @@ mod tests {
         assert_eq!(m.saturate(st), 2);
         assert_eq!(m.matched_count(), 2);
         assert_eq!(m.station_load(st), 2);
+    }
+
+    #[test]
+    fn counts_split_prepass_claims_from_bfs_runs_and_survive_reset() {
+        // The pre-passes claim all four users; then nobody is free, so
+        // the trial runs one BFS that finds no augmenting path.
+        let mut m = CapacitatedMatching::new(4);
+        let a = m.add_station(2, &[0, 1, 2]);
+        m.saturate(a);
+        let b = m.add_station(2, &[2, 3]);
+        m.saturate(b);
+        assert_eq!(m.evaluate_station(1, &[0]), 0);
+        let expected = MatchingCounts {
+            bfs_restarts: 1,
+            prepass_hits: 4,
+        };
+        assert_eq!(m.counts(), expected);
+        m.reset();
+        assert_eq!(m.counts(), expected);
     }
 
     #[test]

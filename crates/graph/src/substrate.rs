@@ -113,8 +113,6 @@ impl ConnectivitySubstrate {
                 max: UNREACHABLE_HOPS as usize - 1,
             });
         }
-        uavnet_obs::counters::SUBSTRATE_BUILDS.add(1);
-        let _span = uavnet_obs::phases::SUBSTRATE_BUILD.span();
         // CSR adjacency with sorted neighbor lists.
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);

@@ -66,6 +66,22 @@ pub struct GreedyOptions {
     pub allow_zero_gain: bool,
 }
 
+/// Work counts of [`lazy_greedy_with`], summed over every run in one
+/// [`LazyGreedyWorkspace`]. Oracle evaluations are not counted here:
+/// the oracle sees each [`gain`](MarginalOracle::gain) call itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GreedyCounts {
+    /// Heap pops whose cached gain was still current, so the element
+    /// won without another oracle evaluation (CELF bound hits).
+    pub bound_hits: u64,
+    /// Full heap re-seeds after
+    /// [`bounds_carry_over`](MarginalOracle::bounds_carry_over)
+    /// returned `false`.
+    pub bound_reseeds: u64,
+    /// Elements committed.
+    pub commits: u64,
+}
+
 /// Reusable buffers for [`lazy_greedy_with`].
 ///
 /// The greedy's upper-bound heap and chosen-set vector are the only
@@ -78,6 +94,7 @@ pub struct LazyGreedyWorkspace {
     // Scratch for re-seeding the heap when cached bounds are invalidated.
     stale: Vec<usize>,
     chosen: Vec<usize>,
+    counts: GreedyCounts,
 }
 
 impl LazyGreedyWorkspace {
@@ -85,6 +102,11 @@ impl LazyGreedyWorkspace {
     /// reused across runs.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The work of every run so far.
+    pub fn counts(&self) -> GreedyCounts {
+        self.counts
     }
 }
 
@@ -177,6 +199,7 @@ where
         heap,
         stale,
         chosen,
+        counts,
     } = workspace;
     heap.clear();
     heap.extend(
@@ -191,7 +214,7 @@ where
         if k > 0 && !oracle.bounds_carry_over(k - 1, k) {
             // Cached gains may now under-report; reset every entry to
             // a fresh admissible bound so each is recomputed before use.
-            uavnet_obs::counters::GREEDY_BOUND_RESEEDS.add(1);
+            counts.bound_reseeds += 1;
             stale.clear();
             stale.extend(heap.drain().map(|(_, Reverse(e), _)| e));
             heap.extend(
@@ -213,14 +236,11 @@ where
             if computed_at == k {
                 // CELF bound hit: the cached gain is still current, so
                 // the element wins without another oracle evaluation.
-                uavnet_obs::counters::GREEDY_BOUND_HITS.add(1);
+                counts.bound_hits += 1;
                 pick = Some((e, cached));
                 break;
             }
-            uavnet_obs::counters::GREEDY_EVALUATIONS.add(1);
-            let gain_timer = uavnet_obs::hists::GAIN_QUERY.timer();
             let g = oracle.gain(e);
-            drop(gain_timer);
             // Holds both for gains cached at an earlier pick (the lazy
             // contract) and for never-evaluated entries, whose `cached`
             // is the oracle's admissible upper bound.
@@ -233,7 +253,7 @@ where
         match pick {
             Some((_, 0)) if !options.allow_zero_gain => break,
             Some((e, _)) => {
-                uavnet_obs::counters::GREEDY_COMMITS.add(1);
+                counts.commits += 1;
                 chosen.push(e);
                 oracle.commit(e);
             }
@@ -332,6 +352,34 @@ mod tests {
         );
         assert_eq!(picks, vec![1, 2]);
         assert_eq!(oracle.covered_count(), 5);
+    }
+
+    #[test]
+    fn workspace_counts_accumulate_across_runs() {
+        let sets = vec![vec![0, 1], vec![0, 1, 2, 3], vec![4]];
+        let options = GreedyOptions {
+            max_picks: 2,
+            allow_zero_gain: false,
+        };
+        let run = |ws: &mut LazyGreedyWorkspace| {
+            let mut oracle = Cover::new(sets.clone(), 5);
+            lazy_greedy_with(ws, &mut oracle, &[0, 1, 2], |_, _| true, options).len()
+        };
+        let mut ws = LazyGreedyWorkspace::new();
+        assert_eq!(run(&mut ws), 2);
+        let once = ws.counts();
+        // Every pick is a bound hit: it wins only once its gain is current.
+        assert_eq!(
+            once,
+            GreedyCounts {
+                bound_hits: 2,
+                bound_reseeds: 0,
+                commits: 2,
+            }
+        );
+        run(&mut ws);
+        assert_eq!(ws.counts().commits, 2 * once.commits);
+        assert_eq!(ws.counts().bound_hits, 2 * once.bound_hits);
     }
 
     #[test]

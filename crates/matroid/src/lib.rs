@@ -36,7 +36,7 @@ mod nested;
 mod partition;
 
 pub use greedy::{
-    lazy_greedy, lazy_greedy_with, GreedyOptions, LazyGreedyWorkspace, MarginalOracle,
+    lazy_greedy, lazy_greedy_with, GreedyCounts, GreedyOptions, LazyGreedyWorkspace, MarginalOracle,
 };
 pub use matroid::{check_axioms_exhaustive, Matroid, UniformMatroid};
 pub use nested::NestedFamilyMatroid;

@@ -8,7 +8,10 @@
 //! * [`Counter`] — a named monotone `u64` (gain queries, BFS restarts,
 //!   CELF bound hits, …). All counters are declared centrally in
 //!   [`counters`] so a snapshot can enumerate them without life-before-
-//!   main registration tricks.
+//!   main registration tricks. A counter is the obs view of a number
+//!   some solver record owns; the solver derives it from that record
+//!   in one place, and the kernel crates (`uavnet-flow`,
+//!   `uavnet-matroid`, `uavnet-graph`) never depend on this crate.
 //! * [`Phase`] — a named wall-clock accumulator (`total_ns`,
 //!   `self_ns`, `count`, plus a latency [`Histogram`] of the recorded
 //!   durations), fed either by a [`SpanGuard`] (RAII timing of one
@@ -18,7 +21,9 @@
 //!   centrally in [`phases`].
 //! * [`LatencyHist`] — a named log-linear [`Histogram`] for
 //!   per-operation latencies too frequent for the event log
-//!   (per-gain-query, per-BFS-restart). Recording is a few relaxed
+//!   (per-gain-query, per-tile, per-subscriber-write). A span phase
+//!   already histograms its own durations, so a [`LatencyHist`] times
+//!   only what no phase does. Recording is a few relaxed
 //!   atomics and emits **no** events; percentiles surface in the
 //!   [`MetricsSnapshot`] and as `hist` lines at session end. Declared
 //!   centrally in [`hists`].
@@ -1495,11 +1500,18 @@ pub fn dump_trace_event(events: &[Event]) -> String {
 /// Every counter of the pipeline, declared centrally so snapshots can
 /// enumerate them. Names are dot-separated `snake_case` and stable —
 /// they are the public schema of the event log.
+///
+/// A counter is the obs view of a number another record owns: the
+/// `sweep.*`, `greedy.*`, `matching.*`, `connect.*`, `shard.*` and
+/// `strategy.*` counters are added once per sweep from its
+/// `ApproxStats`, the `resolve.*` counters once per applied delta from
+/// its `DeltaOutcome` (both in `uavnet-core`'s obs bridge), and the
+/// `service.*` counters by the service's threads. A count another metric
+/// already carries (a phase's `count`, a histogram's sample count) is
+/// not declared twice.
 pub mod counters {
     use super::Counter;
 
-    /// Algorithm 1 segment plans computed.
-    pub static ALG1_PLANS: Counter = Counter::new("alg1.plans");
     /// Subset sweeps completed ([`emit_run`](super::emit_run) `"sweep"`
     /// records carry the per-run detail).
     pub static SWEEP_RUNS: Counter = Counter::new("sweep.runs");
@@ -1514,34 +1526,28 @@ pub mod counters {
     /// Marginal-gain (trial-insertion) queries issued by the sweep.
     pub static SWEEP_GAIN_QUERIES: Counter = Counter::new("sweep.gain_queries");
     /// Lazy-greedy heap pops satisfied by a still-current cached gain
-    /// (no oracle evaluation needed) — CELF bound hits.
+    /// (no oracle evaluation needed) — CELF bound hits. The cache
+    /// misses are the sweep's gain queries.
     pub static GREEDY_BOUND_HITS: Counter = Counter::new("greedy.bound_hits");
-    /// Lazy-greedy oracle evaluations (cache misses).
-    pub static GREEDY_EVALUATIONS: Counter = Counter::new("greedy.evaluations");
     /// Full heap re-seeds after a bound invalidation
     /// (radio-class change between picks).
     pub static GREEDY_BOUND_RESEEDS: Counter = Counter::new("greedy.bound_reseeds");
     /// Elements committed by the lazy greedy.
     pub static GREEDY_COMMITS: Counter = Counter::new("greedy.commits");
-    /// Augmenting-path BFS runs started by the matching kernel.
+    /// Augmenting-path BFS runs started by the sweep's matching
+    /// oracle.
     pub static MATCHING_BFS_RESTARTS: Counter = Counter::new("matching.bfs_restarts");
     /// Users claimed by the free-user pre-pass (length-1 augmenting
     /// paths applied without a BFS restart).
     pub static MATCHING_PREPASS_HITS: Counter = Counter::new("matching.prepass_hits");
-    /// Trial insertions ([`evaluate_station`] calls) answered.
-    ///
-    /// [`evaluate_station`]: https://docs.rs/uavnet-flow
-    pub static MATCHING_TRIAL_EVALUATIONS: Counter = Counter::new("matching.trial_evaluations");
-    /// MST relay connections performed.
+    /// MST relay connections of two or more chosen locations.
     pub static CONNECT_MST_CONNECTIONS: Counter = Counter::new("connect.mst_connections");
     /// Relay cells added across all connections.
     pub static CONNECT_RELAYS_ADDED: Counter = Counter::new("connect.relays_added");
     /// Gateway extensions that had to add cells.
     pub static CONNECT_GATEWAY_EXTENSIONS: Counter = Counter::new("connect.gateway_extensions");
-    /// Connection attempts that returned a typed error.
+    /// Connections and gateway extensions that found no path.
     pub static CONNECT_FAILURES: Counter = Counter::new("connect.failures");
-    /// Connectivity substrates built.
-    pub static SUBSTRATE_BUILDS: Counter = Counter::new("substrate.builds");
     /// Spatial tiles solved by the sharded sweep.
     pub static SHARD_TILES: Counter = Counter::new("shard.tiles");
     /// Subsets that escaped their tile view and were re-solved
@@ -1551,11 +1557,7 @@ pub mod counters {
     pub static VERIFY_CHECKS: Counter = Counter::new("verify.checks");
     /// Differential-oracle checks that found a divergence.
     pub static VERIFY_FAILURES: Counter = Counter::new("verify.failures");
-    /// Deltas accepted by the incremental re-solve loop.
-    pub static RESOLVE_DELTAS: Counter = Counter::new("resolve.deltas");
-    /// Connectivity repairs planned (solver loop + fault harness).
-    pub static RESOLVE_REPAIRS: Counter = Counter::new("resolve.repairs");
-    /// Full cold re-solves the loop fell back to.
+    /// Full cold re-solves the incremental loop fell back to.
     pub static RESOLVE_COLD_SOLVES: Counter = Counter::new("resolve.cold_solves");
     /// Tiles invalidated by user-affecting deltas.
     pub static RESOLVE_DIRTY_TILES: Counter = Counter::new("resolve.dirty_tiles");
@@ -1568,12 +1570,6 @@ pub mod counters {
     pub static STRATEGY_BOUND_PRUNED: Counter = Counter::new("strategy.bound_pruned");
     /// Subsets fully evaluated by the beam strategy's final beam.
     pub static STRATEGY_BEAM_EVALUATIONS: Counter = Counter::new("strategy.beam_evaluations");
-    /// Deltas the solver service worker applied (acked `applied`,
-    /// `degraded` or `poisoned` — everything that left the queue).
-    pub static SERVICE_DELTAS_APPLIED: Counter = Counter::new("service.deltas_applied");
-    /// `deployments` frames published to subscribers (counted once per
-    /// frame, not per subscriber).
-    pub static SERVICE_PUBLISH_DEPLOYMENTS: Counter = Counter::new("service.publish.deployments");
     /// `degradation` frames published to subscribers.
     pub static SERVICE_PUBLISH_DEGRADATION: Counter = Counter::new("service.publish.degradation");
     /// Publishes rejected with a typed `Busy` because the bounded
@@ -1589,7 +1585,6 @@ pub mod counters {
 
     /// Every declared counter, in schema order.
     pub static ALL: &[&Counter] = &[
-        &ALG1_PLANS,
         &SWEEP_RUNS,
         &SWEEP_SUBSETS_ENUMERATED,
         &SWEEP_SUBSETS_CHAIN_PRUNED,
@@ -1597,31 +1592,24 @@ pub mod counters {
         &SWEEP_SUBSETS_UNCONNECTABLE,
         &SWEEP_GAIN_QUERIES,
         &GREEDY_BOUND_HITS,
-        &GREEDY_EVALUATIONS,
         &GREEDY_BOUND_RESEEDS,
         &GREEDY_COMMITS,
         &MATCHING_BFS_RESTARTS,
         &MATCHING_PREPASS_HITS,
-        &MATCHING_TRIAL_EVALUATIONS,
         &CONNECT_MST_CONNECTIONS,
         &CONNECT_RELAYS_ADDED,
         &CONNECT_GATEWAY_EXTENSIONS,
         &CONNECT_FAILURES,
-        &SUBSTRATE_BUILDS,
         &SHARD_TILES,
         &SHARD_VIEW_ESCAPES,
         &VERIFY_CHECKS,
         &VERIFY_FAILURES,
-        &RESOLVE_DELTAS,
-        &RESOLVE_REPAIRS,
         &RESOLVE_COLD_SOLVES,
         &RESOLVE_DIRTY_TILES,
         &RESOLVE_STATIONS_REFRESHED,
         &STRATEGY_GUIDED_RUNS,
         &STRATEGY_BOUND_PRUNED,
         &STRATEGY_BEAM_EVALUATIONS,
-        &SERVICE_DELTAS_APPLIED,
-        &SERVICE_PUBLISH_DEPLOYMENTS,
         &SERVICE_PUBLISH_DEGRADATION,
         &SERVICE_BUSY_REJECTIONS,
         &SERVICE_SLOW_DELTAS,
@@ -1728,33 +1716,19 @@ pub mod phases {
 pub mod hists {
     use super::LatencyHist;
 
-    /// Latency of one marginal-gain (trial-insertion) oracle
-    /// evaluation inside the lazy greedy.
+    /// Latency of one marginal-gain (trial-insertion) query of the
+    /// coverage oracle; in a sweep its sample count is the sweep's gain
+    /// queries plus any a tile view spent on a subset that escaped it.
     pub static GAIN_QUERY: LatencyHist = LatencyHist::new("greedy.gain_query_ns");
-    /// Latency of one augmenting-path BFS restart in the matching
-    /// kernel.
-    pub static BFS_RESTART: LatencyHist = LatencyHist::new("matching.bfs_restart_ns");
     /// Wall clock of one whole tile in the sharded sweep (view build +
     /// every subset assigned to the tile).
     pub static TILE_SOLVE: LatencyHist = LatencyHist::new("shard.tile_solve_ns");
-    /// End-to-end latency of one delta application in the incremental
-    /// re-solve loop.
-    pub static DELTA_APPLY: LatencyHist = LatencyHist::new("resolve.delta_apply_ns");
-    /// Latency of one connectivity repair plan.
-    pub static REPAIR_NS: LatencyHist = LatencyHist::new("resolve.repair_ns");
     /// Latency of writing one published frame to one subscriber
     /// socket during fan-out.
     pub static SUBSCRIBER_WRITE: LatencyHist = LatencyHist::new("service.subscriber_write_ns");
 
     /// Every declared latency histogram, in schema order.
-    pub static ALL: &[&LatencyHist] = &[
-        &GAIN_QUERY,
-        &BFS_RESTART,
-        &TILE_SOLVE,
-        &DELTA_APPLY,
-        &REPAIR_NS,
-        &SUBSCRIBER_WRITE,
-    ];
+    pub static ALL: &[&LatencyHist] = &[&GAIN_QUERY, &TILE_SOLVE, &SUBSCRIBER_WRITE];
 }
 
 /// Every gauge of the pipeline, declared centrally. A gauge reports a

@@ -444,7 +444,6 @@ fn worker_loop(
                         epoch += 1;
                         last_served = outcome.served;
                         shared.deltas_applied.fetch_add(1, Ordering::Relaxed);
-                        counters::SERVICE_DELTAS_APPLIED.add(1);
                         reply_to(
                             &reply,
                             &Reply::Ack {
@@ -470,7 +469,6 @@ fn worker_loop(
                                     is_final: false,
                                 }),
                             );
-                            counters::SERVICE_PUBLISH_DEPLOYMENTS.add(1);
                             published = now;
                             if outcome.served < served_before
                                 || outcome.dropped_placements > 0

@@ -71,6 +71,10 @@ fn delta_stream(first_uav: usize) -> Vec<Delta> {
     ]
 }
 
+/// The obs session is process-global: every test that runs a solver
+/// takes this lock, so no sweep lands in another test's recording.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
 fn client(addr: SocketAddr) -> ServiceClient {
     ServiceClient::connect(addr, ClientConfig::default()).expect("connect")
 }
@@ -97,6 +101,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn loopback_stream_is_bit_identical_to_in_process_solver() {
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let instance = build_instance();
     let mut twin = SolverLoop::new(instance.clone(), loop_config()).expect("in-process twin");
     let handle = SolverService::spawn(instance, loop_config(), ServiceConfig::default())
@@ -189,6 +194,7 @@ fn loopback_stream_is_bit_identical_to_in_process_solver() {
 
 #[test]
 fn subscriber_diffs_replay_onto_previous_deployment() {
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let instance = build_instance();
     let handle = SolverService::spawn(instance, loop_config(), ServiceConfig::default())
         .expect("spawn service");
@@ -223,6 +229,7 @@ fn subscriber_diffs_replay_onto_previous_deployment() {
 
 #[test]
 fn flood_gets_typed_busy_and_queue_stays_bounded() {
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let instance = build_instance();
     let config = ServiceConfig {
         queue_capacity: 2,
@@ -288,6 +295,7 @@ fn flood_gets_typed_busy_and_queue_stays_bounded() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_deltas_and_publishes_final_snapshot() {
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let instance = build_instance();
     let config = ServiceConfig {
         apply_delay: Duration::from_millis(10),
@@ -368,6 +376,7 @@ fn graceful_shutdown_drains_in_flight_deltas_and_publishes_final_snapshot() {
 
 #[test]
 fn worker_panic_is_contained_and_poisons_the_loop() {
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let instance = build_instance();
     let config = ServiceConfig {
         inject_panic_on_seq: Some(1),
@@ -416,10 +425,6 @@ fn worker_panic_is_contained_and_poisons_the_loop() {
         .is_some_and(|m| m.contains("injected")));
 }
 
-/// The obs session is process-global, so the tests that record one
-/// must serialize against each other.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
 #[test]
 fn http_endpoint_serves_metrics_health_and_404() {
     let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -446,10 +451,23 @@ fn http_endpoint_serves_metrics_health_and_404() {
     assert!(status.contains("200"));
     assert!(body.contains("uavnet_service_healthy 1"));
     assert!(body.contains("uavnet_service_deltas_applied_total 1"));
+    let mut families: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let declared = families.len();
+    families.sort_unstable();
+    families.dedup();
+    assert_eq!(
+        families.len(),
+        declared,
+        "a family is declared twice:\n{body}"
+    );
     if record_obs {
         assert!(
-            body.contains("uavnet_resolve_deltas_total"),
-            "live resolve counters must be scrapeable:\n{body}"
+            body.contains("uavnet_phase_count{phase=\"resolve.apply\"} 1"),
+            "live resolve phases must be scrapeable:\n{body}"
         );
     }
 

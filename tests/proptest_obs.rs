@@ -20,7 +20,8 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use uavnet::channel::UavRadio;
 use uavnet::core::{
-    approx_alg_with_stats, ApproxConfig, CoreError, Delta, Instance, LoopConfig, User,
+    approx_alg_with_stats, ApproxConfig, CoreError, Delta, Instance, LoopConfig, ResolveStats,
+    SolverLoop, User,
 };
 use uavnet::geom::{AreaSpec, GridSpec, Point2};
 use uavnet::obs;
@@ -96,6 +97,7 @@ proptest! {
             );
             prop_assert_eq!(&obs_stats.best_seeds, &plain_stats.best_seeds);
             prop_assert_eq!(obs_stats.gain_queries, plain_stats.gain_queries);
+            prop_assert_eq!(obs_stats.kernel, plain_stats.kernel);
 
             if obs::is_enabled() {
                 // The mirrored counters agree with the deterministic
@@ -114,16 +116,29 @@ proptest! {
                     snap.counter("sweep.subsets_evaluated"),
                     Some(obs_stats.subsets_evaluated as u64)
                 );
-                prop_assert_eq!(snap.counter("alg1.plans"), Some(1));
-                prop_assert_eq!(snap.counter("substrate.builds"), Some(1));
-                // The greedy evaluations the obs layer saw directly are
-                // exactly the sweep's gain queries.
-                prop_assert_eq!(
-                    snap.counter("greedy.evaluations"),
-                    Some(obs_stats.gain_queries)
-                );
-                // ... and so are the gain-query latency samples: the
-                // histogram never drops a timing under concurrency.
+                // Counts another record owns come from that record: one
+                // Algorithm 1 plan and one substrate build are one span
+                // each.
+                for phase in ["alg1_plan", "substrate_build", "sweep_total"] {
+                    prop_assert_eq!(snap.phase(phase).map(|p| p.count), Some(1), "{}", phase);
+                }
+                let k = &obs_stats.kernel;
+                for (name, value) in [
+                    ("greedy.bound_hits", k.greedy_bound_hits),
+                    ("greedy.bound_reseeds", k.greedy_bound_reseeds),
+                    ("greedy.commits", k.greedy_commits),
+                    ("matching.bfs_restarts", k.matching_bfs_restarts),
+                    ("matching.prepass_hits", k.matching_prepass_hits),
+                    ("connect.mst_connections", k.mst_connections),
+                    ("connect.relays_added", k.relays_added),
+                    ("connect.gateway_extensions", k.gateway_extensions),
+                    ("connect.failures", k.connect_failures),
+                ] {
+                    prop_assert_eq!(snap.counter(name), Some(value), "{}", name);
+                }
+                // The gain-query latency samples are exactly the
+                // sweep's gain queries: the histogram never drops a
+                // timing under concurrency.
                 let gain_hist = snap
                     .hist("greedy.gain_query_ns")
                     .expect("gain-query latency histogram present");
@@ -327,14 +342,17 @@ proptest! {
                 .metrics
                 .as_ref()
                 .expect("recorded service run snapshots");
-            prop_assert_eq!(
-                metrics.counter("service.deltas_applied"),
-                Some(rec_summary.epochs)
-            );
-            let queue_wait = metrics
-                .phase("service.queue_wait")
-                .expect("queue-wait phase recorded");
-            prop_assert_eq!(queue_wait.count, rec_summary.epochs);
+            for phase in ["service.queue_wait", "service.publish", "resolve.apply"] {
+                prop_assert_eq!(
+                    metrics.phase(phase).map(|p| p.count),
+                    Some(rec_summary.epochs),
+                    "{}",
+                    phase
+                );
+            }
+            // The session opens after the cold solve, so its resolve
+            // counters are exactly the loop's stats.
+            assert_resolve_counters_match(metrics, &rec_summary.stats);
             prop_assert!(!events.is_empty(), "recorded run emits events");
         } else {
             prop_assert!(rec_summary.metrics.is_none());
@@ -383,7 +401,7 @@ fn worker_panic_yields_typed_error_and_obs_recovers() {
         let snap = snap.expect("interrupted session still snapshots");
         // Work recorded before the panic survives; the aborted sweep
         // was never folded in.
-        assert_eq!(snap.counter("alg1.plans"), Some(1));
+        assert_eq!(snap.phase("alg1_plan").map(|p| p.count), Some(1));
         assert_eq!(snap.counter("sweep.runs"), Some(0));
         assert!(events
             .last()
@@ -432,4 +450,60 @@ fn repeated_sessions_reset_cleanly() {
     } else {
         assert!(snaps.iter().all(Option::is_none));
     }
+}
+
+/// Every `resolve.*` counter in `metrics` equals the [`ResolveStats`]
+/// field it is derived from.
+fn assert_resolve_counters_match(metrics: &obs::MetricsSnapshot, stats: &ResolveStats) {
+    let mut seen = 0;
+    for &(name, value) in &metrics.counters {
+        let owner = match name {
+            "resolve.dirty_tiles" => stats.dirty_tiles,
+            "resolve.stations_refreshed" => stats.stations_refreshed,
+            "resolve.cold_solves" => stats.cold_solves,
+            _ if name.starts_with("resolve.") => panic!("{name} has no ResolveStats owner"),
+            _ => continue,
+        };
+        assert_eq!(value, owner as u64, "{name}");
+        seen += 1;
+    }
+    assert_eq!(seen, 3, "every resolve counter is in the snapshot");
+}
+
+/// The resolve counters are derived from the loop's own stats, so they
+/// agree after every call — rejected deltas included, which count
+/// nowhere but in the `resolve.apply` phase.
+#[test]
+fn resolve_counters_agree_with_resolve_stats() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut solver = SolverLoop::new(service_instance(), service_loop_config()).unwrap();
+    let began = obs::session_begin();
+    assert_eq!(began, obs::is_enabled());
+    let kill = solver.placements()[0].0;
+    let deltas = [
+        (moves_delta(&[(0, 700.0, 700.0), (9, 160.0, 1_250.0)]), true),
+        (Delta::KillUavs(vec![99]), false),
+        (moves_delta(&[(1, 5_000.0, 100.0)]), false),
+        (
+            Delta::UserSurge(vec![User {
+                pos: Point2::new(320.0, 200.0),
+                min_rate_bps: 2_000.0,
+            }]),
+            true,
+        ),
+        (Delta::KillUavs(vec![kill]), true),
+        (moves_delta(&[(12, 400.0, 420.0)]), true),
+    ];
+    for (calls, (delta, applies)) in (1u64..).zip(deltas) {
+        assert_eq!(solver.apply(delta).is_ok(), applies, "call {calls}");
+        if obs::is_enabled() {
+            let snap = obs::snapshot();
+            assert_eq!(snap.phase("resolve.apply").map(|p| p.count), Some(calls));
+            assert_resolve_counters_match(&snap, solver.stats());
+        }
+    }
+    assert_eq!(solver.stats().deltas_applied, 4);
+    assert!(solver.stats().dirty_tiles > 0 && solver.stats().repairs == 1);
+    obs::session_end();
+    obs::drain_events();
 }

@@ -245,6 +245,7 @@ proptest! {
         prop_assert_eq!(sol.deployment(), mono.deployment());
         prop_assert_eq!(sol.served_users(), mono.served_users());
         prop_assert_eq!(stats.gain_queries, mono_stats.gain_queries);
+        prop_assert_eq!(stats.kernel, mono_stats.kernel);
         prop_assert_eq!(stats.subsets_evaluated, mono_stats.subsets_evaluated);
         prop_assert_eq!(stats.subsets_unconnectable, mono_stats.subsets_unconnectable);
         prop_assert_eq!(stats.best_seeds, mono_stats.best_seeds);

@@ -58,7 +58,7 @@ proptest! {
         s in 1usize..=2,
     ) {
         let s = s.min(instance.num_uavs());
-        let mut runs = [1usize, 2, 8].into_iter().map(|threads| {
+        let mut runs = [1usize, 2, 4, 8].into_iter().map(|threads| {
             approx_alg_with_stats(&instance, &ApproxConfig::with_s(s).threads(threads)).unwrap()
         });
         let (first_sol, first_stats) = runs.next().unwrap();
@@ -75,6 +75,7 @@ proptest! {
             prop_assert_eq!(stats.subsets_unconnectable, first_stats.subsets_unconnectable);
             prop_assert_eq!(stats.best_seeds.clone(), first_stats.best_seeds.clone());
             prop_assert_eq!(stats.gain_queries, first_stats.gain_queries);
+            prop_assert_eq!(stats.kernel, first_stats.kernel);
         }
     }
 }
