@@ -485,7 +485,6 @@ fn scale_json(
                         ),
                         ("lists", Json::Num(mem.lists as f64)),
                         ("ids_lists", Json::Num(mem.ids_lists as f64)),
-                        ("run_lists", Json::Num(mem.run_lists as f64)),
                         ("bitset_lists", Json::Num(mem.bitset_lists as f64)),
                     ]),
                 ),

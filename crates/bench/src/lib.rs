@@ -186,11 +186,10 @@ impl Scale {
 
     /// The scale ceiling: one million users on a 12 km × 12 km zone
     /// (m = 1 600 candidates). Exists to exercise the compressed
-    /// coverage tables (packed bitsets / run-length lists keep the
-    /// footprint O(users)) and the tile-sharded sweep, which solves
-    /// the 40 × 40 cell grid as 5 × 5 tiles of 8 × 8 cells with
-    /// per-tile instance views. Used by the
-    /// `sweep_report --scale xlarge` evidence run.
+    /// coverage tables (packed bitsets keep the footprint O(users))
+    /// and the tile-sharded sweep, which solves the 40 × 40 cell grid
+    /// as 5 × 5 tiles of 8 × 8 cells with per-tile instance views.
+    /// Used by the `sweep_report --scale xlarge` evidence run.
     pub fn xlarge() -> Self {
         Scale {
             name: "xlarge",

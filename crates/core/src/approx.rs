@@ -76,7 +76,6 @@ pub struct ApproxConfig {
     prune_chain: bool,
     prune_empty_seeds: bool,
     threads: usize,
-    max_subsets: Option<usize>,
     deploy_leftovers: bool,
     panic_at_rank: Option<u64>,
     strategy: SeedStrategyKind,
@@ -94,7 +93,6 @@ impl ApproxConfig {
             prune_chain: true,
             prune_empty_seeds: true,
             threads,
-            max_subsets: None,
             deploy_leftovers: true,
             panic_at_rank: None,
             strategy: SeedStrategyKind::Exhaustive,
@@ -152,13 +150,6 @@ impl ApproxConfig {
         self
     }
 
-    /// Aborts with an error if more than `limit` subsets survive
-    /// pruning — a guard against accidentally huge enumerations.
-    pub fn max_subsets(mut self, limit: usize) -> Self {
-        self.max_subsets = Some(limit);
-        self
-    }
-
     /// The seed count `s`.
     pub fn s(&self) -> usize {
         self.s
@@ -205,14 +196,16 @@ pub struct ApproxStats {
     pub seed_pool_size: usize,
     /// `s`-subsets enumerated before any pruning. The exhaustive
     /// strategy reports `C(pool, s)`, and `enumerated = evaluated +
-    /// chain_pruned + bound_pruned` always holds for it; the beam
+    /// chain_pruned + bound_pruned` always holds for it (every rank is
+    /// evaluated, chain-pruned or in the saturation tail); the beam
     /// reports generated states (truncation drops the rest).
     pub subsets_enumerated: usize,
     /// Subsets dropped by the chain pruning.
     pub subsets_chain_pruned: usize,
-    /// Subsets skipped because their admissible served-count upper
-    /// bound could not beat the primer incumbent (exhaustive strategy
-    /// only; zero for the beam and the materialized reference).
+    /// Subsets in the saturation tail: the ranks after a primer
+    /// candidate that already serves `min(Σ capacities, n)`, which no
+    /// later rank can beat, skipped without a chain check. Exhaustive
+    /// strategy only; zero for the beam and the materialized reference.
     pub subsets_bound_pruned: usize,
     /// Subsets fully evaluated (greedy + connection + scoring).
     pub subsets_evaluated: usize,
@@ -254,9 +247,9 @@ pub struct ApproxStats {
 /// subset's share to its totals only once the subset is decided: work
 /// a tile view spends on a subset that escapes it is dropped. The
 /// totals therefore do not depend on the thread count or the tiling,
-/// and the materialized reference reproduces them whenever nothing was
-/// bound-pruned. The leftover pass and the final scoring are not
-/// counted.
+/// and the materialized reference reproduces them whenever the
+/// saturation tail skipped nothing. The leftover pass and the final
+/// scoring are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct KernelCounts {
@@ -355,9 +348,8 @@ pub struct SweepProfile {
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidParameters`] if `s` is zero, exceeds the
-///   fleet size or the number of candidate locations, or the surviving
-///   enumeration exceeds the configured `max_subsets`.
+/// * [`CoreError::InvalidParameters`] if `s` is zero or exceeds the
+///   fleet size or the number of candidate locations.
 /// * [`CoreError::Substrate`] if the location graph exceeds the
 ///   connectivity substrate's `u16` hop-matrix node limit.
 /// * [`CoreError::Sweep`] if a worker thread panicked; every other
@@ -384,11 +376,10 @@ pub fn approx_alg_with_stats(
 /// materialized reference; they differ only in `search`.
 ///
 /// The preamble checks `s`, plans the segments, short-circuits an
-/// unsatisfiable gateway, builds the connectivity substrate (timed),
-/// prepares the [`SearchContext`] and applies the `max_subsets` guard.
-/// The finish takes the winner's placements (or the single-UAV
-/// fallback when no subset produced a deployment), runs the leftover
-/// pass and scores the result.
+/// unsatisfiable gateway, builds the connectivity substrate (timed) and
+/// prepares the [`SearchContext`]. The finish takes the winner's
+/// placements (or the single-UAV fallback when no subset produced a
+/// deployment), runs the leftover pass and scores the result.
 pub(crate) fn sweep(
     instance: &Instance,
     config: &ApproxConfig,
@@ -416,21 +407,6 @@ pub(crate) fn sweep(
         let substrate = build_substrate(instance)?;
         let substrate_build_ns = t_substrate.elapsed().as_nanos() as u64;
         let ctx = SearchContext::new(instance, config, &plan, &substrate);
-        if let Some(limit) = config.max_subsets {
-            // Pre-spawn guard against accidentally huge enumerations,
-            // checked against the *strategy-adjusted* plan (a beam of
-            // width 3 plans 3 evaluations no matter how large C(pool, s)
-            // is), and before any worker thread exists.
-            let planned = ctx.planned_evaluations(limit);
-            if planned > limit {
-                return Err(CoreError::InvalidParameters(format!(
-                    "strategy {} plans more than {limit} subset evaluations \
-                     ({planned}+ survive pruning); coarsen the grid, raise \
-                     max_subsets or pick a bounded strategy",
-                    config.strategy.name()
-                )));
-            }
-        }
         let (best, mut tally) = search(&ctx)?;
         tally.profile.substrate_build_ns = substrate_build_ns;
         (best, tally, ctx.pool.len())
@@ -500,11 +476,11 @@ pub(crate) fn build_substrate(instance: &Instance) -> Result<ConnectivitySubstra
 /// deployment built from maximally complementary dense cells, a
 /// meaningful canonical representative. Second, a maximum-serving
 /// subset tends to appear at a *low* rank, where the exhaustive sweep's
-/// primer looks for the incumbent its admissible bound is checked
-/// against. The order
-/// changes only which of several equally-served subsets wins; the
-/// served count, the subset universe, and all subset counters are
-/// order-invariant.
+/// primer evaluates its one candidate; when that candidate saturates
+/// the fleet, every later rank is skipped. The order changes only
+/// which of several equally-served subsets wins, and how many ranks
+/// the saturation tail skips; the served count and the subset universe
+/// are order-invariant.
 pub(crate) fn seed_pool(
     instance: &Instance,
     config: &ApproxConfig,
@@ -617,7 +593,7 @@ pub(crate) fn pool_distances(
 /// Reference implementation of the subset sweep kept for equivalence
 /// testing: materializes every chain-pruning survivor up front and
 /// evaluates them all sequentially, each with a fresh workspace on the
-/// brute-force BFS backend — no bound pruning. It shares the driver's
+/// brute-force BFS backend — no saturation tail. It shares the driver's
 /// preamble and finish with [`approx_alg_with_stats`] and produces
 /// exactly the same solution; see
 /// [`check_sweep_oracles`](crate::check_sweep_oracles) for how their
@@ -1127,7 +1103,7 @@ pub(crate) fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> Str
 
 /// `C(n, k)`, saturating at `u64::MAX`. Exact for every value the sweep
 /// can actually enumerate; a saturated total only means the cursor
-/// never reaches the end, and `max_subsets` trips long before.
+/// never reaches the end.
 pub(crate) fn binomial(n: usize, k: usize) -> u64 {
     if k > n {
         return 0;
@@ -1250,13 +1226,6 @@ mod tests {
         assert!(pruned.served_users() <= unpruned.served_users());
         // …and still retains a competitive value on this instance.
         assert!(2 * pruned.served_users() >= unpruned.served_users());
-    }
-
-    #[test]
-    fn respects_max_subsets_guard() {
-        let inst = two_cluster_instance();
-        let err = approx_alg(&inst, &ApproxConfig::with_s(2).max_subsets(1)).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidParameters(_)));
     }
 
     #[test]

@@ -109,100 +109,6 @@ pub fn assign_users_max_flow(instance: &Instance, placements: &[(usize, CellInde
     }
 }
 
-/// A rate-aware assignment: maximum served users first, maximum total
-/// data rate among those.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputAssignment {
-    /// The underlying user→placement assignment.
-    pub assignment: Assignment,
-    /// Total downlink rate of all served users, in bit/s (rounded per
-    /// serving arc) — the resolution the min-cost objective optimizes.
-    pub total_rate_bps: u64,
-}
-
-impl ThroughputAssignment {
-    /// Total downlink rate in kbit/s (derived from
-    /// [`total_rate_bps`](Self::total_rate_bps)).
-    pub fn total_rate_kbps(&self) -> u64 {
-        self.total_rate_bps / 1_000
-    }
-}
-
-/// Computes an assignment that serves the **maximum** number of users
-/// and, among all such assignments, **maximizes the total data rate**
-/// (the objective of the `maxThroughput` comparison paper, solved
-/// exactly here via min-cost max-flow: each user→UAV arc costs
-/// `R_max − rate`).
-///
-/// # Panics
-///
-/// Panics if a placement references an out-of-range UAV or location.
-pub fn assign_users_max_rate(
-    instance: &Instance,
-    placements: &[(usize, CellIndex)],
-) -> ThroughputAssignment {
-    use uavnet_flow::MinCostFlow;
-    let n = instance.num_users();
-    let k = placements.len();
-    let source = 0;
-    let sink = 1 + n + k;
-    let mut net = MinCostFlow::new(sink + 1);
-    for u in 0..n {
-        net.add_arc(source, 1 + u, 1, 0);
-    }
-    // Rates in **bit/s** (rounded, not truncated) per coverage arc;
-    // R_max normalizes to ≥ 0 costs. Full-resolution costs keep
-    // sub-kbps rate differences decisive — truncating to whole kbit/s
-    // used to collapse close users into arbitrary ties and zeroed any
-    // rate below 1 kbit/s.
-    let mut rated_arcs: Vec<(usize, usize, usize, i64)> = Vec::new(); // (arc, user, placement, rate)
-    let atg = instance.atg();
-    let mut r_max = 0i64;
-    let mut pending: Vec<(usize, usize, i64)> = Vec::new();
-    for (pi, &(uav, loc)) in placements.iter().enumerate() {
-        let hover = instance.grid().hover_position(loc);
-        let radio = &instance.uavs()[uav].radio;
-        for u in instance.coverable(uav, loc).iter() {
-            let rate = atg
-                .data_rate_bps(radio, hover, instance.users()[u as usize].pos)
-                .round() as i64;
-            r_max = r_max.max(rate);
-            pending.push((u as usize, pi, rate));
-        }
-    }
-    for (user, pi, rate) in pending {
-        let arc = net.add_arc(1 + user, 1 + n + pi, 1, r_max - rate);
-        rated_arcs.push((arc, user, pi, rate));
-    }
-    for (pi, &(uav, _)) in placements.iter().enumerate() {
-        net.add_arc(
-            1 + n + pi,
-            sink,
-            i64::from(instance.uavs()[uav].capacity),
-            0,
-        );
-    }
-    let (served, _) = net.run(source, sink);
-    let mut user_placement = vec![None; n];
-    let mut loads = vec![0u32; k];
-    let mut total_rate = 0u64;
-    for &(arc, user, pi, rate) in &rated_arcs {
-        if net.flow_on(arc) == 1 {
-            user_placement[user] = Some(pi);
-            loads[pi] += 1;
-            total_rate += rate as u64;
-        }
-    }
-    ThroughputAssignment {
-        assignment: Assignment {
-            user_placement,
-            served: served as usize,
-            loads,
-        },
-        total_rate_bps: total_rate,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,90 +210,6 @@ mod tests {
         assert_eq!(a.served, 0);
         assert!(a.loads.is_empty());
         assert_eq!(a.user_placement, vec![None]);
-    }
-
-    #[test]
-    fn max_rate_serves_as_many_as_plain_assignment() {
-        let inst = instance_with(
-            &[
-                (150.0, 150.0),
-                (160.0, 160.0),
-                (450.0, 450.0),
-                (460.0, 450.0),
-                (750.0, 750.0),
-            ],
-            &[(2, 400.0), (2, 500.0)],
-        );
-        let placements = vec![(0usize, 0usize), (1usize, 4usize)];
-        let plain = assign_users(&inst, &placements);
-        let rated = assign_users_max_rate(&inst, &placements);
-        assert_eq!(rated.assignment.served, plain.served);
-        assert!(rated.total_rate_bps > 0);
-        assert_eq!(rated.total_rate_kbps(), rated.total_rate_bps / 1_000);
-        // The rate-aware assignment validates the same invariants.
-        let sum: u32 = rated.assignment.loads.iter().sum();
-        assert_eq!(sum as usize, rated.assignment.served);
-    }
-
-    #[test]
-    fn max_rate_prefers_close_users_when_capacity_binds() {
-        // One UAV, capacity 1, two users: one underneath, one at the
-        // coverage edge. The rate-optimal choice is the close one.
-        let inst = instance_with(&[(450.0, 450.0), (750.0, 450.0)], &[(1, 400.0)]);
-        let rated = assign_users_max_rate(&inst, &[(0, 4)]); // cell 4 center (450,450)
-        assert_eq!(rated.assignment.served, 1);
-        assert_eq!(rated.assignment.user_placement[0], Some(0));
-        assert_eq!(rated.assignment.user_placement[1], None);
-    }
-
-    #[test]
-    fn sub_kbps_rate_differences_are_decisive() {
-        // Regression: costs used to be truncated to whole kbit/s, which
-        // made two users whose rates differ by < 1 kbps an arbitrary
-        // tie. Place them a hair apart so their bit/s rates differ by
-        // less than 1000 but the truncated kbit/s values coincide, give
-        // the UAV capacity 1, and demand the strictly-better user wins.
-        // Scan for a second position whose rate sits in the same
-        // truncated-kbit/s bucket as the first (bucket edges shift with
-        // the channel model, so a fixed offset would be brittle).
-        let mut setup = None;
-        let mut x = 451.0;
-        while x < 600.0 {
-            let inst = instance_with(&[(450.0, 450.0), (x, 450.0)], &[(1, 400.0)]);
-            let atg = inst.atg();
-            let radio = &inst.uavs()[0].radio;
-            let hover = inst.grid().hover_position(4);
-            let r0 = atg.data_rate_bps(radio, hover, inst.users()[0].pos);
-            let r1 = atg.data_rate_bps(radio, hover, inst.users()[1].pos);
-            let diff = (r0 - r1).abs();
-            if diff > 0.0 && diff < 1_000.0 && (r0 / 1_000.0) as u64 == (r1 / 1_000.0) as u64 {
-                setup = Some((inst, r0, r1));
-                break;
-            }
-            x += 0.5;
-        }
-        let (inst, r0, r1) = setup.expect("some offset yields a same-bucket sub-kbps gap");
-        let rated = assign_users_max_rate(&inst, &[(0, 4)]);
-        assert_eq!(rated.assignment.served, 1);
-        let winner = if r0 > r1 { 0 } else { 1 };
-        let loser = 1 - winner;
-        assert_eq!(rated.assignment.user_placement[winner], Some(0));
-        assert_eq!(rated.assignment.user_placement[loser], None);
-        assert_eq!(rated.total_rate_bps, r0.max(r1).round() as u64);
-    }
-
-    #[test]
-    fn max_rate_beats_arbitrary_assignment_in_rate() {
-        // Two users, two UAVs at different distances; the rate-optimal
-        // matching must not be worse than the crosswise one.
-        let inst = instance_with(&[(150.0, 150.0), (450.0, 450.0)], &[(1, 600.0), (1, 600.0)]);
-        let placements = vec![(0usize, 0usize), (1usize, 4usize)];
-        let rated = assign_users_max_rate(&inst, &placements);
-        assert_eq!(rated.assignment.served, 2);
-        // Straight matching (user 0 → cell 0's UAV, user 1 → cell 4's)
-        // dominates the crosswise one in rate.
-        assert_eq!(rated.assignment.user_placement[0], Some(0));
-        assert_eq!(rated.assignment.user_placement[1], Some(1));
     }
 
     #[test]

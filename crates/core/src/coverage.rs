@@ -5,15 +5,14 @@
 //! location) pair plus 4 bytes per covered user, which is
 //! O(users × locations) in dense zones and the memory wall that kept
 //! `--scale` below a million users. [`CoverageTables`] stores the same
-//! logical lists in three shared arenas with a per-list encoding chosen
+//! logical lists in two shared arenas with a per-list encoding chosen
 //! by size:
 //!
 //! * **Ids** — the sorted ids verbatim (4 bytes/user); wins for short
 //!   scattered lists;
-//! * **Runs** — maximal `[start, start + len)` spans (8 bytes/run);
-//!   wins when cluster sampling makes ids consecutive;
-//! * **Bits** — a packed bitset window from the first to the last id
-//!   (8 bytes per 64 ids of span); wins for dense discs.
+//! * **Bits** — a packed bitset window from the 64-aligned floor of the
+//!   first id to the last id (8 bytes per 64 ids of span); wins for
+//!   dense discs.
 //!
 //! Reads come back as a borrowed [`UserList`], which the matching
 //! kernel walks without decoding, so gain queries stay allocation-free.
@@ -21,13 +20,12 @@
 //! bit-identical against the uncompressed input when it is pushed.
 
 use serde::{Deserialize, Serialize};
-use uavnet_flow::{UserList, UserRun};
+use uavnet_flow::UserList;
 
-/// Per-list encoding tag; the builder picks the smallest.
+/// Per-list encoding tag; the builder picks the smaller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Enc {
     Ids,
-    Runs,
     Bits,
 }
 
@@ -47,8 +45,6 @@ pub struct CoverageMemory {
     pub lists: usize,
     /// Lists stored as explicit ids.
     pub ids_lists: usize,
-    /// Lists stored as run-length spans.
-    pub run_lists: usize,
     /// Lists stored as packed bitset windows.
     pub bitset_lists: usize,
 }
@@ -74,7 +70,6 @@ pub struct CoverageTables {
     base: Vec<u32>,
     // Shared arenas, one per encoding.
     ids: Vec<u32>,
-    runs: Vec<UserRun>,
     words: Vec<u64>,
     uncompressed_bytes: usize,
 }
@@ -92,7 +87,6 @@ impl CoverageTables {
             count: Vec::with_capacity(entries),
             base: Vec::with_capacity(entries),
             ids: Vec::new(),
-            runs: Vec::new(),
             words: Vec::new(),
             uncompressed_bytes: 0,
         }
@@ -123,35 +117,13 @@ impl CoverageTables {
         // with its word-aligned free-user bitset.
         let bits_base = first & !63;
         let span = (last - bits_base) as usize + 1;
-        let num_runs = 1 + list.windows(2).filter(|w| w[1] != w[0] + 1).count();
         let num_words = span.div_ceil(64);
-        let ids_bytes = 4 * list.len();
-        let runs_bytes = 8 * num_runs;
-        let bits_bytes = 8 * num_words;
-        if ids_bytes <= runs_bytes && ids_bytes <= bits_bytes {
+        if 4 * list.len() <= 8 * num_words {
             self.enc.push(Enc::Ids);
             self.start.push(self.ids.len());
             self.len.push(list.len() as u32);
             self.base.push(0);
             self.ids.extend_from_slice(list);
-        } else if runs_bytes <= bits_bytes {
-            self.enc.push(Enc::Runs);
-            self.start.push(self.runs.len());
-            self.len.push(num_runs as u32);
-            self.base.push(0);
-            let mut run = UserRun {
-                start: first,
-                len: 1,
-            };
-            for &u in &list[1..] {
-                if u == run.start + run.len {
-                    run.len += 1;
-                } else {
-                    self.runs.push(run);
-                    run = UserRun { start: u, len: 1 };
-                }
-            }
-            self.runs.push(run);
         } else {
             self.enc.push(Enc::Bits);
             self.start.push(self.words.len());
@@ -189,10 +161,6 @@ impl CoverageTables {
                 self.ids.extend_from_slice(&from.ids[s..s + l]);
                 self.ids.len() - l
             }
-            Enc::Runs => {
-                self.runs.extend_from_slice(&from.runs[s..s + l]);
-                self.runs.len() - l
-            }
             Enc::Bits => {
                 self.words.extend_from_slice(&from.words[s..s + l]);
                 self.words.len() - l
@@ -218,7 +186,6 @@ impl CoverageTables {
         );
         let mut out = CoverageTables::with_shape(self.classes, self.locations);
         out.ids.reserve(self.ids.len());
-        out.runs.reserve(self.runs.len());
         out.words.reserve(self.words.len());
         let mut list = Vec::new();
         let mut rest = edits;
@@ -287,7 +254,6 @@ impl CoverageTables {
         let l = self.len[i] as usize;
         match self.enc[i] {
             Enc::Ids => UserList::Ids(&self.ids[s..s + l]),
-            Enc::Runs => UserList::Runs(&self.runs[s..s + l]),
             Enc::Bits => UserList::Bits {
                 base: self.base[i],
                 words: &self.words[s..s + l],
@@ -327,15 +293,12 @@ impl CoverageTables {
                 + std::mem::size_of::<usize>()
                 + 2 * std::mem::size_of::<u32>()
                 + std::mem::size_of::<u32>());
-        let arenas = 4 * self.ids.len()
-            + std::mem::size_of::<UserRun>() * self.runs.len()
-            + 8 * self.words.len();
+        let arenas = 4 * self.ids.len() + 8 * self.words.len();
         CoverageMemory {
             compressed_bytes: metadata + arenas,
             uncompressed_bytes: self.uncompressed_bytes,
             lists: entries,
             ids_lists: self.enc.iter().filter(|&&e| e == Enc::Ids).count(),
-            run_lists: self.enc.iter().filter(|&&e| e == Enc::Runs).count(),
             bitset_lists: self.enc.iter().filter(|&&e| e == Enc::Bits).count(),
         }
     }
@@ -355,7 +318,7 @@ mod tests {
 
     #[test]
     fn roundtrips_every_encoding() {
-        let dense: Vec<u32> = (10..200).collect(); // contiguous → runs
+        let dense: Vec<u32> = (10..200).collect(); // contiguous → bits
         let mostly_dense: Vec<u32> = (0..200).filter(|v| v % 7 != 0).collect(); // bits
         let sparse = vec![5u32, 900, 40_000]; // ids
         let lists: Vec<&[u32]> = vec![&dense, &mostly_dense, &sparse, &[]];
@@ -366,27 +329,22 @@ mod tests {
         }
         let mem = t.memory();
         assert_eq!(mem.lists, 4);
-        assert!(mem.run_lists >= 1, "contiguous list should pick runs");
-        assert!(mem.bitset_lists >= 1, "dense-with-holes should pick bits");
-        assert!(mem.ids_lists >= 2, "sparse + empty should pick ids");
+        assert_eq!(mem.bitset_lists, 2, "dense lists should pick bits");
+        assert_eq!(mem.ids_lists, 2, "sparse + empty should pick ids");
         assert!(mem.compressed_bytes < mem.uncompressed_bytes);
     }
 
     #[test]
     fn encoding_picks_minimal_bytes() {
-        // 3 ids spanning 3 runs: ids = 12 B, runs = 24 B, bits ≥ 8 B
-        // but the span is tiny → bits wins only if span ≤ 64... here
-        // span is 11 so bits = 8 B < ids: bits should win.
+        // 3 ids spanning 11: ids = 12 B, one bitset word = 8 B → bits.
         let t = store_of(&[&[0, 5, 10]]);
         assert_eq!(t.memory().bitset_lists, 1);
-        // 2 ids far apart: ids = 8 B, runs = 16 B, bits huge → ids.
+        // 2 ids far apart: ids = 8 B, bits huge → ids.
         let t = store_of(&[&[0, 1_000_000]]);
         assert_eq!(t.memory().ids_lists, 1);
-        // one long run: runs = 8 B beats ids = 400 B and ties bits
-        // (span 100 → 16 B); runs wins.
-        let run: Vec<u32> = (7..107).collect();
-        let t = store_of(&[&run]);
-        assert_eq!(t.memory().run_lists, 1);
+        // 2 ids in one word: ids = 8 B ties bits = 8 B → ids.
+        let t = store_of(&[&[3, 9]]);
+        assert_eq!(t.memory().ids_lists, 1);
     }
 
     #[test]

@@ -79,7 +79,6 @@ mod incremental;
 mod model;
 mod obs;
 mod oracle;
-mod redeploy;
 mod seed_matroid;
 mod segments;
 mod shard;
@@ -93,9 +92,7 @@ pub use approx::approx_alg_materialized;
 pub use approx::{
     approx_alg, approx_alg_with_stats, ApproxConfig, ApproxStats, KernelCounts, SweepProfile,
 };
-pub use assign::{
-    assign_users, assign_users_max_flow, assign_users_max_rate, Assignment, ThroughputAssignment,
-};
+pub use assign::{assign_users, assign_users_max_flow, Assignment};
 pub use connecting::{
     connect_via_mst, connect_via_substrate, extend_to_gateway, extend_to_gateway_substrate,
     ConnectError,
@@ -108,7 +105,6 @@ pub use incremental::{
 };
 pub use model::{Instance, InstanceBuilder, Uav, User};
 pub use oracle::CoverageOracle;
-pub use redeploy::{redeploy, rescore, RedeployStats};
 pub use seed_matroid::{seed_matroid, seed_matroid_substrate};
 pub use segments::{g_upper_bound, g_via_q_sums, h_max, q_budgets};
 pub use shard::{approx_alg_sharded, ShardConfig};

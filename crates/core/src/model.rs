@@ -247,14 +247,6 @@ impl Instance {
         self.coverage.list(class, loc)
     }
 
-    /// Cached length of the per-(class, cell) coverable list — an O(1)
-    /// lookup, used by the exhaustive sweep's admissible
-    /// reach-coverage over-count.
-    #[inline]
-    pub(crate) fn coverable_class_count(&self, class: usize, loc: CellIndex) -> usize {
-        self.coverage.count(class, loc)
-    }
-
     /// Number of distinct radio classes across the fleet.
     #[inline]
     pub(crate) fn num_radio_classes(&self) -> usize {
@@ -1028,7 +1020,7 @@ mod tests {
         // The compression must never cost more than the naive layout.
         let mem = inst.coverage_memory();
         assert!(mem.compressed_bytes <= mem.uncompressed_bytes + 24 * mem.lists);
-        assert_eq!(mem.lists, mem.ids_lists + mem.run_lists + mem.bitset_lists);
+        assert_eq!(mem.lists, mem.ids_lists + mem.bitset_lists);
     }
 
     #[test]

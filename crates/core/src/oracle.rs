@@ -139,36 +139,6 @@ impl<'a> CoverageOracle<'a> {
     pub fn served(&self) -> usize {
         self.matching.matched_count()
     }
-
-    /// [`commit`](MarginalOracle::commit) behind a `Result` boundary:
-    /// deploys the next UAV of the capacity order at `loc` and returns
-    /// its index, or a typed error when the fleet is exhausted or the
-    /// location does not exist — the precondition panics of the
-    /// [`MarginalOracle`] trait methods turned into recoverable errors
-    /// for callers (fault repair, external drivers) that may over-ask.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::CoreError::InvalidParameters`] on either precondition.
-    pub fn try_commit(&mut self, loc: CellIndex) -> Result<usize, crate::CoreError> {
-        if loc >= self.instance.num_locations() {
-            return Err(crate::CoreError::InvalidParameters(format!(
-                "location {loc} outside the {} candidate cells",
-                self.instance.num_locations()
-            )));
-        }
-        let Some(uav) = self.next_uav() else {
-            return Err(crate::CoreError::InvalidParameters(
-                "the whole fleet is already placed".into(),
-            ));
-        };
-        let cap = self.instance.uavs()[uav].capacity;
-        let users = coverable_list(self.instance, self.view, uav, loc);
-        let st = self.matching.add_station_list(cap, users);
-        self.matching.saturate(st);
-        self.placements.push((uav, loc));
-        Ok(uav)
-    }
 }
 
 impl MarginalOracle for CoverageOracle<'_> {
@@ -293,24 +263,6 @@ mod tests {
         o.commit(0);
         let fresh = assign_users(&inst, o.placements());
         assert_eq!(o.served(), fresh.served);
-    }
-
-    #[test]
-    fn try_commit_degrades_gracefully() {
-        let inst = instance();
-        let mut o = CoverageOracle::new(&inst);
-        assert!(matches!(
-            o.try_commit(999),
-            Err(crate::CoreError::InvalidParameters(_))
-        ));
-        assert_eq!(o.try_commit(0).unwrap(), 1); // capacity order: UAV 1 first
-        assert_eq!(o.try_commit(8).unwrap(), 0);
-        // Fleet exhausted: typed error, not a panic.
-        assert!(matches!(
-            o.try_commit(1),
-            Err(crate::CoreError::InvalidParameters(_))
-        ));
-        assert_eq!(o.served(), 5);
     }
 
     #[test]

@@ -242,10 +242,9 @@ pub(crate) fn build_view(
 /// # Errors
 ///
 /// Same contract as [`approx_alg_with_stats`](crate::approx_alg_with_stats):
-/// [`CoreError::InvalidParameters`] on a bad `s` or a tripped
-/// `max_subsets` limit, [`CoreError::Substrate`] when the location
-/// graph exceeds the hop matrix's node limit, [`CoreError::Sweep`]
-/// when a worker panics.
+/// [`CoreError::InvalidParameters`] on a bad `s`, [`CoreError::Substrate`]
+/// when the location graph exceeds the hop matrix's node limit,
+/// [`CoreError::Sweep`] when a worker panics.
 ///
 /// # Examples
 ///
@@ -411,13 +410,5 @@ mod tests {
             assert_eq!(other.1.gain_queries, base.1.gain_queries);
             assert_eq!(other.1.kernel, base.1.kernel);
         }
-    }
-
-    #[test]
-    fn max_subsets_limit_still_trips() {
-        let inst = clustered_instance();
-        let config = ApproxConfig::with_s(1).max_subsets(2);
-        let err = approx_alg_sharded(&inst, &config, &ShardConfig::new()).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidParameters(_)));
     }
 }

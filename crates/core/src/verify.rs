@@ -268,10 +268,12 @@ pub fn check_assignment_oracles(
 /// materialized sequential reference, which evaluates every chain
 /// survivor: the solution, the winning seeds, the plan, the pool size
 /// and the enumeration size must be bit-for-bit identical. The other
-/// counters must be identical too when the admissible bound skipped
-/// nothing; otherwise every rank must still be accounted for exactly
-/// once (`evaluated + chain_pruned + bound_pruned == enumerated`) and
-/// the sweep may not evaluate more subsets than the reference.
+/// counters must be identical too when the saturation tail skipped
+/// nothing. Otherwise the sweep stopped after a primer that serves
+/// `min(Σ capacities, n)`: every rank must still be accounted for
+/// exactly once (`evaluated + chain_pruned + bound_pruned ==
+/// enumerated`, the tail counted as bound-pruned) and the sweep may
+/// not evaluate more subsets than the reference.
 ///
 /// # Errors
 ///

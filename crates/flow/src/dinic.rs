@@ -65,12 +65,6 @@ impl FlowNetwork {
         self.adj.len()
     }
 
-    /// Number of forward arcs.
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.arcs.len() / 2
-    }
-
     /// Appends a new isolated node and returns its id.
     pub fn add_node(&mut self) -> usize {
         self.adj.push(Vec::new());
@@ -111,20 +105,6 @@ impl FlowNetwork {
             "bad arc id {id}"
         );
         self.arcs[id ^ 1].cap
-    }
-
-    /// Remaining capacity of a forward arc.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a forward arc id.
-    #[inline]
-    pub fn residual_of(&self, id: ArcId) -> i64 {
-        assert!(
-            id.is_multiple_of(2) && id < self.arcs.len(),
-            "bad arc id {id}"
-        );
-        self.arcs[id].cap
     }
 
     fn bfs_levels(&mut self, source: usize, sink: usize) -> bool {
@@ -186,27 +166,6 @@ impl FlowNetwork {
             }
         }
         flow
-    }
-
-    /// Nodes reachable from `source` in the residual network — the
-    /// source side of a minimum cut after a [`max_flow`] run.
-    ///
-    /// [`max_flow`]: FlowNetwork::max_flow
-    pub fn min_cut_source_side(&self, source: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.num_nodes()];
-        let mut q = VecDeque::new();
-        seen[source] = true;
-        q.push_back(source);
-        while let Some(u) = q.pop_front() {
-            for &id in &self.adj[u] {
-                let a = self.arcs[id];
-                if a.cap > 0 && !seen[a.to] {
-                    seen[a.to] = true;
-                    q.push_back(a.to);
-                }
-            }
-        }
-        seen
     }
 }
 
@@ -312,20 +271,6 @@ mod tests {
         net.add_arc(0, mid, 4);
         net.add_arc(mid, 1, 3);
         assert_eq!(net.max_flow(0, 1), 3);
-    }
-
-    #[test]
-    fn min_cut_separates_source_and_sink() {
-        let mut net = FlowNetwork::new(4);
-        net.add_arc(0, 1, 1);
-        net.add_arc(1, 2, 10);
-        net.add_arc(2, 3, 10);
-        net.max_flow(0, 3);
-        let side = net.min_cut_source_side(0);
-        assert!(side[0]);
-        assert!(!side[3]);
-        // The bottleneck arc 0→1 is saturated.
-        assert!(!side[1]);
     }
 
     #[test]

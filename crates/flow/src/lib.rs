@@ -37,10 +37,8 @@
 
 mod dinic;
 mod matching;
-mod mincost;
 mod users;
 
 pub use dinic::{ArcId, FlowNetwork};
 pub use matching::{CapacitatedMatching, MatchingCounts, StationId};
-pub use mincost::{CostArcId, MinCostFlow};
-pub use users::{UserList, UserListIter, UserRun};
+pub use users::{UserList, UserListIter};

@@ -225,7 +225,7 @@ impl CapacitatedMatching {
     /// [`add_station`](Self::add_station) over any [`UserList`]
     /// encoding: id slices and 64-aligned bitset windows are copied
     /// into their arena verbatim (one `extend_from_slice` each — no
-    /// per-user decode); runs and unaligned bitsets are decoded.
+    /// per-user decode); unaligned bitsets are decoded.
     ///
     /// # Panics
     ///
@@ -947,18 +947,6 @@ mod tests {
         assert_eq!(m.matched_count(), 1);
     }
 
-    /// Splits a sorted id slice into maximal consecutive runs.
-    fn runs_of(ids: &[u32]) -> Vec<crate::UserRun> {
-        let mut runs: Vec<crate::UserRun> = Vec::new();
-        for &u in ids {
-            match runs.last_mut() {
-                Some(r) if r.start + r.len == u => r.len += 1,
-                _ => runs.push(crate::UserRun { start: u, len: 1 }),
-            }
-        }
-        runs
-    }
-
     /// Packs a sorted id slice into a bitset window based at the first id.
     fn bits_of(ids: &[u32]) -> (u32, Vec<u64>) {
         let base = ids.first().copied().unwrap_or(0);
@@ -989,11 +977,9 @@ mod tests {
             let ids: Vec<u32> = (0..num_users as u32)
                 .filter(|_| rng.gen_bool(0.5))
                 .collect();
-            let runs = runs_of(&ids);
             let (base, words) = bits_of(&ids);
             let lists = [
                 UserList::Ids(&ids),
-                UserList::Runs(&runs),
                 UserList::Bits {
                     base,
                     words: &words,
@@ -1015,13 +1001,6 @@ mod tests {
                 assert_eq!(m.matched_count(), reference.matched_count());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn add_station_list_rejects_bad_run() {
-        let mut m = CapacitatedMatching::new(4);
-        m.add_station_list(1, UserList::Runs(&[crate::UserRun { start: 3, len: 2 }]));
     }
 
     #[test]

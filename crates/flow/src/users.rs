@@ -1,48 +1,33 @@
-//! Borrowed views over a set of user ids in one of three encodings.
+//! Borrowed views over a set of user ids in one of two encodings.
 //!
 //! The coverage tables upstream store each per-location user set in
-//! whichever encoding is smallest — explicit sorted ids, run-length
-//! spans, or a packed bitset window — and the matching kernel must
-//! consume any of them without decoding into a temporary buffer.
+//! whichever encoding is smaller — explicit sorted ids or a packed
+//! bitset window — and the matching kernel must consume either of them
+//! without decoding into a temporary buffer.
 //! [`UserList`] is that zero-copy bridge: a `Copy` view plus an
 //! ascending iterator, so trial insertions and station commits walk
 //! compressed lists exactly as they walked plain slices.
 
-/// One maximal run of consecutive user ids: `start, start + 1, …,
-/// start + len − 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UserRun {
-    /// First user id of the run.
-    pub start: u32,
-    /// Number of consecutive ids in the run (always ≥ 1 in encoded
-    /// tables).
-    pub len: u32,
-}
-
 /// A borrowed, strictly ascending set of user ids.
 ///
-/// All three variants decode to the same logical sequence: user ids in
+/// Both variants decode to the same logical sequence: user ids in
 /// strictly increasing order, no duplicates. [`iter`](UserList::iter)
-/// is allocation-free for every variant.
+/// is allocation-free for either.
 ///
 /// # Examples
 ///
 /// ```
-/// use uavnet_flow::{UserList, UserRun};
+/// use uavnet_flow::UserList;
 ///
 /// let ids = UserList::Ids(&[3, 4, 5, 9]);
-/// let runs = UserList::Runs(&[UserRun { start: 3, len: 3 }, UserRun { start: 9, len: 1 }]);
 /// let bits = UserList::Bits { base: 3, words: &[0b1000111] };
 /// assert_eq!(ids.to_vec(), vec![3, 4, 5, 9]);
-/// assert_eq!(runs.to_vec(), ids.to_vec());
 /// assert_eq!(bits.to_vec(), ids.to_vec());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub enum UserList<'a> {
     /// Explicit sorted ids.
     Ids(&'a [u32]),
-    /// Sorted, disjoint, non-adjacent runs of consecutive ids.
-    Runs(&'a [UserRun]),
     /// Packed bitset over the window `base .. base + 64 * words.len()`:
     /// bit `i` of the window marks user `base + i`.
     Bits {
@@ -54,13 +39,11 @@ pub enum UserList<'a> {
 }
 
 impl<'a> UserList<'a> {
-    /// Number of user ids in the list (`O(runs)`/`O(words)` for the
-    /// compressed variants — callers on a hot path should carry
-    /// precomputed counts).
+    /// Number of user ids in the list (`O(words)` for a bitset —
+    /// callers on a hot path should carry precomputed counts).
     pub fn count(&self) -> usize {
         match self {
             UserList::Ids(ids) => ids.len(),
-            UserList::Runs(runs) => runs.iter().map(|r| r.len as usize).sum(),
             UserList::Bits { words, .. } => words.iter().map(|w| w.count_ones() as usize).sum(),
         }
     }
@@ -69,18 +52,16 @@ impl<'a> UserList<'a> {
     pub fn is_empty(&self) -> bool {
         match self {
             UserList::Ids(ids) => ids.is_empty(),
-            UserList::Runs(runs) => runs.is_empty(),
             UserList::Bits { words, .. } => words.iter().all(|&w| w == 0),
         }
     }
 
     /// The largest id in the list, or `None` when empty. `O(1)` for
-    /// ids/runs, `O(words)` for bitsets — used to validate id ranges
-    /// without a full decode.
+    /// ids, `O(words)` for bitsets — used to validate id ranges without
+    /// a full decode.
     pub fn max_id(&self) -> Option<u32> {
         match self {
             UserList::Ids(ids) => ids.last().copied(),
-            UserList::Runs(runs) => runs.last().map(|r| r.start + r.len - 1),
             UserList::Bits { base, words } => words
                 .iter()
                 .enumerate()
@@ -90,22 +71,11 @@ impl<'a> UserList<'a> {
         }
     }
 
-    /// Whether `id` is in the list: binary search for ids/runs, one
-    /// bit test for bitsets.
+    /// Whether `id` is in the list: binary search for ids, one bit test
+    /// for bitsets.
     pub fn contains(&self, id: u32) -> bool {
         match self {
             UserList::Ids(ids) => ids.binary_search(&id).is_ok(),
-            UserList::Runs(runs) => runs
-                .binary_search_by(|r| {
-                    if id < r.start {
-                        std::cmp::Ordering::Greater
-                    } else if id >= r.start + r.len {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Equal
-                    }
-                })
-                .is_ok(),
             UserList::Bits { base, words } => {
                 let Some(off) = id.checked_sub(*base) else {
                     return false;
@@ -122,11 +92,6 @@ impl<'a> UserList<'a> {
         UserListIter {
             inner: match *self {
                 UserList::Ids(ids) => IterInner::Ids(ids.iter()),
-                UserList::Runs(runs) => IterInner::Runs {
-                    runs: runs.iter(),
-                    next: 0,
-                    remaining: 0,
-                },
                 UserList::Bits { base, words } => IterInner::Bits {
                     words,
                     base,
@@ -152,15 +117,6 @@ impl<'a> UserList<'a> {
                 for &u in ids {
                     if !f(u) {
                         return;
-                    }
-                }
-            }
-            UserList::Runs(runs) => {
-                for r in runs {
-                    for u in r.start..r.start + r.len {
-                        if !f(u) {
-                            return;
-                        }
                     }
                 }
             }
@@ -208,11 +164,6 @@ pub struct UserListIter<'a> {
 #[derive(Debug, Clone)]
 enum IterInner<'a> {
     Ids(std::slice::Iter<'a, u32>),
-    Runs {
-        runs: std::slice::Iter<'a, UserRun>,
-        next: u32,
-        remaining: u32,
-    },
     Bits {
         words: &'a [u64],
         base: u32,
@@ -227,21 +178,6 @@ impl Iterator for UserListIter<'_> {
     fn next(&mut self) -> Option<u32> {
         match &mut self.inner {
             IterInner::Ids(iter) => iter.next().copied(),
-            IterInner::Runs {
-                runs,
-                next,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    let run = runs.next()?;
-                    *next = run.start;
-                    *remaining = run.len;
-                }
-                *remaining -= 1;
-                let id = *next;
-                *next = next.wrapping_add(1);
-                Some(id)
-            }
             IterInner::Bits {
                 words,
                 base,
@@ -265,14 +201,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn three_encodings_decode_identically() {
+    fn both_encodings_decode_identically() {
         let want = vec![0u32, 1, 2, 63, 64, 65, 130];
         let ids = UserList::Ids(&[0, 1, 2, 63, 64, 65, 130]);
-        let runs = UserList::Runs(&[
-            UserRun { start: 0, len: 3 },
-            UserRun { start: 63, len: 3 },
-            UserRun { start: 130, len: 1 },
-        ]);
         let mut words = [0u64; 3];
         for &u in &want {
             words[u as usize / 64] |= 1 << (u % 64);
@@ -281,7 +212,7 @@ mod tests {
             base: 0,
             words: &words,
         };
-        for list in [ids, runs, bits] {
+        for list in [ids, bits] {
             assert_eq!(list.to_vec(), want);
             assert_eq!(list.count(), want.len());
             assert_eq!(list.max_id(), Some(130));
@@ -307,7 +238,6 @@ mod tests {
     fn empty_lists() {
         for list in [
             UserList::Ids(&[]),
-            UserList::Runs(&[]),
             UserList::Bits {
                 base: 7,
                 words: &[],
@@ -326,10 +256,12 @@ mod tests {
 
     #[test]
     fn iterator_is_resumable_and_ascending() {
-        let runs = [UserRun { start: 5, len: 4 }, UserRun { start: 100, len: 2 }];
-        let list = UserList::Runs(&runs);
+        let list = UserList::Bits {
+            base: 0,
+            words: &[0b1_1110_0000, 0, 0b11 << 2],
+        };
         let got: Vec<u32> = list.into_iter().collect();
-        assert_eq!(got, vec![5, 6, 7, 8, 100, 101]);
+        assert_eq!(got, vec![5, 6, 7, 8, 130, 131]);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
     }
 }

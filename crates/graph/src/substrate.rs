@@ -21,9 +21,6 @@
 //! BFS-backed connection code pick **bit-for-bit identical** relays
 //! (same discovery-order tie-breaks), which the differential oracles
 //! in `uavnet-core::verify` rely on.
-//! [`ConnectivitySubstrate::shortest_path_into`] additionally offers a
-//! table-only path descent for callers that need *some* shortest path
-//! without touching the original graph.
 
 use crate::{Graph, Hops};
 
@@ -293,51 +290,12 @@ impl ConnectivitySubstrate {
     pub fn neighbors(&self, u: usize) -> &[u32] {
         &self.neighbors[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
-
-    /// Writes a shortest path `u → … → v` into `out` (cleared first)
-    /// and returns `true`, or returns `false` leaving `out` empty when
-    /// `v` is unreachable. Pure table descent — no BFS, no access to
-    /// the original graph.
-    ///
-    /// Deterministic: reconstructed backward from `v`, taking the
-    /// **smallest-index** CSR neighbor one hop closer to `u` at every
-    /// step. Note this tie-break differs from the discovery-order one
-    /// of [`crate::shortest_path`]; code that must reproduce the BFS
-    /// paths exactly (the relay connection in `uavnet-core`) calls
-    /// that function instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn shortest_path_into(&self, u: usize, v: usize, out: &mut Vec<usize>) -> bool {
-        out.clear();
-        assert!(u < self.n && v < self.n, "node out of range");
-        let row = self.hop_row(u);
-        if row[v] == UNREACHABLE_HOPS {
-            return false;
-        }
-        out.push(v);
-        let mut cur = v;
-        while cur != u {
-            let d = row[cur];
-            let prev = self
-                .neighbors(cur)
-                .iter()
-                .map(|&w| w as usize)
-                .find(|&w| row[w] + 1 == d)
-                .expect("BFS layering guarantees a closer neighbor");
-            out.push(prev);
-            cur = prev;
-        }
-        out.reverse();
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bfs_hops, connected_components, shortest_path};
+    use crate::{bfs_hops, connected_components};
 
     fn grid_graph(cols: usize, rows: usize) -> Graph {
         let mut g = Graph::new(cols * rows);
@@ -394,41 +352,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn table_paths_are_valid_shortest_paths() {
-        let g = grid_graph(5, 4);
-        let sub = ConnectivitySubstrate::build(&g).unwrap();
-        let mut buf = Vec::new();
-        for u in 0..g.num_nodes() {
-            for v in 0..g.num_nodes() {
-                let via_bfs = shortest_path(&g, u, v).expect("grid is connected");
-                assert!(sub.shortest_path_into(u, v, &mut buf));
-                // Same optimal length as BFS, valid endpoints, and
-                // every step a real edge (tie-breaks may differ).
-                assert_eq!(buf.len(), via_bfs.len(), "path {u} -> {v}");
-                assert_eq!(buf[0], u);
-                assert_eq!(*buf.last().unwrap(), v);
-                for w in buf.windows(2) {
-                    assert!(
-                        sub.neighbors(w[0]).contains(&(w[1] as u32)),
-                        "non-edge {w:?} on path {u} -> {v}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unreachable_path_is_false_and_empty() {
-        let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        let sub = ConnectivitySubstrate::build(&g).unwrap();
-        let mut buf = vec![99];
-        assert!(!sub.shortest_path_into(0, 3, &mut buf));
-        assert!(buf.is_empty());
-        assert!(sub.shortest_path_into(2, 2, &mut buf));
-        assert_eq!(buf, vec![2]);
     }
 
     #[test]

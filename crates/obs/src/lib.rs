@@ -1565,7 +1565,8 @@ pub mod counters {
     pub static RESOLVE_STATIONS_REFRESHED: Counter = Counter::new("resolve.stations_refreshed");
     /// Sweeps that ran a guided (non-exhaustive) seed strategy.
     pub static STRATEGY_GUIDED_RUNS: Counter = Counter::new("strategy.guided_runs");
-    /// Subsets skipped by the admissible served-count upper bound,
+    /// Subsets in the exhaustive sweep's saturation tail (the ranks
+    /// after a primer that already serves `min(Σ capacities, n)`),
     /// recorded for every exhaustive sweep.
     pub static STRATEGY_BOUND_PRUNED: Counter = Counter::new("strategy.bound_pruned");
     /// Subsets fully evaluated by the beam strategy's final beam.

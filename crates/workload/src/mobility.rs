@@ -3,8 +3,10 @@
 //! recent locations re-detected from on-board cameras.
 //!
 //! [`MobilitySimulator`] evolves a user population step by step under
-//! a pluggable [`MobilityModel`], producing the location snapshots a
-//! re-deployment loop consumes (see `uavnet_core::redeploy`).
+//! a pluggable [`MobilityModel`]. [`MobilitySimulator::step_deltas`]
+//! reports each step as the per-user moves a re-deployment loop
+//! consumes (`uavnet_core::SolverLoop` takes them as one
+//! `Delta::UserMoved`; see `examples/mobility_redeploy.rs`).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -2,12 +2,19 @@
 //! dispatcher compares "stay put" against a full `approAlg` re-plan
 //! each epoch (§II-C of the paper).
 //!
+//! A `SolverLoop` holds the standing deployment. Each epoch's moves
+//! reach it as one `UserMoved` delta, which re-scores the fleet where it
+//! hovers; the re-plan solves the patched instance from scratch and is
+//! adopted as the next standing deployment.
+//!
 //! ```text
 //! cargo run --release --example mobility_redeploy
 //! ```
 
 use uavnet::channel::UavRadio;
-use uavnet::core::{approx_alg, redeploy, ApproxConfig, Instance};
+use uavnet::core::{
+    approx_alg, diff_deployments, ApproxConfig, Delta, Instance, LoopConfig, SolverLoop,
+};
 use uavnet::geom::{AreaSpec, GridSpec};
 use uavnet::workload::{sample_users, MobilityModel, MobilitySimulator, UserDistribution};
 
@@ -49,34 +56,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         9,
     );
 
-    let config = ApproxConfig::with_s(2);
-    let mut instance = build_instance(area, sim.positions());
-    let mut plan = approx_alg(&instance, &config)?;
-    plan.validate(&instance)?;
+    let config = LoopConfig::new(ApproxConfig::with_s(2));
+    let mut solver = SolverLoop::new(build_instance(area, sim.positions()), config.clone())?;
+    solver.solution().validate(solver.instance())?;
     println!(
         "epoch 0: deployed {} UAVs, serving {}/{} users",
-        plan.deployment().len(),
-        plan.served_users(),
-        instance.num_users()
+        solver.placements().len(),
+        solver.served_users(),
+        solver.instance().num_users()
     );
 
     for epoch in 1..=4 {
-        sim.step();
-        instance = build_instance(area, sim.positions());
-        let (new_plan, stats) = redeploy(&instance, &plan, &config)?;
-        new_plan.validate(&instance)?;
+        // A zero threshold reports every user, so the patched instance
+        // equals a fresh build at the new positions.
+        let stay = solver.apply(Delta::UserMoved(sim.step_deltas(0.0)))?.served;
+        let instance = solver.instance();
+        let plan = approx_alg(instance, &config.approx)?;
+        plan.validate(instance)?;
+        // A UAV in both halves of the diff changed cells; one only in
+        // `added` took off, one only in `removed` landed.
+        let diff = diff_deployments(solver.placements(), plan.deployment().placements());
+        let (mut moved, mut total_m, mut grounded) = (0, 0.0, 0);
+        for &(uav, from) in &diff.removed {
+            match diff.added.iter().find(|&&(u, _)| u == uav) {
+                Some(&(_, to)) => {
+                    moved += 1;
+                    total_m += instance
+                        .grid()
+                        .cell_center(from)
+                        .distance(instance.grid().cell_center(to));
+                }
+                None => grounded += 1,
+            }
+        }
+        let launched = diff.added.len() - moved;
         println!(
-            "epoch {epoch}: stay-put serves {:>3}, re-plan serves {:>3} \
-             (+{:>3}); {} UAVs moved {:>6.0} m total, {} launched, {} grounded",
-            stats.stay_served,
-            new_plan.served_users(),
-            new_plan.served_users().saturating_sub(stats.stay_served),
-            stats.moved_uavs,
-            stats.total_move_m,
-            stats.launched,
-            stats.grounded
+            "epoch {epoch}: stay-put serves {stay:>3}, re-plan serves {:>3} \
+             (+{:>3}); {moved} UAVs moved {total_m:>6.0} m total, {launched} launched, \
+             {grounded} grounded",
+            plan.served_users(),
+            plan.served_users().saturating_sub(stay),
         );
-        plan = new_plan;
+        solver = SolverLoop::from_solution(instance.clone(), &plan, config.clone())?;
     }
     Ok(())
 }

@@ -203,7 +203,7 @@ proptest! {
     /// exact coverage tables of the all-pairs scan — same sorted user
     /// ids for every (class, location) pair. Since `coverage_tables`
     /// now decodes the compressed store, this simultaneously pins that
-    /// every ids/runs/bitset entry decodes bit-identically to the
+    /// every ids/bitset entry decodes bit-identically to the
     /// brute-force list.
     #[test]
     fn spatial_coverage_tables_match_bruteforce(instance in instances()) {
@@ -218,7 +218,7 @@ proptest! {
         // plain Vec<Vec<u32>> layout it replaced, and its per-encoding
         // tallies must account for every list.
         let mem = instance.coverage_memory();
-        prop_assert_eq!(mem.lists, mem.ids_lists + mem.run_lists + mem.bitset_lists);
+        prop_assert_eq!(mem.lists, mem.ids_lists + mem.bitset_lists);
         prop_assert!(
             mem.compressed_bytes <= mem.uncompressed_bytes,
             "compressed {} > uncompressed {}",

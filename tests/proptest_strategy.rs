@@ -1,12 +1,12 @@
 //! Properties of the pluggable seed-search strategies: on random
 //! small scenarios, every [`SeedStrategyKind`] must be deterministic
-//! and thread-count invariant — the exhaustive sweep's bound-pruning
-//! counter included, since every pruning decision is fixed before the
-//! workers start — the bound-pruned exhaustive sweep must reproduce
-//! the unpruned reference sweep bit-for-bit (its bounds are admissible,
-//! so pruning may only skip subsets that cannot win), and the
-//! strategy-quality differential oracle must accept every strategy the
-//! solver ships.
+//! and thread-count invariant — the exhaustive sweep's bound-pruned
+//! counter included, since the saturation tail it counts is fixed
+//! before the workers start — the exhaustive sweep must reproduce the
+//! materialized reference sweep bit-for-bit (it skips only ranks after
+//! a primer that serves `min(Σ C_k, n)`, which cannot win), it may skip
+//! ranks only behind such a primer, and the strategy-quality
+//! differential oracle must accept every strategy the solver ships.
 
 use proptest::prelude::*;
 use uavnet::channel::UavRadio;
@@ -103,8 +103,8 @@ proptest! {
         );
         prop_assert_eq!(bp_sol.served_users(), exh_sol.served_users());
         prop_assert_eq!(bp_stats.best_seeds.clone(), exh_stats.best_seeds.clone());
-        // The pruned sweep sees the same subset universe, and every
-        // rank it skips is reclassified (bound-pruned), never lost:
+        // The sweep sees the same subset universe, and every rank its
+        // saturation tail skips is counted (bound-pruned), never lost:
         // the accounting identity covers the whole universe for both.
         prop_assert_eq!(bp_stats.subsets_enumerated, exh_stats.subsets_enumerated);
         prop_assert_eq!(exh_stats.subsets_bound_pruned, 0);
@@ -125,5 +125,33 @@ proptest! {
         let s = s.min(instance.num_uavs());
         let config = ApproxConfig::with_s(s).threads(2);
         check_strategy_quality(&instance, &config).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The exhaustive sweep skips a rank without a chain check only in
+    /// the saturation tail: behind a primer that already serves every
+    /// user the fleet can hold, `min(Σ C_k, n)`. Any skip must therefore
+    /// come with a solution at that ceiling.
+    #[test]
+    fn skipped_ranks_imply_a_saturated_fleet(
+        instance in instances(),
+        s in 1usize..=2,
+    ) {
+        let s = s.min(instance.num_uavs());
+        let config = ApproxConfig::with_s(s).threads(2);
+        let (sol, stats) = approx_alg_with_stats(&instance, &config).unwrap();
+        let capacity: usize = instance.uavs().iter().map(|u| u.capacity as usize).sum();
+        let ceiling = capacity.min(instance.num_users());
+        if stats.subsets_bound_pruned > 0 {
+            prop_assert_eq!(
+                sol.served_users(),
+                ceiling,
+                "skipped {} below the ceiling",
+                stats.subsets_bound_pruned
+            );
+        }
     }
 }
