@@ -197,15 +197,16 @@ pub struct ApproxStats {
     /// `s`-subsets enumerated before any pruning. The exhaustive
     /// strategy reports `C(pool, s)`, and `enumerated = evaluated +
     /// chain_pruned + bound_pruned` always holds for it (every rank is
-    /// evaluated, chain-pruned or in the saturation tail); the beam
+    /// evaluated, chain-pruned or above the watermark); the beam
     /// reports generated states (truncation drops the rest).
     pub subsets_enumerated: usize,
     /// Subsets dropped by the chain pruning.
     pub subsets_chain_pruned: usize,
-    /// Subsets in the saturation tail: the ranks after a primer
-    /// candidate that already serves `min(Σ capacities, n)`, which no
-    /// later rank can beat, skipped without a chain check. Exhaustive
-    /// strategy only; zero for the beam and the materialized reference.
+    /// Subsets above the watermark `W`, the lowest rank whose subset
+    /// serves `min(Σ capacities, n)`: no later rank can beat it, so the
+    /// `enumerated − W − 1` ranks after it are skipped without a chain
+    /// check. Zero when no subset saturates the fleet, for the beam and
+    /// for the materialized reference.
     pub subsets_bound_pruned: usize,
     /// Subsets fully evaluated (greedy + connection + scoring).
     pub subsets_evaluated: usize,
@@ -245,11 +246,12 @@ pub struct ApproxStats {
 ///
 /// Each kernel counts into its own workspace, and the sweep adds a
 /// subset's share to its totals only once the subset is decided: work
-/// a tile view spends on a subset that escapes it is dropped. The
-/// totals therefore do not depend on the thread count or the tiling,
-/// and the materialized reference reproduces them whenever the
-/// saturation tail skipped nothing. The leftover pass and the final
-/// scoring are not counted.
+/// a tile view spends on a subset that escapes it is dropped, and so is
+/// every work item that starts above the final watermark. The totals
+/// therefore do not depend on the thread count or the tiling, and the
+/// materialized reference reproduces them whenever the sweep skipped no
+/// rank above its watermark. The leftover pass and the final scoring
+/// are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct KernelCounts {
@@ -307,7 +309,9 @@ impl std::ops::Sub for KernelCounts {
 
 /// Per-phase wall-clock profile of the subset sweep, summed across
 /// worker threads — phase totals therefore exceed elapsed time when
-/// several workers run in parallel.
+/// several workers run in parallel. It times the work as it ran,
+/// including work items above the final watermark that the counters
+/// drop.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SweepProfile {
@@ -475,12 +479,11 @@ pub(crate) fn build_substrate(instance: &Instance) -> Result<ConnectivitySubstra
 /// tie-break (lowest rank among equally-served maxima) prefers the
 /// deployment built from maximally complementary dense cells, a
 /// meaningful canonical representative. Second, a maximum-serving
-/// subset tends to appear at a *low* rank, where the exhaustive sweep's
-/// primer evaluates its one candidate; when that candidate saturates
-/// the fleet, every later rank is skipped. The order changes only
-/// which of several equally-served subsets wins, and how many ranks
-/// the saturation tail skips; the served count and the subset universe
-/// are order-invariant.
+/// subset tends to appear at a *low* rank, and the exhaustive sweep
+/// skips every rank after the first subset that saturates the fleet.
+/// The order changes only which of several equally-served subsets
+/// wins, and how many ranks that stop skips; the served count and the
+/// subset universe are order-invariant.
 pub(crate) fn seed_pool(
     instance: &Instance,
     config: &ApproxConfig,
@@ -593,9 +596,9 @@ pub(crate) fn pool_distances(
 /// Reference implementation of the subset sweep kept for equivalence
 /// testing: materializes every chain-pruning survivor up front and
 /// evaluates them all sequentially, each with a fresh workspace on the
-/// brute-force BFS backend — no saturation tail. It shares the driver's
-/// preamble and finish with [`approx_alg_with_stats`] and produces
-/// exactly the same solution; see
+/// brute-force BFS backend — no stop at a fleet-saturating subset. It
+/// shares the driver's preamble and finish with
+/// [`approx_alg_with_stats`] and produces exactly the same solution; see
 /// [`check_sweep_oracles`](crate::check_sweep_oracles) for how their
 /// statistics relate.
 #[doc(hidden)]

@@ -51,8 +51,8 @@ pub(crate) fn record_sweep(config: &ApproxConfig, stats: &ApproxStats, solution:
         counters::SHARD_TILES.add(stats.tiles_solved as u64);
         counters::SHARD_VIEW_ESCAPES.add(stats.view_escapes as u64);
     }
-    // Every enumerative run records how many subsets the saturation
-    // tail skipped; the guided-run counters belong to the beam.
+    // Every enumerative run records how many subsets it skipped above
+    // its watermark; the guided-run counters belong to the beam.
     match config.strategy() {
         crate::strategy::SeedStrategyKind::Exhaustive => {
             counters::STRATEGY_BOUND_PRUNED.add(stats.subsets_bound_pruned as u64);

@@ -32,9 +32,9 @@
 //!   lazily created global workspace.
 //!
 //! The tiles are only a different way of handing out the work: they
-//! run through the same driver, primer and per-rank worker body as the
-//! monolithic sweep's rank chunks (`crate::strategy`), and the reduce
-//! uses the same (served desc, enumeration rank asc) order, so
+//! run through the same driver, watermark and per-rank worker body as
+//! the monolithic sweep's rank chunks (`crate::strategy`), and the
+//! reduce uses the same (served desc, enumeration rank asc) order, so
 //! [`approx_alg_sharded`] returns the same solution and the same
 //! deterministic statistics as [`approx_alg_with_stats`] for any tile
 //! size and thread count — `crate::verify::check_sharded_sweep` pins
@@ -277,13 +277,12 @@ pub fn approx_alg_sharded(
     Ok((solution, stats))
 }
 
-/// The sharded sweep's work items for the ranks `0..end`. Every pool
-/// position goes to the tile holding its cell, and a tile owns the
-/// rank block of every combination whose lexicographically first
-/// member it holds — so walking the blocks visits exactly the
-/// monolithic ranks. Tiles owning no rank below `end` are dropped
-/// before any view is built.
-pub(crate) fn tiles(ctx: &SearchContext<'_>, shard: &ShardConfig, end: u64) -> WorkItems {
+/// The sharded sweep's work items, in grid order. Every pool position
+/// goes to the tile holding its cell, and a tile owns the rank block of
+/// every combination whose lexicographically first member it holds —
+/// so walking the blocks visits exactly the monolithic ranks. Tiles
+/// owning no rank are dropped before any view is built.
+pub(crate) fn tiles(ctx: &SearchContext<'_>, shard: &ShardConfig) -> WorkItems {
     let (n, s) = (ctx.pool.len(), ctx.config.s());
     let grid = ctx.instance.grid();
     let partition = TilePartition::build(grid.cols(), grid.rows(), shard.tile_cells);
@@ -291,7 +290,7 @@ pub(crate) fn tiles(ctx: &SearchContext<'_>, shard: &ShardConfig, end: u64) -> W
     for (i0, &v) in ctx.pool.iter().enumerate() {
         let tile = &mut tiles[partition.tile_of(v)];
         tile.members.push(i0);
-        let block = first_member_block(i0, n, s, end);
+        let block = first_member_block(i0, n, s);
         if !block.is_empty() {
             tile.blocks.push(block);
         }
@@ -316,15 +315,14 @@ pub(crate) fn tiles(ctx: &SearchContext<'_>, shard: &ShardConfig, end: u64) -> W
 }
 
 /// The ranks of every `s`-combination of `0..n` whose first element is
-/// `i0` — one contiguous block of the lexicographic order — clipped to
-/// `..end`.
-fn first_member_block(i0: usize, n: usize, s: usize, end: u64) -> Range<u64> {
+/// `i0` — one contiguous block of the lexicographic order.
+fn first_member_block(i0: usize, n: usize, s: usize) -> Range<u64> {
     if n - i0 < s {
         return 0..0;
     }
     let first: Vec<usize> = (i0..i0 + s).collect();
     let start = rank_of_combination(&first, n, s);
-    start.min(end)..start.saturating_add(binomial(n - i0 - 1, s - 1)).min(end)
+    start..start.saturating_add(binomial(n - i0 - 1, s - 1))
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! * [`SeedStrategyKind::Exhaustive`] — the **value-exact** engine:
 //!   every rank of the `C(pool, s)` enumeration is either evaluated or
 //!   provably unable to win. Besides chain pruning it skips only the
-//!   *saturation tail*: the ranks after a *primer* candidate, evaluated
-//!   before any worker starts (see [`Primer`]), that already serves
-//!   `min(Σ capacities, n)`. Its winner is therefore bit-identical to
+//!   ranks above the *watermark*: the lowest rank found so far whose
+//!   subset serves `min(Σ capacities, n)`, which no later rank can beat,
+//!   not even on the tie-break. Its winner is therefore bit-identical to
 //!   evaluating every chain survivor
 //!   ([`approx_alg_materialized`](crate::approx_alg_materialized)).
 //! * [`SeedStrategyKind::Beam`] — **density-guided beam search**: seeds
@@ -21,13 +21,17 @@
 //! The exhaustive engine is one worker loop over [`WorkItems`]: rank
 //! chunks for the monolithic sweep, spatial tiles (a view plus the rank
 //! blocks of the tile's members) for the sharded one. Both kinds feed
-//! the same per-rank body — unrank, fault-injection hook, classify,
-//! evaluate — so both sweeps report the same counters and winner.
+//! the same per-rank body — watermark check, unrank, fault-injection
+//! hook, chain check, evaluate — so both sweeps report the same
+//! counters and winner.
 //!
 //! Every search is deterministic and thread-count invariant: ties
 //! break on enumeration rank (equivalently the lexicographic order of
-//! the seed subset), and every skip is a pure function of the rank's
-//! combination and the primer, fixed before workers spawn.
+//! the seed subset), and the exhaustive engine counts each work item (a
+//! rank chunk, or one rank block of a tile) on its own. Its join keeps
+//! the counters of the items that start at or below the final
+//! watermark `W`, which cover exactly the ranks `0..=W`, whichever
+//! thread ran them and however far past `W` the other workers got.
 
 use crate::approx::{
     binomial, chain_feasible, next_combination, panic_payload_message, seed_pool,
@@ -38,9 +42,8 @@ use crate::{CoreError, Instance, SegmentPlan};
 use std::cmp::Reverse;
 use std::fmt;
 use std::ops::Range;
-use std::panic::AssertUnwindSafe;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use uavnet_geom::CellIndex;
 use uavnet_graph::ConnectivitySubstrate;
@@ -52,9 +55,9 @@ use uavnet_graph::ConnectivitySubstrate;
 /// evaluation count constant instead of combinatorial.
 pub const DEFAULT_BEAM_WIDTH: usize = 64;
 
-/// How many of the lowest ranks the primer tries before giving up on
-/// a chain-feasible one.
-const PRIMER_TRIES: u64 = 512;
+/// The watermark before any subset has saturated the fleet. Never a
+/// rank: ranks stay below `C(pool, s)`, which saturates at `u64::MAX`.
+const NO_WATERMARK: u64 = u64::MAX;
 
 /// Which seed-search strategy the subset sweep runs.
 ///
@@ -193,8 +196,8 @@ pub(crate) fn beats(best: &RankedBest, served: usize, rank: u64) -> bool {
 }
 
 /// The deterministic counters and phase timings of a search (or one
-/// worker's share of it, summed when the workers are joined), in the
-/// units [`ApproxStats`](crate::ApproxStats) reports.
+/// work item's share of it, summed when the workers are joined), in
+/// the units [`ApproxStats`](crate::ApproxStats) reports.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     pub(crate) enumerated: usize,
@@ -210,7 +213,20 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    fn absorb(&mut self, other: Tally) {
+    /// Adds `other`'s phase times and, when `commit`, its counters: the
+    /// profile keeps the time of work the join discards, the counters
+    /// only the work the result rests on.
+    fn absorb(&mut self, other: Tally, commit: bool) {
+        let (p, q) = (&mut self.profile, other.profile);
+        p.enumeration_ns += q.enumeration_ns;
+        p.greedy_ns += q.greedy_ns;
+        p.connection_ns += q.connection_ns;
+        p.scoring_ns += q.scoring_ns;
+        p.substrate_query_ns += q.substrate_query_ns;
+        p.tile_view_ns += q.tile_view_ns;
+        if !commit {
+            return;
+        }
         self.enumerated += other.enumerated;
         self.chain_pruned += other.chain_pruned;
         self.bound_pruned += other.bound_pruned;
@@ -220,53 +236,6 @@ impl Tally {
         self.kernel += other.kernel;
         self.tiles_solved += other.tiles_solved;
         self.view_escapes += other.view_escapes;
-        let (p, q) = (&mut self.profile, other.profile);
-        p.enumeration_ns += q.enumeration_ns;
-        p.greedy_ns += q.greedy_ns;
-        p.connection_ns += q.connection_ns;
-        p.scoring_ns += q.scoring_ns;
-        p.substrate_query_ns += q.substrate_query_ns;
-        p.tile_view_ns += q.tile_view_ns;
-    }
-}
-
-/// Runs `threads` copies of `worker` and joins every one of them
-/// before returning, folding each worker's best into `best` (by served
-/// desc, rank asc — bit-identical to a sequential sweep for any
-/// scheduling) and its tally into `tally`. A panicking worker surfaces
-/// as [`CoreError::Sweep`] rather than aborting the process.
-fn join_workers<W>(
-    threads: usize,
-    worker: W,
-    mut best: RankedBest,
-    mut tally: Tally,
-) -> Result<(RankedBest, Tally), CoreError>
-where
-    W: Fn() -> (RankedBest, Tally) + Sync,
-{
-    let joined: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(&worker)).collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let mut worker_panic: Option<String> = None;
-    for result in joined {
-        match result {
-            Ok((cand, part)) => {
-                tally.absorb(part);
-                if let Some(c) = cand {
-                    if beats(&best, c.0, c.1) {
-                        best = Some(c);
-                    }
-                }
-            }
-            Err(payload) => {
-                worker_panic.get_or_insert_with(|| panic_payload_message(&*payload));
-            }
-        }
-    }
-    match worker_panic {
-        Some(message) => Err(CoreError::Sweep(message)),
-        None => Ok((best, tally)),
     }
 }
 
@@ -276,8 +245,8 @@ where
 ///
 /// # Errors
 ///
-/// [`CoreError::Sweep`] if a worker (or the primer) panicked; every
-/// worker is joined first.
+/// [`CoreError::Sweep`] if a worker panicked; every worker is joined
+/// first.
 pub(crate) fn search(
     ctx: &SearchContext<'_>,
     shard: Option<&ShardConfig>,
@@ -288,15 +257,17 @@ pub(crate) fn search(
     }
 }
 
-/// How the exhaustive engine's workers share the ranks `0..end` that
-/// come before the primer's saturated tail. Items are handed out one
-/// at a time from an atomic cursor.
+/// How the exhaustive engine's workers share the ranks `0..C(pool, s)`.
+/// Items are handed out one at a time from an atomic cursor, and each
+/// is counted on its own, so that the join can drop the ones that start
+/// above the final watermark.
 pub(crate) enum WorkItems {
     /// Ranks `0..end` in chunks of `chunk`, each solved in the worker's
     /// global workspace (the monolithic sweep).
     Chunks { chunk: u64, end: u64 },
     /// Spatial tiles, each solved inside a view `reach` hops around its
-    /// members (the sharded sweep).
+    /// members (the sharded sweep); each rank block of a tile is an item
+    /// of its own.
     Tiles { tiles: Vec<Tile>, reach: usize },
 }
 
@@ -311,48 +282,109 @@ impl WorkItems {
 
 /// One tile of the sharded sweep: the pool positions whose cells it
 /// holds, around which its view is built, and the non-empty rank
-/// blocks of the combinations those positions start.
+/// blocks of the combinations those positions start, in ascending rank
+/// order.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Tile {
     pub(crate) members: Vec<usize>,
     pub(crate) blocks: Vec<Range<u64>>,
 }
 
-/// The exhaustive engine: the primer fixes the incumbent on the
-/// calling thread, then the workers drain the work items and every
-/// rank before the primer's saturated tail is
-/// [classified](Primer::classify) and, if it must be, evaluated.
+impl Tile {
+    /// The lowest rank the tile owns (the sharded sweep keeps only
+    /// tiles that own one).
+    fn first_rank(&self) -> u64 {
+        self.blocks[0].start
+    }
+}
+
+/// The exhaustive engine. The workers drain the work items and walk
+/// every rank at or below the watermark, chain-pruning or evaluating
+/// it; a subset at the ceiling `min(Σ capacities, n)` lowers the
+/// watermark to its rank. The join keeps every item's phase times but
+/// only the counters of the items that start at or below the final
+/// watermark `W`. Those cover exactly the ranks `0..=W`: items are
+/// disjoint rank ranges, no rank at or below `W` is ever skipped, and
+/// the item holding `W` stops right after it. A panicking worker
+/// surfaces as [`CoreError::Sweep`] rather than aborting the process,
+/// once every worker has been joined.
 fn exhaustive(
     ctx: &SearchContext<'_>,
     shard: Option<&ShardConfig>,
 ) -> Result<(RankedBest, Tally), CoreError> {
     let s = ctx.config.s();
     let total = binomial(ctx.pool.len(), s);
-    let (primer, primer_best, mut base) = Primer::evaluate(ctx)?;
-    let end = primer.tail_start.min(total);
-    base.enumerated = total as usize;
-    base.bound_pruned = (total - end) as usize;
     let threads = ctx.config.num_threads();
     let items = match shard {
         None => WorkItems::Chunks {
-            chunk: (end / (threads as u64 * 4)).clamp(1, 64),
-            end,
+            chunk: (total / (threads as u64 * 4)).clamp(1, 64),
+            end: total,
         },
-        Some(shard) => crate::shard::tiles(ctx, shard, end),
+        Some(shard) => crate::shard::tiles(ctx, shard),
     };
     let threads = threads.min(items.len().max(1));
+    let ceiling = served_ceiling(ctx.instance);
     let cursor = AtomicUsize::new(0);
-    let worker = || Worker::new(ctx, &primer).run(&items, &cursor);
-    let (best, mut tally) = join_workers(threads, worker, primer_best, base)?;
+    let watermark = AtomicU64::new(NO_WATERMARK);
+    let worker = || Worker::new(ctx, ceiling, &watermark).run(&items, &cursor);
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let w = watermark.into_inner();
+    let mut best: RankedBest = None;
+    let mut tally = Tally::default();
+    let mut worker_panic: Option<String> = None;
+    for result in joined {
+        match result {
+            Ok((cand, done)) => {
+                // A worker's best may come from a discarded item; it then
+                // ranks above `W` and loses to `W`'s saturating subset.
+                if let Some(c) = cand {
+                    if beats(&best, c.0, c.1) {
+                        best = Some(c);
+                    }
+                }
+                for (first, part) in done {
+                    tally.absorb(part, first <= w);
+                }
+            }
+            Err(payload) => {
+                worker_panic.get_or_insert_with(|| panic_payload_message(&*payload));
+            }
+        }
+    }
+    if let Some(message) = worker_panic {
+        return Err(CoreError::Sweep(message));
+    }
+    tally.enumerated = total as usize;
+    if w != NO_WATERMARK {
+        tally.bound_pruned = (total - w - 1) as usize;
+    }
+    if let WorkItems::Tiles { tiles, .. } = &items {
+        tally.tiles_solved = tiles.iter().filter(|t| t.first_rank() <= w).count();
+    }
     tally.profile.subset_buffer_peak_bytes = threads * s * 2 * std::mem::size_of::<usize>();
     Ok((best, tally))
 }
 
-/// One exhaustive worker: its share of the tally, its best candidate
-/// and the reusable buffers of its loop.
+/// `min(Σ capacities, n)`: no deployment serves more users.
+pub(crate) fn served_ceiling(instance: &Instance) -> usize {
+    let capacity: usize = instance.uavs().iter().map(|u| u.capacity as usize).sum();
+    capacity.min(instance.num_users())
+}
+
+/// One exhaustive worker: its best candidate, the tally of every work
+/// item it ran and the reusable buffers of its loop.
 struct Worker<'c> {
     ctx: &'c SearchContext<'c>,
-    primer: &'c Primer,
+    /// The [`served_ceiling`].
+    ceiling: usize,
+    /// The lowest rank found at the ceiling so far. Relaxed throughout:
+    /// it publishes no other data, a stale (higher) reading only costs
+    /// work the join discards, and the join reads the final value after
+    /// every worker has been joined.
+    watermark: &'c AtomicU64,
     /// Created on first use: solves every rank of a chunk item and
     /// every subset that escapes a tile view.
     global: Option<SweepWorkspace<'c>>,
@@ -361,47 +393,60 @@ struct Worker<'c> {
     combo: Vec<usize>,
     seeds: Vec<CellIndex>,
     best: RankedBest,
-    tally: Tally,
+    /// The first rank and the tally of every item run, in run order.
+    done: Vec<(u64, Tally)>,
 }
 
 impl<'c> Worker<'c> {
-    fn new(ctx: &'c SearchContext<'c>, primer: &'c Primer) -> Self {
+    fn new(ctx: &'c SearchContext<'c>, ceiling: usize, watermark: &'c AtomicU64) -> Self {
         let s = ctx.config.s();
         Worker {
             ctx,
-            primer,
+            ceiling,
+            watermark,
             global: None,
             scratch: None,
             combo: Vec::with_capacity(s),
             seeds: Vec::with_capacity(s),
             best: None,
-            tally: Tally::default(),
+            done: Vec::new(),
         }
     }
 
-    /// Drains work items until the cursor passes the last one.
-    fn run(mut self, items: &WorkItems, cursor: &AtomicUsize) -> (RankedBest, Tally) {
+    fn watermark(&self) -> u64 {
+        self.watermark.load(Ordering::Relaxed)
+    }
+
+    /// Drains work items until the cursor passes the last one or, for
+    /// chunks, the watermark.
+    fn run(mut self, items: &WorkItems, cursor: &AtomicUsize) -> (RankedBest, Vec<(u64, Tally)>) {
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             match items {
                 WorkItems::Chunks { chunk, end } => {
                     let start = (i as u64).saturating_mul(*chunk);
-                    if start >= *end {
+                    // Chunks are claimed in rank order: every later one
+                    // starts past the watermark too.
+                    if start >= *end || start > self.watermark() {
                         break;
                     }
-                    self.sweep(start..start.saturating_add(*chunk).min(*end), None);
+                    let ranks = start..start.saturating_add(*chunk).min(*end);
+                    self.sweep(ranks, None, Tally::default());
                 }
                 WorkItems::Tiles { tiles, reach } => {
                     let Some(tile) = tiles.get(i) else { break };
-                    self.solve_tile(tile, *reach);
+                    if tile.first_rank() <= self.watermark() {
+                        self.solve_tile(tile, *reach);
+                    }
                 }
             }
         }
-        (self.best, self.tally)
+        (self.best, self.done)
     }
 
     /// Builds the tile's view around its members, then sweeps the
-    /// tile's rank blocks inside it.
+    /// tile's rank blocks inside it. The view's build time goes to the
+    /// first block.
     fn solve_tile(&mut self, tile: &Tile, reach: usize) {
         let ctx = self.ctx;
         let t_tile = Instant::now();
@@ -410,22 +455,33 @@ impl<'c> Worker<'c> {
             .scratch
             .get_or_insert_with(|| ViewScratch::new(ctx.instance.num_users()));
         let view = build_view(ctx.instance, ctx.substrate, &member_cells, reach, scratch);
-        self.tally.profile.tile_view_ns += t_tile.elapsed().as_nanos() as u64;
+        let mut tally = Tally::default();
+        tally.profile.tile_view_ns = t_tile.elapsed().as_nanos() as u64;
         let mut ws = SweepWorkspace::with_view(ctx.instance, ctx.substrate, &view);
         for block in &tile.blocks {
-            self.sweep(block.clone(), Some(&mut ws));
+            self.sweep(block.clone(), Some(&mut ws), std::mem::take(&mut tally));
         }
-        self.tally.tiles_solved += 1;
         uavnet_obs::hists::TILE_SOLVE.record_ns(t_tile.elapsed().as_nanos() as u64);
     }
 
-    /// Walks consecutive ranks: each is unranked (or advanced from its
-    /// predecessor), offered to the fault-injection hook, classified,
-    /// and evaluated when it must be.
-    fn sweep(&mut self, ranks: Range<u64>, mut view: Option<&mut SweepWorkspace<'_>>) {
+    /// Walks the consecutive ranks of one work item while they stay at
+    /// or below the watermark: each is unranked (or advanced from its
+    /// predecessor), offered to the fault-injection hook, chain-checked,
+    /// and evaluated when it survives. A subset at the ceiling lowers the
+    /// watermark to its rank and ends the item. Records the item with
+    /// its `tally`.
+    fn sweep(
+        &mut self,
+        ranks: Range<u64>,
+        mut view: Option<&mut SweepWorkspace<'_>>,
+        mut tally: Tally,
+    ) {
         let ctx = self.ctx;
         let (n, s) = (ctx.pool.len(), ctx.config.s());
         for rank in ranks.clone() {
+            if rank > self.watermark() {
+                break;
+            }
             let t_enum = Instant::now();
             if rank == ranks.start {
                 unrank_combination(rank, n, s, &mut self.combo);
@@ -439,41 +495,39 @@ impl<'c> Worker<'c> {
             if ctx.config.panic_rank() == Some(rank) {
                 panic!("injected worker panic at enumeration rank {rank}");
             }
-            let class = self.primer.classify(ctx, &self.combo, rank);
-            self.tally.profile.enumeration_ns += t_enum.elapsed().as_nanos() as u64;
-            match class {
-                RankClass::Evaluate => self.evaluate(rank, view.as_deref_mut()),
-                RankClass::ChainPruned => self.tally.chain_pruned += 1,
-                RankClass::Primer => {}
-                RankClass::Tail => unreachable!("work items stop before the tail"),
+            let feasible = ctx.chain_feasible(&self.combo);
+            tally.profile.enumeration_ns += t_enum.elapsed().as_nanos() as u64;
+            if !feasible {
+                tally.chain_pruned += 1;
+            } else if self.evaluate(rank, view.as_deref_mut(), &mut tally) {
+                self.watermark.fetch_min(rank, Ordering::Relaxed);
+                break;
             }
         }
+        self.done.push((ranks.start, tally));
     }
 
     /// Evaluates the current combination in the tile view, if any, and
     /// in the global workspace otherwise or when the subset escapes the
-    /// view.
-    fn evaluate(&mut self, rank: u64, view: Option<&mut SweepWorkspace<'_>>) {
+    /// view. Returns whether the subset serves the ceiling.
+    fn evaluate(
+        &mut self,
+        rank: u64,
+        view: Option<&mut SweepWorkspace<'_>>,
+        tally: &mut Tally,
+    ) -> bool {
         let ctx = self.ctx;
-        self.tally.evaluated += 1;
+        tally.evaluated += 1;
         self.seeds.clear();
         self.seeds.extend(self.combo.iter().map(|&i| ctx.pool[i]));
-        let in_view = view.map(|ws| {
-            (
-                solve_counted(ws, ctx.plan, &self.seeds, &mut self.tally),
-                &*ws,
-            )
-        });
+        let in_view = view.map(|ws| (solve_counted(ws, ctx.plan, &self.seeds, tally), &*ws));
         let (outcome, ws) = match in_view {
             Some((outcome, ws)) if outcome != SubsetOutcome::EscapedView => (outcome, ws),
             _ => {
                 let ws = self.global.get_or_insert_with(|| {
                     SweepWorkspace::with_substrate(ctx.instance, ctx.substrate)
                 });
-                (
-                    solve_counted(ws, ctx.plan, &self.seeds, &mut self.tally),
-                    &*ws,
-                )
+                (solve_counted(ws, ctx.plan, &self.seeds, tally), &*ws)
             }
         };
         match outcome {
@@ -481,8 +535,12 @@ impl<'c> Worker<'c> {
                 if beats(&self.best, served, rank) {
                     self.best = Some((served, rank, ws.placements().to_vec(), self.seeds.clone()));
                 }
+                served >= self.ceiling
             }
-            SubsetOutcome::Unconnectable => self.tally.unconnectable += 1,
+            SubsetOutcome::Unconnectable => {
+                tally.unconnectable += 1;
+                false
+            }
             SubsetOutcome::EscapedView => {
                 unreachable!("a global workspace has no view to escape")
             }
@@ -509,130 +567,6 @@ fn solve_counted(
         tally.kernel += ws.counts() - kernel;
     }
     outcome
-}
-
-/// How the exhaustive sweep treats one enumeration rank, as decided by
-/// [`Primer::classify`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RankClass {
-    /// Past a primer that already serves `min(Σ capacities, n)`: no
-    /// later rank can win, not even on the tie-break. Counted as
-    /// bound-pruned without a chain check; the work items stop here.
-    Tail,
-    /// Rejected by chain pruning.
-    ChainPruned,
-    /// The primer's own candidate, evaluated before the workers
-    /// started.
-    Primer,
-    /// Must be evaluated.
-    Evaluate,
-}
-
-/// The incumbent of the exhaustive sweep, fixed before any worker
-/// starts.
-///
-/// The primer evaluates one candidate on the calling thread: the
-/// lowest-rank chain-feasible combination among the first
-/// [`PRIMER_TRIES`] ranks. Under the canonical greedy pool order (see
-/// [`seed_pool`]) this is usually the winner itself. When it serves
-/// `min(Σ capacities, n)` — no deployment can serve more — every later
-/// rank belongs to the [`RankClass::Tail`] and the work items stop
-/// before it. Because the primer is fixed once workers run,
-/// [`classify`](Self::classify) is a pure function of the rank and its
-/// combination, and every counter is independent of the thread count
-/// and of how the sharded sweep tiles the grid.
-struct Primer {
-    /// The rank the primer evaluated, if it found a chain-feasible one.
-    rank: Option<u64>,
-    /// The first rank of the [`RankClass::Tail`]: one past the primer's
-    /// rank when it saturates the fleet, `u64::MAX` otherwise.
-    tail_start: u64,
-}
-
-impl Primer {
-    /// Finds and evaluates the primer candidate; also returns it as the
-    /// sweep's first best and the primer's own work (the candidate
-    /// search counts as enumeration), which seed the sweep's reduction.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Sweep`] if evaluating the candidate panicked.
-    fn evaluate(ctx: &SearchContext<'_>) -> Result<(Primer, RankedBest, Tally), CoreError> {
-        std::panic::catch_unwind(AssertUnwindSafe(|| Primer::evaluate_inner(ctx)))
-            .map_err(|payload| CoreError::Sweep(panic_payload_message(&*payload)))
-    }
-
-    fn evaluate_inner(ctx: &SearchContext<'_>) -> (Primer, RankedBest, Tally) {
-        let instance = ctx.instance;
-        let t_setup = Instant::now();
-        let candidate = first_feasible(ctx);
-        let mut tally = Tally::default();
-        tally.profile.enumeration_ns = t_setup.elapsed().as_nanos() as u64;
-        let mut primer = Primer {
-            rank: None,
-            tail_start: u64::MAX,
-        };
-        let Some((rank, positions)) = candidate else {
-            return (primer, None, tally);
-        };
-        primer.rank = Some(rank);
-        tally.evaluated = 1;
-        let seeds: Vec<CellIndex> = positions.iter().map(|&p| ctx.pool[p]).collect();
-        let mut ws = SweepWorkspace::with_substrate(instance, ctx.substrate);
-        let outcome = ws.solve_subset(ctx.plan, &seeds, &mut tally.profile);
-        tally.gain_queries = ws.gain_queries();
-        tally.kernel = ws.counts();
-        let best = match outcome {
-            SubsetOutcome::Served(served) => {
-                let capacity: u64 = instance.uavs().iter().map(|u| u64::from(u.capacity)).sum();
-                if served as u64 >= capacity.min(instance.num_users() as u64) {
-                    primer.tail_start = rank + 1;
-                }
-                Some((served, rank, ws.placements().to_vec(), seeds))
-            }
-            SubsetOutcome::Unconnectable => {
-                tally.unconnectable += 1;
-                None
-            }
-            SubsetOutcome::EscapedView => unreachable!("the primer runs without a tile view"),
-        };
-        (primer, best, tally)
-    }
-
-    /// Classifies the rank-`rank` pool-index combination `combo`; the
-    /// classes are checked in the order they are declared in
-    /// [`RankClass`].
-    fn classify(&self, ctx: &SearchContext<'_>, combo: &[usize], rank: u64) -> RankClass {
-        if rank >= self.tail_start {
-            RankClass::Tail
-        } else if !ctx.chain_feasible(combo) {
-            RankClass::ChainPruned
-        } else if self.rank == Some(rank) {
-            RankClass::Primer
-        } else {
-            RankClass::Evaluate
-        }
-    }
-}
-
-/// The lowest-rank chain-feasible combination among the first
-/// [`PRIMER_TRIES`] ranks, with its rank: the number of
-/// [`next_combination`] steps taken to reach it.
-fn first_feasible(ctx: &SearchContext<'_>) -> Option<(u64, Vec<usize>)> {
-    let (n, s) = (ctx.pool.len(), ctx.config.s());
-    if n < s {
-        return None;
-    }
-    let mut combo: Vec<usize> = (0..s).collect();
-    for rank in 0..PRIMER_TRIES {
-        if ctx.chain_feasible(&combo) {
-            return Some((rank, combo));
-        }
-        if !next_combination(&mut combo, n) {
-            break;
-        }
-    }
-    None
 }
 
 /// Density-guided beam search seeded from the highest-coverage cells.
@@ -819,11 +753,36 @@ mod tests {
         assert_eq!(stats_b.strategy, "beam");
     }
 
+    /// Two clusters and a straggler that a fleet of `Σ C_k = 13` can
+    /// just serve (`n = 11`): the lowest ranks serve fewer, and at
+    /// `s = 2` the first saturating rank lies deep in the enumeration.
+    fn two_clusters_and_a_straggler() -> Instance {
+        let mut b = Instance::builder(grid(300.0, 1500.0), 370.0);
+        for (x, y) in [
+            (1_000.0, 670.0),
+            (1_010.0, 640.0),
+            (970.0, 670.0),
+            (1_020.0, 630.0),
+            (1_035.0, 615.0),
+            (1_035.0, 605.0),
+            (1_250.0, 245.0),
+            (1_275.0, 190.0),
+            (1_225.0, 190.0),
+            (1_235.0, 265.0),
+            (525.0, 1_005.0),
+        ] {
+            b.add_user(Point2::new(x, y), 2_000.0);
+        }
+        for cap in [4u32, 3, 6] {
+            b.add_uav(cap, UavRadio::new(30.0, 5.0, 430.0));
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn saturation_tail_is_value_exact_and_thread_count_invariant() {
         // One dense hotspot that every cell covers and a small fleet:
-        // the primer's lowest-rank candidate saturates the fleet, so the
-        // tail has ranks to skip.
+        // the lowest chain-feasible rank already saturates the fleet.
         let mut b = Instance::builder(grid(300.0, 900.0), 450.0);
         for i in 0..20 {
             b.add_user(Point2::new(400.0 + 5.0 * i as f64, 460.0), 2_000.0);
@@ -831,16 +790,19 @@ mod tests {
         for cap in [3u32, 2, 2] {
             b.add_uav(cap, UavRadio::new(30.0, 5.0, 500.0));
         }
-        let inst = b.build().unwrap();
-        for s in [1usize, 2] {
-            // Oracle 6: the sharded sweep skips the same ranks.
-            crate::check_sharded_sweep(&inst, &ApproxConfig::with_s(s).threads(2)).unwrap();
-            let runs: Vec<_> = [1usize, 2, 4]
+        let hotspot = b.build().unwrap();
+        let late = two_clusters_and_a_straggler();
+        for (inst, s) in [(&hotspot, 1usize), (&hotspot, 2), (&late, 1), (&late, 2)] {
+            // Oracle 6: the sharded sweep stops at the same rank.
+            crate::check_sharded_sweep(inst, &ApproxConfig::with_s(s).threads(2)).unwrap();
+            // Repeated 8-thread runs race the workers past the watermark
+            // in different ways; the committed counts must not notice.
+            let runs: Vec<_> = [1usize, 2, 4, 8, 8, 8, 8, 8]
                 .iter()
                 .map(|&t| {
                     let config = ApproxConfig::with_s(s).threads(t);
-                    crate::check_sweep_oracles(&inst, &config).unwrap();
-                    approx_alg_with_stats(&inst, &config).unwrap().1
+                    crate::check_sweep_oracles(inst, &config).unwrap();
+                    approx_alg_with_stats(inst, &config).unwrap().1
                 })
                 .collect();
             let first = &runs[0];
@@ -856,9 +818,22 @@ mod tests {
                 assert_eq!(stats.subsets_chain_pruned, first.subsets_chain_pruned);
                 assert_eq!(stats.subsets_bound_pruned, first.subsets_bound_pruned);
                 assert_eq!(stats.subsets_evaluated, first.subsets_evaluated);
+                assert_eq!(stats.subsets_unconnectable, first.subsets_unconnectable);
                 assert_eq!(stats.gain_queries, first.gain_queries);
+                assert_eq!(stats.kernel, first.kernel);
+                assert_eq!(stats.best_seeds, first.best_seeds);
             }
         }
+        // At 8 threads the late fixture's C(15, 2) = 105 ranks go out in
+        // chunks of 3: its first saturating rank must lie past every
+        // worker's first chunk, behind chain survivors that serve fewer.
+        let stats = approx_alg_with_stats(&late, &ApproxConfig::with_s(2).threads(8))
+            .unwrap()
+            .1;
+        assert_eq!(stats.subsets_enumerated, 105);
+        assert!(stats.subsets_evaluated > 1, "the first survivor saturates");
+        let watermark = stats.subsets_enumerated - stats.subsets_bound_pruned - 1;
+        assert!(watermark >= 8 * 3, "first saturating rank {watermark}");
     }
 
     #[test]

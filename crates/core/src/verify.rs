@@ -19,7 +19,10 @@
 //! solver crates), so any CI run with that feature cross-checks every
 //! deployment the algorithms score.
 
-use crate::approx::{approx_alg, approx_alg_materialized, approx_alg_with_stats, ApproxConfig};
+use crate::approx::{
+    approx_alg, approx_alg_materialized, approx_alg_with_stats, build_substrate, next_combination,
+    ApproxConfig,
+};
 use crate::assign::{assign_users, assign_users_max_flow};
 use crate::connecting::{
     connect_via_mst, connect_via_substrate, extend_to_gateway, extend_to_gateway_substrate,
@@ -27,7 +30,7 @@ use crate::connecting::{
 use crate::exact::exact_optimum;
 use crate::incremental::{Delta, LoopConfig, SolverLoop};
 use crate::solution::Solution;
-use crate::strategy::{SeedStrategyKind, DEFAULT_BEAM_WIDTH};
+use crate::strategy::{served_ceiling, SearchContext, SeedStrategyKind, DEFAULT_BEAM_WIDTH};
 use crate::{CoreError, Instance, SegmentPlan};
 use std::error::Error;
 use std::fmt;
@@ -268,12 +271,13 @@ pub fn check_assignment_oracles(
 /// materialized sequential reference, which evaluates every chain
 /// survivor: the solution, the winning seeds, the plan, the pool size
 /// and the enumeration size must be bit-for-bit identical. The other
-/// counters must be identical too when the saturation tail skipped
-/// nothing. Otherwise the sweep stopped after a primer that serves
-/// `min(Σ capacities, n)`: every rank must still be accounted for
-/// exactly once (`evaluated + chain_pruned + bound_pruned ==
-/// enumerated`, the tail counted as bound-pruned) and the sweep may
-/// not evaluate more subsets than the reference.
+/// counters must be identical too when the sweep skipped no rank above
+/// its watermark. Otherwise it must have stopped exactly at the first
+/// subset serving `min(Σ capacities, n)`, at rank `W = enumerated −
+/// bound_pruned − 1`: the solution serves that ceiling, the winning
+/// seeds are the combination at rank `W`, exactly `evaluated − 1` chain
+/// survivors lie below `W`, and `evaluated + chain_pruned +
+/// bound_pruned == enumerated`.
 ///
 /// # Errors
 ///
@@ -327,6 +331,14 @@ pub fn check_sweep_oracles(instance: &Instance, config: &ApproxConfig) -> Result
         }
     }
     if stats.subsets_bound_pruned > 0 {
+        let ceiling = served_ceiling(instance);
+        if sol.served_users() != ceiling {
+            return mismatch(
+                "served",
+                sol.served_users().to_string(),
+                ceiling.to_string(),
+            );
+        }
         let accounted =
             stats.subsets_evaluated + stats.subsets_chain_pruned + stats.subsets_bound_pruned;
         if accounted != stats.subsets_enumerated {
@@ -336,11 +348,36 @@ pub fn check_sweep_oracles(instance: &Instance, config: &ApproxConfig) -> Result
                 ref_stats.subsets_enumerated.to_string(),
             );
         }
-        if stats.subsets_evaluated > ref_stats.subsets_evaluated {
+        // Recount the ranks below the watermark from the same pool and
+        // chain tables the sweep used.
+        let Some(w) = (stats.subsets_enumerated - stats.subsets_bound_pruned).checked_sub(1) else {
+            return mismatch(
+                "subsets_bound_pruned",
+                stats.subsets_bound_pruned.to_string(),
+                "fewer than enumerated".to_string(),
+            );
+        };
+        let substrate = build_substrate(instance)?;
+        let ctx = SearchContext::new(instance, config, &stats.plan, &substrate);
+        let mut combo: Vec<usize> = (0..config.s()).collect();
+        let mut survivors_below = 0usize;
+        for _ in 0..w {
+            survivors_below += usize::from(ctx.chain_feasible(&combo));
+            next_combination(&mut combo, ctx.pool.len());
+        }
+        let seeds_at_w: Vec<CellIndex> = combo.iter().map(|&i| ctx.pool[i]).collect();
+        if stats.best_seeds.as_ref() != Some(&seeds_at_w) {
+            return mismatch(
+                "best_seeds",
+                format!("{:?}", stats.best_seeds),
+                format!("{seeds_at_w:?} at rank {w}"),
+            );
+        }
+        if stats.subsets_evaluated != survivors_below + 1 {
             return mismatch(
                 "subsets_evaluated",
                 stats.subsets_evaluated.to_string(),
-                ref_stats.subsets_evaluated.to_string(),
+                format!("{} (chain survivors through rank {w})", survivors_below + 1),
             );
         }
         return Ok(());

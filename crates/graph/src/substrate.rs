@@ -6,9 +6,9 @@
 //! of times per run, once per seed subset. [`ConnectivitySubstrate`]
 //! answers all of them from tables built **once** per instance:
 //!
-//! * a CSR copy of the adjacency (cache-friendly neighbor scans);
 //! * the full all-pairs hop matrix in `u16` (`u16::MAX` = unreachable),
-//!   one BFS per node over the CSR at build time;
+//!   one BFS per node at build time, over a CSR copy of the adjacency
+//!   local to the build;
 //! * component ids plus one membership bitset per component, so
 //!   reachability is a word-indexed bit test and "how many candidates
 //!   can this seed reach" is a precomputed count.
@@ -76,10 +76,6 @@ impl std::error::Error for SubstrateError {}
 #[derive(Debug, Clone)]
 pub struct ConnectivitySubstrate {
     n: usize,
-    /// CSR offsets into `neighbors`; node `u`'s neighbors are
-    /// `neighbors[offsets[u]..offsets[u + 1]]`, sorted ascending.
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
     /// Row-major `n × n` hop matrix; [`UNREACHABLE_HOPS`] = no path.
     hops: Vec<u16>,
     /// Component id per node (ids are dense, by smallest member).
@@ -110,14 +106,13 @@ impl ConnectivitySubstrate {
                 max: UNREACHABLE_HOPS as usize - 1,
             });
         }
-        // CSR adjacency with sorted neighbor lists.
+        // CSR adjacency for the BFS runs below: node `u`'s neighbors
+        // are `neighbors[offsets[u]..offsets[u + 1]]`.
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut neighbors: Vec<u32> = Vec::new();
         for u in 0..n {
-            let start = neighbors.len();
             neighbors.extend(g.neighbors(u).iter().map(|&v| v as u32));
-            neighbors[start..].sort_unstable();
             offsets.push(neighbors.len() as u32);
         }
 
@@ -179,8 +174,6 @@ impl ConnectivitySubstrate {
 
         let sub = ConnectivitySubstrate {
             n,
-            offsets,
-            neighbors,
             hops,
             component,
             component_sizes,
@@ -280,16 +273,6 @@ impl ConnectivitySubstrate {
     pub fn component_size(&self, u: usize) -> usize {
         self.component_sizes[self.component[u] as usize] as usize
     }
-
-    /// Sorted neighbor ids of `u` from the CSR copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn neighbors(&self, u: usize) -> &[u32] {
-        &self.neighbors[self.offsets[u] as usize..self.offsets[u + 1] as usize]
-    }
 }
 
 #[cfg(test)]
@@ -352,17 +335,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn csr_neighbors_are_sorted() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 4);
-        g.add_edge(0, 2);
-        g.add_edge(0, 1);
-        let sub = ConnectivitySubstrate::build(&g).unwrap();
-        assert_eq!(sub.neighbors(0), &[1, 2, 4]);
-        assert_eq!(sub.neighbors(3), &[] as &[u32]);
     }
 
     #[test]

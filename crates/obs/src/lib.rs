@@ -1565,8 +1565,8 @@ pub mod counters {
     pub static RESOLVE_STATIONS_REFRESHED: Counter = Counter::new("resolve.stations_refreshed");
     /// Sweeps that ran a guided (non-exhaustive) seed strategy.
     pub static STRATEGY_GUIDED_RUNS: Counter = Counter::new("strategy.guided_runs");
-    /// Subsets in the exhaustive sweep's saturation tail (the ranks
-    /// after a primer that already serves `min(Σ capacities, n)`),
+    /// Subsets the exhaustive sweep skipped above its watermark (the
+    /// ranks after the first subset that serves `min(Σ capacities, n)`),
     /// recorded for every exhaustive sweep.
     pub static STRATEGY_BOUND_PRUNED: Counter = Counter::new("strategy.bound_pruned");
     /// Subsets fully evaluated by the beam strategy's final beam.
@@ -1718,11 +1718,15 @@ pub mod hists {
     use super::LatencyHist;
 
     /// Latency of one marginal-gain (trial-insertion) query of the
-    /// coverage oracle; in a sweep its sample count is the sweep's gain
-    /// queries plus any a tile view spent on a subset that escaped it.
+    /// coverage oracle, timed as the work runs: in a sweep its sample
+    /// count is the sweep's gain queries plus any a tile view spent on
+    /// a subset that escaped it, and plus those of work items that ran
+    /// above the final watermark when a subset saturates the fleet.
     pub static GAIN_QUERY: LatencyHist = LatencyHist::new("greedy.gain_query_ns");
     /// Wall clock of one whole tile in the sharded sweep (view build +
-    /// every subset assigned to the tile).
+    /// every subset of the tile at or below the watermark), timed as
+    /// the work runs: when a subset saturates the fleet, its sample
+    /// count also includes tiles the counters drop.
     pub static TILE_SOLVE: LatencyHist = LatencyHist::new("shard.tile_solve_ns");
     /// Latency of writing one published frame to one subscriber
     /// socket during fan-out.

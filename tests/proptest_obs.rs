@@ -138,11 +138,18 @@ proptest! {
                 }
                 // The gain-query latency samples are exactly the
                 // sweep's gain queries: the histogram never drops a
-                // timing under concurrency.
+                // timing under concurrency. It times the work as it
+                // runs, so a sweep that stopped at a fleet-saturating
+                // subset also timed the work items above its final
+                // watermark that its counters drop.
                 let gain_hist = snap
                     .hist("greedy.gain_query_ns")
                     .expect("gain-query latency histogram present");
-                prop_assert_eq!(gain_hist.count, obs_stats.gain_queries);
+                if obs_stats.subsets_bound_pruned == 0 {
+                    prop_assert_eq!(gain_hist.count, obs_stats.gain_queries);
+                } else {
+                    prop_assert!(gain_hist.count >= obs_stats.gain_queries);
+                }
                 prop_assert!(gain_hist.p50_ns <= gain_hist.p90_ns);
                 prop_assert!(gain_hist.p90_ns <= gain_hist.p99_ns);
                 prop_assert!(gain_hist.p99_ns <= gain_hist.max_ns);

@@ -1,12 +1,13 @@
 //! Properties of the pluggable seed-search strategies: on random
 //! small scenarios, every [`SeedStrategyKind`] must be deterministic
 //! and thread-count invariant — the exhaustive sweep's bound-pruned
-//! counter included, since the saturation tail it counts is fixed
-//! before the workers start — the exhaustive sweep must reproduce the
-//! materialized reference sweep bit-for-bit (it skips only ranks after
-//! a primer that serves `min(Σ C_k, n)`, which cannot win), it may skip
-//! ranks only behind such a primer, and the strategy-quality
-//! differential oracle must accept every strategy the solver ships.
+//! counter and kernel counts included, since its join keeps exactly
+//! the work at or below the final watermark however the workers raced —
+//! the exhaustive sweep must reproduce the materialized reference sweep
+//! bit-for-bit (it skips only ranks above the first subset that serves
+//! `min(Σ C_k, n)`, which cannot win), it may skip ranks only behind
+//! such a subset, and the strategy-quality differential oracle must
+//! accept every strategy the solver ships.
 
 use proptest::prelude::*;
 use uavnet::channel::UavRadio;
@@ -81,40 +82,40 @@ proptest! {
                 prop_assert_eq!(stats.subsets_evaluated, first_stats.subsets_evaluated);
                 prop_assert_eq!(stats.subsets_unconnectable, first_stats.subsets_unconnectable);
                 prop_assert_eq!(stats.gain_queries, first_stats.gain_queries);
+                prop_assert_eq!(stats.kernel, first_stats.kernel);
                 prop_assert_eq!(stats.best_seeds.clone(), first_stats.best_seeds.clone());
             }
         }
     }
 
     #[test]
-    fn bound_pruned_matches_exhaustive_bit_for_bit(
+    fn exhaustive_matches_materialized_bit_for_bit(
         instance in instances(),
         s in 1usize..=2,
         threads in 1usize..=4,
     ) {
         let s = s.min(instance.num_uavs());
         let config = ApproxConfig::with_s(s).threads(threads);
-        let (bp_sol, bp_stats) = approx_alg_with_stats(&instance, &config).unwrap();
-        let (exh_sol, exh_stats) = approx_alg_materialized(&instance, &config).unwrap();
+        let (sol, stats) = approx_alg_with_stats(&instance, &config).unwrap();
+        let (ref_sol, ref_stats) = approx_alg_materialized(&instance, &config).unwrap();
 
         prop_assert_eq!(
-            bp_sol.deployment().placements(),
-            exh_sol.deployment().placements()
+            sol.deployment().placements(),
+            ref_sol.deployment().placements()
         );
-        prop_assert_eq!(bp_sol.served_users(), exh_sol.served_users());
-        prop_assert_eq!(bp_stats.best_seeds.clone(), exh_stats.best_seeds.clone());
-        // The sweep sees the same subset universe, and every rank its
-        // saturation tail skips is counted (bound-pruned), never lost:
-        // the accounting identity covers the whole universe for both.
-        prop_assert_eq!(bp_stats.subsets_enumerated, exh_stats.subsets_enumerated);
-        prop_assert_eq!(exh_stats.subsets_bound_pruned, 0);
+        prop_assert_eq!(sol.served_users(), ref_sol.served_users());
+        prop_assert_eq!(stats.best_seeds.clone(), ref_stats.best_seeds.clone());
+        // The sweep sees the same subset universe, and every rank it
+        // skips above the watermark is counted (bound-pruned), never
+        // lost: the accounting identity covers the whole universe for
+        // both.
+        prop_assert_eq!(stats.subsets_enumerated, ref_stats.subsets_enumerated);
+        prop_assert_eq!(ref_stats.subsets_bound_pruned, 0);
         prop_assert_eq!(
-            bp_stats.subsets_evaluated
-                + bp_stats.subsets_bound_pruned
-                + bp_stats.subsets_chain_pruned,
-            exh_stats.subsets_evaluated + exh_stats.subsets_chain_pruned
+            stats.subsets_evaluated + stats.subsets_bound_pruned + stats.subsets_chain_pruned,
+            ref_stats.subsets_evaluated + ref_stats.subsets_chain_pruned
         );
-        prop_assert!(bp_stats.subsets_evaluated <= exh_stats.subsets_evaluated);
+        prop_assert!(stats.subsets_evaluated <= ref_stats.subsets_evaluated);
     }
 
     #[test]
@@ -131,8 +132,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The exhaustive sweep skips a rank without a chain check only in
-    /// the saturation tail: behind a primer that already serves every
+    /// The exhaustive sweep skips a rank without a chain check only
+    /// above its watermark: behind a subset that already serves every
     /// user the fleet can hold, `min(Σ C_k, n)`. Any skip must therefore
     /// come with a solution at that ceiling.
     #[test]

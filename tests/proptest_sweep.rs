@@ -1,9 +1,9 @@
 //! Equivalence properties of the streaming subset sweep: on random
 //! small scenarios, the streaming enumeration (chunked cursor,
-//! per-thread workspaces, the saturation tail behind the primer) must
-//! reproduce the materialized reference sweep bit-for-bit — same
-//! solution, same winning seeds, statistics related as verify oracle 2
-//! demands — at every thread count.
+//! per-thread workspaces, the stop at the first subset that saturates
+//! the fleet) must reproduce the materialized reference sweep
+//! bit-for-bit — same solution, same winning seeds, statistics related
+//! as verify oracle 2 demands — at every thread count.
 
 use proptest::prelude::*;
 use uavnet::channel::UavRadio;
