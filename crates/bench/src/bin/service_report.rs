@@ -145,12 +145,12 @@ fn main() -> ExitCode {
         SolverLoop::new(instance.clone(), loop_config.clone()).expect("in-process solver");
     let served_first = twin.served_users();
 
-    // The report owns the obs session (rather than handing it to the
-    // service via `record_obs`): the in-process twin and the oracle
-    // replay run on this thread inside the same session, and the
-    // report-level root span below keeps the whole log — twin, oracle
-    // and the service worker's tree, attached via the explicit parent
-    // handle — one rooted tree.
+    // The report owns the obs session, as every embedder of the
+    // service does: the in-process twin and the oracle replay run on
+    // this thread inside the same session, and the report-level root
+    // span below keeps the whole log — twin, oracle and the service
+    // worker's tree, attached via the explicit parent handle — one
+    // rooted tree.
     let record_obs = uavnet_obs::is_enabled();
     if record_obs {
         run.begin_recording(threads, report::fingerprint([&instance]));

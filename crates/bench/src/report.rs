@@ -207,7 +207,7 @@ impl Run {
         provenance.features = "obs,enabled".to_string();
         provenance.threads = threads as u64;
         provenance.instance_fingerprint = instance_fingerprint;
-        uavnet_obs::try_session_begin_with(provenance).expect("begin the report's obs session");
+        uavnet_obs::session_begin(provenance).expect("begin the report's obs session");
     }
 
     /// Ends the recording session, if one is active, and writes every

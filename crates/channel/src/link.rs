@@ -5,7 +5,6 @@ use crate::{
     elevation_angle_deg, free_space_pathloss_db, los_probability, shannon_rate_bps, snr_db,
     snr_linear_from_db, ChannelParams,
 };
-use serde::{Deserialize, Serialize};
 use uavnet_geom::{Point2, Point3};
 
 /// The base-station radio mounted on a UAV: transmit power, antenna gain,
@@ -23,7 +22,7 @@ use uavnet_geom::{Point2, Point3};
 /// let weak = UavRadio::new(27.0, 3.0, 350.0);
 /// assert!(strong.user_range_m() > weak.user_range_m());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UavRadio {
     tx_power_dbm: f64,
     antenna_gain_dbi: f64,
@@ -232,7 +231,7 @@ impl Default for AtgChannel {
 /// assert!(ch.connected(a, b));
 /// assert!(!ch.connected(a, c));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UavToUavChannel {
     range_m: f64,
 }

@@ -1,6 +1,5 @@
 //! Channel parameterization: propagation environments and radio constants.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Propagation environment classes from Al-Hourani et al. (2014).
@@ -8,7 +7,7 @@ use std::fmt;
 /// Each class fixes the S-curve constants `(a, b)` of the LoS probability
 /// and the mean excess losses `(η_LoS, η_NLoS)` in dB added on top of the
 /// free-space pathloss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Environment {
     /// Open suburban terrain: high LoS probability, low excess loss.
     Suburban,
@@ -70,7 +69,7 @@ impl fmt::Display for Environment {
 ///     .build();
 /// assert_eq!(p.carrier_hz(), 2.4e9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelParams {
     s_curve_a: f64,
     s_curve_b: f64,

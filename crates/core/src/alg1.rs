@@ -10,7 +10,6 @@
 
 use crate::segments::{g_upper_bound, h_max, q_budgets};
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// The output of Algorithm 1, consumed by Algorithm 2.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentPlan {
     k: usize,
     s: usize,
@@ -316,11 +315,5 @@ mod tests {
         let r = |s| SegmentPlan::optimal(20, s).unwrap().approx_ratio();
         assert!(r(3) >= r(1));
         assert!(r(4) >= r(2));
-    }
-
-    #[test]
-    fn serde_roundtrip_shape() {
-        fn check<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        check::<SegmentPlan>();
     }
 }

@@ -1,12 +1,11 @@
 //! The optimal user-assignment subroutine (§II-D, Lemma 1).
 
 use crate::Instance;
-use serde::{Deserialize, Serialize};
 use uavnet_flow::{CapacitatedMatching, FlowNetwork};
 use uavnet_geom::CellIndex;
 
 /// An assignment of users to deployed UAVs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     /// For each user, the index into the deployment's placement list of
     /// the UAV serving it (`None` = unserved).

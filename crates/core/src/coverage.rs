@@ -19,7 +19,6 @@
 //! Under `debug-validate` every encoded list is decoded and checked
 //! bit-identical against the uncompressed input when it is pushed.
 
-use serde::{Deserialize, Serialize};
 use uavnet_flow::UserList;
 
 /// Per-list encoding tag; the builder picks the smaller.
@@ -35,7 +34,7 @@ enum Enc {
 /// layout would occupy (one `Vec` header plus 4 bytes per id per
 /// list); `compressed_bytes` is the arena + per-list metadata cost of
 /// this store. Emitted per scale in `BENCH_sweep.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoverageMemory {
     /// Bytes held by the compressed store (arenas + per-list metadata).
     pub compressed_bytes: usize,

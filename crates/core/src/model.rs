@@ -3,7 +3,6 @@
 
 use crate::coverage::{CoverageMemory, CoverageTables};
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 use uavnet_channel::{AtgChannel, UavRadio, UavToUavChannel};
 use uavnet_flow::UserList;
 use uavnet_geom::{AreaSpec, CellIndex, Grid, Point2, Point3, SpatialIndex};
@@ -11,7 +10,7 @@ use uavnet_graph::Graph;
 
 /// A ground user: position and minimum data-rate requirement
 /// `r_i^min` in bit/s (§II-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct User {
     /// Position on the ground plane.
     pub pos: Point2,
@@ -21,7 +20,7 @@ pub struct User {
 
 /// A UAV of the heterogeneous fleet: service capacity `C_k` and the
 /// radio of its mounted base station.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Uav {
     /// Maximum number of simultaneously served users.
     pub capacity: u32,

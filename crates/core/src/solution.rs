@@ -2,7 +2,6 @@
 
 use crate::assign::{assign_users, Assignment};
 use crate::Instance;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use uavnet_geom::CellIndex;
@@ -12,7 +11,7 @@ use uavnet_graph::is_connected_subset;
 ///
 /// Invariants (checked by [`Deployment::new`]): UAV indices are
 /// distinct, locations are distinct (one UAV per grid cell, §II-A).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deployment {
     placements: Vec<(usize, CellIndex)>,
 }
@@ -81,7 +80,7 @@ impl Deployment {
 }
 
 /// A deployment together with its (optimal) user assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {
     deployment: Deployment,
     assignment: Assignment,
@@ -203,7 +202,7 @@ impl Solution {
 
 /// Aggregate quality metrics of a [`Solution`]; see
 /// [`Solution::summary`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolutionSummary {
     /// Users served.
     pub served: usize,

@@ -1,7 +1,6 @@
 //! The rectangular disaster-zone model.
 
 use crate::{GeomError, Point2};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 3-dimensional disaster zone of §II-A: length `α`, width `β`, height
@@ -20,7 +19,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaSpec {
     length_m: f64,
     width_m: f64,

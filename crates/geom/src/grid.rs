@@ -1,7 +1,6 @@
 //! The hovering-plane grid of candidate UAV locations.
 
 use crate::{AreaSpec, GeomError, Point2, Point3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a grid cell / candidate hovering location (`v_j` in the paper).
@@ -24,7 +23,7 @@ pub type CellIndex = usize;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     area: AreaSpec,
     cell_m: f64,
@@ -105,7 +104,7 @@ impl GridSpec {
 ///
 /// At most one UAV may occupy a cell (collision avoidance, §II-A); that
 /// constraint is enforced by the deployment algorithms, not by this type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     spec: GridSpec,
     cols: usize,

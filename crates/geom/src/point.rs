@@ -1,6 +1,5 @@
 //! Planar and spatial points with Euclidean metrics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -18,7 +17,7 @@ use std::ops::{Add, Sub};
 /// let b = Point2::new(3.0, 4.0);
 /// assert_eq!(a.distance(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// East coordinate in meters.
     pub x: f64,
@@ -113,7 +112,7 @@ impl From<(f64, f64)> for Point2 {
 /// let uav = Point3::new(0.0, 0.0, 300.0);
 /// assert_eq!(user.distance(uav), 300.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point3 {
     /// East coordinate in meters.
     pub x: f64,
@@ -252,8 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn points_are_serde_and_threadsafe() {
-        fn assert_caps<T: serde::Serialize + serde::de::DeserializeOwned + Send + Sync>() {}
+    fn points_are_threadsafe() {
+        fn assert_caps<T: Send + Sync>() {}
         assert_caps::<Point2>();
         assert_caps::<Point3>();
     }

@@ -1,6 +1,5 @@
 //! Undirected adjacency-list graph.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A simple undirected graph over nodes `0 .. n`.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert!(g.has_edge(1, 0));
 /// assert_eq!(g.degree(1), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     adj: Vec<Vec<usize>>,
     num_edges: usize,

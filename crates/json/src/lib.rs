@@ -3,17 +3,18 @@
 //!
 //! The workspace builds offline with vendored stand-in crates, so
 //! there is no `serde_json`; the bench reports (written through
-//! `uavnet_bench::report`, snapshots read by `obs_diff`) and the
-//! `uavnet-service` wire protocol both parse and emit JSON with this
-//! ~150-line reader instead. It supports the full JSON value grammar
-//! minus exotic escapes (`\uXXXX` outside the BMP is passed through
-//! unpaired), keeps object keys in document order, and stores every
-//! number as `f64` — exact for the `u64` magnitudes the obs schema
-//! emits (counters stay far below 2^53).
+//! `uavnet_bench::report`, snapshots read by `obs_diff`), the
+//! `uavnet-service` wire protocol and the `uavnet-obs` artifacts (event
+//! log, metrics snapshot, trace-event export) all parse or emit JSON
+//! with this ~150-line reader instead. It supports the full JSON
+//! value grammar minus exotic escapes (`\uXXXX` outside the BMP is
+//! passed through unpaired), keeps object keys in document order, and
+//! stores every number as `f64` — exact for the `u64` magnitudes the
+//! obs schema emits (counters stay far below 2^53).
 //!
 //! Round-trip stability (`parse → set → dump → parse` is the
 //! identity, and `dump` output is a fixed point of `parse ∘ dump`) is
-//! load-bearing for both consumers and pinned by the proptests in
+//! load-bearing for every consumer and pinned by the proptests in
 //! `tests/proptest_json.rs`.
 
 #![forbid(unsafe_code)]

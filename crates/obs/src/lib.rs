@@ -1,4 +1,5 @@
-//! Zero-dependency tracing/metrics facade for the `uavnet` pipeline.
+//! Tracing/metrics facade for the `uavnet` pipeline. Its one
+//! dependency is `uavnet-json`, which writes every artifact.
 //!
 //! Every solver phase — Algorithm 1 segment planning, seed
 //! enumeration, lazy-greedy selection, matching, MST/gateway
@@ -51,11 +52,13 @@
 //!
 //! # Sessions
 //!
-//! Recording is **off** until [`session_begin`] (or
-//! [`session_begin_with`], which stamps caller-supplied
-//! [`Provenance`]) flips the global active flag; [`session_end`] flips
-//! it back and returns a [`MetricsSnapshot`] of every counter, phase
-//! and histogram. Instrumentation call sites never check the flag
+//! Recording is **off** until [`session_begin`] stamps the caller's
+//! [`Provenance`] and flips the global active flag; [`session_end`]
+//! flips it back and returns a [`MetricsSnapshot`] of every counter,
+//! phase and histogram. The embedder that begins a session owns it:
+//! library code (the solver service included) records into whatever
+//! session is active and never begins or ends one. Instrumentation
+//! call sites never check the flag
 //! themselves — [`Counter::add`], [`Phase::span`], [`LatencyHist`]
 //! timers and [`emit_run`] are no-ops while inactive — so enabling a
 //! session changes *observation only*, never solver behavior
@@ -126,6 +129,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 #[cfg(feature = "enabled")]
 use std::time::Instant;
+use uavnet_json::Json;
 
 /// Schema identifier stamped on session-start events and snapshots.
 pub const SCHEMA: &str = "uavnet-obs/3";
@@ -240,8 +244,8 @@ pub struct Provenance {
 impl Provenance {
     /// Provenance derivable without caller input: build git SHA, this
     /// crate's feature gate, and `std::thread::available_parallelism`.
-    /// The instance fingerprint is 0 until a caller supplies one via
-    /// [`session_begin_with`].
+    /// The instance fingerprint is 0 until the caller sets it before
+    /// [`session_begin`].
     pub fn detect() -> Self {
         Provenance {
             git_sha: env!("UAVNET_GIT_SHA").to_string(),
@@ -258,13 +262,7 @@ impl Provenance {
     }
 }
 
-impl Default for Provenance {
-    fn default() -> Self {
-        Provenance::detect()
-    }
-}
-
-/// Why [`try_session_begin`] could not start a session.
+/// Why [`session_begin`] could not start a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionError {
     /// The `enabled` feature is compiled out; recording is impossible
@@ -294,33 +292,13 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// Starts a recording session with default [`Provenance`]; see
-/// [`session_begin_with`].
-pub fn session_begin() -> bool {
-    try_session_begin().is_ok()
-}
-
-/// Boolean-result convenience over [`try_session_begin_with`], kept
-/// for call sites that only care whether recording happened.
-pub fn session_begin_with(provenance: Provenance) -> bool {
-    try_session_begin_with(provenance).is_ok()
-}
-
-/// [`try_session_begin_with`] with default [`Provenance`].
-///
-/// # Errors
-///
-/// See [`try_session_begin_with`].
-pub fn try_session_begin() -> Result<(), SessionError> {
-    try_session_begin_with(Provenance::detect())
-}
-
 /// Starts a recording session: resets every counter, phase, histogram
-/// and the event log, stamps `provenance` on the log's
-/// `session_start` header, then activates recording.
+/// and the event log, stamps `provenance` ([`Provenance::detect`] plus
+/// whatever the caller knows) on the log's `session_start` header,
+/// then activates recording.
 ///
-/// Sessions are re-entrant within one process — a long-running
-/// service records one per solve epoch. Each begin bumps the session
+/// Sessions are re-entrant within one process: begin → end → begin
+/// again records a fresh log each time. Each begin bumps the session
 /// epoch, so span-parent stacks left on *other* threads by a previous
 /// session are recognized as stale and discarded at their next use;
 /// the calling thread's stack is reset eagerly here.
@@ -330,7 +308,7 @@ pub fn try_session_begin() -> Result<(), SessionError> {
 /// [`SessionError::Disabled`] when the instrumentation is compiled
 /// out, [`SessionError::AlreadyActive`] when a session is already
 /// recording. Either way nothing is reset.
-pub fn try_session_begin_with(provenance: Provenance) -> Result<(), SessionError> {
+pub fn session_begin(provenance: Provenance) -> Result<(), SessionError> {
     #[cfg(feature = "enabled")]
     {
         if ACTIVE.swap(true, Ordering::SeqCst) {
@@ -1028,21 +1006,17 @@ impl Event {
     /// Serializes the event as one JSON-lines line (no trailing
     /// newline), following the [crate-level schema](crate).
     pub fn to_json_line(&self) -> String {
-        let mut s = format!("{{\"seq\":{},\"t_ns\":{},", self.seq, self.t_ns);
+        let mut members = vec![
+            ("seq", num(self.seq)),
+            ("t_ns", num(self.t_ns)),
+            ("type", text(self.kind.type_name())),
+        ];
         match &self.kind {
             EventKind::SessionStart { provenance } => {
-                s.push_str(&format!(
-                    "\"type\":\"session_start\",\"schema\":\"{SCHEMA}\",\"git_sha\":"
-                ));
-                push_json_str(&mut s, &provenance.git_sha);
-                s.push_str(",\"features\":");
-                push_json_str(&mut s, &provenance.features);
-                s.push_str(&format!(
-                    ",\"threads\":{},\"instance_fingerprint\":\"{:#018x}\"",
-                    provenance.threads, provenance.instance_fingerprint
-                ));
+                members.push(("schema", text(SCHEMA)));
+                members.extend(provenance.members());
             }
-            EventKind::SessionEnd => s.push_str("\"type\":\"session_end\""),
+            EventKind::SessionEnd => {}
             EventKind::Span {
                 name,
                 id,
@@ -1051,23 +1025,16 @@ impl Event {
                 ns,
                 self_ns,
             } => {
-                s.push_str("\"type\":\"span\",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(&format!(",\"id\":{id}"));
-                if let Some(p) = parent_id {
-                    s.push_str(&format!(",\"parent_id\":{p}"));
-                }
-                s.push_str(&format!(",\"tid\":{tid},\"ns\":{ns},\"self_ns\":{self_ns}"));
+                members.extend([("name", text(name)), ("id", num(*id))]);
+                members.extend(parent_id.map(|p| ("parent_id", num(p))));
+                members.extend([
+                    ("tid", num(*tid)),
+                    ("ns", num(*ns)),
+                    ("self_ns", num(*self_ns)),
+                ]);
             }
-            EventKind::Counter { name, value } => {
-                s.push_str("\"type\":\"counter\",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(&format!(",\"value\":{value}"));
-            }
-            EventKind::Gauge { name, value } => {
-                s.push_str("\"type\":\"gauge\",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(&format!(",\"value\":{value}"));
+            EventKind::Counter { name, value } | EventKind::Gauge { name, value } => {
+                members.extend([("name", text(name)), ("value", num(*value))]);
             }
             EventKind::Hist {
                 name,
@@ -1076,36 +1043,80 @@ impl Event {
                 max_ns,
                 buckets,
             } => {
-                s.push_str("\"type\":\"hist\",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(&format!(
-                    ",\"count\":{count},\"sum_ns\":{sum_ns},\"max_ns\":{max_ns},\"buckets\":["
-                ));
-                for (i, (ub, cum)) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!("[{ub},{cum}]"));
-                }
-                s.push(']');
+                let buckets = buckets
+                    .iter()
+                    .map(|&(bound, cumulative)| Json::Arr(vec![num(bound), num(cumulative)]))
+                    .collect();
+                members.extend([
+                    ("name", text(name)),
+                    ("count", num(*count)),
+                    ("sum_ns", num(*sum_ns)),
+                    ("max_ns", num(*max_ns)),
+                    ("buckets", Json::Arr(buckets)),
+                ]);
             }
             EventKind::Run { name, fields } => {
-                s.push_str("\"type\":\"run\",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(",\"fields\":{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    push_json_str(&mut s, k);
-                    s.push_str(&format!(":{v}"));
-                }
-                s.push('}');
+                members.extend([("name", text(name)), ("fields", run_fields(fields))]);
             }
         }
-        s.push('}');
-        s
+        object(members).dump_line()
     }
+}
+
+impl EventKind {
+    /// The `type` member of the event's JSON-lines line.
+    fn type_name(&self) -> &'static str {
+        match self {
+            EventKind::SessionStart { .. } => "session_start",
+            EventKind::SessionEnd => "session_end",
+            EventKind::Span { .. } => "span",
+            EventKind::Counter { .. } => "counter",
+            EventKind::Gauge { .. } => "gauge",
+            EventKind::Hist { .. } => "hist",
+            EventKind::Run { .. } => "run",
+        }
+    }
+}
+
+impl Provenance {
+    /// The provenance as JSON object members, shared by the event log's
+    /// `session_start` line, the snapshot's `provenance` object and the
+    /// trace's `session_start` args.
+    fn members(&self) -> [(&'static str, Json); 4] {
+        [
+            ("git_sha", text(&self.git_sha)),
+            ("features", text(&self.features)),
+            ("threads", num(self.threads)),
+            (
+                "instance_fingerprint",
+                Json::Str(format!("{:#018x}", self.instance_fingerprint)),
+            ),
+        ]
+    }
+}
+
+/// A JSON number; exact for every value below 2^53, the range every
+/// obs counter, duration and id stays in.
+fn num(value: u64) -> Json {
+    Json::Num(value as f64)
+}
+
+fn text(value: &str) -> Json {
+    Json::Str(value.to_string())
+}
+
+fn object<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Obj(
+        members
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
+}
+
+/// A `run` record's fields as one JSON object.
+fn run_fields(fields: &[(&str, u64)]) -> Json {
+    object(fields.iter().map(|&(key, value)| (key, num(value))))
 }
 
 /// Final value of one [`Phase`] inside a [`MetricsSnapshot`].
@@ -1209,66 +1220,47 @@ impl MetricsSnapshot {
         self.hists.iter().find(|h| h.name == name)
     }
 
-    /// Serializes the snapshot as a pretty-stable JSON document:
+    /// Serializes the snapshot as a pretty-printed JSON document:
     /// `{"schema":…,"provenance":{…},"counters":{…},
     /// "phases":{name:{"total_ns":…,"self_ns":…,"count":…,"p50_ns":…,…}},
     /// "hists":{name:{"count":…,"sum_ns":…,"p50_ns":…,…}},
     /// "gauges":{…}}`.
     pub fn to_json(&self) -> String {
-        let mut s =
-            format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"provenance\": {{\n    \"git_sha\": ");
-        push_json_str(&mut s, &self.provenance.git_sha);
-        s.push_str(",\n    \"features\": ");
-        push_json_str(&mut s, &self.provenance.features);
-        s.push_str(&format!(
-            ",\n    \"threads\": {},\n    \"instance_fingerprint\": \"{:#018x}\"\n  }},\n  \"counters\": {{",
-            self.provenance.threads, self.provenance.instance_fingerprint
-        ));
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            push_json_str(&mut s, name);
-            s.push_str(&format!(": {value}"));
-        }
-        s.push_str("\n  },\n  \"phases\": {");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            push_json_str(&mut s, p.name);
-            s.push_str(&format!(
-                ": {{ \"total_ns\": {}, \"self_ns\": {}, \"count\": {}, \
-                 \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {} }}",
-                p.total_ns, p.self_ns, p.count, p.p50_ns, p.p90_ns, p.p99_ns, p.max_ns
-            ));
-        }
-        s.push_str("\n  },\n  \"hists\": {");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            push_json_str(&mut s, h.name);
-            s.push_str(&format!(
-                ": {{ \"count\": {}, \"sum_ns\": {}, \
-                 \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {} }}",
-                h.count, h.sum_ns, h.p50_ns, h.p90_ns, h.p99_ns, h.max_ns
-            ));
-        }
-        s.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            push_json_str(&mut s, name);
-            s.push_str(&format!(": {value}"));
-        }
-        s.push_str("\n  }\n}\n");
-        s
+        let values = |pairs: &[(&'static str, u64)]| {
+            object(pairs.iter().map(|&(name, value)| (name, num(value))))
+        };
+        let phases = self.phases.iter().map(|p| {
+            let stats = [
+                ("total_ns", p.total_ns),
+                ("self_ns", p.self_ns),
+                ("count", p.count),
+                ("p50_ns", p.p50_ns),
+                ("p90_ns", p.p90_ns),
+                ("p99_ns", p.p99_ns),
+                ("max_ns", p.max_ns),
+            ];
+            (p.name, values(&stats))
+        });
+        let hists = self.hists.iter().map(|h| {
+            let stats = [
+                ("count", h.count),
+                ("sum_ns", h.sum_ns),
+                ("p50_ns", h.p50_ns),
+                ("p90_ns", h.p90_ns),
+                ("p99_ns", h.p99_ns),
+                ("max_ns", h.max_ns),
+            ];
+            (h.name, values(&stats))
+        });
+        object([
+            ("schema", text(SCHEMA)),
+            ("provenance", object(self.provenance.members())),
+            ("counters", values(&self.counters)),
+            ("phases", object(phases)),
+            ("hists", object(hists)),
+            ("gauges", values(&self.gauges)),
+        ])
+        .dump()
     }
 
     /// Serializes the snapshot in the Prometheus text exposition
@@ -1372,23 +1364,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Appends `value` as a JSON string literal (quoted, escaped).
-fn push_json_str(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Renders a drained session log as a Chrome trace-event JSON document
 /// (the `{"traceEvents":[…]}` format Perfetto and `chrome://tracing`
 /// load directly).
@@ -1408,17 +1383,30 @@ fn push_json_str(out: &mut String, value: &str) {
 /// This is a pure function over already-drained events: it works on
 /// any build (the `enabled` feature only gates *collection*).
 pub fn dump_trace_event(events: &[Event]) -> String {
-    fn push_micros(out: &mut String, ns: u64) {
-        out.push_str(&format!("{}.{:03}", ns / 1_000, ns % 1_000));
-    }
-    let mut s = String::from(
-        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
-         {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"uavnet\"}}",
-    );
+    let micros = |ns: u64| Json::Num(ns as f64 / 1_000.0);
+    // A global instant (`"s":"g"`) on the process track.
+    let instant = |name: &str, cat: &str, t_ns: u64, args: Option<Json>| {
+        let mut members = vec![
+            ("name", text(name)),
+            ("cat", text(cat)),
+            ("ph", text("i")),
+            ("s", text("g")),
+            ("pid", num(1)),
+            ("tid", num(0)),
+            ("ts", micros(t_ns)),
+        ];
+        members.extend(args.map(|args| ("args", args)));
+        object(members)
+    };
+    let mut trace = vec![object([
+        ("name", text("process_name")),
+        ("ph", text("M")),
+        ("pid", num(1)),
+        ("tid", num(0)),
+        ("args", object([("name", text("uavnet"))])),
+    ])];
     for e in events {
-        let mut line = String::new();
-        match &e.kind {
+        trace.push(match &e.kind {
             EventKind::Span {
                 name,
                 id,
@@ -1427,74 +1415,45 @@ pub fn dump_trace_event(events: &[Event]) -> String {
                 ns,
                 self_ns,
             } => {
-                line.push_str("{\"name\":");
-                push_json_str(&mut line, name);
-                line.push_str(&format!(
-                    ",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":"
-                ));
-                push_micros(&mut line, e.t_ns.saturating_sub(*ns));
-                line.push_str(",\"dur\":");
-                push_micros(&mut line, *ns);
-                line.push_str(&format!(",\"args\":{{\"id\":{id}"));
-                if let Some(p) = parent_id {
-                    line.push_str(&format!(",\"parent_id\":{p}"));
-                }
-                line.push_str(&format!(",\"self_ns\":{self_ns}}}}}"));
+                let mut args = vec![("id", num(*id))];
+                args.extend(parent_id.map(|p| ("parent_id", num(p))));
+                args.push(("self_ns", num(*self_ns)));
+                object([
+                    ("name", text(name)),
+                    ("cat", text("span")),
+                    ("ph", text("X")),
+                    ("pid", num(1)),
+                    ("tid", num(*tid)),
+                    ("ts", micros(e.t_ns.saturating_sub(*ns))),
+                    ("dur", micros(*ns)),
+                    ("args", object(args)),
+                ])
             }
             EventKind::Run { name, fields } => {
-                line.push_str("{\"name\":");
-                push_json_str(&mut line, name);
-                line.push_str(
-                    ",\"cat\":\"run\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":",
-                );
-                push_micros(&mut line, e.t_ns);
-                line.push_str(",\"args\":{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        line.push(',');
-                    }
-                    push_json_str(&mut line, k);
-                    line.push_str(&format!(":{v}"));
-                }
-                line.push_str("}}");
+                instant(name, "run", e.t_ns, Some(run_fields(fields)))
             }
-            EventKind::Counter { name, value } | EventKind::Gauge { name, value } => {
-                line.push_str("{\"name\":");
-                push_json_str(&mut line, name);
-                line.push_str(",\"cat\":\"metric\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":");
-                push_micros(&mut line, e.t_ns);
-                line.push_str(&format!(",\"args\":{{\"value\":{value}}}}}"));
-            }
+            EventKind::Counter { name, value } | EventKind::Gauge { name, value } => object([
+                ("name", text(name)),
+                ("cat", text("metric")),
+                ("ph", text("C")),
+                ("pid", num(1)),
+                ("tid", num(0)),
+                ("ts", micros(e.t_ns)),
+                ("args", object([("value", num(*value))])),
+            ]),
             EventKind::SessionStart { provenance } => {
-                line.push_str(
-                    "{\"name\":\"session_start\",\"cat\":\"session\",\"ph\":\"i\",\
-                     \"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":",
-                );
-                push_micros(&mut line, e.t_ns);
-                line.push_str(&format!(",\"args\":{{\"schema\":\"{SCHEMA}\",\"git_sha\":"));
-                push_json_str(&mut line, &provenance.git_sha);
-                line.push_str(",\"features\":");
-                push_json_str(&mut line, &provenance.features);
-                line.push_str(&format!(
-                    ",\"threads\":{},\"instance_fingerprint\":\"{:#018x}\"}}}}",
-                    provenance.threads, provenance.instance_fingerprint
-                ));
+                let args = std::iter::once(("schema", text(SCHEMA))).chain(provenance.members());
+                instant("session_start", "session", e.t_ns, Some(object(args)))
             }
-            EventKind::SessionEnd => {
-                line.push_str(
-                    "{\"name\":\"session_end\",\"cat\":\"session\",\"ph\":\"i\",\
-                     \"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":",
-                );
-                push_micros(&mut line, e.t_ns);
-                line.push('}');
-            }
+            EventKind::SessionEnd => instant("session_end", "session", e.t_ns, None),
             EventKind::Hist { .. } => continue,
-        }
-        s.push_str(",\n");
-        s.push_str(&line);
+        });
     }
-    s.push_str("\n]}\n");
-    s
+    let document = object([
+        ("displayTimeUnit", text("ms")),
+        ("traceEvents", Json::Arr(trace)),
+    ]);
+    document.dump_line() + "\n"
 }
 
 /// Every counter of the pipeline, declared centrally so snapshots can
@@ -1762,8 +1721,10 @@ mod tests {
     #[test]
     fn disabled_build_is_inert() {
         assert!(!is_enabled());
-        assert!(!session_begin());
-        assert!(!session_begin_with(Provenance::detect()));
+        assert_eq!(
+            session_begin(Provenance::detect()),
+            Err(SessionError::Disabled)
+        );
         assert!(!session_active());
         counters::SWEEP_GAIN_QUERIES.add(5);
         assert_eq!(counters::SWEEP_GAIN_QUERIES.get(), 0);
@@ -1798,8 +1759,11 @@ mod tests {
     fn session_records_counters_phases_hists_and_events() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(is_enabled());
-        assert!(session_begin());
-        assert!(!session_begin(), "nested sessions are rejected");
+        assert!(session_begin(Provenance::detect()).is_ok());
+        assert!(
+            session_begin(Provenance::detect()).is_err(),
+            "nested sessions are rejected"
+        );
         assert!(session_active());
 
         counters::SWEEP_GAIN_QUERIES.add(3);
@@ -1979,7 +1943,7 @@ mod tests {
     #[test]
     fn spans_form_a_tree_with_self_time() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(session_begin());
+        assert!(session_begin(Provenance::detect()).is_ok());
         {
             let _root = phases::REPORT.span();
             {
@@ -2058,7 +2022,10 @@ mod tests {
 
         // Every session primitive must keep working: begin, record,
         // end, drain — no second panic, a complete log.
-        assert!(session_begin(), "session_begin must recover the locks");
+        assert!(
+            session_begin(Provenance::detect()).is_ok(),
+            "session_begin must recover the locks"
+        );
         counters::SWEEP_RUNS.add(1);
         phases::GREEDY.record_ns(123);
         emit_run("sweep", &[("s", 1)]);
@@ -2069,23 +2036,18 @@ mod tests {
         assert!(matches!(events.last().unwrap().kind, EventKind::SessionEnd));
     }
 
-    #[test]
-    fn json_string_escaping() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
-    }
-
     #[cfg(feature = "enabled")]
     #[test]
     fn double_begin_is_typed_and_leaves_session_intact() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(try_session_begin().is_ok());
+        assert!(session_begin(Provenance::detect()).is_ok());
         counters::SWEEP_RUNS.add(3);
         // The second begin must fail without resetting anything.
-        assert_eq!(try_session_begin(), Err(SessionError::AlreadyActive));
+        assert_eq!(
+            session_begin(Provenance::detect()),
+            Err(SessionError::AlreadyActive)
+        );
         assert_eq!(counters::SWEEP_RUNS.get(), 3);
-        assert!(!session_begin());
         let snap = session_end().unwrap();
         assert_eq!(snap.counter("sweep.runs"), Some(3));
         drain_events();
@@ -2097,7 +2059,7 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // First session: leave a span-parent stack entry behind by
         // recording from a root span, then end cleanly.
-        assert!(try_session_begin().is_ok());
+        assert!(session_begin(Provenance::detect()).is_ok());
         {
             let _root = phases::REPORT.span();
             phases::GREEDY.record_ns(1_000);
@@ -2110,7 +2072,7 @@ mod tests {
 
         // Second session in the same process: everything must come up
         // zeroed with fresh span ids rooted at a parentless span.
-        assert!(try_session_begin().is_ok());
+        assert!(session_begin(Provenance::detect()).is_ok());
         assert_eq!(counters::SWEEP_RUNS.get(), 0);
         {
             let _root = phases::REPORT.span();
@@ -2134,17 +2096,11 @@ mod tests {
         assert!(matches!(second.last().unwrap().kind, EventKind::SessionEnd));
     }
 
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_begin_is_typed() {
-        assert_eq!(try_session_begin(), Err(SessionError::Disabled));
-    }
-
     #[cfg(feature = "enabled")]
     #[test]
     fn span_handles_parent_across_threads() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(session_begin());
+        assert!(session_begin(Provenance::detect()).is_ok());
         let root = phases::SERVICE_WORKER.span();
         let handle = root.handle().expect("recording span yields a handle");
         // A thread with an empty local stack attaches under the handle,
@@ -2209,7 +2165,7 @@ mod tests {
     #[test]
     fn stale_handles_from_an_ended_session_are_ignored() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(session_begin());
+        assert!(session_begin(Provenance::detect()).is_ok());
         let handle = {
             let root = phases::SERVICE_WORKER.span();
             root.handle().unwrap()
@@ -2218,7 +2174,7 @@ mod tests {
         drain_events();
         // New session: the stale handle must not smuggle a dangling
         // parent_id into the fresh log.
-        assert!(session_begin());
+        assert!(session_begin(Provenance::detect()).is_ok());
         {
             let _s = phases::SERVICE_APPLY.span_under(Some(handle));
         }
@@ -2239,7 +2195,7 @@ mod tests {
     #[test]
     fn trace_event_export_is_perfetto_shaped() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(session_begin());
+        assert!(session_begin(Provenance::detect()).is_ok());
         {
             let _root = phases::REPORT.span();
             let _child = phases::ALG1_PLAN.span();

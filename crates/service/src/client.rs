@@ -160,6 +160,7 @@ impl ServiceClient {
             trace_id: trace_id.map(str::to_string),
             payload,
         };
+        let mut queue_capacity = 0;
         for attempt in 0..=self.config.busy_retries {
             if attempt > 0 {
                 std::thread::sleep(self.config.backoff_base * (1u32 << (attempt - 1).min(10)));
@@ -183,7 +184,10 @@ impl ServiceClient {
                         rtt: sent_at.elapsed(),
                     });
                 }
-                Reply::Busy { .. } => continue,
+                Reply::Busy {
+                    queue_capacity: reported,
+                    ..
+                } => queue_capacity = reported,
                 Reply::Error { message, .. } => return Err(ServiceError::Remote(message)),
                 other => {
                     return Err(ServiceError::Protocol(format!(
@@ -194,42 +198,8 @@ impl ServiceClient {
         }
         Err(ServiceError::Busy {
             seq,
-            queue_capacity: 0,
+            queue_capacity,
         })
-    }
-
-    /// Like [`publish`](Self::publish) but without busy retries: one
-    /// send, one reply. Lets flood tests observe raw backpressure.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Busy`] immediately when the ingress queue is
-    /// full, otherwise as [`publish`](Self::publish).
-    pub fn publish_once(&mut self, delta: &Delta) -> Result<DeltaOutcome, ServiceError> {
-        let (topic, payload) = delta_to_wire(delta);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.send(&Request::Publish {
-            topic: topic.to_string(),
-            seq,
-            trace_id: None,
-            payload,
-        })?;
-        match self.recv()? {
-            Reply::Ack { outcome, .. } => Ok(outcome),
-            Reply::Busy {
-                seq,
-                queue_capacity,
-                ..
-            } => Err(ServiceError::Busy {
-                seq,
-                queue_capacity,
-            }),
-            Reply::Error { message, .. } => Err(ServiceError::Remote(message)),
-            other => Err(ServiceError::Protocol(format!(
-                "unexpected reply to publish: {other:?}"
-            ))),
-        }
     }
 
     /// Subscribes this connection to outbound topics; subsequent
@@ -308,5 +278,66 @@ impl ServiceClient {
                 "unexpected reply to shutdown: {other:?}"
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A server whose queue is always full: once the client's busy
+    /// retries run out, the typed error carries the capacity the last
+    /// `Busy` reply reported.
+    #[test]
+    fn exhausted_busy_retries_keep_the_reported_capacity() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+        let addr = listener.local_addr().expect("fake server address");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept the client");
+            let mut writer = stream.try_clone().expect("clone the socket");
+            let mut publishes = 0u32;
+            for line in BufReader::new(stream).lines() {
+                let Ok(Request::Publish { seq, trace_id, .. }) =
+                    Request::from_line(&line.expect("read a request"))
+                else {
+                    panic!("the client sends only publishes");
+                };
+                publishes += 1;
+                let busy = Reply::Busy {
+                    seq,
+                    trace_id,
+                    queue_capacity: 7,
+                };
+                writeln!(writer, "{}", busy.to_line()).expect("write busy");
+            }
+            publishes
+        });
+
+        let config = ClientConfig {
+            busy_retries: 2,
+            backoff_base: Duration::from_millis(1),
+            ..ClientConfig::default()
+        };
+        let mut client = ServiceClient::connect(addr, config).expect("connect");
+        let err = client
+            .publish(&Delta::KillUavs(vec![0]))
+            .expect_err("every attempt is refused");
+        assert!(
+            matches!(
+                err,
+                ServiceError::Busy {
+                    seq: 0,
+                    queue_capacity: 7
+                }
+            ),
+            "got {err:?}"
+        );
+        drop(client);
+        assert_eq!(
+            server.join().expect("fake server"),
+            3,
+            "one send + 2 retries"
+        );
     }
 }

@@ -67,8 +67,6 @@ pub enum ServiceError {
     WorkerPanicked(String),
     /// A solver error surfaced through the service boundary.
     Core(CoreError),
-    /// The obs session could not be attached.
-    Session(uavnet_obs::SessionError),
     /// The connection closed before a complete reply arrived.
     Closed,
 }
@@ -88,7 +86,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Remote(m) => write!(f, "server error: {m}"),
             ServiceError::WorkerPanicked(m) => write!(f, "solver worker panicked: {m}"),
             ServiceError::Core(e) => write!(f, "solver error: {e}"),
-            ServiceError::Session(e) => write!(f, "obs session error: {e}"),
             ServiceError::Closed => write!(f, "connection closed mid-reply"),
         }
     }
@@ -99,7 +96,6 @@ impl std::error::Error for ServiceError {
         match self {
             ServiceError::Io(e) => Some(e),
             ServiceError::Core(e) => Some(e),
-            ServiceError::Session(e) => Some(e),
             _ => None,
         }
     }
@@ -114,11 +110,5 @@ impl From<std::io::Error> for ServiceError {
 impl From<CoreError> for ServiceError {
     fn from(e: CoreError) -> Self {
         ServiceError::Core(e)
-    }
-}
-
-impl From<uavnet_obs::SessionError> for ServiceError {
-    fn from(e: uavnet_obs::SessionError) -> Self {
-        ServiceError::Session(e)
     }
 }

@@ -52,29 +52,18 @@ pub struct ServiceConfig {
     pub write_timeout: Duration,
     /// Accept-loop poll period.
     pub poll_interval: Duration,
-    /// Record an obs session for the service's lifetime, so
-    /// `/metrics` serves live `resolve.*`/`service.*` metrics and the
-    /// summary carries a snapshot. The session starts *after* the cold
-    /// solve, so a recorded log holds exactly the delta lifecycle (one
-    /// `service.worker` root span). Requires the instrumentation to be
-    /// compiled in (`obs` feature) — spawning fails with a typed
-    /// session error otherwise.
-    pub record_obs: bool,
-    /// Provenance stamped on the recorded obs session when
-    /// [`record_obs`](Self::record_obs) is set; `None` uses
-    /// auto-detected provenance.
-    pub obs_provenance: Option<uavnet_obs::Provenance>,
     /// Explicit parent for the worker's `service.worker` root span.
     /// `None` (the default) leaves it a root; an embedder that opens
     /// its own report-level span (as `service_report` does around the
     /// whole loopback run, in-process twin included) passes its handle
-    /// here so the session's log stays one rooted tree. When
-    /// [`record_obs`](Self::record_obs) is set the worker ends the obs
-    /// session as it exits, so drop the guard owning this handle
-    /// *before* `shutdown_and_join` — a span guard dropped after
-    /// session end is never written, leaving its children dangling.
-    /// (Closing the parent before its children is fine: ids are
-    /// allocated on span entry.)
+    /// here so the session's log stays one rooted tree. The service
+    /// records into whatever obs session the embedder began and never
+    /// begins or ends one itself, so the embedder ends its session
+    /// after `shutdown_and_join` (the worker closes `service.worker`
+    /// as it exits) and after dropping the guard owning this handle
+    /// — a span guard dropped after session end is never written,
+    /// leaving its children dangling. (Closing the parent before its
+    /// children is fine: ids are allocated on span entry.)
     pub obs_parent: Option<uavnet_obs::SpanHandle>,
     /// A delta whose enqueue-to-publish latency exceeds this threshold
     /// emits a structured `service.slow_delta` event and bumps the
@@ -95,8 +84,6 @@ impl Default for ServiceConfig {
             read_timeout: Duration::from_millis(50),
             write_timeout: Duration::from_secs(2),
             poll_interval: Duration::from_millis(20),
-            record_obs: false,
-            obs_provenance: None,
             obs_parent: None,
             slow_delta_threshold: Duration::from_millis(250),
             inject_panic_on_seq: None,
@@ -119,9 +106,6 @@ pub struct ServiceSummary {
     pub stats: ResolveStats,
     /// The panic message, when the worker was poisoned.
     pub worker_panic: Option<String>,
-    /// Final metrics snapshot, when the service recorded an obs
-    /// session ([`ServiceConfig::record_obs`]).
-    pub metrics: Option<uavnet_obs::MetricsSnapshot>,
 }
 
 type SharedWriter = Arc<Mutex<TcpStream>>;
@@ -205,26 +189,14 @@ impl SolverService {
     ///
     /// # Errors
     ///
-    /// Any [`CoreError`](uavnet_core::CoreError) of the cold solve,
-    /// socket bind failures, or a typed session error when
-    /// [`ServiceConfig::record_obs`] is set without the obs
-    /// instrumentation compiled in.
+    /// Any [`CoreError`](uavnet_core::CoreError) of the cold solve, or
+    /// socket bind failures.
     pub fn spawn(
         instance: Instance,
         loop_config: LoopConfig,
         config: ServiceConfig,
     ) -> Result<ServiceHandle, ServiceError> {
         let solver = SolverLoop::new(instance, loop_config)?;
-        // The session starts *after* the cold solve succeeds, so a
-        // recorded log holds exactly the delta lifecycle under one
-        // `service.worker` root span.
-        if config.record_obs {
-            match config.obs_provenance.clone() {
-                Some(p) => uavnet_obs::try_session_begin_with(p)?,
-                None => uavnet_obs::try_session_begin()?,
-            }
-        }
-
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let http_listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
@@ -557,21 +529,12 @@ fn worker_loop(
             is_final: true,
         }),
     );
-    // The root span must close on this thread before the session
-    // ends, so the recorded tree is complete and single-rooted.
-    drop(root);
-    let metrics = if config.record_obs {
-        uavnet_obs::session_end()
-    } else {
-        None
-    };
     *shared.summary.lock().unwrap_or_else(|e| e.into_inner()) = Some(ServiceSummary {
         epochs: epoch,
         served: last_served,
         placements: published,
         stats: solver.stats().clone(),
         worker_panic: poisoned,
-        metrics,
     });
 }
 

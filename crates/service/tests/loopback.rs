@@ -75,6 +75,20 @@ fn delta_stream(first_uav: usize) -> Vec<Delta> {
 /// takes this lock, so no sweep lands in another test's recording.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
+/// Begins an obs session owned by the test, as an embedder owns it,
+/// when the instrumentation is compiled in, and opens the root span
+/// whose handle parents the service worker's span. Returns whether a
+/// session records, plus the root guard: drop it after
+/// `shutdown_and_join`, then end the session.
+fn begin_recording() -> (bool, uavnet_obs::SpanGuard) {
+    let record_obs = uavnet_obs::is_enabled();
+    if record_obs {
+        uavnet_obs::session_begin(uavnet_obs::Provenance::detect())
+            .expect("begin the test's obs session");
+    }
+    (record_obs, uavnet_obs::phases::REPORT.span())
+}
+
 fn client(addr: SocketAddr) -> ServiceClient {
     ServiceClient::connect(addr, ClientConfig::default()).expect("connect")
 }
@@ -431,9 +445,9 @@ fn http_endpoint_serves_metrics_health_and_404() {
     let instance = build_instance();
     // Record an obs session when the instrumentation is compiled in,
     // so /metrics carries live resolve.* counters.
-    let record_obs = uavnet_obs::is_enabled();
+    let (record_obs, root) = begin_recording();
     let config = ServiceConfig {
-        record_obs,
+        obs_parent: root.handle(),
         ..ServiceConfig::default()
     };
     let handle = SolverService::spawn(instance, loop_config(), config).expect("spawn service");
@@ -476,24 +490,21 @@ fn http_endpoint_serves_metrics_health_and_404() {
 
     let summary = handle.shutdown_and_join().expect("summary");
     assert_eq!(summary.epochs, 1);
+    drop(root);
+    let metrics = uavnet_obs::session_end();
     if record_obs {
-        assert!(
-            summary.metrics.is_some(),
-            "recorded session yields a snapshot"
-        );
+        assert!(metrics.is_some(), "recorded session yields a snapshot");
     }
 }
 
 #[test]
 fn trace_id_round_trips_and_span_tree_is_single_rooted() {
     let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let record_obs = uavnet_obs::is_enabled();
-    // Clear any events a previous recorded session left buffered.
-    let _ = uavnet_obs::drain_events();
+    let (record_obs, root) = begin_recording();
 
     let instance = build_instance();
     let config = ServiceConfig {
-        record_obs,
+        obs_parent: root.handle(),
         ..ServiceConfig::default()
     };
     let handle = SolverService::spawn(instance, loop_config(), config).expect("spawn service");
@@ -549,12 +560,15 @@ fn trace_id_round_trips_and_span_tree_is_single_rooted() {
 
     let summary = handle.shutdown_and_join().expect("summary");
     assert_eq!(summary.epochs, 3);
+    drop(root);
 
     if record_obs {
-        // The recorded span tree must be single-rooted at
-        // `service.worker`, with every cross-thread per-delta span
-        // (ingress on the reader, queue-wait/apply/publish on the
-        // worker) attached below it, ids parent-before-child.
+        // The recorded span tree must be single-rooted at the test's
+        // `report` span with `service.worker` below it, and every
+        // cross-thread per-delta span (ingress on the reader,
+        // queue-wait/apply/publish on the worker) attached below
+        // that, ids parent-before-child.
+        uavnet_obs::session_end().expect("recorded session yields a snapshot");
         let events = uavnet_obs::drain_events();
         let spans: Vec<(&'static str, u64, Option<u64>)> = events
             .iter()
@@ -570,7 +584,13 @@ fn trace_id_round_trips_and_span_tree_is_single_rooted() {
             .collect();
         let roots: Vec<_> = spans.iter().filter(|s| s.2.is_none()).collect();
         assert_eq!(roots.len(), 1, "single root, got {roots:?}");
-        assert_eq!(roots[0].0, "service.worker");
+        assert_eq!(roots[0].0, "report");
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.0 == "service.worker" && s.2 == Some(roots[0].1)),
+            "service.worker hangs under the root: {spans:?}"
+        );
         for stage in [
             "service.ingress",
             "service.queue_wait",

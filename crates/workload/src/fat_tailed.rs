@@ -1,11 +1,10 @@
 //! User-placement distributions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uavnet_geom::{AreaSpec, Point2};
 
 /// How users are scattered over the disaster zone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UserDistribution {
     /// Uniform placement over the whole footprint.
     Uniform,

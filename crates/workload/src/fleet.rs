@@ -1,12 +1,11 @@
 //! Heterogeneous fleet sampling.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uavnet_channel::UavRadio;
 use uavnet_core::Uav;
 
 /// How the fleet's radios relate to its capacities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetStyle {
     /// Every UAV carries the same radio (the paper's evaluation:
     /// heterogeneous *capacities*, common `R_user`).

@@ -10,11 +10,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use uavnet_geom::{AreaSpec, Point2};
 
 /// How users move between deployment epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MobilityModel {
     /// Independent Gaussian drift: each step adds `N(0, σ²)` per axis
     /// (evacuees milling around their shelter).

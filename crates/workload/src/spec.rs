@@ -3,7 +3,6 @@
 use crate::{sample_fleet, sample_users, FleetStyle, UserDistribution};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use uavnet_core::{CoreError, Instance};
@@ -55,10 +54,10 @@ impl From<CoreError> for WorkloadError {
 
 /// A complete, reproducible description of one experimental scenario.
 ///
-/// Every field is plain data (serde-serializable); instantiation is a
+/// Every field is plain data; instantiation is a
 /// pure function of the spec, so two runs with the same spec solve the
 /// same instance bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     area_length_m: f64,
     area_width_m: f64,
@@ -383,12 +382,6 @@ mod tests {
             .is_err());
         assert!(ScenarioSpec::builder().user_range_m(-1.0).build().is_err());
         assert!(ScenarioSpec::builder().cell_m(7.0).build().is_err()); // 3000 % 7 ≠ 0
-    }
-
-    #[test]
-    fn spec_is_serde_roundtrippable() {
-        fn check<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        check::<ScenarioSpec>();
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn sweep_instance() -> Instance {
 fn recorded_sweep(instance: &Instance, log_path: &Path, metrics_path: &Path) {
     let mut provenance = obs::Provenance::detect();
     provenance.instance_fingerprint = instance.fingerprint();
-    obs::try_session_begin_with(provenance).expect("session must begin cleanly");
+    obs::session_begin(provenance).expect("session must begin cleanly");
     {
         let _root = obs::phases::REPORT.span();
         approx_alg_with_stats(instance, &ApproxConfig::with_s(1).threads(2)).unwrap();
@@ -84,8 +84,12 @@ fn validate(log_path: &Path, metrics_path: &Path) -> bool {
 fn two_recorded_sweeps_in_one_process_both_validate() {
     if !obs::is_enabled() {
         // Facade build: re-entrancy degenerates to repeated refusals.
-        assert_eq!(obs::try_session_begin(), Err(obs::SessionError::Disabled));
-        assert_eq!(obs::try_session_begin(), Err(obs::SessionError::Disabled));
+        for _ in 0..2 {
+            assert_eq!(
+                obs::session_begin(obs::Provenance::detect()),
+                Err(obs::SessionError::Disabled)
+            );
+        }
         return;
     }
 
@@ -119,9 +123,9 @@ fn two_recorded_sweeps_in_one_process_both_validate() {
     );
 
     // A third session still begins cleanly after two full cycles.
-    obs::try_session_begin().expect("third session begins");
+    obs::session_begin(obs::Provenance::detect()).expect("third session begins");
     assert_eq!(
-        obs::try_session_begin(),
+        obs::session_begin(obs::Provenance::detect()),
         Err(obs::SessionError::AlreadyActive),
         "double-begin stays typed after re-entry"
     );

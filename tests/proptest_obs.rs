@@ -72,7 +72,7 @@ proptest! {
             prop_assert!(!obs::session_active(), "leaked session from a prior case");
             let (plain_sol, plain_stats) = approx_alg_with_stats(&instance, &config).unwrap();
 
-            let began = obs::session_begin();
+            let began = obs::session_begin(obs::Provenance::detect()).is_ok();
             prop_assert_eq!(began, obs::is_enabled());
             let observed = approx_alg_with_stats(&instance, &config);
             let snap = obs::session_end();
@@ -274,17 +274,26 @@ fn moves_delta(moves: &[(usize, f64, f64)]) -> Delta {
 type ServiceObservations = Vec<(u64, Vec<(usize, usize)>, usize)>;
 
 /// Replay `plan` through a spawned [`SolverService`], returning the
-/// post-delta observations and the final summary.
+/// post-delta observations, the final summary and, when `record` is
+/// set, the snapshot of an obs session begun right after the spawn
+/// (so after the cold solve) and ended after the service drained.
 fn run_service_plan(
     plan: &DeltaPlan,
     record: bool,
-) -> (ServiceObservations, uavnet_service::ServiceSummary) {
-    let config = ServiceConfig {
-        record_obs: record,
-        ..ServiceConfig::default()
-    };
-    let handle = SolverService::spawn(service_instance(), service_loop_config(), config)
-        .expect("spawn service");
+) -> (
+    ServiceObservations,
+    uavnet_service::ServiceSummary,
+    Option<obs::MetricsSnapshot>,
+) {
+    let handle = SolverService::spawn(
+        service_instance(),
+        service_loop_config(),
+        ServiceConfig::default(),
+    )
+    .expect("spawn service");
+    if record {
+        obs::session_begin(obs::Provenance::detect()).expect("begin the recorded run's session");
+    }
     let mut publisher =
         ServiceClient::connect(handle.addr(), ClientConfig::default()).expect("connect");
 
@@ -310,7 +319,7 @@ fn run_service_plan(
         observed.push((snap.epoch, snap.placements, snap.served));
     }
     let summary = handle.shutdown_and_join().expect("shutdown");
-    (observed, summary)
+    (observed, summary, obs::session_end())
 }
 
 proptest! {
@@ -329,11 +338,11 @@ proptest! {
         prop_assert!(!obs::session_active(), "leaked session from a prior case");
         obs::drain_events();
 
-        let (plain_obs, plain_summary) = run_service_plan(&plan, false);
+        let (plain_obs, plain_summary, plain_metrics) = run_service_plan(&plan, false);
         // Mirror the loopback suite: ask for recording only when the
         // obs feature can honor it, so the non-obs build still pins
         // the service path end to end.
-        let (rec_obs, rec_summary) = run_service_plan(&plan, obs::is_enabled());
+        let (rec_obs, rec_summary, rec_metrics) = run_service_plan(&plan, obs::is_enabled());
         let events = obs::drain_events();
 
         prop_assert_eq!(&rec_obs, &plain_obs);
@@ -342,13 +351,10 @@ proptest! {
         prop_assert_eq!(&rec_summary.placements, &plain_summary.placements);
         prop_assert_eq!(&rec_summary.stats, &plain_summary.stats);
         prop_assert!(rec_summary.worker_panic.is_none());
-        prop_assert!(plain_summary.metrics.is_none());
+        prop_assert!(plain_metrics.is_none());
 
         if obs::is_enabled() {
-            let metrics = rec_summary
-                .metrics
-                .as_ref()
-                .expect("recorded service run snapshots");
+            let metrics = rec_metrics.as_ref().expect("recorded service run snapshots");
             for phase in ["service.queue_wait", "service.publish", "resolve.apply"] {
                 prop_assert_eq!(
                     metrics.phase(phase).map(|p| p.count),
@@ -362,7 +368,7 @@ proptest! {
             assert_resolve_counters_match(metrics, &rec_summary.stats);
             prop_assert!(!events.is_empty(), "recorded run emits events");
         } else {
-            prop_assert!(rec_summary.metrics.is_none());
+            prop_assert!(rec_metrics.is_none());
             prop_assert!(events.is_empty());
         }
     }
@@ -395,7 +401,7 @@ fn worker_panic_yields_typed_error_and_obs_recovers() {
     let instance = twelve_user_instance();
     let config = ApproxConfig::with_s(1).threads(2).inject_worker_panic_at(0);
 
-    let began = obs::session_begin();
+    let began = obs::session_begin(obs::Provenance::detect()).is_ok();
     assert_eq!(began, obs::is_enabled());
     let err = approx_alg_with_stats(&instance, &config).unwrap_err();
     assert!(
@@ -419,7 +425,7 @@ fn worker_panic_yields_typed_error_and_obs_recovers() {
     }
 
     // The facade is not wedged: a fresh session records a full run.
-    let began = obs::session_begin();
+    let began = obs::session_begin(obs::Provenance::detect()).is_ok();
     assert_eq!(began, obs::is_enabled());
     approx_alg_with_stats(&instance, &ApproxConfig::with_s(1).threads(2)).unwrap();
     let snap = obs::session_end();
@@ -441,7 +447,7 @@ fn repeated_sessions_reset_cleanly() {
 
     let mut snaps = Vec::new();
     for _ in 0..2 {
-        let began = obs::session_begin();
+        let began = obs::session_begin(obs::Provenance::detect()).is_ok();
         assert_eq!(began, obs::is_enabled());
         approx_alg_with_stats(&instance, &config).unwrap();
         snaps.push(obs::session_end());
@@ -484,7 +490,7 @@ fn assert_resolve_counters_match(metrics: &obs::MetricsSnapshot, stats: &Resolve
 fn resolve_counters_agree_with_resolve_stats() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut solver = SolverLoop::new(service_instance(), service_loop_config()).unwrap();
-    let began = obs::session_begin();
+    let began = obs::session_begin(obs::Provenance::detect()).is_ok();
     assert_eq!(began, obs::is_enabled());
     let kill = solver.placements()[0].0;
     let deltas = [
