@@ -53,12 +53,12 @@ use crate::solution::{score_deployment, Solution};
 use crate::strategy::{beats, search, RankedBest, SearchContext, SeedStrategyKind, Tally};
 use crate::{CoreError, Instance, SegmentPlan};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 use uavnet_geom::CellIndex;
 use uavnet_graph::{ConnectivitySubstrate, UNREACHABLE_HOPS};
 use uavnet_matroid::{
-    lazy_greedy_with, GreedyOptions, LazyGreedyWorkspace, MarginalOracle as _, Matroid as _,
+    lazy_greedy_with, GreedyOptions, LazyGreedyWorkspace, MarginalOracle, Matroid as _,
 };
 
 /// Configuration of [`approx_alg`].
@@ -215,9 +215,11 @@ pub struct ApproxStats {
     pub subsets_unconnectable: usize,
     /// The winning seed subset, if any subset produced a deployment.
     pub best_seeds: Option<Vec<CellIndex>>,
-    /// Marginal-gain (trial-insertion) queries issued across the whole
-    /// sweep. Deterministic for a given instance and configuration,
-    /// independent of the thread count.
+    /// Marginal-gain queries the greedy issued across the whole sweep,
+    /// those the sweep's gain memo answered without a trial insertion
+    /// included ([`KernelCounts::gain_memo_hits`]), so the count equals
+    /// the memo-free materialized reference's. Deterministic for a given
+    /// instance and configuration, independent of the thread count.
     pub gain_queries: u64,
     /// Work of the per-subset kernels (greedy, matching, connection)
     /// over every evaluated subset; deterministic and thread-count
@@ -247,11 +249,14 @@ pub struct ApproxStats {
 /// Each kernel counts into its own workspace, and the sweep adds a
 /// subset's share to its totals only once the subset is decided: work
 /// a tile view spends on a subset that escapes it is dropped, and so is
-/// every work item that starts above the final watermark. The totals
-/// therefore do not depend on the thread count or the tiling, and the
-/// materialized reference reproduces them whenever the sweep skipped no
-/// rank above its watermark. The leftover pass and the final scoring
-/// are not counted.
+/// every work item that starts above the final watermark. The gain
+/// memo's scope is one work item, a first-member block, in both sweeps.
+/// The totals therefore do not depend on the thread count or the
+/// tiling. When the sweep skipped no rank above its watermark, the
+/// memo-free materialized reference reproduces the greedy and
+/// connection fields. It runs at least as much matching work, and
+/// exactly as much when the memo answered nothing. The leftover pass
+/// and the final scoring are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct KernelCounts {
@@ -263,10 +268,15 @@ pub struct KernelCounts {
     pub greedy_bound_reseeds: u64,
     /// Locations the lazy greedy committed.
     pub greedy_commits: u64,
-    /// Augmenting-path BFS runs of the matching, in gain queries and
-    /// commits alike.
+    /// Gain queries the sweep's gain memo answered from an earlier
+    /// subset of the same work item with the same committed prefix,
+    /// without a trial insertion. Zero for the materialized reference.
+    pub gain_memo_hits: u64,
+    /// Augmenting-path BFS runs of the matching, in the gain queries
+    /// that ran and the commits alike.
     pub matching_bfs_restarts: u64,
-    /// Users the matching's free-user pre-pass claimed without a BFS.
+    /// Users the matching's free-user pre-pass claimed without a BFS,
+    /// in the gain queries that ran and the commits alike.
     pub matching_prepass_hits: u64,
     /// MST connections of two or more chosen locations.
     pub mst_connections: u64,
@@ -284,6 +294,7 @@ impl KernelCounts {
             greedy_bound_hits: f(self.greedy_bound_hits, o.greedy_bound_hits),
             greedy_bound_reseeds: f(self.greedy_bound_reseeds, o.greedy_bound_reseeds),
             greedy_commits: f(self.greedy_commits, o.greedy_commits),
+            gain_memo_hits: f(self.gain_memo_hits, o.gain_memo_hits),
             matching_bfs_restarts: f(self.matching_bfs_restarts, o.matching_bfs_restarts),
             matching_prepass_hits: f(self.matching_prepass_hits, o.matching_prepass_hits),
             mst_connections: f(self.mst_connections, o.mst_connections),
@@ -318,7 +329,7 @@ pub struct SweepProfile {
     /// Nanoseconds spent generating combinations and chain-pruning.
     pub enumeration_ns: u64,
     /// Nanoseconds in the lazy greedy (matroid build, gain queries,
-    /// commits).
+    /// commits), the gain memo's lookups and inserts included.
     pub greedy_ns: u64,
     /// Nanoseconds connecting picks via MST / gateway extension.
     pub connection_ns: u64,
@@ -595,8 +606,9 @@ pub(crate) fn pool_distances(
 
 /// Reference implementation of the subset sweep kept for equivalence
 /// testing: materializes every chain-pruning survivor up front and
-/// evaluates them all sequentially, each with a fresh workspace on the
-/// brute-force BFS backend — no stop at a fleet-saturating subset. It
+/// evaluates them all sequentially, each with a fresh workspace and a
+/// fresh gain memo (so no gain query is ever answered from the memo) on
+/// the brute-force BFS backend — no stop at a fleet-saturating subset. It
 /// shares the driver's preamble and finish with
 /// [`approx_alg_with_stats`] and produces exactly the same solution; see
 /// [`check_sweep_oracles`](crate::check_sweep_oracles) for how their
@@ -631,7 +643,8 @@ pub fn approx_alg_materialized(
         for (rank, seeds) in (0u64..).zip(subsets) {
             let mut ws = SweepWorkspace::new(instance);
             tally.evaluated += 1;
-            match ws.solve_subset(ctx.plan, &seeds, &mut tally.profile) {
+            let memo = &mut GainMemo::default();
+            match ws.solve_subset(ctx.plan, &seeds, memo, &mut tally.profile) {
                 SubsetOutcome::Served(served) => {
                     if beats(&best, served, rank) {
                         best = Some((served, rank, ws.placements().to_vec(), seeds));
@@ -873,11 +886,143 @@ pub(crate) enum SubsetOutcome {
     EscapedView,
 }
 
+/// Answers to the lazy greedy's gain queries, shared by the seed
+/// subsets of one work item.
+///
+/// A gain query's answer depends only on the greedy's committed
+/// prefix: the `k`-th commit always deploys the `k`-th UAV of
+/// `uavs_by_capacity`, and the increase of a maximum matching is
+/// unique. So the memo keys each answer by the exact prefix, a node of
+/// a trie over committed locations, and by the location asked about;
+/// node ids are exact, never a hash of the prefix. Subsets that share
+/// their first seed mostly commit the same first picks and then ask the
+/// same questions again. Each subset's own matroid and heap still decide
+/// which locations the greedy asks about, so an answer from the memo
+/// cannot change any pick.
+///
+/// The sweep clears the memo at the start of every work item, so every
+/// counter stays independent of the thread count and the tiling.
+#[derive(Debug, Default)]
+pub(crate) struct GainMemo {
+    /// Trie edges `(node, location) → child`; node 0 is the empty
+    /// prefix.
+    children: HashMap<MemoKey, usize>,
+    /// `(node, location) → gain` of deploying the next UAV at
+    /// `location` on top of the node's prefix.
+    gains: HashMap<MemoKey, u64>,
+    /// Trie nodes allocated besides the root.
+    nodes: usize,
+    /// The trie node of the current subset's committed prefix.
+    cursor: usize,
+    /// `nodes` when the current subset began.
+    checkpoint: usize,
+    /// Keys the current subset added to `children` and to `gains`, so
+    /// that a subset escaping its tile view can take them back.
+    new_children: Vec<MemoKey>,
+    new_gains: Vec<MemoKey>,
+}
+
+/// A trie node and a location.
+type MemoKey = (usize, CellIndex);
+
+impl GainMemo {
+    /// Forgets every answer: the start of a work item.
+    pub(crate) fn clear(&mut self) {
+        self.children.clear();
+        self.gains.clear();
+        self.nodes = 0;
+        self.begin_subset();
+    }
+
+    /// Returns the cursor to the empty prefix.
+    fn begin_subset(&mut self) {
+        self.cursor = 0;
+        self.checkpoint = self.nodes;
+        self.new_children.clear();
+        self.new_gains.clear();
+    }
+
+    /// The recorded gain of `loc` on top of the current prefix.
+    fn gain(&self, loc: CellIndex) -> Option<u64> {
+        self.gains.get(&(self.cursor, loc)).copied()
+    }
+
+    /// Remembers the gain of `loc` on top of the current prefix.
+    fn record(&mut self, loc: CellIndex, gain: u64) {
+        self.gains.insert((self.cursor, loc), gain);
+        self.new_gains.push((self.cursor, loc));
+    }
+
+    /// Moves the cursor past a commit of `loc`.
+    fn advance(&mut self, loc: CellIndex) {
+        let fresh = self.nodes + 1;
+        let child = *self.children.entry((self.cursor, loc)).or_insert(fresh);
+        if child == fresh {
+            self.nodes = fresh;
+            self.new_children.push((self.cursor, loc));
+        }
+        self.cursor = child;
+    }
+
+    /// Takes back everything the current subset added.
+    fn rollback(&mut self) {
+        for key in self.new_children.drain(..) {
+            self.children.remove(&key);
+        }
+        for key in self.new_gains.drain(..) {
+            self.gains.remove(&key);
+        }
+        self.nodes = self.checkpoint;
+    }
+}
+
+/// The lazy greedy's oracle in the sweep: a [`CoverageOracle`] whose
+/// gain queries the [`GainMemo`] answers when it can.
+struct MemoizedOracle<'o, 'a> {
+    oracle: &'o mut CoverageOracle<'a>,
+    memo: &'o mut GainMemo,
+    /// Queries the memo answered.
+    hits: u64,
+}
+
+impl MarginalOracle for MemoizedOracle<'_, '_> {
+    fn gain(&mut self, loc: usize) -> u64 {
+        if let Some(gain) = self.memo.gain(loc) {
+            #[cfg(feature = "debug-validate")]
+            assert_eq!(
+                self.oracle.gain_uncounted(loc),
+                gain,
+                "debug-validate: the gain memo's answer for location {loc} differs from a trial insertion"
+            );
+            self.hits += 1;
+            return gain;
+        }
+        let gain = self.oracle.gain(loc);
+        self.memo.record(loc, gain);
+        gain
+    }
+
+    fn commit(&mut self, loc: usize) {
+        self.oracle.commit(loc);
+        self.memo.advance(loc);
+    }
+
+    fn gain_upper_bound(&self, loc: usize) -> u64 {
+        self.oracle.gain_upper_bound(loc)
+    }
+
+    fn bounds_carry_over(&self, prev: usize, next: usize) -> bool {
+        self.oracle.bounds_carry_over(prev, next)
+    }
+}
+
 /// Per-worker reusable state for the subset sweep: the coverage oracle
 /// (whose incremental-matching buffers persist across subsets via
 /// [`CoverageOracle::reset`]), the lazy-greedy workspace, and the
 /// ground/relay scratch vectors. One workspace evaluates thousands of
-/// subsets without allocating on the oracle's query path.
+/// subsets without allocating on the oracle's query path. The
+/// [`GainMemo`] is the caller's: a worker's tile view and its global
+/// workspace share one.
 pub(crate) struct SweepWorkspace<'a> {
     instance: &'a Instance,
     /// Precomputed hop structure; `None` runs the brute-force BFS
@@ -893,6 +1038,8 @@ pub(crate) struct SweepWorkspace<'a> {
     /// The connection fields of [`counts`](Self::counts); the greedy
     /// and matching fields stay zero here.
     connect: KernelCounts,
+    /// Gain queries the memo answered.
+    memo_hits: u64,
     ground: Vec<usize>,
     locs: Vec<usize>,
     relays: Vec<usize>,
@@ -908,6 +1055,7 @@ impl<'a> SweepWorkspace<'a> {
             oracle: CoverageOracle::new(instance),
             greedy: LazyGreedyWorkspace::new(),
             connect: KernelCounts::default(),
+            memo_hits: 0,
             ground: Vec::new(),
             locs: Vec::new(),
             relays: Vec::new(),
@@ -943,9 +1091,9 @@ impl<'a> SweepWorkspace<'a> {
     }
 
     /// Cumulative gain queries across every subset this workspace
-    /// evaluated.
+    /// evaluated, the memo's answers included.
     pub(crate) fn gain_queries(&self) -> u64 {
-        self.oracle.gain_queries()
+        self.oracle.gain_queries() + self.memo_hits
     }
 
     /// Cumulative kernel work across every subset this workspace
@@ -956,25 +1104,29 @@ impl<'a> SweepWorkspace<'a> {
             greedy_bound_hits: greedy.bound_hits,
             greedy_bound_reseeds: greedy.bound_reseeds,
             greedy_commits: greedy.commits,
+            gain_memo_hits: self.memo_hits,
             matching_bfs_restarts: matching.bfs_restarts,
             matching_prepass_hits: matching.prepass_hits,
             ..self.connect
         }
     }
 
-    /// Greedy + connection + scoring for one seed subset; on
-    /// [`SubsetOutcome::Served`] the deployment is
-    /// [`placements`](Self::placements).
+    /// Greedy + connection + scoring for one seed subset, the greedy's
+    /// gain queries going through `memo`; on [`SubsetOutcome::Served`]
+    /// the deployment is [`placements`](Self::placements). A subset that
+    /// escapes the view leaves `memo` as it found it.
     pub(crate) fn solve_subset(
         &mut self,
         plan: &SegmentPlan,
         seeds: &[usize],
+        memo: &mut GainMemo,
         profile: &mut SweepProfile,
     ) -> SubsetOutcome {
         let instance = self.instance;
         let graph = instance.location_graph();
         let t = Instant::now();
         self.oracle.reset();
+        memo.begin_subset();
         let m2 = match self.substrate {
             Some(sub) => seed_matroid_substrate(sub, seeds, plan),
             None => seed_matroid(graph, seeds, plan),
@@ -993,9 +1145,14 @@ impl<'a> SweepWorkspace<'a> {
                 return SubsetOutcome::EscapedView;
             }
         }
+        let mut oracle = MemoizedOracle {
+            oracle: &mut self.oracle,
+            memo: &mut *memo,
+            hits: 0,
+        };
         lazy_greedy_with(
             &mut self.greedy,
-            &mut self.oracle,
+            &mut oracle,
             &self.ground,
             |set, e| m2.can_extend(set, e),
             GreedyOptions {
@@ -1003,6 +1160,7 @@ impl<'a> SweepWorkspace<'a> {
                 allow_zero_gain: false,
             },
         );
+        self.memo_hits += oracle.hits;
         // Seeds must end up in the chosen set (§III-E); commit any the
         // greedy skipped for lack of marginal value.
         for &seed in seeds {
@@ -1062,6 +1220,7 @@ impl<'a> SweepWorkspace<'a> {
         // global re-solve is what decides unconnectability.
         if let Some(view) = self.view {
             if all.iter().any(|&v| !view.contains_loc(v)) {
+                memo.rollback();
                 return SubsetOutcome::EscapedView;
             }
         }
@@ -1414,6 +1573,26 @@ mod tests {
             crate::approx_alg_sharded(&inst, &config, &crate::ShardConfig::new()).unwrap();
         assert_eq!(shard_sol.deployment(), sol.deployment());
         assert_eq!(shard_stats.gain_queries, 0);
+    }
+
+    #[test]
+    fn gain_memo_answers_shared_prefixes_exactly_at_every_thread_count() {
+        let inst = two_cluster_instance();
+        let config = ApproxConfig::with_s(2).threads(2);
+        crate::check_sweep_oracles(&inst, &config).unwrap();
+        crate::check_sharded_sweep(&inst, &config).unwrap();
+        let hits: Vec<u64> = [1usize, 2, 4, 8]
+            .iter()
+            .map(|&t| {
+                approx_alg_with_stats(&inst, &ApproxConfig::with_s(2).threads(t))
+                    .unwrap()
+                    .1
+                    .kernel
+                    .gain_memo_hits
+            })
+            .collect();
+        assert!(hits[0] > 0, "the memo answered nothing");
+        assert!(hits.iter().all(|&h| h == hits[0]), "{hits:?}");
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub(crate) fn record_sweep(config: &ApproxConfig, stats: &ApproxStats, solution:
         (&counters::GREEDY_BOUND_HITS, k.greedy_bound_hits),
         (&counters::GREEDY_BOUND_RESEEDS, k.greedy_bound_reseeds),
         (&counters::GREEDY_COMMITS, k.greedy_commits),
+        (&counters::GREEDY_GAIN_MEMO_HITS, k.gain_memo_hits),
         (&counters::MATCHING_BFS_RESTARTS, k.matching_bfs_restarts),
         (&counters::MATCHING_PREPASS_HITS, k.matching_prepass_hits),
         (&counters::CONNECT_MST_CONNECTIONS, k.mst_connections),

@@ -139,6 +139,20 @@ impl<'a> CoverageOracle<'a> {
     pub fn served(&self) -> usize {
         self.matching.matched_count()
     }
+
+    /// [`gain`](MarginalOracle::gain) without counting: no gain query,
+    /// no matching work and no latency sample. The sweep re-derives its
+    /// gain memo's answers with it, so a validating build reports the
+    /// same statistics as a plain one.
+    #[cfg(feature = "debug-validate")]
+    pub(crate) fn gain_uncounted(&mut self, loc: CellIndex) -> u64 {
+        let uav = self
+            .next_uav()
+            .expect("gain queried with the whole fleet already placed");
+        let cap = self.instance.uavs()[uav].capacity;
+        let users = coverable_list(self.instance, self.view, uav, loc);
+        u64::from(self.matching.evaluate_station_list_uncounted(cap, users))
+    }
 }
 
 impl MarginalOracle for CoverageOracle<'_> {

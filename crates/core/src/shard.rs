@@ -1,7 +1,7 @@
 //! Sharded, tile-parallel variant of the Algorithm 2 subset sweep.
 //!
-//! The monolithic sweep hands every worker arbitrary enumeration
-//! chunks, so each worker's matching buffers are sized to the whole
+//! The monolithic sweep hands every worker first-member blocks in rank
+//! order, so each worker's matching buffers are sized to the whole
 //! instance — at a million users that is the working set. The sharded
 //! sweep instead decomposes the hovering grid into square spatial
 //! tiles (reusing the grid geometry behind
@@ -31,10 +31,13 @@
 //!   query against the truncated view and is re-solved against a
 //!   lazily created global workspace.
 //!
-//! The tiles are only a different way of handing out the work: they
-//! run through the same driver, watermark and per-rank worker body as
-//! the monolithic sweep's rank chunks (`crate::strategy`), and the
-//! reduce uses the same (served desc, enumeration rank asc) order, so
+//! The tiles are only a different way of handing out the work: a tile
+//! holds the first-member blocks of its members, the same work items
+//! the monolithic sweep claims one by one, and every block runs through
+//! the same `approx::sweep` set-up, watermark, per-rank worker body and
+//! per-block gain memo (`crate::strategy`). A subset that escapes its view takes back
+//! the memo entries it added along with its counters, and the reduce
+//! uses the same (served desc, enumeration rank asc) order, so
 //! [`approx_alg_sharded`] returns the same solution and the same
 //! deterministic statistics as [`approx_alg_with_stats`] for any tile
 //! size and thread count — `crate::verify::check_sharded_sweep` pins
@@ -43,11 +46,10 @@
 //! [`approx_alg_with_stats`]: crate::approx_alg_with_stats
 //! [`SubsetOutcome::EscapedView`]: crate::approx::SubsetOutcome::EscapedView
 
-use crate::approx::{binomial, sweep, ApproxConfig, ApproxStats};
+use crate::approx::{sweep, ApproxConfig, ApproxStats};
 use crate::solution::Solution;
-use crate::strategy::{rank_of_combination, search, SearchContext, Tile, WorkItems};
+use crate::strategy::{first_member_block, search, SearchContext, Tile, WorkItems};
 use crate::{CoreError, Instance};
-use std::ops::Range;
 use uavnet_geom::{CellIndex, TilePartition};
 use uavnet_graph::{ConnectivitySubstrate, UNREACHABLE_HOPS};
 
@@ -278,9 +280,8 @@ pub fn approx_alg_sharded(
 }
 
 /// The sharded sweep's work items, in grid order. Every pool position
-/// goes to the tile holding its cell, and a tile owns the rank block of
-/// every combination whose lexicographically first member it holds —
-/// so walking the blocks visits exactly the monolithic ranks. Tiles
+/// goes to the tile holding its cell, with its first-member block — so
+/// walking the tiles' blocks visits exactly the monolithic ranks. Tiles
 /// owning no rank are dropped before any view is built.
 pub(crate) fn tiles(ctx: &SearchContext<'_>, shard: &ShardConfig) -> WorkItems {
     let (n, s) = (ctx.pool.len(), ctx.config.s());
@@ -312,17 +313,6 @@ pub(crate) fn tiles(ctx: &SearchContext<'_>, shard: &ShardConfig) -> WorkItems {
         3 * (chain_span + ctx.plan.h_max())
     };
     WorkItems::Tiles { tiles, reach }
-}
-
-/// The ranks of every `s`-combination of `0..n` whose first element is
-/// `i0` — one contiguous block of the lexicographic order.
-fn first_member_block(i0: usize, n: usize, s: usize) -> Range<u64> {
-    if n - i0 < s {
-        return 0..0;
-    }
-    let first: Vec<usize> = (i0..i0 + s).collect();
-    let start = rank_of_combination(&first, n, s);
-    start..start.saturating_add(binomial(n - i0 - 1, s - 1))
 }
 
 #[cfg(test)]

@@ -18,24 +18,29 @@
 //!   [`check_strategy_quality`](crate::check_strategy_quality) rather
 //!   than an identity proof.
 //!
-//! The exhaustive engine is one worker loop over [`WorkItems`]: rank
-//! chunks for the monolithic sweep, spatial tiles (a view plus the rank
-//! blocks of the tile's members) for the sharded one. Both kinds feed
-//! the same per-rank body — watermark check, unrank, fault-injection
-//! hook, chain check, evaluate — so both sweeps report the same
-//! counters and winner.
+//! The exhaustive engine is one worker loop over one kind of work
+//! item, the *first-member block*: the ranks of every combination whose
+//! first pool member is `i`, one contiguous range of the lexicographic
+//! order. The monolithic sweep claims the blocks in rank order; the
+//! sharded sweep claims spatial tiles, each a view plus the blocks of
+//! the tile's members ([`WorkItems`]). Every block runs the same
+//! per-rank body — watermark check, unrank, fault-injection hook, chain
+//! check, evaluate — with the worker's [`GainMemo`] cleared at its
+//! start, so the subsets of a block share their gain queries and both
+//! sweeps report the same counters and winner.
 //!
 //! Every search is deterministic and thread-count invariant: ties
 //! break on enumeration rank (equivalently the lexicographic order of
-//! the seed subset), and the exhaustive engine counts each work item (a
-//! rank chunk, or one rank block of a tile) on its own. Its join keeps
-//! the counters of the items that start at or below the final
-//! watermark `W`, which cover exactly the ranks `0..=W`, whichever
-//! thread ran them and however far past `W` the other workers got.
+//! the seed subset), and the exhaustive engine counts each block on its
+//! own. Its join keeps the counters of the blocks that start at or
+//! below the final watermark `W`, which cover exactly the ranks
+//! `0..=W`, whichever thread ran them and however far past `W` the
+//! other workers got.
 
 use crate::approx::{
     binomial, chain_feasible, next_combination, panic_payload_message, seed_pool,
-    unrank_combination, ApproxConfig, KernelCounts, SubsetOutcome, SweepProfile, SweepWorkspace,
+    unrank_combination, ApproxConfig, GainMemo, KernelCounts, SubsetOutcome, SweepProfile,
+    SweepWorkspace,
 };
 use crate::shard::{build_view, ShardConfig, ViewScratch};
 use crate::{CoreError, Instance, SegmentPlan};
@@ -172,7 +177,7 @@ impl<'a> SearchContext<'a> {
 
 /// The lexicographic rank of an ascending `s`-combination of `0..n` —
 /// the inverse of [`unrank_combination`].
-pub(crate) fn rank_of_combination(combo: &[usize], n: usize, s: usize) -> u64 {
+fn rank_of_combination(combo: &[usize], n: usize, s: usize) -> u64 {
     debug_assert!(combo.windows(2).all(|w| w[0] < w[1]));
     let mut rank = 0u64;
     let mut prev = 0usize;
@@ -183,6 +188,18 @@ pub(crate) fn rank_of_combination(combo: &[usize], n: usize, s: usize) -> u64 {
         prev = c + 1;
     }
     rank
+}
+
+/// The ranks of every `s`-combination of `0..n` whose first element is
+/// `i0` — one contiguous block of the lexicographic order, empty when
+/// fewer than `s` elements start at `i0`.
+pub(crate) fn first_member_block(i0: usize, n: usize, s: usize) -> Range<u64> {
+    if n - i0 < s {
+        return 0..0;
+    }
+    let first: Vec<usize> = (i0..i0 + s).collect();
+    let start = rank_of_combination(&first, n, s);
+    start..start.saturating_add(binomial(n - i0 - 1, s - 1))
 }
 
 /// (served, rank, placements, seeds) of a candidate during a sweep.
@@ -240,8 +257,8 @@ impl Tally {
 }
 
 /// Runs the configured search over `ctx`. The exhaustive engine works
-/// through rank chunks, or through tiles when `shard` is given; the
-/// beam has no ranks to shard and ignores it.
+/// through the first-member blocks, or through tiles when `shard` is
+/// given; the beam has no ranks to shard and ignores it.
 ///
 /// # Errors
 ///
@@ -257,24 +274,25 @@ pub(crate) fn search(
     }
 }
 
-/// How the exhaustive engine's workers share the ranks `0..C(pool, s)`.
-/// Items are handed out one at a time from an atomic cursor, and each
+/// How the exhaustive engine's workers share the ranks `0..C(pool, s)`:
+/// as first-member blocks, handed out from an atomic cursor. Each block
 /// is counted on its own, so that the join can drop the ones that start
-/// above the final watermark.
+/// above the final watermark, and each starts with a cleared gain memo.
 pub(crate) enum WorkItems {
-    /// Ranks `0..end` in chunks of `chunk`, each solved in the worker's
-    /// global workspace (the monolithic sweep).
-    Chunks { chunk: u64, end: u64 },
+    /// The non-empty blocks `0..count` (pool positions `0..=pool − s`),
+    /// claimed in rank order and solved in the worker's global
+    /// workspace (the monolithic sweep).
+    Blocks { count: usize },
     /// Spatial tiles, each solved inside a view `reach` hops around its
-    /// members (the sharded sweep); each rank block of a tile is an item
-    /// of its own.
+    /// members (the sharded sweep). A tile holds the blocks of its
+    /// members.
     Tiles { tiles: Vec<Tile>, reach: usize },
 }
 
 impl WorkItems {
     fn len(&self) -> usize {
         match self {
-            WorkItems::Chunks { chunk, end } => end.div_ceil(*chunk) as usize,
+            WorkItems::Blocks { count } => *count,
             WorkItems::Tiles { tiles, .. } => tiles.len(),
         }
     }
@@ -301,11 +319,11 @@ impl Tile {
 /// The exhaustive engine. The workers drain the work items and walk
 /// every rank at or below the watermark, chain-pruning or evaluating
 /// it; a subset at the ceiling `min(Σ capacities, n)` lowers the
-/// watermark to its rank. The join keeps every item's phase times but
-/// only the counters of the items that start at or below the final
-/// watermark `W`. Those cover exactly the ranks `0..=W`: items are
+/// watermark to its rank. The join keeps every block's phase times but
+/// only the counters of the blocks that start at or below the final
+/// watermark `W`. Those cover exactly the ranks `0..=W`: blocks are
 /// disjoint rank ranges, no rank at or below `W` is ever skipped, and
-/// the item holding `W` stops right after it. A panicking worker
+/// the block holding `W` stops right after it. A panicking worker
 /// surfaces as [`CoreError::Sweep`] rather than aborting the process,
 /// once every worker has been joined.
 fn exhaustive(
@@ -314,15 +332,13 @@ fn exhaustive(
 ) -> Result<(RankedBest, Tally), CoreError> {
     let s = ctx.config.s();
     let total = binomial(ctx.pool.len(), s);
-    let threads = ctx.config.num_threads();
     let items = match shard {
-        None => WorkItems::Chunks {
-            chunk: (total / (threads as u64 * 4)).clamp(1, 64),
-            end: total,
+        None => WorkItems::Blocks {
+            count: (ctx.pool.len() + 1).saturating_sub(s),
         },
         Some(shard) => crate::shard::tiles(ctx, shard),
     };
-    let threads = threads.min(items.len().max(1));
+    let threads = ctx.config.num_threads().min(items.len().max(1));
     let ceiling = served_ceiling(ctx.instance);
     let cursor = AtomicUsize::new(0);
     let watermark = AtomicU64::new(NO_WATERMARK);
@@ -385,11 +401,14 @@ struct Worker<'c> {
     /// work the join discards, and the join reads the final value after
     /// every worker has been joined.
     watermark: &'c AtomicU64,
-    /// Created on first use: solves every rank of a chunk item and
-    /// every subset that escapes a tile view.
+    /// Created on first use: solves every rank of a monolithic block
+    /// and every subset that escapes a tile view.
     global: Option<SweepWorkspace<'c>>,
     /// View-construction buffers, created on the first tile item.
     scratch: Option<ViewScratch>,
+    /// The gain memo of the block in hand, shared by the tile view and
+    /// the global workspace.
+    memo: GainMemo,
     combo: Vec<usize>,
     seeds: Vec<CellIndex>,
     best: RankedBest,
@@ -406,6 +425,7 @@ impl<'c> Worker<'c> {
             watermark,
             global: None,
             scratch: None,
+            memo: GainMemo::default(),
             combo: Vec::with_capacity(s),
             seeds: Vec::with_capacity(s),
             best: None,
@@ -418,20 +438,23 @@ impl<'c> Worker<'c> {
     }
 
     /// Drains work items until the cursor passes the last one or, for
-    /// chunks, the watermark.
+    /// monolithic blocks, the watermark.
     fn run(mut self, items: &WorkItems, cursor: &AtomicUsize) -> (RankedBest, Vec<(u64, Tally)>) {
+        let (n, s) = (self.ctx.pool.len(), self.ctx.config.s());
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             match items {
-                WorkItems::Chunks { chunk, end } => {
-                    let start = (i as u64).saturating_mul(*chunk);
-                    // Chunks are claimed in rank order: every later one
-                    // starts past the watermark too.
-                    if start >= *end || start > self.watermark() {
+                WorkItems::Blocks { count } => {
+                    if i >= *count {
                         break;
                     }
-                    let ranks = start..start.saturating_add(*chunk).min(*end);
-                    self.sweep(ranks, None, Tally::default());
+                    let block = first_member_block(i, n, s);
+                    // Blocks are claimed in rank order: every later one
+                    // starts past the watermark too.
+                    if block.start > self.watermark() {
+                        break;
+                    }
+                    self.sweep(block, None, Tally::default());
                 }
                 WorkItems::Tiles { tiles, reach } => {
                     let Some(tile) = tiles.get(i) else { break };
@@ -464,12 +487,12 @@ impl<'c> Worker<'c> {
         uavnet_obs::hists::TILE_SOLVE.record_ns(t_tile.elapsed().as_nanos() as u64);
     }
 
-    /// Walks the consecutive ranks of one work item while they stay at
-    /// or below the watermark: each is unranked (or advanced from its
-    /// predecessor), offered to the fault-injection hook, chain-checked,
-    /// and evaluated when it survives. A subset at the ceiling lowers the
-    /// watermark to its rank and ends the item. Records the item with
-    /// its `tally`.
+    /// Walks the consecutive ranks of one first-member block, with a
+    /// cleared gain memo, while they stay at or below the watermark: each
+    /// is unranked (or advanced from its predecessor), offered to the
+    /// fault-injection hook, chain-checked, and evaluated when it
+    /// survives. A subset at the ceiling lowers the watermark to its rank
+    /// and ends the block. Records the block with its `tally`.
     fn sweep(
         &mut self,
         ranks: Range<u64>,
@@ -478,6 +501,7 @@ impl<'c> Worker<'c> {
     ) {
         let ctx = self.ctx;
         let (n, s) = (ctx.pool.len(), ctx.config.s());
+        self.memo.clear();
         for rank in ranks.clone() {
             if rank > self.watermark() {
                 break;
@@ -520,14 +544,15 @@ impl<'c> Worker<'c> {
         tally.evaluated += 1;
         self.seeds.clear();
         self.seeds.extend(self.combo.iter().map(|&i| ctx.pool[i]));
-        let in_view = view.map(|ws| (solve_counted(ws, ctx.plan, &self.seeds, tally), &*ws));
+        let memo = &mut self.memo;
+        let in_view = view.map(|ws| (solve_counted(ws, ctx.plan, &self.seeds, memo, tally), &*ws));
         let (outcome, ws) = match in_view {
             Some((outcome, ws)) if outcome != SubsetOutcome::EscapedView => (outcome, ws),
             _ => {
                 let ws = self.global.get_or_insert_with(|| {
                     SweepWorkspace::with_substrate(ctx.instance, ctx.substrate)
                 });
-                (solve_counted(ws, ctx.plan, &self.seeds, tally), &*ws)
+                (solve_counted(ws, ctx.plan, &self.seeds, memo, tally), &*ws)
             }
         };
         match outcome {
@@ -550,16 +575,18 @@ impl<'c> Worker<'c> {
 
 /// Solves `seeds` in `ws`. Gain queries and kernel work count only
 /// when `ws` decides: what a view burns before noticing an escape is
-/// discarded, so the totals match the monolithic sweep, where only the
-/// global evaluation exists.
+/// discarded, and the view hands `memo` back as it found it, so the
+/// totals match the monolithic sweep, where only the global evaluation
+/// exists.
 fn solve_counted(
     ws: &mut SweepWorkspace<'_>,
     plan: &SegmentPlan,
     seeds: &[CellIndex],
+    memo: &mut GainMemo,
     tally: &mut Tally,
 ) -> SubsetOutcome {
     let (queries, kernel) = (ws.gain_queries(), ws.counts());
-    let outcome = ws.solve_subset(plan, seeds, &mut tally.profile);
+    let outcome = ws.solve_subset(plan, seeds, memo, &mut tally.profile);
     if outcome == SubsetOutcome::EscapedView {
         tally.view_escapes += 1;
     } else {
@@ -580,7 +607,9 @@ fn solve_counted(
 /// unreachable — only truncation loses candidates), scores states by
 /// summed density and keeps the best `width`. Only the final beam is
 /// fully evaluated, sequentially in lexicographic order and ranked by
-/// position, so ties break exactly like the enumerative engine. When
+/// position, so ties break exactly like the enumerative engine; one gain
+/// memo serves the whole final beam, which keeps its counts
+/// deterministic because the evaluation is sequential. When
 /// `C(pool, s)` fits inside the width the beam degenerates to
 /// exhaustive enumeration with chain pruning.
 ///
@@ -641,13 +670,14 @@ fn beam(ctx: &SearchContext<'_>, width: usize) -> (RankedBest, Tally) {
     tally.profile.enumeration_ns += t_enum.elapsed().as_nanos() as u64;
 
     let mut ws = SweepWorkspace::with_substrate(instance, ctx.substrate);
+    let mut memo = GainMemo::default();
     let mut best: RankedBest = None;
     let mut seeds: Vec<CellIndex> = Vec::with_capacity(s);
     for (rank, state) in (0u64..).zip(&beam) {
         seeds.clear();
         seeds.extend(state.iter().map(|&p| ctx.pool[p]));
         tally.evaluated += 1;
-        match ws.solve_subset(ctx.plan, &seeds, &mut tally.profile) {
+        match ws.solve_subset(ctx.plan, &seeds, &mut memo, &mut tally.profile) {
             SubsetOutcome::Served(served) => {
                 if beats(&best, served, rank) {
                     best = Some((served, rank, ws.placements().to_vec(), seeds.clone()));
@@ -824,16 +854,22 @@ mod tests {
                 assert_eq!(stats.best_seeds, first.best_seeds);
             }
         }
-        // At 8 threads the late fixture's C(15, 2) = 105 ranks go out in
-        // chunks of 3: its first saturating rank must lie past every
-        // worker's first chunk, behind chain survivors that serve fewer.
+        // The late fixture's C(15, 2) = 105 ranks go out as first-member
+        // blocks: its first saturating rank must lie past the first block,
+        // behind chain survivors that serve fewer, so the 8 workers race
+        // past it on later blocks.
         let stats = approx_alg_with_stats(&late, &ApproxConfig::with_s(2).threads(8))
             .unwrap()
             .1;
         assert_eq!(stats.subsets_enumerated, 105);
         assert!(stats.subsets_evaluated > 1, "the first survivor saturates");
-        let watermark = stats.subsets_enumerated - stats.subsets_bound_pruned - 1;
-        assert!(watermark >= 8 * 3, "first saturating rank {watermark}");
+        let watermark = (stats.subsets_enumerated - stats.subsets_bound_pruned - 1) as u64;
+        let first_block = first_member_block(0, 15, 2);
+        assert_eq!(first_block, 0..14);
+        assert!(
+            watermark >= first_block.end,
+            "first saturating rank {watermark}"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::approx::{
     approx_alg, approx_alg_materialized, approx_alg_with_stats, build_substrate, next_combination,
-    ApproxConfig,
+    ApproxConfig, KernelCounts,
 };
 use crate::assign::{assign_users, assign_users_max_flow};
 use crate::connecting::{
@@ -269,11 +269,20 @@ pub fn check_assignment_oracles(
 
 /// Differential oracle 2 — the streaming subset sweep against the
 /// materialized sequential reference, which evaluates every chain
-/// survivor: the solution, the winning seeds, the plan, the pool size
-/// and the enumeration size must be bit-for-bit identical. The other
-/// counters must be identical too when the sweep skipped no rank above
-/// its watermark. Otherwise it must have stopped exactly at the first
-/// subset serving `min(Σ capacities, n)`, at rank `W = enumerated −
+/// survivor without a gain memo: the solution, the winning seeds, the
+/// plan, the pool size and the enumeration size must be bit-for-bit
+/// identical, and the reference's `gain_memo_hits` must be zero.
+///
+/// When the sweep skipped no rank above its watermark, the subset
+/// counters, `gain_queries` and the greedy and connection fields of
+/// `kernel` must be identical too. The two matching counters
+/// (`matching_bfs_restarts`, `matching_prepass_hits`) count only the
+/// trial insertions that ran, and the memo's answers are exactly the
+/// trial insertions the sweep skips: each must be at most the
+/// reference's, and equal to it when the memo answered nothing.
+///
+/// Otherwise the sweep must have stopped exactly at the first subset
+/// serving `min(Σ capacities, n)`, at rank `W = enumerated −
 /// bound_pruned − 1`: the solution serves that ceiling, the winning
 /// seeds are the combination at rank `W`, exactly `evaluated − 1` chain
 /// survivors lie below `W`, and `evaluated + chain_pruned +
@@ -329,6 +338,13 @@ pub fn check_sweep_oracles(instance: &Instance, config: &ApproxConfig) -> Result
         if s != m {
             return mismatch(field, s, m);
         }
+    }
+    if ref_stats.kernel.gain_memo_hits != 0 {
+        return mismatch(
+            "kernel.gain_memo_hits of the memo-free reference",
+            "0".to_string(),
+            ref_stats.kernel.gain_memo_hits.to_string(),
+        );
     }
     if stats.subsets_bound_pruned > 0 {
         let ceiling = served_ceiling(instance);
@@ -408,12 +424,32 @@ pub fn check_sweep_oracles(instance: &Instance, config: &ApproxConfig) -> Result
             return mismatch(field, s.to_string(), m.to_string());
         }
     }
-    if stats.kernel != ref_stats.kernel {
-        return mismatch(
-            "kernel",
-            format!("{:?}", stats.kernel),
-            format!("{:?}", ref_stats.kernel),
-        );
+    let (k, r) = (stats.kernel, ref_stats.kernel);
+    // Only the matching work behind the memo's answers may differ.
+    let memo_free = KernelCounts {
+        gain_memo_hits: 0,
+        matching_bfs_restarts: r.matching_bfs_restarts,
+        matching_prepass_hits: r.matching_prepass_hits,
+        ..k
+    };
+    if memo_free != r {
+        return mismatch("kernel", format!("{k:?}"), format!("{r:?}"));
+    }
+    for (field, s, m) in [
+        (
+            "kernel.matching_bfs_restarts",
+            k.matching_bfs_restarts,
+            r.matching_bfs_restarts,
+        ),
+        (
+            "kernel.matching_prepass_hits",
+            k.matching_prepass_hits,
+            r.matching_prepass_hits,
+        ),
+    ] {
+        if s > m || (k.gain_memo_hits == 0 && s != m) {
+            return mismatch(field, s.to_string(), m.to_string());
+        }
     }
     Ok(())
 }

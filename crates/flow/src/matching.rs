@@ -595,6 +595,17 @@ impl CapacitatedMatching {
         gained
     }
 
+    /// [`evaluate_station_list`](Self::evaluate_station_list) without
+    /// adding to [`counts`](Self::counts), for a validating caller that
+    /// re-derives an answer it already holds.
+    #[cfg(feature = "debug-validate")]
+    pub fn evaluate_station_list_uncounted(&mut self, cap: u32, users: UserList<'_>) -> u32 {
+        let counts = self.counts;
+        let gained = self.evaluate_station_list(cap, users);
+        self.counts = counts;
+        gained
+    }
+
     /// Extends the user universe to `new_num_users`; new users start
     /// unmatched. The free-user bitset is re-derived from
     /// `user_station` instead of widened in place: the old last word

@@ -1278,13 +1278,28 @@ impl MetricsSnapshot {
                 .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
                 .collect()
         }
+        // A label value with `\`, `"` and newline escaped, the three
+        // characters the text format cannot carry verbatim.
+        fn label(value: &str) -> String {
+            let mut escaped = String::with_capacity(value.len());
+            for c in value.chars() {
+                match c {
+                    '\\' => escaped.push_str("\\\\"),
+                    '"' => escaped.push_str("\\\""),
+                    '\n' => escaped.push_str("\\n"),
+                    c => escaped.push(c),
+                }
+            }
+            escaped
+        }
         let mut s = String::new();
         s.push_str("# HELP uavnet_build_info Run provenance (value is always 1).\n");
         s.push_str("# TYPE uavnet_build_info gauge\n");
         s.push_str(&format!(
-            "uavnet_build_info{{schema=\"{SCHEMA}\",git_sha=\"{}\",features=\"{}\",threads=\"{}\",instance_fingerprint=\"{:#018x}\"}} 1\n",
-            self.provenance.git_sha,
-            self.provenance.features,
+            "uavnet_build_info{{schema=\"{}\",git_sha=\"{}\",features=\"{}\",threads=\"{}\",instance_fingerprint=\"{:#018x}\"}} 1\n",
+            label(SCHEMA),
+            label(&self.provenance.git_sha),
+            label(&self.provenance.features),
             self.provenance.threads,
             self.provenance.instance_fingerprint
         ));
@@ -1313,14 +1328,14 @@ impl MetricsSnapshot {
         );
         s.push_str("# TYPE uavnet_phase_duration_ns summary\n");
         for p in &self.phases {
+            let phase = label(p.name);
             s.push_str(&format!(
-                "uavnet_phase_total_ns{{phase=\"{0}\"}} {1}\nuavnet_phase_self_ns{{phase=\"{0}\"}} {2}\nuavnet_phase_count{{phase=\"{0}\"}} {3}\n",
-                p.name, p.total_ns, p.self_ns, p.count
+                "uavnet_phase_total_ns{{phase=\"{phase}\"}} {}\nuavnet_phase_self_ns{{phase=\"{phase}\"}} {}\nuavnet_phase_count{{phase=\"{phase}\"}} {}\n",
+                p.total_ns, p.self_ns, p.count
             ));
             for (q, v) in [("0.5", p.p50_ns), ("0.9", p.p90_ns), ("0.99", p.p99_ns)] {
                 s.push_str(&format!(
-                    "uavnet_phase_duration_ns{{phase=\"{}\",quantile=\"{q}\"}} {v}\n",
-                    p.name
+                    "uavnet_phase_duration_ns{{phase=\"{phase}\",quantile=\"{q}\"}} {v}\n"
                 ));
             }
         }
@@ -1331,7 +1346,8 @@ impl MetricsSnapshot {
         for p in &self.phases {
             s.push_str(&format!(
                 "uavnet_phase_duration_ns_max{{phase=\"{}\"}} {}\n",
-                p.name, p.max_ns
+                label(p.name),
+                p.max_ns
             ));
         }
         s.push_str(
@@ -1339,15 +1355,15 @@ impl MetricsSnapshot {
         );
         s.push_str("# TYPE uavnet_latency_ns summary\n");
         for h in &self.hists {
+            let hist = label(h.name);
             for (q, v) in [("0.5", h.p50_ns), ("0.9", h.p90_ns), ("0.99", h.p99_ns)] {
                 s.push_str(&format!(
-                    "uavnet_latency_ns{{hist=\"{}\",quantile=\"{q}\"}} {v}\n",
-                    h.name
+                    "uavnet_latency_ns{{hist=\"{hist}\",quantile=\"{q}\"}} {v}\n"
                 ));
             }
             s.push_str(&format!(
-                "uavnet_latency_ns_sum{{hist=\"{0}\"}} {1}\nuavnet_latency_ns_count{{hist=\"{0}\"}} {2}\n",
-                h.name, h.sum_ns, h.count
+                "uavnet_latency_ns_sum{{hist=\"{hist}\"}} {}\nuavnet_latency_ns_count{{hist=\"{hist}\"}} {}\n",
+                h.sum_ns, h.count
             ));
         }
         s.push_str(
@@ -1357,7 +1373,8 @@ impl MetricsSnapshot {
         for h in &self.hists {
             s.push_str(&format!(
                 "uavnet_latency_ns_max{{hist=\"{}\"}} {}\n",
-                h.name, h.max_ns
+                label(h.name),
+                h.max_ns
             ));
         }
         s
@@ -1482,7 +1499,8 @@ pub mod counters {
     pub static SWEEP_SUBSETS_EVALUATED: Counter = Counter::new("sweep.subsets_evaluated");
     /// Evaluated subsets whose connected set exceeded the fleet.
     pub static SWEEP_SUBSETS_UNCONNECTABLE: Counter = Counter::new("sweep.subsets_unconnectable");
-    /// Marginal-gain (trial-insertion) queries issued by the sweep.
+    /// Marginal-gain queries issued by the sweep's greedy, those the
+    /// gain memo answered included.
     pub static SWEEP_GAIN_QUERIES: Counter = Counter::new("sweep.gain_queries");
     /// Lazy-greedy heap pops satisfied by a still-current cached gain
     /// (no oracle evaluation needed) — CELF bound hits. The cache
@@ -1493,6 +1511,10 @@ pub mod counters {
     pub static GREEDY_BOUND_RESEEDS: Counter = Counter::new("greedy.bound_reseeds");
     /// Elements committed by the lazy greedy.
     pub static GREEDY_COMMITS: Counter = Counter::new("greedy.commits");
+    /// Gain queries the sweep's gain memo answered without a trial
+    /// insertion (a subset earlier in the same work item had asked the
+    /// same location on the same committed prefix).
+    pub static GREEDY_GAIN_MEMO_HITS: Counter = Counter::new("greedy.gain_memo_hits");
     /// Augmenting-path BFS runs started by the sweep's matching
     /// oracle.
     pub static MATCHING_BFS_RESTARTS: Counter = Counter::new("matching.bfs_restarts");
@@ -1554,6 +1576,7 @@ pub mod counters {
         &GREEDY_BOUND_HITS,
         &GREEDY_BOUND_RESEEDS,
         &GREEDY_COMMITS,
+        &GREEDY_GAIN_MEMO_HITS,
         &MATCHING_BFS_RESTARTS,
         &MATCHING_PREPASS_HITS,
         &CONNECT_MST_CONNECTIONS,
@@ -1677,10 +1700,12 @@ pub mod hists {
     use super::LatencyHist;
 
     /// Latency of one marginal-gain (trial-insertion) query of the
-    /// coverage oracle, timed as the work runs: in a sweep its sample
-    /// count is the sweep's gain queries plus any a tile view spent on
-    /// a subset that escaped it, and plus those of work items that ran
-    /// above the final watermark when a subset saturates the fleet.
+    /// coverage oracle, timed as the work runs. Only the queries that
+    /// ran are timed, not those the sweep's gain memo answered: in a
+    /// sweep its sample count is the sweep's gain queries minus its
+    /// gain memo hits, plus any a tile view spent on a subset that
+    /// escaped it, and plus those of work items that ran above the
+    /// final watermark when a subset saturates the fleet.
     pub static GAIN_QUERY: LatencyHist = LatencyHist::new("greedy.gain_query_ns");
     /// Wall clock of one whole tile in the sharded sweep (view build +
     /// every subset of the tile at or below the watermark), timed as

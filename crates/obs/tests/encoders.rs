@@ -184,3 +184,97 @@ fn trace_event_json_parses_to_expected_values() {
         Json::parse(expected).unwrap()
     );
 }
+
+/// Whether `line` reads `name{label="value",…} number` (or `name
+/// number`), with label values escaped as the Prometheus text format
+/// requires: only `\\`, `\"` and `\n` may follow a backslash, and a
+/// bare `"` ends the value.
+fn is_prometheus_sample(line: &str) -> bool {
+    let ident = |s: &str| {
+        !s.is_empty()
+            && s.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+            && !s.starts_with(|c: char| c.is_ascii_digit())
+    };
+    let (series, value) = match line.rsplit_once(' ') {
+        Some(split) => split,
+        None => return false,
+    };
+    if value.parse::<f64>().is_err() {
+        return false;
+    }
+    let Some((name, labels)) = series.split_once('{') else {
+        return ident(series);
+    };
+    if !ident(name) {
+        return false;
+    }
+    let mut rest = labels;
+    loop {
+        let Some((label, after)) = rest.split_once("=\"") else {
+            return false;
+        };
+        if !ident(label) {
+            return false;
+        }
+        let mut chars = after.char_indices();
+        let end = loop {
+            match chars.next() {
+                Some((_, '\\')) => match chars.next() {
+                    Some((_, '\\' | '"' | 'n')) => {}
+                    _ => return false,
+                },
+                Some((i, '"')) => break i,
+                Some(_) => {}
+                None => return false,
+            }
+        };
+        rest = &after[end + 1..];
+        if rest == "}" {
+            return true;
+        }
+        match rest.strip_prefix(',') {
+            Some(next) => rest = next,
+            None => return false,
+        }
+    }
+}
+
+#[test]
+fn prometheus_label_values_are_escaped() {
+    let snapshot = MetricsSnapshot {
+        provenance: Provenance {
+            features: "obs,\"quoted\"\nsecond".to_string(),
+            ..provenance()
+        },
+        counters: vec![("sweep.gain_queries", 5_310)],
+        phases: vec![PhaseStat {
+            name: "greedy",
+            total_ns: 9_000,
+            self_ns: 8_000,
+            count: 3,
+            p50_ns: 2_047,
+            p90_ns: 4_095,
+            p99_ns: 4_095,
+            max_ns: 4_000,
+        }],
+        hists: vec![HistStat {
+            name: "greedy.gain_query_ns",
+            count: 5_310,
+            sum_ns: 9_120_034,
+            p50_ns: 1_791,
+            p90_ns: 2_047,
+            p99_ns: 8_191,
+            max_ns: 88_012,
+        }],
+        gauges: vec![("service.queue_depth", 3)],
+    };
+    let text = snapshot.to_prometheus();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        assert!(is_prometheus_sample(line), "malformed sample line {line:?}");
+    }
+    assert!(
+        text.contains(r#"features="obs,\"quoted\"\nsecond""#),
+        "{text}"
+    );
+}

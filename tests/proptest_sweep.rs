@@ -1,14 +1,18 @@
 //! Equivalence properties of the streaming subset sweep: on random
-//! small scenarios, the streaming enumeration (chunked cursor,
-//! per-thread workspaces, the stop at the first subset that saturates
-//! the fleet) must reproduce the materialized reference sweep
-//! bit-for-bit — same solution, same winning seeds, statistics related
-//! as verify oracle 2 demands — at every thread count.
+//! small scenarios, the streaming enumeration (first-member blocks
+//! handed out by an atomic cursor, a gain memo per block, per-thread
+//! workspaces, the stop at the first subset that saturates the fleet)
+//! must reproduce the materialized reference sweep bit-for-bit — same
+//! solution, same winning seeds, statistics related as verify oracle 2
+//! demands — at every thread count. One ignored test runs oracle 2 on
+//! the benchmark's pinned planning scenarios:
+//! `cargo test --release -q --test proptest_sweep -- --ignored`.
 
 use proptest::prelude::*;
 use uavnet::channel::UavRadio;
 use uavnet::core::{approx_alg_with_stats, check_sweep_oracles, ApproxConfig, Instance};
 use uavnet::geom::{AreaSpec, GridSpec, Point2};
+use uavnet::workload::{ScenarioSpec, UserDistribution};
 
 prop_compose! {
     fn instances()(
@@ -76,6 +80,48 @@ proptest! {
             prop_assert_eq!(stats.best_seeds.clone(), first_stats.best_seeds.clone());
             prop_assert_eq!(stats.gain_queries, first_stats.gain_queries);
             prop_assert_eq!(stats.kernel, first_stats.kernel);
+        }
+    }
+}
+
+/// Oracle 2 at benchmarked scale: the pinned scenarios (seeds 1–4) of
+/// the benchmark's `plan-paper` and `plan-large` workloads, built with
+/// the same `ScenarioSpec` parameters — fat-tailed users (12 clusters,
+/// Zipf 1.2) on 300 m cells — at `s = 2` on 2 threads. Seconds per
+/// scenario in release, hence ignored by default.
+#[test]
+#[ignore = "benchmark-scale scenarios; run in release with --ignored"]
+fn sweep_matches_materialized_reference_on_benchmark_scenarios() {
+    let config = ApproxConfig::with_s(2).threads(2);
+    for (workload, side_m, users, uavs, (c_min, c_max)) in [
+        ("plan-paper", 3_000.0, 600, 20, (10, 60)),
+        ("plan-large", 6_000.0, 100_000, 8, (50, 300)),
+    ] {
+        for seed in 1..=4u64 {
+            let instance = ScenarioSpec::builder()
+                .area_m(side_m, side_m)
+                .cell_m(300.0)
+                .users(users)
+                .distribution(UserDistribution::FatTailed {
+                    clusters: 12,
+                    zipf_exponent: 1.2,
+                })
+                .uavs(uavs)
+                .capacity_range(c_min, c_max)
+                .seed(seed)
+                .build()
+                .and_then(|spec| spec.instantiate())
+                .expect("the pinned scenario builds");
+            if let Err(e) = check_sweep_oracles(&instance, &config) {
+                panic!("{workload} seed {seed}: {e}");
+            }
+            if workload == "plan-paper" {
+                let stats = approx_alg_with_stats(&instance, &config).unwrap().1;
+                assert!(
+                    stats.kernel.gain_memo_hits > 0,
+                    "{workload} seed {seed}: the gain memo answered nothing"
+                );
+            }
         }
     }
 }
