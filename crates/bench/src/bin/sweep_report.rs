@@ -1,16 +1,12 @@
 //! Regenerates `BENCH_sweep.json`: machine-readable evidence for the
 //! subset-sweep hot path. For each selected scale it runs the
 //! FIG6-style workload (`n = n_max`, `K = k_max`, every `s` in
-//! `s_sweep`) through [`approx_alg_with_stats`] (or
-//! [`approx_alg_sharded`] on scales marked `sharded`) and records the
+//! `s_sweep`) through [`approx_alg_with_stats`] and records the
 //! instance build time and coverage-table memory, the sweep wall clock
 //! (mean and min), the per-phase [`SweepProfile`] nanoseconds (summed
 //! across worker threads), gain queries per second (the query *count*
-//! is deterministic, thread-count invariant and identical between the
-//! sharded and monolithic paths), the subset accounting, and — on
-//! scales marked `check_sharded` — the verdict of the
-//! sharded-vs-monolithic oracle ([`check_sharded_sweep`]).
-//! `--seed-strategy` adds a per-scale `strategy` section from the
+//! is deterministic and thread-count invariant) and the subset
+//! accounting. `--seed-strategy` adds a per-scale `strategy` section from the
 //! scale's `strategy_sweep` matrix, with `speedup_vs_exhaustive` and
 //! `served_ratio_vs_exhaustive` wherever the matrix carries the
 //! exhaustive baseline at the same `s`.
@@ -27,13 +23,12 @@
 //!
 //! Usage: `cargo run --release -p uavnet-bench --bin sweep_report --
 //! [--threads N] [--reps N] [--out PATH]
-//! [--scale quick|large|xlarge|all] [--sharded]
+//! [--scale quick|large|xlarge|all]
 //! [--seed-strategy all|exhaustive|beam[:N]]
 //! [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH]`
 //!
-//! `--reps` overrides every selected scale's rep count; `--sharded`
-//! forces the tile-sharded solver on the plain runs (strategy runs are
-//! always monolithic). `--seed-strategy all` measures the full matrix;
+//! `--reps` overrides every selected scale's rep count.
+//! `--seed-strategy all` measures the full matrix;
 //! naming one strategy keeps it plus its exhaustive baselines
 //! (`beam:N` overrides the beam width). The `--obs-*` flags need
 //! `--features obs`; instances are built before the recording window
@@ -55,8 +50,8 @@ use std::time::Instant;
 use uavnet_bench::report::{self, obj, round_to, Args, Common, Harness};
 use uavnet_bench::Scale;
 use uavnet_core::{
-    approx_alg_sharded, approx_alg_with_stats, check_sharded_sweep, ApproxConfig, ApproxStats,
-    Instance, SeedStrategyKind, ShardConfig, Solution, STRATEGY_QUALITY_DEN, STRATEGY_QUALITY_NUM,
+    approx_alg_with_stats, ApproxConfig, ApproxStats, Instance, SeedStrategyKind, Solution,
+    STRATEGY_QUALITY_DEN, STRATEGY_QUALITY_NUM,
 };
 use uavnet_json::Json;
 
@@ -79,7 +74,7 @@ const BASELINE_WALL_NS: &[(&str, usize, u64)] = &[
 const HARNESS: Harness = Harness {
     name: "sweep_report",
     usage: "usage: sweep_report [--threads N] [--reps N] [--out PATH] \
-            [--scale quick|large|xlarge|all] [--sharded] \
+            [--scale quick|large|xlarge|all] \
             [--seed-strategy all|exhaustive|beam[:N]] \
             [--obs-log PATH] [--obs-metrics PATH] [--obs-prom PATH]",
 };
@@ -102,12 +97,10 @@ enum StrategySel {
 }
 
 /// One measured configuration: the plain `s_sweep` runs carry
-/// `strategy: None`; strategy-matrix runs carry the kind and are
-/// always monolithic.
+/// `strategy: None`; strategy-matrix runs carry the kind.
 struct Spec {
     s: usize,
     strategy: Option<SeedStrategyKind>,
-    sharded: bool,
 }
 
 impl Spec {
@@ -138,13 +131,8 @@ struct Timed {
 }
 
 fn solve(instance: &Instance, spec: &Spec, threads: usize) -> (Solution, ApproxStats) {
-    let config = spec.config(threads);
-    let result = if spec.sharded {
-        approx_alg_sharded(instance, &config, &ShardConfig::new())
-    } else {
-        approx_alg_with_stats(instance, &config)
-    };
-    result.unwrap_or_else(|e| panic!("sweep {} failed: {e}", spec.label()))
+    approx_alg_with_stats(instance, &spec.config(threads))
+        .unwrap_or_else(|e| panic!("sweep {} failed: {e}", spec.label()))
 }
 
 /// The shared measurement protocol: one untimed warm-up pass over all
@@ -235,31 +223,18 @@ fn check_beam_quality(label: &str, served: usize, exhaustive_served: usize) -> R
     }
 }
 
-/// One plain `s_sweep` entry; `oracle` is the verdict of
-/// [`check_sharded_sweep`], `None` where it did not run.
-fn run_json(
-    scale: &str,
-    s: usize,
-    threads: usize,
-    reps: u32,
-    sharded: bool,
-    oracle: Option<bool>,
-    t: &Timed,
-) -> Json {
+/// One plain `s_sweep` entry.
+fn run_json(scale: &str, s: usize, threads: usize, reps: u32, t: &Timed) -> Json {
     let p = &t.stats.profile;
     let queries = t.stats.gain_queries;
     let mut members = vec![
         ("s", Json::Num(s as f64)),
         ("threads", Json::Num(threads as f64)),
         ("reps", Json::Num(f64::from(reps))),
-        ("sharded", Json::Bool(sharded)),
-    ];
-    members.extend(oracle.map(|ok| ("sharded_equals_monolithic", Json::Bool(ok))));
-    members.extend([
         ("served_users", Json::Num(t.served as f64)),
         ("wall_ns_mean", Json::Num(t.wall_ns_mean as f64)),
         ("wall_ns_min", Json::Num(t.wall_ns_min as f64)),
-    ]);
+    ];
     if let Some(base_ns) = baseline_wall_ns(scale, s) {
         let before_qps = queries_per_sec(queries, base_ns);
         let speedup = base_ns as f64 / t.wall_ns_mean as f64;
@@ -285,7 +260,6 @@ fn run_json(
                 ("scoring", Json::Num(p.scoring_ns as f64)),
                 ("substrate_build", Json::Num(p.substrate_build_ns as f64)),
                 ("substrate_query", Json::Num(p.substrate_query_ns as f64)),
-                ("tile_view", Json::Num(p.tile_view_ns as f64)),
             ]),
         ),
         (
@@ -293,8 +267,6 @@ fn run_json(
             Json::Num(p.subset_buffer_peak_bytes as f64),
         ),
         ("subsets", subsets_json(&t.stats)),
-        ("tiles_solved", Json::Num(t.stats.tiles_solved as f64)),
-        ("view_escapes", Json::Num(t.stats.view_escapes as f64)),
     ]);
     obj(members)
 }
@@ -368,13 +340,12 @@ fn scale_json(
     build_ns: u64,
     threads: usize,
     reps: u32,
-    sharded: bool,
     sel: Option<StrategySel>,
 ) -> (Json, Vec<Result<(), String>>) {
     let mem = instance.coverage_memory();
     eprintln!(
         "sweep_report: scale={} n={} K={} m={} build {:.3} ms, coverage {:.1} KiB \
-         compressed / {:.1} KiB plain (threads={threads} reps={reps}{})",
+         compressed / {:.1} KiB plain (threads={threads} reps={reps})",
         scale.name,
         instance.num_users(),
         instance.num_uavs(),
@@ -382,24 +353,18 @@ fn scale_json(
         build_ns as f64 / 1e6,
         mem.compressed_bytes as f64 / 1024.0,
         mem.uncompressed_bytes as f64 / 1024.0,
-        if sharded { " sharded" } else { "" },
     );
 
     let matrix = strategy_matrix(scale, sel);
     let mut specs: Vec<Spec> = scale
         .s_sweep
         .iter()
-        .map(|&s| Spec {
-            s,
-            strategy: None,
-            sharded,
-        })
+        .map(|&s| Spec { s, strategy: None })
         .collect();
     let plain = specs.len();
     specs.extend(matrix.iter().map(|&(s, kind)| Spec {
         s,
         strategy: Some(kind),
-        sharded: false,
     }));
 
     let timed = measure_interleaved(instance, &specs, threads, reps);
@@ -408,24 +373,13 @@ fn scale_json(
         .iter()
         .zip(&scale.s_sweep)
         .map(|(t, &s)| {
-            let oracle = scale.check_sharded.then(|| {
-                let config = ApproxConfig::with_s(s).threads(threads);
-                check_sharded_sweep(instance, &config)
-                    .unwrap_or_else(|e| panic!("sharded differential oracle failed at s={s}: {e}"));
-                true
-            });
             eprintln!(
-                "  s={s}: mean {:.3} ms, {} gain queries, {:.0} queries/s{}",
+                "  s={s}: mean {:.3} ms, {} gain queries, {:.0} queries/s",
                 t.wall_ns_mean as f64 / 1e6,
                 t.stats.gain_queries,
                 queries_per_sec(t.stats.gain_queries, t.wall_ns_mean),
-                if oracle.is_some() {
-                    ", sharded == monolithic"
-                } else {
-                    ""
-                },
             );
-            run_json(scale.name, s, threads, reps, sharded, oracle, t)
+            run_json(scale.name, s, threads, reps, t)
         })
         .collect();
 
@@ -507,7 +461,6 @@ struct CliOptions {
     common: Common,
     reps_override: Option<u32>,
     scales: Vec<Scale>,
-    force_sharded: bool,
     sel: Option<StrategySel>,
 }
 
@@ -516,14 +469,12 @@ fn parse_args(args: &mut Args) -> Result<CliOptions, String> {
         common: Common::default(),
         reps_override: None,
         scales: vec![Scale::quick()],
-        force_sharded: false,
         sel: None,
     };
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
             "--reps" => opts.reps_override = Some(args.positive(&flag)?),
             "--scale" => opts.scales = args.scales(&["quick", "large", "xlarge", "all"])?,
-            "--sharded" => opts.force_sharded = true,
             "--seed-strategy" => {
                 let raw = args.value(&flag)?;
                 opts.sel = Some(if raw == "all" {
@@ -574,7 +525,6 @@ fn main() -> ExitCode {
                 *build_ns,
                 threads,
                 opts.reps_override.unwrap_or(scale.reps),
-                scale.sharded || opts.force_sharded,
                 opts.sel,
             );
             scales.push(section);
@@ -629,14 +579,13 @@ mod cli_tests {
         assert_eq!(opts.common, Common::default());
         assert_eq!(opts.reps_override, None);
         assert_eq!(scale_names(&opts), ["quick"]);
-        assert!(!opts.force_sharded);
         assert!(opts.sel.is_none());
     }
 
     #[test]
     fn full_flag_surface_parses() {
         let opts = parse(
-            "--threads 4 --reps 7 --out x.json --scale all --sharded --seed-strategy beam:8 \
+            "--threads 4 --reps 7 --out x.json --scale all --seed-strategy beam:8 \
              --obs-log l.jsonl --obs-metrics m.json --obs-prom p.prom",
         )
         .expect("valid");
@@ -644,7 +593,6 @@ mod cli_tests {
         assert_eq!(opts.reps_override, Some(7));
         assert_eq!(opts.common.out, "x.json");
         assert_eq!(scale_names(&opts), ["quick", "large", "xlarge"]);
-        assert!(opts.force_sharded);
         match opts.sel {
             Some(StrategySel::One(SeedStrategyKind::Beam { width: 8 })) => {}
             _ => panic!("beam:8 must select a width-8 beam"),
@@ -721,8 +669,9 @@ mod cli_tests {
 
     #[test]
     fn unknown_flags_are_errors() {
-        // A typo'd flag, a positional and the service-only trace flag.
-        for args in ["--frobnicate", "quick", "--trace-out t.json"] {
+        // A typo'd flag, a positional, the service-only trace flag and
+        // the retired `--sharded`.
+        for args in ["--frobnicate", "quick", "--trace-out t.json", "--sharded"] {
             let err = parse(args).unwrap_err();
             assert!(err.contains("unknown argument"), "{args}: {err}");
         }

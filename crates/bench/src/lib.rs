@@ -82,16 +82,6 @@ pub struct Scale {
     /// instance construction keep this low so a full regeneration
     /// stays interactive.
     pub reps: u32,
-    /// Whether `sweep_report` solves this scale through the
-    /// tile-sharded sweep ([`uavnet_core::approx_alg_sharded`])
-    /// instead of the monolithic one. The two are bit-identical by
-    /// the sharding oracle; the sharded path exists for scales whose
-    /// coverage tables no longer fit comfortably in cache.
-    pub sharded: bool,
-    /// Whether `sweep_report` runs the sharded-vs-monolithic
-    /// differential oracle ([`uavnet_core::check_sharded_sweep`]) on
-    /// this scale and records the verdict in the JSON report.
-    pub check_sharded: bool,
     /// Seed-strategy comparison matrix for the BENCH_sweep.json
     /// `strategy` section: `(s, strategies)` rows, each running every
     /// listed strategy on the same instance so speedups and served
@@ -115,8 +105,6 @@ impl Scale {
             trials: 2,
             seed: 1,
             reps: 20,
-            sharded: false,
-            check_sharded: true,
             strategy_sweep: vec![(
                 2,
                 vec![
@@ -145,8 +133,6 @@ impl Scale {
             trials: 3,
             seed: 20_230_101,
             reps: 5,
-            sharded: false,
-            check_sharded: false,
             strategy_sweep: Vec::new(),
         }
     }
@@ -170,8 +156,6 @@ impl Scale {
             trials: 1,
             seed: 7,
             reps: 2,
-            sharded: false,
-            check_sharded: true,
             strategy_sweep: vec![
                 (2, vec![SeedStrategyKind::Exhaustive]),
                 (
@@ -187,9 +171,8 @@ impl Scale {
     /// The scale ceiling: one million users on a 12 km × 12 km zone
     /// (m = 1 600 candidates). Exists to exercise the compressed
     /// coverage tables (packed bitsets keep the footprint O(users))
-    /// and the tile-sharded sweep, which solves the 40 × 40 cell grid
-    /// as 5 × 5 tiles of 8 × 8 cells with per-tile instance views.
-    /// Used by the `sweep_report --scale xlarge` evidence run.
+    /// and a sweep whose matching spans a million users. Used by the
+    /// `sweep_report --scale xlarge` evidence run.
     pub fn xlarge() -> Self {
         Scale {
             name: "xlarge",
@@ -202,8 +185,6 @@ impl Scale {
             trials: 1,
             seed: 11,
             reps: 1,
-            sharded: true,
-            check_sharded: false,
             strategy_sweep: Vec::new(),
         }
     }
@@ -224,8 +205,6 @@ impl Scale {
             trials: 1,
             seed: 20_230_101,
             reps: 1,
-            sharded: false,
-            check_sharded: false,
             strategy_sweep: Vec::new(),
         }
     }
@@ -724,14 +703,12 @@ mod tests {
         // full capacity range.
         assert_eq!(large.capacity_range(), (50, 300));
         assert_eq!(large.s_sweep, vec![1]);
-        assert!(large.check_sharded);
     }
 
     #[test]
     fn xlarge_scale_meets_the_million_user_floor() {
         let xl = Scale::xlarge();
         assert_eq!(xl.n_max(), 1_000_000);
-        assert!(xl.sharded, "xlarge must exercise the tile-sharded path");
         assert_eq!(xl.reps, 1);
         assert_eq!(xl.capacity_range(), (50, 300));
         // 12 km at 300 m cells: 40 × 40 candidate grid.

@@ -225,14 +225,13 @@ pub struct ApproxStats {
     /// over every evaluated subset; deterministic and thread-count
     /// invariant like `gain_queries`.
     pub kernel: KernelCounts,
-    /// Spatial tiles solved by the sharded sweep (zero for the
-    /// monolithic paths).
+    /// Always zero. Exists only because the benchmark (`benchmark/`)
+    /// still reads it, until the benchmark change queued as ROADMAP
+    /// item 7 removes it.
     pub tiles_solved: usize,
-    /// Subsets that escaped their tile view (ground set or relays
-    /// outside the reach bound) and were re-solved against the global
-    /// workspace. Zero for the monolithic paths; always zero when the
-    /// reach bound holds (it can be exceeded only via gateway
-    /// extension or with chain pruning off).
+    /// Always zero. Exists only because the benchmark (`benchmark/`)
+    /// still reads it, until the benchmark change queued as ROADMAP
+    /// item 7 removes it.
     pub view_escapes: usize,
     /// Stable name of the seed-search strategy that ran
     /// ([`SeedStrategyKind::name`]).
@@ -246,13 +245,11 @@ pub struct ApproxStats {
 /// the matching behind its gain queries and commits, and the MST
 /// connection — summed over the subsets a sweep evaluated.
 ///
-/// Each kernel counts into its own workspace, and the sweep adds a
-/// subset's share to its totals only once the subset is decided: work
-/// a tile view spends on a subset that escapes it is dropped, and so is
-/// every work item that starts above the final watermark. The gain
-/// memo's scope is one work item, a first-member block, in both sweeps.
-/// The totals therefore do not depend on the thread count or the
-/// tiling. When the sweep skipped no rank above its watermark, the
+/// Each kernel counts into its own workspace, and the sweep keeps a
+/// work item's share of it only when the item starts at or below the
+/// final watermark. The gain memo's scope is one work item, a
+/// first-member block. The totals therefore do not depend on the thread
+/// count. When the sweep skipped no rank above its watermark, the
 /// memo-free materialized reference reproduces the greedy and
 /// connection fields. It runs at least as much matching work, and
 /// exactly as much when the memo answered nothing. The leftover pass
@@ -349,9 +346,9 @@ pub struct SweepProfile {
     /// `connection_ns`; reported separately so the build-once-query-
     /// often trade is visible in `sweep_report`.
     pub substrate_query_ns: u64,
-    /// Nanoseconds building per-tile views (reach sets + local user
-    /// remaps + local coverage lists), summed across workers. Zero for
-    /// the monolithic paths.
+    /// Always zero. Exists only because the benchmark (`benchmark/`)
+    /// still reads it, until the benchmark change queued as ROADMAP
+    /// item 7 removes it.
     pub tile_view_ns: u64,
 }
 
@@ -381,14 +378,43 @@ pub fn approx_alg_with_stats(
     instance: &Instance,
     config: &ApproxConfig,
 ) -> Result<(Solution, ApproxStats), CoreError> {
-    let (solution, stats) = sweep(instance, config, |ctx| search(ctx, None))?;
+    let (solution, stats) = sweep(instance, config, search)?;
     crate::obs::record_sweep(config, &stats, &solution);
     Ok((solution, stats))
 }
 
-/// The one driver of Algorithm 2, behind [`approx_alg_with_stats`],
-/// [`approx_alg_sharded`](crate::approx_alg_sharded) and the
-/// materialized reference; they differ only in `search`.
+/// [`approx_alg_with_stats`]; `shard` is ignored.
+///
+/// Exists only because the benchmark (`benchmark/`) still calls it,
+/// until the benchmark change queued as ROADMAP item 7 removes it.
+///
+/// # Errors
+///
+/// Those of [`approx_alg_with_stats`].
+pub fn approx_alg_sharded(
+    instance: &Instance,
+    config: &ApproxConfig,
+    _shard: &ShardConfig,
+) -> Result<(Solution, ApproxStats), CoreError> {
+    approx_alg_with_stats(instance, config)
+}
+
+/// The argument of [`approx_alg_sharded`], without options.
+///
+/// Exists only because the benchmark (`benchmark/`) still passes one,
+/// until the benchmark change queued as ROADMAP item 7 removes it.
+#[derive(Debug, Clone, Default)]
+pub struct ShardConfig;
+
+impl ShardConfig {
+    /// The one configuration.
+    pub fn new() -> Self {
+        ShardConfig
+    }
+}
+
+/// The one driver of Algorithm 2, behind [`approx_alg_with_stats`] and
+/// the materialized reference; they differ only in `search`.
 ///
 /// The preamble checks `s`, plans the segments, short-circuits an
 /// unsatisfiable gateway, builds the connectivity substrate (timed) and
@@ -438,8 +464,8 @@ pub(crate) fn sweep(
         best_seeds: best.as_ref().map(|(.., seeds)| seeds.clone()),
         gain_queries: tally.gain_queries,
         kernel: tally.kernel,
-        tiles_solved: tally.tiles_solved,
-        view_escapes: tally.view_escapes,
+        tiles_solved: 0,
+        view_escapes: 0,
         strategy: config.strategy.name(),
         profile: tally.profile,
     };
@@ -651,9 +677,6 @@ pub fn approx_alg_materialized(
                     }
                 }
                 SubsetOutcome::Unconnectable => tally.unconnectable += 1,
-                SubsetOutcome::EscapedView => {
-                    unreachable!("the materialized sweep runs without a tile view")
-                }
             }
             tally.gain_queries += ws.gain_queries();
             tally.kernel += ws.counts();
@@ -872,7 +895,7 @@ fn permute_check(
 }
 
 /// What [`SweepWorkspace::solve_subset`] decided about one seed subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum SubsetOutcome {
     /// The subset produced a connected deployment serving this many
     /// users; the placements are on the workspace.
@@ -880,10 +903,6 @@ pub(crate) enum SubsetOutcome {
     /// The connected set exceeded the fleet (or a component could not
     /// be connected at all).
     Unconnectable,
-    /// The subset's ground set or relay paths left the workspace's tile
-    /// view; the sharded sweep must re-solve it against a global
-    /// workspace. Never returned without a view.
-    EscapedView,
 }
 
 /// Answers to the lazy greedy's gain queries, shared by the seed
@@ -901,7 +920,7 @@ pub(crate) enum SubsetOutcome {
 /// cannot change any pick.
 ///
 /// The sweep clears the memo at the start of every work item, so every
-/// counter stays independent of the thread count and the tiling.
+/// counter stays independent of the thread count.
 #[derive(Debug, Default)]
 pub(crate) struct GainMemo {
     /// Trie edges `(node, location) → child`; node 0 is the empty
@@ -914,12 +933,6 @@ pub(crate) struct GainMemo {
     nodes: usize,
     /// The trie node of the current subset's committed prefix.
     cursor: usize,
-    /// `nodes` when the current subset began.
-    checkpoint: usize,
-    /// Keys the current subset added to `children` and to `gains`, so
-    /// that a subset escaping its tile view can take them back.
-    new_children: Vec<MemoKey>,
-    new_gains: Vec<MemoKey>,
 }
 
 /// A trie node and a location.
@@ -937,9 +950,6 @@ impl GainMemo {
     /// Returns the cursor to the empty prefix.
     fn begin_subset(&mut self) {
         self.cursor = 0;
-        self.checkpoint = self.nodes;
-        self.new_children.clear();
-        self.new_gains.clear();
     }
 
     /// The recorded gain of `loc` on top of the current prefix.
@@ -950,7 +960,6 @@ impl GainMemo {
     /// Remembers the gain of `loc` on top of the current prefix.
     fn record(&mut self, loc: CellIndex, gain: u64) {
         self.gains.insert((self.cursor, loc), gain);
-        self.new_gains.push((self.cursor, loc));
     }
 
     /// Moves the cursor past a commit of `loc`.
@@ -959,20 +968,8 @@ impl GainMemo {
         let child = *self.children.entry((self.cursor, loc)).or_insert(fresh);
         if child == fresh {
             self.nodes = fresh;
-            self.new_children.push((self.cursor, loc));
         }
         self.cursor = child;
-    }
-
-    /// Takes back everything the current subset added.
-    fn rollback(&mut self) {
-        for key in self.new_children.drain(..) {
-            self.children.remove(&key);
-        }
-        for key in self.new_gains.drain(..) {
-            self.gains.remove(&key);
-        }
-        self.nodes = self.checkpoint;
     }
 }
 
@@ -1021,16 +1018,13 @@ impl MarginalOracle for MemoizedOracle<'_, '_> {
 /// [`CoverageOracle::reset`]), the lazy-greedy workspace, and the
 /// ground/relay scratch vectors. One workspace evaluates thousands of
 /// subsets without allocating on the oracle's query path. The
-/// [`GainMemo`] is the caller's: a worker's tile view and its global
-/// workspace share one.
+/// [`GainMemo`] is the caller's, kept across the subsets of a work
+/// item.
 pub(crate) struct SweepWorkspace<'a> {
     instance: &'a Instance,
     /// Precomputed hop structure; `None` runs the brute-force BFS
     /// backend (the materialized differential oracle).
     substrate: Option<&'a ConnectivitySubstrate>,
-    /// Restricts the oracle to a tile view's local user remap; subsets
-    /// whose structure leaves the view report [`SubsetOutcome::EscapedView`].
-    view: Option<&'a crate::shard::TileView>,
     /// Sorted gateway-capable cells, for the substrate extension path.
     gateway_cells: Vec<CellIndex>,
     oracle: CoverageOracle<'a>,
@@ -1050,7 +1044,6 @@ impl<'a> SweepWorkspace<'a> {
         SweepWorkspace {
             instance,
             substrate: None,
-            view: None,
             gateway_cells: instance.gateway_cells(),
             oracle: CoverageOracle::new(instance),
             greedy: LazyGreedyWorkspace::new(),
@@ -1065,22 +1058,6 @@ impl<'a> SweepWorkspace<'a> {
     pub(crate) fn with_substrate(instance: &'a Instance, sub: &'a ConnectivitySubstrate) -> Self {
         let mut ws = SweepWorkspace::new(instance);
         ws.substrate = Some(sub);
-        ws
-    }
-
-    /// A workspace whose oracle matches over the view's local user ids:
-    /// the matching value is invariant under the remap, so served
-    /// counts equal the global workspace's, while the matching arrays
-    /// stay sized to the tile instead of the whole instance.
-    pub(crate) fn with_view(
-        instance: &'a Instance,
-        sub: &'a ConnectivitySubstrate,
-        view: &'a crate::shard::TileView,
-    ) -> Self {
-        let mut ws = SweepWorkspace::new(instance);
-        ws.substrate = Some(sub);
-        ws.view = Some(view);
-        ws.oracle = CoverageOracle::with_view(instance, view);
         ws
     }
 
@@ -1113,8 +1090,7 @@ impl<'a> SweepWorkspace<'a> {
 
     /// Greedy + connection + scoring for one seed subset, the greedy's
     /// gain queries going through `memo`; on [`SubsetOutcome::Served`]
-    /// the deployment is [`placements`](Self::placements). A subset that
-    /// escapes the view leaves `memo` as it found it.
+    /// the deployment is [`placements`](Self::placements).
     pub(crate) fn solve_subset(
         &mut self,
         plan: &SegmentPlan,
@@ -1137,14 +1113,6 @@ impl<'a> SweepWorkspace<'a> {
         self.ground.clear();
         self.ground
             .extend((0..instance.num_locations()).filter(|&v| m2.depth_of(v).is_some()));
-        // Escape before the first gain query: a ground cell outside the
-        // view would be scored against a truncated user set, so the
-        // subset must move to a global workspace instead.
-        if let Some(view) = self.view {
-            if self.ground.iter().any(|&v| !view.contains_loc(v)) {
-                return SubsetOutcome::EscapedView;
-            }
-        }
         let mut oracle = MemoizedOracle {
             oracle: &mut self.oracle,
             memo: &mut *memo,
@@ -1214,15 +1182,6 @@ impl<'a> SweepWorkspace<'a> {
         profile.connection_ns += connection;
         if self.substrate.is_some() {
             profile.substrate_query_ns += connection;
-        }
-        // Relay paths (and any gateway extension) may route through
-        // cells outside the view; check before the fleet bound so the
-        // global re-solve is what decides unconnectability.
-        if let Some(view) = self.view {
-            if all.iter().any(|&v| !view.contains_loc(v)) {
-                memo.rollback();
-                return SubsetOutcome::EscapedView;
-            }
         }
         if all.len() > instance.num_uavs() {
             return SubsetOutcome::Unconnectable;
@@ -1569,10 +1528,6 @@ mod tests {
         assert!(sol.deployment().placements().is_empty());
         assert_eq!(sol.served_users(), 0);
         assert_eq!(stats.gain_queries, 0);
-        let (shard_sol, shard_stats) =
-            crate::approx_alg_sharded(&inst, &config, &crate::ShardConfig::new()).unwrap();
-        assert_eq!(shard_sol.deployment(), sol.deployment());
-        assert_eq!(shard_stats.gain_queries, 0);
     }
 
     #[test]
@@ -1580,7 +1535,6 @@ mod tests {
         let inst = two_cluster_instance();
         let config = ApproxConfig::with_s(2).threads(2);
         crate::check_sweep_oracles(&inst, &config).unwrap();
-        crate::check_sharded_sweep(&inst, &config).unwrap();
         let hits: Vec<u64> = [1usize, 2, 4, 8]
             .iter()
             .map(|&t| {

@@ -81,7 +81,6 @@ mod obs;
 mod oracle;
 mod seed_matroid;
 mod segments;
-mod shard;
 mod solution;
 mod strategy;
 mod verify;
@@ -90,7 +89,8 @@ pub use alg1::SegmentPlan;
 #[doc(hidden)]
 pub use approx::approx_alg_materialized;
 pub use approx::{
-    approx_alg, approx_alg_with_stats, ApproxConfig, ApproxStats, KernelCounts, SweepProfile,
+    approx_alg, approx_alg_sharded, approx_alg_with_stats, ApproxConfig, ApproxStats, KernelCounts,
+    ShardConfig, SweepProfile,
 };
 pub use assign::{assign_users, assign_users_max_flow, Assignment};
 pub use connecting::{
@@ -107,13 +107,12 @@ pub use model::{Instance, InstanceBuilder, Uav, User};
 pub use oracle::CoverageOracle;
 pub use seed_matroid::{seed_matroid, seed_matroid_substrate};
 pub use segments::{g_upper_bound, g_via_q_sums, h_max, q_budgets};
-pub use shard::{approx_alg_sharded, ShardConfig};
 pub use solution::{
     score_deployment, try_score_deployment, Deployment, Solution, SolutionSummary, ValidationError,
 };
 pub use strategy::{SeedStrategyKind, DEFAULT_BEAM_WIDTH};
 pub use verify::{
     check_against_exact, check_assignment_oracles, check_connection_substrate, check_incremental,
-    check_relay_bound, check_sharded_sweep, check_strategy_quality, check_sweep_oracles,
-    theorem1_ratio_holds, verify_pipeline, VerifyError, STRATEGY_QUALITY_DEN, STRATEGY_QUALITY_NUM,
+    check_relay_bound, check_strategy_quality, check_sweep_oracles, theorem1_ratio_holds,
+    verify_pipeline, VerifyError, STRATEGY_QUALITY_DEN, STRATEGY_QUALITY_NUM,
 };

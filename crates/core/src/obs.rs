@@ -46,12 +46,6 @@ pub(crate) fn record_sweep(config: &ApproxConfig, stats: &ApproxStats, solution:
     ] {
         counter.add(n);
     }
-    // Shard metrics only exist for the sharded path; keeping them
-    // silent for monolithic sweeps keeps those snapshots unchanged.
-    if stats.tiles_solved > 0 {
-        counters::SHARD_TILES.add(stats.tiles_solved as u64);
-        counters::SHARD_VIEW_ESCAPES.add(stats.view_escapes as u64);
-    }
     // Every enumerative run records how many subsets it skipped above
     // its watermark; the guided-run counters belong to the beam.
     match config.strategy() {
@@ -70,9 +64,6 @@ pub(crate) fn record_sweep(config: &ApproxConfig, stats: &ApproxStats, solution:
     phases::CONNECTION.record_ns(p.connection_ns);
     phases::SCORING.record_ns(p.scoring_ns);
     phases::SUBSTRATE_QUERY.record_ns(p.substrate_query_ns);
-    if p.tile_view_ns > 0 {
-        phases::TILE_VIEW.record_ns(p.tile_view_ns);
-    }
 
     emit_run(
         "sweep",
@@ -86,8 +77,6 @@ pub(crate) fn record_sweep(config: &ApproxConfig, stats: &ApproxStats, solution:
             ("subsets_evaluated", stats.subsets_evaluated as u64),
             ("subsets_unconnectable", stats.subsets_unconnectable as u64),
             ("gain_queries", stats.gain_queries),
-            ("tiles_solved", stats.tiles_solved as u64),
-            ("view_escapes", stats.view_escapes as u64),
             ("served_users", solution.served_users() as u64),
             ("deployed_uavs", solution.deployment().len() as u64),
         ],

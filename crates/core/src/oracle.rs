@@ -1,27 +1,9 @@
 //! The coverage marginal-gain oracle driving the greedy of Algorithm 2.
 
-use crate::shard::TileView;
 use crate::Instance;
-use uavnet_flow::{CapacitatedMatching, MatchingCounts, UserList};
+use uavnet_flow::{CapacitatedMatching, MatchingCounts};
 use uavnet_geom::CellIndex;
 use uavnet_matroid::MarginalOracle;
-
-/// The coverable-user list the matching should see: the instance's
-/// global table, or — when a tile view is active — the view's local-id
-/// remap of the same list. A free function (not a method) so the
-/// returned borrow ties to the instance/view lifetimes rather than
-/// `&self`, leaving `self.matching` free to be borrowed mutably.
-fn coverable_list<'a>(
-    instance: &'a Instance,
-    view: Option<&'a TileView>,
-    uav: usize,
-    loc: CellIndex,
-) -> UserList<'a> {
-    match view {
-        Some(view) => UserList::Ids(view.list(instance.radio_class(uav), loc)),
-        None => instance.coverable(uav, loc),
-    }
-}
 
 /// A [`MarginalOracle`] over candidate locations: the `k`-th committed
 /// location receives the `k`-th UAV of the capacity-sorted fleet, and
@@ -35,10 +17,11 @@ fn coverable_list<'a>(
 /// greedy requires.
 ///
 /// The oracle is designed for *workspace reuse*: [`reset`](Self::reset)
-/// rolls it back to the no-UAV state while
-/// keeping the matching's internal buffers allocated, so a sweep that
-/// evaluates thousands of seed subsets against the same instance pays
-/// for its scratch memory once. Gain queries themselves are
+/// rolls it back to the no-UAV state while keeping the matching's
+/// internal buffers allocated, so a sweep that evaluates thousands of
+/// seed subsets against the same instance pays for its scratch memory
+/// once, and each reset costs the committed locations' coverable lists
+/// rather than the user count. Gain queries themselves are
 /// allocation-free trial insertions into the incremental matching.
 ///
 /// # Examples
@@ -64,9 +47,6 @@ fn coverable_list<'a>(
 #[derive(Debug, Clone)]
 pub struct CoverageOracle<'a> {
     instance: &'a Instance,
-    /// When set, coverable lists come from the view's local user remap
-    /// and the matching is sized to the view's users.
-    view: Option<&'a TileView>,
     matching: CapacitatedMatching,
     placements: Vec<(usize, CellIndex)>,
     gain_queries: u64,
@@ -77,23 +57,7 @@ impl<'a> CoverageOracle<'a> {
     pub fn new(instance: &'a Instance) -> Self {
         CoverageOracle {
             instance,
-            view: None,
             matching: CapacitatedMatching::new(instance.num_users()),
-            placements: Vec::new(),
-            gain_queries: 0,
-        }
-    }
-
-    /// An oracle whose matching runs over a tile view's local user ids.
-    /// The remap is a bijection on the users the view can reach, so
-    /// gains and served counts equal the global oracle's for any
-    /// deployment inside the view, while the matching arrays shrink
-    /// from `O(instance users)` to `O(view users)`.
-    pub(crate) fn with_view(instance: &'a Instance, view: &'a TileView) -> Self {
-        CoverageOracle {
-            instance,
-            view: Some(view),
-            matching: CapacitatedMatching::new(view.num_local_users()),
             placements: Vec::new(),
             gain_queries: 0,
         }
@@ -101,7 +65,9 @@ impl<'a> CoverageOracle<'a> {
 
     /// Rolls the oracle back to the no-UAV state, keeping the
     /// matching's scratch buffers (and the cumulative query counter) so
-    /// the next run allocates nothing.
+    /// the next run allocates nothing. Costs the committed locations'
+    /// coverable lists, not the user count
+    /// ([`CapacitatedMatching::reset`]).
     pub fn reset(&mut self) {
         self.matching.reset();
         self.placements.clear();
@@ -150,7 +116,7 @@ impl<'a> CoverageOracle<'a> {
             .next_uav()
             .expect("gain queried with the whole fleet already placed");
         let cap = self.instance.uavs()[uav].capacity;
-        let users = coverable_list(self.instance, self.view, uav, loc);
+        let users = self.instance.coverable(uav, loc);
         u64::from(self.matching.evaluate_station_list_uncounted(cap, users))
     }
 }
@@ -163,7 +129,7 @@ impl MarginalOracle for CoverageOracle<'_> {
         self.gain_queries += 1;
         let _timer = uavnet_obs::hists::GAIN_QUERY.timer();
         let cap = self.instance.uavs()[uav].capacity;
-        let users = coverable_list(self.instance, self.view, uav, loc);
+        let users = self.instance.coverable(uav, loc);
         u64::from(self.matching.evaluate_station_list(cap, users))
     }
 
@@ -172,7 +138,7 @@ impl MarginalOracle for CoverageOracle<'_> {
             .next_uav()
             .expect("commit called with the whole fleet already placed");
         let cap = self.instance.uavs()[uav].capacity;
-        let users = coverable_list(self.instance, self.view, uav, loc);
+        let users = self.instance.coverable(uav, loc);
         let st = self.matching.add_station_list(cap, users);
         self.matching.saturate(st);
         self.placements.push((uav, loc));

@@ -21,13 +21,13 @@
 //! The exhaustive engine is one worker loop over one kind of work
 //! item, the *first-member block*: the ranks of every combination whose
 //! first pool member is `i`, one contiguous range of the lexicographic
-//! order. The monolithic sweep claims the blocks in rank order; the
-//! sharded sweep claims spatial tiles, each a view plus the blocks of
-//! the tile's members ([`WorkItems`]). Every block runs the same
+//! order. The workers claim the blocks in rank order from an atomic
+//! cursor and evaluate every subset in one workspace each, whose
+//! matching spans the whole instance (its reset costs the committed
+//! stations' lists, not the user count). Every block runs the same
 //! per-rank body — watermark check, unrank, fault-injection hook, chain
 //! check, evaluate — with the worker's [`GainMemo`] cleared at its
-//! start, so the subsets of a block share their gain queries and both
-//! sweeps report the same counters and winner.
+//! start, so the subsets of a block share their gain queries.
 //!
 //! Every search is deterministic and thread-count invariant: ties
 //! break on enumeration rank (equivalently the lexicographic order of
@@ -42,7 +42,6 @@ use crate::approx::{
     unrank_combination, ApproxConfig, GainMemo, KernelCounts, SubsetOutcome, SweepProfile,
     SweepWorkspace,
 };
-use crate::shard::{build_view, ShardConfig, ViewScratch};
 use crate::{CoreError, Instance, SegmentPlan};
 use std::cmp::Reverse;
 use std::fmt;
@@ -193,7 +192,7 @@ fn rank_of_combination(combo: &[usize], n: usize, s: usize) -> u64 {
 /// The ranks of every `s`-combination of `0..n` whose first element is
 /// `i0` — one contiguous block of the lexicographic order, empty when
 /// fewer than `s` elements start at `i0`.
-pub(crate) fn first_member_block(i0: usize, n: usize, s: usize) -> Range<u64> {
+fn first_member_block(i0: usize, n: usize, s: usize) -> Range<u64> {
     if n - i0 < s {
         return 0..0;
     }
@@ -224,8 +223,6 @@ pub(crate) struct Tally {
     pub(crate) unconnectable: usize,
     pub(crate) gain_queries: u64,
     pub(crate) kernel: KernelCounts,
-    pub(crate) tiles_solved: usize,
-    pub(crate) view_escapes: usize,
     pub(crate) profile: SweepProfile,
 }
 
@@ -240,7 +237,6 @@ impl Tally {
         p.connection_ns += q.connection_ns;
         p.scoring_ns += q.scoring_ns;
         p.substrate_query_ns += q.substrate_query_ns;
-        p.tile_view_ns += q.tile_view_ns;
         if !commit {
             return;
         }
@@ -251,98 +247,43 @@ impl Tally {
         self.unconnectable += other.unconnectable;
         self.gain_queries += other.gain_queries;
         self.kernel += other.kernel;
-        self.tiles_solved += other.tiles_solved;
-        self.view_escapes += other.view_escapes;
     }
 }
 
-/// Runs the configured search over `ctx`. The exhaustive engine works
-/// through the first-member blocks, or through tiles when `shard` is
-/// given; the beam has no ranks to shard and ignores it.
+/// Runs the configured search over `ctx`.
 ///
 /// # Errors
 ///
 /// [`CoreError::Sweep`] if a worker panicked; every worker is joined
 /// first.
-pub(crate) fn search(
-    ctx: &SearchContext<'_>,
-    shard: Option<&ShardConfig>,
-) -> Result<(RankedBest, Tally), CoreError> {
+pub(crate) fn search(ctx: &SearchContext<'_>) -> Result<(RankedBest, Tally), CoreError> {
     match ctx.config.strategy() {
-        SeedStrategyKind::Exhaustive => exhaustive(ctx, shard),
+        SeedStrategyKind::Exhaustive => exhaustive(ctx),
         SeedStrategyKind::Beam { width } => Ok(beam(ctx, width)),
     }
 }
 
-/// How the exhaustive engine's workers share the ranks `0..C(pool, s)`:
-/// as first-member blocks, handed out from an atomic cursor. Each block
-/// is counted on its own, so that the join can drop the ones that start
-/// above the final watermark, and each starts with a cleared gain memo.
-pub(crate) enum WorkItems {
-    /// The non-empty blocks `0..count` (pool positions `0..=pool − s`),
-    /// claimed in rank order and solved in the worker's global
-    /// workspace (the monolithic sweep).
-    Blocks { count: usize },
-    /// Spatial tiles, each solved inside a view `reach` hops around its
-    /// members (the sharded sweep). A tile holds the blocks of its
-    /// members.
-    Tiles { tiles: Vec<Tile>, reach: usize },
-}
-
-impl WorkItems {
-    fn len(&self) -> usize {
-        match self {
-            WorkItems::Blocks { count } => *count,
-            WorkItems::Tiles { tiles, .. } => tiles.len(),
-        }
-    }
-}
-
-/// One tile of the sharded sweep: the pool positions whose cells it
-/// holds, around which its view is built, and the non-empty rank
-/// blocks of the combinations those positions start, in ascending rank
-/// order.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct Tile {
-    pub(crate) members: Vec<usize>,
-    pub(crate) blocks: Vec<Range<u64>>,
-}
-
-impl Tile {
-    /// The lowest rank the tile owns (the sharded sweep keeps only
-    /// tiles that own one).
-    fn first_rank(&self) -> u64 {
-        self.blocks[0].start
-    }
-}
-
-/// The exhaustive engine. The workers drain the work items and walk
-/// every rank at or below the watermark, chain-pruning or evaluating
-/// it; a subset at the ceiling `min(Σ capacities, n)` lowers the
-/// watermark to its rank. The join keeps every block's phase times but
+/// The exhaustive engine. The workers claim the first-member blocks in
+/// rank order and walk every rank at or below the watermark,
+/// chain-pruning or evaluating it; a subset at the ceiling
+/// `min(Σ capacities, n)` lowers the watermark to its rank. Each block
+/// is counted on its own: the join keeps every block's phase times but
 /// only the counters of the blocks that start at or below the final
 /// watermark `W`. Those cover exactly the ranks `0..=W`: blocks are
 /// disjoint rank ranges, no rank at or below `W` is ever skipped, and
 /// the block holding `W` stops right after it. A panicking worker
 /// surfaces as [`CoreError::Sweep`] rather than aborting the process,
 /// once every worker has been joined.
-fn exhaustive(
-    ctx: &SearchContext<'_>,
-    shard: Option<&ShardConfig>,
-) -> Result<(RankedBest, Tally), CoreError> {
+fn exhaustive(ctx: &SearchContext<'_>) -> Result<(RankedBest, Tally), CoreError> {
     let s = ctx.config.s();
     let total = binomial(ctx.pool.len(), s);
-    let items = match shard {
-        None => WorkItems::Blocks {
-            count: (ctx.pool.len() + 1).saturating_sub(s),
-        },
-        Some(shard) => crate::shard::tiles(ctx, shard),
-    };
-    let threads = ctx.config.num_threads().min(items.len().max(1));
+    // The non-empty blocks: those of pool positions `0..=pool − s`.
+    let blocks = (ctx.pool.len() + 1).saturating_sub(s);
+    let threads = ctx.config.num_threads().min(blocks.max(1));
     let ceiling = served_ceiling(ctx.instance);
     let cursor = AtomicUsize::new(0);
     let watermark = AtomicU64::new(NO_WATERMARK);
-    let worker = || Worker::new(ctx, ceiling, &watermark).run(&items, &cursor);
+    let worker = || Worker::new(ctx, ceiling, &watermark).run(blocks, &cursor);
     let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
         handles.into_iter().map(|h| h.join()).collect()
@@ -377,9 +318,6 @@ fn exhaustive(
     if w != NO_WATERMARK {
         tally.bound_pruned = (total - w - 1) as usize;
     }
-    if let WorkItems::Tiles { tiles, .. } = &items {
-        tally.tiles_solved = tiles.iter().filter(|t| t.first_rank() <= w).count();
-    }
     tally.profile.subset_buffer_peak_bytes = threads * s * 2 * std::mem::size_of::<usize>();
     Ok((best, tally))
 }
@@ -390,8 +328,8 @@ pub(crate) fn served_ceiling(instance: &Instance) -> usize {
     capacity.min(instance.num_users())
 }
 
-/// One exhaustive worker: its best candidate, the tally of every work
-/// item it ran and the reusable buffers of its loop.
+/// One exhaustive worker: its best candidate, the tally of every block
+/// it ran and the reusable buffers of its loop.
 struct Worker<'c> {
     ctx: &'c SearchContext<'c>,
     /// The [`served_ceiling`].
@@ -401,18 +339,15 @@ struct Worker<'c> {
     /// work the join discards, and the join reads the final value after
     /// every worker has been joined.
     watermark: &'c AtomicU64,
-    /// Created on first use: solves every rank of a monolithic block
-    /// and every subset that escapes a tile view.
-    global: Option<SweepWorkspace<'c>>,
-    /// View-construction buffers, created on the first tile item.
-    scratch: Option<ViewScratch>,
-    /// The gain memo of the block in hand, shared by the tile view and
-    /// the global workspace.
+    /// Created on the first evaluation: a worker that gets no block
+    /// never allocates the instance-sized matching.
+    ws: Option<SweepWorkspace<'c>>,
+    /// The gain memo of the block in hand.
     memo: GainMemo,
     combo: Vec<usize>,
     seeds: Vec<CellIndex>,
     best: RankedBest,
-    /// The first rank and the tally of every item run, in run order.
+    /// The first rank and the tally of every block run, in run order.
     done: Vec<(u64, Tally)>,
 }
 
@@ -423,8 +358,7 @@ impl<'c> Worker<'c> {
             ctx,
             ceiling,
             watermark,
-            global: None,
-            scratch: None,
+            ws: None,
             memo: GainMemo::default(),
             combo: Vec::with_capacity(s),
             seeds: Vec::with_capacity(s),
@@ -437,54 +371,24 @@ impl<'c> Worker<'c> {
         self.watermark.load(Ordering::Relaxed)
     }
 
-    /// Drains work items until the cursor passes the last one or, for
-    /// monolithic blocks, the watermark.
-    fn run(mut self, items: &WorkItems, cursor: &AtomicUsize) -> (RankedBest, Vec<(u64, Tally)>) {
+    /// Claims blocks until the cursor passes the last one or the
+    /// watermark.
+    fn run(mut self, blocks: usize, cursor: &AtomicUsize) -> (RankedBest, Vec<(u64, Tally)>) {
         let (n, s) = (self.ctx.pool.len(), self.ctx.config.s());
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
-            match items {
-                WorkItems::Blocks { count } => {
-                    if i >= *count {
-                        break;
-                    }
-                    let block = first_member_block(i, n, s);
-                    // Blocks are claimed in rank order: every later one
-                    // starts past the watermark too.
-                    if block.start > self.watermark() {
-                        break;
-                    }
-                    self.sweep(block, None, Tally::default());
-                }
-                WorkItems::Tiles { tiles, reach } => {
-                    let Some(tile) = tiles.get(i) else { break };
-                    if tile.first_rank() <= self.watermark() {
-                        self.solve_tile(tile, *reach);
-                    }
-                }
+            if i >= blocks {
+                break;
             }
+            let block = first_member_block(i, n, s);
+            // Blocks are claimed in rank order: every later one starts
+            // past the watermark too.
+            if block.start > self.watermark() {
+                break;
+            }
+            self.sweep(block);
         }
         (self.best, self.done)
-    }
-
-    /// Builds the tile's view around its members, then sweeps the
-    /// tile's rank blocks inside it. The view's build time goes to the
-    /// first block.
-    fn solve_tile(&mut self, tile: &Tile, reach: usize) {
-        let ctx = self.ctx;
-        let t_tile = Instant::now();
-        let member_cells: Vec<CellIndex> = tile.members.iter().map(|&i| ctx.pool[i]).collect();
-        let scratch = self
-            .scratch
-            .get_or_insert_with(|| ViewScratch::new(ctx.instance.num_users()));
-        let view = build_view(ctx.instance, ctx.substrate, &member_cells, reach, scratch);
-        let mut tally = Tally::default();
-        tally.profile.tile_view_ns = t_tile.elapsed().as_nanos() as u64;
-        let mut ws = SweepWorkspace::with_view(ctx.instance, ctx.substrate, &view);
-        for block in &tile.blocks {
-            self.sweep(block.clone(), Some(&mut ws), std::mem::take(&mut tally));
-        }
-        uavnet_obs::hists::TILE_SOLVE.record_ns(t_tile.elapsed().as_nanos() as u64);
     }
 
     /// Walks the consecutive ranks of one first-member block, with a
@@ -492,15 +396,11 @@ impl<'c> Worker<'c> {
     /// is unranked (or advanced from its predecessor), offered to the
     /// fault-injection hook, chain-checked, and evaluated when it
     /// survives. A subset at the ceiling lowers the watermark to its rank
-    /// and ends the block. Records the block with its `tally`.
-    fn sweep(
-        &mut self,
-        ranks: Range<u64>,
-        mut view: Option<&mut SweepWorkspace<'_>>,
-        mut tally: Tally,
-    ) {
+    /// and ends the block. Records the block with its tally.
+    fn sweep(&mut self, ranks: Range<u64>) {
         let ctx = self.ctx;
         let (n, s) = (ctx.pool.len(), ctx.config.s());
+        let mut tally = Tally::default();
         self.memo.clear();
         for rank in ranks.clone() {
             if rank > self.watermark() {
@@ -523,7 +423,7 @@ impl<'c> Worker<'c> {
             tally.profile.enumeration_ns += t_enum.elapsed().as_nanos() as u64;
             if !feasible {
                 tally.chain_pruned += 1;
-            } else if self.evaluate(rank, view.as_deref_mut(), &mut tally) {
+            } else if self.evaluate(rank, &mut tally) {
                 self.watermark.fetch_min(rank, Ordering::Relaxed);
                 break;
             }
@@ -531,30 +431,21 @@ impl<'c> Worker<'c> {
         self.done.push((ranks.start, tally));
     }
 
-    /// Evaluates the current combination in the tile view, if any, and
-    /// in the global workspace otherwise or when the subset escapes the
-    /// view. Returns whether the subset serves the ceiling.
-    fn evaluate(
-        &mut self,
-        rank: u64,
-        view: Option<&mut SweepWorkspace<'_>>,
-        tally: &mut Tally,
-    ) -> bool {
+    /// Evaluates the current combination, counting its gain queries and
+    /// kernel work into `tally`. Returns whether the subset serves the
+    /// ceiling.
+    fn evaluate(&mut self, rank: u64, tally: &mut Tally) -> bool {
         let ctx = self.ctx;
         tally.evaluated += 1;
         self.seeds.clear();
         self.seeds.extend(self.combo.iter().map(|&i| ctx.pool[i]));
-        let memo = &mut self.memo;
-        let in_view = view.map(|ws| (solve_counted(ws, ctx.plan, &self.seeds, memo, tally), &*ws));
-        let (outcome, ws) = match in_view {
-            Some((outcome, ws)) if outcome != SubsetOutcome::EscapedView => (outcome, ws),
-            _ => {
-                let ws = self.global.get_or_insert_with(|| {
-                    SweepWorkspace::with_substrate(ctx.instance, ctx.substrate)
-                });
-                (solve_counted(ws, ctx.plan, &self.seeds, memo, tally), &*ws)
-            }
-        };
+        let ws = self
+            .ws
+            .get_or_insert_with(|| SweepWorkspace::with_substrate(ctx.instance, ctx.substrate));
+        let (queries, kernel) = (ws.gain_queries(), ws.counts());
+        let outcome = ws.solve_subset(ctx.plan, &self.seeds, &mut self.memo, &mut tally.profile);
+        tally.gain_queries += ws.gain_queries() - queries;
+        tally.kernel += ws.counts() - kernel;
         match outcome {
             SubsetOutcome::Served(served) => {
                 if beats(&self.best, served, rank) {
@@ -566,34 +457,8 @@ impl<'c> Worker<'c> {
                 tally.unconnectable += 1;
                 false
             }
-            SubsetOutcome::EscapedView => {
-                unreachable!("a global workspace has no view to escape")
-            }
         }
     }
-}
-
-/// Solves `seeds` in `ws`. Gain queries and kernel work count only
-/// when `ws` decides: what a view burns before noticing an escape is
-/// discarded, and the view hands `memo` back as it found it, so the
-/// totals match the monolithic sweep, where only the global evaluation
-/// exists.
-fn solve_counted(
-    ws: &mut SweepWorkspace<'_>,
-    plan: &SegmentPlan,
-    seeds: &[CellIndex],
-    memo: &mut GainMemo,
-    tally: &mut Tally,
-) -> SubsetOutcome {
-    let (queries, kernel) = (ws.gain_queries(), ws.counts());
-    let outcome = ws.solve_subset(plan, seeds, memo, &mut tally.profile);
-    if outcome == SubsetOutcome::EscapedView {
-        tally.view_escapes += 1;
-    } else {
-        tally.gain_queries += ws.gain_queries() - queries;
-        tally.kernel += ws.counts() - kernel;
-    }
-    outcome
 }
 
 /// Density-guided beam search seeded from the highest-coverage cells.
@@ -684,9 +549,6 @@ fn beam(ctx: &SearchContext<'_>, width: usize) -> (RankedBest, Tally) {
                 }
             }
             SubsetOutcome::Unconnectable => tally.unconnectable += 1,
-            SubsetOutcome::EscapedView => {
-                unreachable!("the beam runs without a tile view")
-            }
         }
     }
     tally.gain_queries = ws.gain_queries();
@@ -823,8 +685,6 @@ mod tests {
         let hotspot = b.build().unwrap();
         let late = two_clusters_and_a_straggler();
         for (inst, s) in [(&hotspot, 1usize), (&hotspot, 2), (&late, 1), (&late, 2)] {
-            // Oracle 6: the sharded sweep stops at the same rank.
-            crate::check_sharded_sweep(inst, &ApproxConfig::with_s(s).threads(2)).unwrap();
             // Repeated 8-thread runs race the workers past the watermark
             // in different ways; the committed counts must not notice.
             let runs: Vec<_> = [1usize, 2, 4, 8, 8, 8, 8, 8]

@@ -96,18 +96,6 @@ pub enum VerifyError {
     /// instance's location graph, so the substrate-vs-BFS oracle has
     /// nothing to compare against.
     Substrate(uavnet_graph::SubstrateError),
-    /// The tile-sharded sweep diverged from the monolithic one on a
-    /// deterministic field.
-    ShardMismatch {
-        /// Which deterministic field diverged.
-        field: &'static str,
-        /// Tile side (grid cells) of the sharded run.
-        tile_cells: usize,
-        /// Value from the sharded sweep.
-        sharded: String,
-        /// Value from the monolithic sweep.
-        monolithic: String,
-    },
     /// The incremental solver loop diverged from a cold rescore of
     /// the same placements on the mutated instance (oracle 7).
     IncrementalMismatch {
@@ -181,16 +169,6 @@ impl fmt::Display for VerifyError {
             VerifyError::Substrate(e) => {
                 write!(f, "connection oracle could not build its substrate: {e}")
             }
-            VerifyError::ShardMismatch {
-                field,
-                tile_cells,
-                sharded,
-                monolithic,
-            } => write!(
-                f,
-                "sharded sweep ({tile_cells}-cell tiles) diverged on {field}: \
-                 sharded {sharded} vs monolithic {monolithic}"
-            ),
             VerifyError::IncrementalMismatch {
                 field,
                 incremental,
@@ -454,102 +432,6 @@ pub fn check_sweep_oracles(instance: &Instance, config: &ApproxConfig) -> Result
     Ok(())
 }
 
-/// Differential oracle 6 — the tile-sharded sweep
-/// ([`crate::approx_alg_sharded`]) against the monolithic one, across
-/// several tile geometries and a single-threaded run: deployment,
-/// served users and every deterministic statistic must be bit-for-bit
-/// identical regardless of how the grid is sharded.
-///
-/// # Errors
-///
-/// [`VerifyError::ShardMismatch`] naming the first diverging field;
-/// propagates solver errors ([`CoreError`]) unchanged.
-pub fn check_sharded_sweep(instance: &Instance, config: &ApproxConfig) -> Result<(), CoreError> {
-    let (mono, mono_stats) = approx_alg_with_stats(instance, config)?;
-    let mut runs: Vec<(usize, ApproxConfig)> = [1usize, 4, 0]
-        .iter()
-        .map(|&tc| (tc, config.clone()))
-        .collect();
-    runs.push((4, config.clone().threads(1)));
-    for (tile_cells, run_config) in runs {
-        let shard = crate::shard::ShardConfig::new().tile_cells(tile_cells);
-        let (sol, stats) = crate::shard::approx_alg_sharded(instance, &run_config, &shard)?;
-        let mismatch = |field: &'static str, s: String, m: String| {
-            Err(CoreError::Verification(VerifyError::ShardMismatch {
-                field,
-                tile_cells,
-                sharded: s,
-                monolithic: m,
-            }))
-        };
-        if sol.deployment().placements() != mono.deployment().placements() {
-            return mismatch(
-                "placements",
-                format!("{:?}", sol.deployment().placements()),
-                format!("{:?}", mono.deployment().placements()),
-            );
-        }
-        if sol.served_users() != mono.served_users() {
-            return mismatch(
-                "served",
-                sol.served_users().to_string(),
-                mono.served_users().to_string(),
-            );
-        }
-        for (field, s, m) in [
-            (
-                "subsets_enumerated",
-                stats.subsets_enumerated,
-                mono_stats.subsets_enumerated,
-            ),
-            (
-                "subsets_chain_pruned",
-                stats.subsets_chain_pruned,
-                mono_stats.subsets_chain_pruned,
-            ),
-            (
-                "subsets_bound_pruned",
-                stats.subsets_bound_pruned,
-                mono_stats.subsets_bound_pruned,
-            ),
-            (
-                "subsets_evaluated",
-                stats.subsets_evaluated,
-                mono_stats.subsets_evaluated,
-            ),
-            (
-                "subsets_unconnectable",
-                stats.subsets_unconnectable,
-                mono_stats.subsets_unconnectable,
-            ),
-            (
-                "gain_queries",
-                stats.gain_queries as usize,
-                mono_stats.gain_queries as usize,
-            ),
-        ] {
-            if s != m {
-                return mismatch(field, s.to_string(), m.to_string());
-            }
-        }
-        if stats.kernel != mono_stats.kernel {
-            return mismatch(
-                "kernel",
-                format!("{:?}", stats.kernel),
-                format!("{:?}", mono_stats.kernel),
-            );
-        }
-        if stats.best_seeds != mono_stats.best_seeds {
-            return mismatch(
-                "best_seeds",
-                format!("{:?}", stats.best_seeds),
-                format!("{:?}", mono_stats.best_seeds),
-            );
-        }
-    }
-    Ok(())
-}
-
 /// Numerator of the committed quality floor for non-value-preserving
 /// seed strategies: `NUM · (served + 1) ≥ DEN · served_exhaustive`.
 /// The `+1` absorbs rounding on tiny instances where a single user is
@@ -768,8 +650,8 @@ pub fn check_connection_substrate(
 }
 
 /// Runs the full differential battery appropriate for `instance` in
-/// one call: the sweep oracle pair, the sharded-vs-monolithic sweep
-/// oracle, the relay-bound algebra for the plan's segment sizes, the
+/// one call: the sweep oracle pair, the relay-bound algebra for the
+/// plan's segment sizes, the
 /// assignment oracle pair on the winning deployment, the
 /// substrate-vs-BFS connection oracle on the winning
 /// locations, and independent [`Solution::validate`]. Small
@@ -784,7 +666,6 @@ pub fn check_connection_substrate(
 pub fn verify_pipeline(instance: &Instance, config: &ApproxConfig) -> Result<Solution, CoreError> {
     let _span = uavnet_obs::phases::VERIFY.span();
     tally(check_sweep_oracles(instance, config))?;
-    tally(check_sharded_sweep(instance, config))?;
     let (sol, stats) = approx_alg_with_stats(instance, config)?;
     tally(check_relay_bound(stats.plan.p()).map_err(CoreError::from))?;
     tally(

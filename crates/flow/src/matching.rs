@@ -186,14 +186,47 @@ impl CapacitatedMatching {
     /// Clears all stations and assignments while keeping every buffer's
     /// capacity, so a reused instance performs no fresh allocations.
     /// The user count and the [`counts`](Self::counts) are unchanged.
+    ///
+    /// Costs the total length of the stations' adjacency lists, not the
+    /// user count: a matched user is always held through an adjacency
+    /// edge of its station (trial insertions unwind their own changes),
+    /// so freeing every listed user frees every matched one. A word
+    /// station a search flipped to ids lists the same users, and a
+    /// deactivated station holds none (walking its list is harmless).
     pub fn reset(&mut self) {
-        self.user_station.fill(None);
-        let tail = self.user_station.len() % 64;
-        self.free.fill(!0);
-        if tail != 0 {
-            if let Some(last) = self.free.last_mut() {
-                *last = (1u64 << tail) - 1;
+        for &adj in &self.station_adj {
+            match adj {
+                StationAdj::Ids { start, len } => {
+                    for &u in &self.adj[start..start + len] {
+                        let u = u as usize;
+                        self.user_station[u] = None;
+                        self.free[u / 64] |= 1u64 << (u % 64);
+                    }
+                }
+                StationAdj::Words { start, len, base } => {
+                    let w0 = (base / 64) as usize;
+                    for (wi, &word) in self.adj_words[start..start + len].iter().enumerate() {
+                        let mut matched = word & !self.free[w0 + wi];
+                        self.free[w0 + wi] |= word;
+                        while matched != 0 {
+                            let u = (w0 + wi) * 64 + matched.trailing_zeros() as usize;
+                            matched &= matched - 1;
+                            self.user_station[u] = None;
+                        }
+                    }
+                }
             }
+        }
+        #[cfg(feature = "debug-validate")]
+        {
+            assert!(
+                self.user_station.iter().all(Option::is_none),
+                "debug-validate: reset left a user matched"
+            );
+            assert!(
+                self.free == all_free_words(self.user_station.len()),
+                "debug-validate: reset left a user's free bit clear"
+            );
         }
         self.station_cap.clear();
         self.station_load.clear();
@@ -941,6 +974,88 @@ mod tests {
         let fs = fresh.add_station(2, &[0, 1, 2]);
         fresh.saturate(fs);
         assert_eq!(fresh.assignment(), m.assignment());
+    }
+
+    #[test]
+    fn reset_frees_every_user_its_stations_matched() {
+        let n = 200;
+        // 64-aligned bitset windows stay in the word arena.
+        let (half_taken, saturated) = ([!0u64, (1 << 36) - 1], [!0u64]);
+        let (held, deactivated, partial): (Vec<u32>, Vec<u32>, Vec<u32>) = (
+            (20..45).collect(),
+            (192..200).collect(),
+            (100..110).collect(),
+        );
+        let stations = [
+            // Users 0..100, half of them taken.
+            (
+                50,
+                UserList::Bits {
+                    base: 0,
+                    words: &half_taken,
+                },
+            ),
+            // Users 128..192, saturated.
+            (
+                64,
+                UserList::Bits {
+                    base: 128,
+                    words: &saturated,
+                },
+            ),
+            // Users 20..45, all held by station 0: its augmenting paths
+            // walk station 0's list, which flips it to ids.
+            (10, UserList::Ids(&held)),
+            // Users 192..200, saturated, then deactivated.
+            (8, UserList::Ids(&deactivated)),
+            // Users 100..110, below capacity.
+            (20, UserList::Ids(&partial)),
+        ];
+        let commit_all = |m: &mut CapacitatedMatching| {
+            for &(cap, users) in &stations {
+                let st = m.add_station_list(cap, users);
+                m.saturate(st);
+            }
+            m.deactivate_station(3);
+        };
+        let mut m = CapacitatedMatching::new(n);
+        commit_all(&mut m);
+        assert!(
+            matches!(m.station_adj[0], StationAdj::Ids { .. }),
+            "a search must have flipped station 0 to ids"
+        );
+        assert!(matches!(m.station_adj[1], StationAdj::Words { .. }));
+        assert_eq!(m.station_load(2), 10);
+        assert_eq!(m.matched_count(), 50 + 64 + 10 + 10);
+        // Trial insertions of both encodings leave nothing behind.
+        let words = [!0u64, !0];
+        assert!(
+            m.evaluate_station_list(
+                30,
+                UserList::Bits {
+                    base: 64,
+                    words: &words
+                }
+            ) > 0
+        );
+        assert!(m.evaluate_station(5, &[0, 1, 150, 199]) > 0);
+
+        for _ in 0..2 {
+            m.reset();
+            assert_eq!(m.num_stations(), 0);
+            assert_eq!(m.matched_count(), 0);
+            assert!(m.assignment().iter().all(Option::is_none));
+            assert_eq!(m.free, all_free_words(n));
+            // Replaying the stations gives the fresh matching's result.
+            commit_all(&mut m);
+            let mut fresh = CapacitatedMatching::new(n);
+            commit_all(&mut fresh);
+            assert_eq!(m.assignment(), fresh.assignment());
+            assert_eq!(m.matched_count(), fresh.matched_count());
+            for st in 0..stations.len() {
+                assert_eq!(m.station_load(st), fresh.station_load(st));
+            }
+        }
     }
 
     #[test]

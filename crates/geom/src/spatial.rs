@@ -192,10 +192,10 @@ impl SpatialIndex {
 }
 
 /// A partition of a `cols × rows` cell grid into square tiles of
-/// `tile × tile` cells (edge tiles may be smaller). Tiles are the
-/// shard boundaries of the hierarchical solver: each tile owns the
-/// cells inside it, and tile ids follow row-major order over the tile
-/// grid.
+/// `tile × tile` cells (edge tiles may be smaller). Tiles are the unit
+/// of dirty-region invalidation in the incremental solver: each tile
+/// owns the cells inside it, and tile ids follow row-major order over
+/// the tile grid.
 ///
 /// # Examples
 ///

@@ -1478,8 +1478,8 @@ pub fn dump_trace_event(events: &[Event]) -> String {
 /// they are the public schema of the event log.
 ///
 /// A counter is the obs view of a number another record owns: the
-/// `sweep.*`, `greedy.*`, `matching.*`, `connect.*`, `shard.*` and
-/// `strategy.*` counters are added once per sweep from its
+/// `sweep.*`, `greedy.*`, `matching.*`, `connect.*` and `strategy.*`
+/// counters are added once per sweep from its
 /// `ApproxStats`, the `resolve.*` counters once per applied delta from
 /// its `DeltaOutcome` (both in `uavnet-core`'s obs bridge), and the
 /// `service.*` counters by the service's threads. A count another metric
@@ -1529,11 +1529,6 @@ pub mod counters {
     pub static CONNECT_GATEWAY_EXTENSIONS: Counter = Counter::new("connect.gateway_extensions");
     /// Connections and gateway extensions that found no path.
     pub static CONNECT_FAILURES: Counter = Counter::new("connect.failures");
-    /// Spatial tiles solved by the sharded sweep.
-    pub static SHARD_TILES: Counter = Counter::new("shard.tiles");
-    /// Subsets that escaped their tile view and were re-solved
-    /// against a global workspace.
-    pub static SHARD_VIEW_ESCAPES: Counter = Counter::new("shard.view_escapes");
     /// Differential-oracle checks executed.
     pub static VERIFY_CHECKS: Counter = Counter::new("verify.checks");
     /// Differential-oracle checks that found a divergence.
@@ -1583,8 +1578,6 @@ pub mod counters {
         &CONNECT_RELAYS_ADDED,
         &CONNECT_GATEWAY_EXTENSIONS,
         &CONNECT_FAILURES,
-        &SHARD_TILES,
-        &SHARD_VIEW_ESCAPES,
         &VERIFY_CHECKS,
         &VERIFY_FAILURES,
         &RESOLVE_COLD_SOLVES,
@@ -1627,9 +1620,6 @@ pub mod phases {
     /// Hop-structure queries answered from the substrate (also counted
     /// inside `greedy`/`connection`).
     pub static SUBSTRATE_QUERY: Phase = Phase::new("substrate_query");
-    /// Per-tile view construction in the sharded sweep (reach sets,
-    /// local user remaps, local coverage lists), summed across workers.
-    pub static TILE_VIEW: Phase = Phase::new("tile_view");
     /// End-to-end wall clock of one subset sweep.
     pub static SWEEP_TOTAL: Phase = Phase::new("sweep_total");
     /// Differential-oracle batteries (`uavnet-core::verify`).
@@ -1678,7 +1668,6 @@ pub mod phases {
         &CONNECTION,
         &SCORING,
         &SUBSTRATE_QUERY,
-        &TILE_VIEW,
         &SWEEP_TOTAL,
         &VERIFY,
         &REPAIR,
@@ -1703,21 +1692,15 @@ pub mod hists {
     /// coverage oracle, timed as the work runs. Only the queries that
     /// ran are timed, not those the sweep's gain memo answered: in a
     /// sweep its sample count is the sweep's gain queries minus its
-    /// gain memo hits, plus any a tile view spent on a subset that
-    /// escaped it, and plus those of work items that ran above the
+    /// gain memo hits, plus those of work items that ran above the
     /// final watermark when a subset saturates the fleet.
     pub static GAIN_QUERY: LatencyHist = LatencyHist::new("greedy.gain_query_ns");
-    /// Wall clock of one whole tile in the sharded sweep (view build +
-    /// every subset of the tile at or below the watermark), timed as
-    /// the work runs: when a subset saturates the fleet, its sample
-    /// count also includes tiles the counters drop.
-    pub static TILE_SOLVE: LatencyHist = LatencyHist::new("shard.tile_solve_ns");
     /// Latency of writing one published frame to one subscriber
     /// socket during fan-out.
     pub static SUBSCRIBER_WRITE: LatencyHist = LatencyHist::new("service.subscriber_write_ns");
 
     /// Every declared latency histogram, in schema order.
-    pub static ALL: &[&LatencyHist] = &[&GAIN_QUERY, &TILE_SOLVE, &SUBSCRIBER_WRITE];
+    pub static ALL: &[&LatencyHist] = &[&GAIN_QUERY, &SUBSCRIBER_WRITE];
 }
 
 /// Every gauge of the pipeline, declared centrally. A gauge reports a

@@ -7,9 +7,8 @@
 
 use uavnet::channel::UavRadio;
 use uavnet::core::{
-    approx_alg, approx_alg_sharded, assign_users, try_score_deployment, ApproxConfig, CoreError,
-    Delta, DeltaOutcome, Instance, LoopConfig, ShardConfig, Solution, SolverLoop, User,
-    ValidationError,
+    approx_alg, assign_users, try_score_deployment, ApproxConfig, CoreError, Delta, DeltaOutcome,
+    Instance, LoopConfig, Solution, SolverLoop, User, ValidationError,
 };
 use uavnet::geom::{AreaSpec, GridSpec, Point2};
 use uavnet::workload::ScenarioSpec;
@@ -179,35 +178,18 @@ fn sweep_worker_panic_is_a_typed_error_not_an_abort() {
     // old join().expect() re-raised it): every remaining worker is
     // joined and the panic surfaces as CoreError::Sweep carrying the
     // original payload.
-    // The monolithic and the sharded sweep share one worker loop, so
-    // the hook fires on reaching the rank in both.
     let (instance, _) = fig6_scale();
     for threads in [1usize, 2, 4] {
         let config = ApproxConfig::with_s(2)
             .threads(threads)
             .inject_worker_panic_at(0);
-        let runs = [
-            ("monolithic", approx_alg(&instance, &config)),
-            (
-                "tile_cells(1)",
-                approx_alg_sharded(&instance, &config, &ShardConfig::new().tile_cells(1))
-                    .map(|(sol, _)| sol),
+        match approx_alg(&instance, &config) {
+            Err(CoreError::Sweep(msg)) => assert!(
+                msg.contains("injected worker panic"),
+                "threads={threads}: payload lost: {msg:?}"
             ),
-            (
-                "tile_cells(4)",
-                approx_alg_sharded(&instance, &config, &ShardConfig::new().tile_cells(4))
-                    .map(|(sol, _)| sol),
-            ),
-        ];
-        for (path, result) in runs {
-            match result {
-                Err(CoreError::Sweep(msg)) => assert!(
-                    msg.contains("injected worker panic"),
-                    "{path}: payload lost: {msg:?}"
-                ),
-                Ok(_) => panic!("{path}, threads={threads}: injected panic was swallowed"),
-                Err(e) => panic!("{path}, threads={threads}: wrong error type {e}"),
-            }
+            Ok(_) => panic!("threads={threads}: injected panic was swallowed"),
+            Err(e) => panic!("threads={threads}: wrong error type {e}"),
         }
     }
     // A rank past the enumeration never fires: the sweep completes.

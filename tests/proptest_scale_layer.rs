@@ -2,16 +2,15 @@
 //! builder against the all-pairs reference, the compressed coverage
 //! tables against their decode, in-place mobility and surge patches
 //! against a fresh build, the connectivity substrate (precomputed hop
-//! rows + canonical paths) against fresh per-call BFS, and the
-//! tile-sharded sweep against the monolithic one.
+//! rows + canonical paths) against fresh per-call BFS, and the sweep's
+//! invariance to its thread count.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use uavnet::channel::{AtgChannel, ChannelParams, Environment, UavRadio};
 use uavnet::core::{
-    approx_alg_sharded, approx_alg_with_stats, check_connection_substrate, ApproxConfig, Instance,
-    ShardConfig, User,
+    approx_alg_with_stats, check_connection_substrate, ApproxConfig, Instance, User,
 };
 use uavnet::geom::{AreaSpec, GridSpec, Point2, Point3};
 use uavnet::graph::{
@@ -227,28 +226,35 @@ proptest! {
         );
     }
 
-    /// Tentpole: the tile-sharded sweep is invariant to tile size and
-    /// thread count — deployment, served users and deterministic
-    /// statistics all equal the monolithic sweep's.
+    /// The sweep is invariant to its thread count: placements, served
+    /// users, gain queries, kernel work, the subset counts and the best
+    /// seeds at 2–4 threads equal the 1-thread run's. The name dates
+    /// from the tile-sharded sweep this property used to compare
+    /// against; that sweep is gone, and the name stays so the test's
+    /// history remains traceable.
     #[test]
     fn sharded_sweep_invariant_to_tiling(
         instance in instances(),
         s in 1usize..3,
-        tile_cells in 0usize..6,
-        threads in 1usize..5,
     ) {
         let s = s.min(instance.num_uavs());
-        let config = ApproxConfig::with_s(s).threads(threads);
-        let (mono, mono_stats) = approx_alg_with_stats(&instance, &config).unwrap();
-        let shard = ShardConfig::new().tile_cells(tile_cells);
-        let (sol, stats) = approx_alg_sharded(&instance, &config, &shard).unwrap();
-        prop_assert_eq!(sol.deployment(), mono.deployment());
-        prop_assert_eq!(sol.served_users(), mono.served_users());
-        prop_assert_eq!(stats.gain_queries, mono_stats.gain_queries);
-        prop_assert_eq!(stats.kernel, mono_stats.kernel);
-        prop_assert_eq!(stats.subsets_evaluated, mono_stats.subsets_evaluated);
-        prop_assert_eq!(stats.subsets_unconnectable, mono_stats.subsets_unconnectable);
-        prop_assert_eq!(stats.best_seeds, mono_stats.best_seeds);
+        let solve = |threads| {
+            approx_alg_with_stats(&instance, &ApproxConfig::with_s(s).threads(threads)).unwrap()
+        };
+        let (first, first_stats) = solve(1);
+        for threads in 2..=4 {
+            let (sol, stats) = solve(threads);
+            prop_assert_eq!(sol.deployment().placements(), first.deployment().placements());
+            prop_assert_eq!(sol.served_users(), first.served_users());
+            prop_assert_eq!(stats.gain_queries, first_stats.gain_queries);
+            prop_assert_eq!(stats.kernel, first_stats.kernel);
+            prop_assert_eq!(stats.subsets_enumerated, first_stats.subsets_enumerated);
+            prop_assert_eq!(stats.subsets_chain_pruned, first_stats.subsets_chain_pruned);
+            prop_assert_eq!(stats.subsets_bound_pruned, first_stats.subsets_bound_pruned);
+            prop_assert_eq!(stats.subsets_evaluated, first_stats.subsets_evaluated);
+            prop_assert_eq!(stats.subsets_unconnectable, first_stats.subsets_unconnectable);
+            prop_assert_eq!(&stats.best_seeds, &first_stats.best_seeds);
+        }
     }
 
     /// Mobility and surge deltas patch only the coverage lists they

@@ -5,7 +5,8 @@
 //! must reproduce the materialized reference sweep bit-for-bit — same
 //! solution, same winning seeds, statistics related as verify oracle 2
 //! demands — at every thread count. One ignored test runs oracle 2 on
-//! the benchmark's pinned planning scenarios:
+//! the pinned scenarios of the benchmark's three planning workloads,
+//! up to a million users (about 35 s in release on two cores):
 //! `cargo test --release -q --test proptest_sweep -- --ignored`.
 
 use proptest::prelude::*;
@@ -84,20 +85,22 @@ proptest! {
     }
 }
 
-/// Oracle 2 at benchmarked scale: the pinned scenarios (seeds 1–4) of
-/// the benchmark's `plan-paper` and `plan-large` workloads, built with
-/// the same `ScenarioSpec` parameters — fat-tailed users (12 clusters,
-/// Zipf 1.2) on 300 m cells — at `s = 2` on 2 threads. Seconds per
-/// scenario in release, hence ignored by default.
+/// Oracle 2 at benchmarked scale: the pinned scenarios of the
+/// benchmark's planning workloads, built with the same `ScenarioSpec`
+/// parameters — fat-tailed users (12 clusters, Zipf 1.2) on 300 m
+/// cells — on 2 threads: `plan-paper` and `plan-large` at `s = 2`
+/// (seeds 1–4), and `plan-xlarge`, a million users, at `s = 1` (seeds
+/// 1–2). Seconds per scenario in release, hence ignored by default.
 #[test]
 #[ignore = "benchmark-scale scenarios; run in release with --ignored"]
 fn sweep_matches_materialized_reference_on_benchmark_scenarios() {
-    let config = ApproxConfig::with_s(2).threads(2);
-    for (workload, side_m, users, uavs, (c_min, c_max)) in [
-        ("plan-paper", 3_000.0, 600, 20, (10, 60)),
-        ("plan-large", 6_000.0, 100_000, 8, (50, 300)),
+    for (workload, side_m, users, uavs, (c_min, c_max), s, seeds) in [
+        ("plan-paper", 3_000.0, 600, 20, (10, 60), 2, 1..=4u64),
+        ("plan-large", 6_000.0, 100_000, 8, (50, 300), 2, 1..=4),
+        ("plan-xlarge", 12_000.0, 1_000_000, 8, (50, 300), 1, 1..=2),
     ] {
-        for seed in 1..=4u64 {
+        let config = ApproxConfig::with_s(s).threads(2);
+        for seed in seeds {
             let instance = ScenarioSpec::builder()
                 .area_m(side_m, side_m)
                 .cell_m(300.0)
