@@ -12,7 +12,10 @@
 //! independent of machine speed and thread count; any drift means the
 //! algorithm's work profile changed, which is exactly what the gate
 //! exists to catch (an intentional change regenerates the committed
-//! baseline). Failure counters (`*.failures`, `*.panics`) are
+//! baseline). A gated metric that only one side has fails too: one
+//! missing from CURRENT disappeared, and one missing from BASELINE
+//! would otherwise go ungated until the baseline is regenerated.
+//! Failure counters (`*.failures`, `*.panics`) are
 //! special-cased: any increase fails regardless of tolerance.
 //! Wall-clock-dependent counters (`service.slow_deltas`, which
 //! compares elapsed time against a threshold) are excluded from the
@@ -49,11 +52,10 @@ struct Options {
     per_metric: BTreeMap<String, f64>,
 }
 
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Status {
     Ok,
     Fail,
-    Note,
 }
 
 struct Row {
@@ -203,8 +205,8 @@ fn compare(base: &BTreeMap<String, f64>, cur: &BTreeMap<String, f64>, opts: &Opt
                 name: name.clone(),
                 base: None,
                 cur: Some(c),
-                status: Status::Note,
-                note: "new metric (not in baseline)".into(),
+                status: Status::Fail,
+                note: "new metric (not in baseline): regenerate the baseline to gate it".into(),
             });
         }
     }
@@ -228,7 +230,6 @@ fn print_rows(rows: &[Row]) {
         let mark = match r.status {
             Status::Ok => "ok  ",
             Status::Fail => "FAIL",
-            Status::Note => "note",
         };
         println!(
             "{mark}  {:<40} {:>14} {:>14} {:>9}  {}",
@@ -305,7 +306,8 @@ fn main() -> ExitCode {
     }
     if !failed_pairs.is_empty() {
         println!(
-            "obs_diff: REGRESSION — gated metrics drifted beyond tolerance in {}",
+            "obs_diff: REGRESSION — gated metrics drifted beyond tolerance, disappeared or \
+             appeared without a baseline in {}",
             failed_pairs.join(", ")
         );
         ExitCode::from(1)
@@ -326,5 +328,36 @@ mod tests {
         let err = check_schema(&snapshot("uavnet-obs/2")).unwrap_err();
         assert!(err.contains("unsupported schema \"uavnet-obs/2\""), "{err}");
         assert!(check_schema(&Json::parse("{}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn a_metric_only_one_side_has_fails_the_pair() {
+        let opts = Options {
+            pairs: Vec::new(),
+            tol: 0.10,
+            per_metric: BTreeMap::new(),
+        };
+        let metrics = |pairs: &[(&str, f64)]| -> BTreeMap<String, f64> {
+            pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+        };
+        let status = |base: &[(&str, f64)], cur: &[(&str, f64)]| -> Vec<(String, Status)> {
+            compare(&metrics(base), &metrics(cur), &opts)
+                .into_iter()
+                .map(|r| (r.name, r.status))
+                .collect()
+        };
+        let kept = [("sweep.runs", 24.0)];
+        assert_eq!(
+            status(&kept, &kept),
+            [("sweep.runs".to_string(), Status::Ok)]
+        );
+        // A new counter, even at zero, is ungated until the baseline has it.
+        let grown = [("sweep.runs", 24.0), ("greedy.gain_memo_hits", 0.0)];
+        let rows = status(&kept, &grown);
+        assert!(rows.contains(&("greedy.gain_memo_hits".to_string(), Status::Fail)));
+        assert!(rows.contains(&("sweep.runs".to_string(), Status::Ok)));
+        // And one the snapshot lost disappeared.
+        let rows = status(&grown, &kept);
+        assert!(rows.contains(&("greedy.gain_memo_hits".to_string(), Status::Fail)));
     }
 }

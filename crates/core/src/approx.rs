@@ -55,6 +55,7 @@ use crate::{CoreError, Instance, SegmentPlan};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
+use uavnet_flow::UserList;
 use uavnet_geom::CellIndex;
 use uavnet_graph::{ConnectivitySubstrate, UNREACHABLE_HOPS};
 use uavnet_matroid::{
@@ -323,7 +324,9 @@ impl std::ops::Sub for KernelCounts {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SweepProfile {
-    /// Nanoseconds spent generating combinations and chain-pruning.
+    /// Nanoseconds building the seed pool (the empty-seed filter, the
+    /// marginal-coverage order and the pool distances, once per sweep)
+    /// plus generating combinations and chain-pruning.
     pub enumeration_ns: u64,
     /// Nanoseconds in the lazy greedy (matroid build, gain queries,
     /// commits), the gain memo's lookups and inserts included.
@@ -344,7 +347,9 @@ pub struct SweepProfile {
     /// (matroid depths, MST weights, path descent, gateway extension),
     /// summed across workers. Also included in `greedy_ns` /
     /// `connection_ns`; reported separately so the build-once-query-
-    /// often trade is visible in `sweep_report`.
+    /// often trade is visible in `sweep_report`. The matching reset
+    /// that starts each subset is not a query: it is billed to
+    /// `greedy_ns` alone.
     pub substrate_query_ns: u64,
     /// Always zero. Exists only because the benchmark (`benchmark/`)
     /// still reads it, until the benchmark change queued as ROADMAP
@@ -447,9 +452,12 @@ pub(crate) fn sweep(
         let t_substrate = Instant::now();
         let substrate = build_substrate(instance)?;
         let substrate_build_ns = t_substrate.elapsed().as_nanos() as u64;
+        let t_context = Instant::now();
         let ctx = SearchContext::new(instance, config, &plan, &substrate);
+        let context_ns = t_context.elapsed().as_nanos() as u64;
         let (best, mut tally) = search(&ctx)?;
         tally.profile.substrate_build_ns = substrate_build_ns;
+        tally.profile.enumeration_ns += context_ns;
         (best, tally, ctx.pool.len())
     };
 
@@ -551,38 +559,54 @@ pub(crate) fn seed_pool(
 /// bound on its current marginal coverage (marginals only shrink as
 /// users get claimed), so a popped entry whose cache is stale is
 /// re-counted and re-queued rather than rescanning every candidate per
-/// step. Coverage is the union over all radio classes, deduplicated
-/// with an epoch stamp. Deterministic: the heap orders by
-/// `(gain, Reverse(cell))`, so equal gains resolve to the smallest
-/// cell index, and exhausted cells (gain 0) fall out in cell order.
+/// step. Coverage is the union over all radio classes. Deterministic:
+/// the heap orders by `(gain, Reverse(cell))`, so equal gains resolve
+/// to the smallest cell index, and exhausted cells (gain 0) fall out in
+/// cell order.
+///
+/// Claimed users live in a bitset that the lists are read against a
+/// word at a time (see [`for_each_user_word`]). With one radio class a
+/// marginal is a popcount of `list & !claimed`; with several, a `seen`
+/// bitset dedupes the union and is cleared through the words the count
+/// touched.
 fn marginal_coverage_order(instance: &Instance, pool: &mut [usize]) {
     if pool.len() <= 1 {
         return;
     }
     let classes = instance.num_radio_classes();
-    let n = instance.num_users();
-    let mut claimed = vec![false; n];
-    let mut seen: Vec<u32> = vec![0; n];
-    let mut epoch = 0u32;
-    let mut marginal = |v: usize, claimed: &[bool], seen: &mut [u32]| -> u64 {
-        epoch += 1;
+    let words = instance.num_users().div_ceil(64);
+    let mut claimed = vec![0u64; words];
+    let mut seen = vec![0u64; if classes > 1 { words } else { 0 }];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut marginal = |v: usize, claimed: &[u64]| -> u64 {
         let mut count = 0u64;
-        for class in 0..classes {
-            instance.coverable_class(class, v).for_each_while(|u| {
-                let u = u as usize;
-                if seen[u] != epoch && !claimed[u] {
-                    seen[u] = epoch;
-                    count += 1;
-                }
-                true
+        if classes == 1 {
+            for_each_user_word(instance.coverable_class(0, v), |w, bits| {
+                count += u64::from((bits & !claimed[w]).count_ones());
             });
+            return count;
+        }
+        for class in 0..classes {
+            for_each_user_word(instance.coverable_class(class, v), |w, bits| {
+                let fresh = bits & !(claimed[w] | seen[w]);
+                if fresh != 0 {
+                    if seen[w] == 0 {
+                        touched.push(w);
+                    }
+                    seen[w] |= fresh;
+                    count += u64::from(fresh.count_ones());
+                }
+            });
+        }
+        for w in touched.drain(..) {
+            seen[w] = 0;
         }
         count
     };
     // (cached gain, Reverse(cell), commit round the cache was taken in).
     let mut heap: BinaryHeap<(u64, Reverse<usize>, usize)> = pool
         .iter()
-        .map(|&v| (marginal(v, &claimed, &mut seen), Reverse(v), 0))
+        .map(|&v| (marginal(v, &claimed), Reverse(v), 0))
         .collect();
     let mut round = 0usize;
     let mut order = Vec::with_capacity(pool.len());
@@ -590,18 +614,37 @@ fn marginal_coverage_order(instance: &Instance, pool: &mut [usize]) {
         if cached_round == round || gain == 0 {
             // Fresh (or unimprovably empty): commit and claim.
             for class in 0..classes {
-                instance.coverable_class(class, v).for_each_while(|u| {
-                    claimed[u as usize] = true;
-                    true
+                for_each_user_word(instance.coverable_class(class, v), |w, bits| {
+                    claimed[w] |= bits;
                 });
             }
             order.push(v);
             round += 1;
         } else {
-            heap.push((marginal(v, &claimed, &mut seen), Reverse(v), round));
+            heap.push((marginal(v, &claimed), Reverse(v), round));
         }
     }
     pool.copy_from_slice(&order);
+}
+
+/// Calls `f(w, bits)` for the users of `list` as words of a user
+/// bitset, `bits` marking users `64 * w + i`: a 64-aligned bitset list
+/// passes its words through whole, any other list one single-bit word
+/// per user.
+#[inline(always)]
+fn for_each_user_word(list: UserList<'_>, mut f: impl FnMut(usize, u64)) {
+    match list {
+        UserList::Bits { base, words } if base % 64 == 0 => {
+            let w0 = (base / 64) as usize;
+            for (i, &bits) in words.iter().enumerate() {
+                f(w0 + i, bits);
+            }
+        }
+        list => list.for_each_while(|u| {
+            f((u / 64) as usize, 1 << (u % 64));
+            true
+        }),
+    }
 }
 
 /// Hop distances between pool members for the chain pruning (`None`
@@ -1103,12 +1146,13 @@ impl<'a> SweepWorkspace<'a> {
         let t = Instant::now();
         self.oracle.reset();
         memo.begin_subset();
+        let t_query = Instant::now();
         let m2 = match self.substrate {
             Some(sub) => seed_matroid_substrate(sub, seeds, plan),
             None => seed_matroid(graph, seeds, plan),
         };
         if self.substrate.is_some() {
-            profile.substrate_query_ns += t.elapsed().as_nanos() as u64;
+            profile.substrate_query_ns += t_query.elapsed().as_nanos() as u64;
         }
         self.ground.clear();
         self.ground
@@ -1547,6 +1591,92 @@ mod tests {
             .collect();
         assert!(hits[0] > 0, "the memo answered nothing");
         assert!(hits.iter().all(|&h| h == hits[0]), "{hits:?}");
+    }
+
+    /// Clustered users (dense discs become bitset lists) plus scattered
+    /// ones (sparse discs stay id lists), with one radio per range in
+    /// `ranges_m`: one radio class each.
+    fn seed_order_instance(seed: u64, ranges_m: &[f64]) -> Instance {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = Instance::builder(grid(300.0, 2_100.0), 700.0);
+        for _ in 0..4 {
+            let (cx, cy) = (rng.gen_range(200.0..1_900.0), rng.gen_range(200.0..1_900.0));
+            for _ in 0..rng.gen_range(60..160) {
+                let (dx, dy) = (rng.gen_range(-120.0..120.0), rng.gen_range(-120.0..120.0));
+                b.add_user(Point2::new(cx + dx, cy + dy), 2_000.0);
+            }
+        }
+        for _ in 0..rng.gen_range(20..60) {
+            let (x, y) = (rng.gen_range(0.0..2_100.0), rng.gen_range(0.0..2_100.0));
+            b.add_user(Point2::new(x, y), 2_000.0);
+        }
+        for (k, &range) in ranges_m.iter().enumerate() {
+            b.add_uav(40 + 10 * k as u32, UavRadio::new(30.0, 5.0, range));
+        }
+        b.build().unwrap()
+    }
+
+    /// The eager greedy the CELF order must reproduce: each round
+    /// recounts every remaining cell's union coverage over all radio
+    /// classes and takes the largest, the smallest cell on ties.
+    fn eager_marginal_order(instance: &Instance, cells: &[usize]) -> Vec<usize> {
+        let mut claimed = vec![false; instance.num_users()];
+        let mut left = cells.to_vec();
+        let mut order = Vec::new();
+        let covered = |v: usize| -> Vec<u32> {
+            let mut users: Vec<u32> = (0..instance.num_radio_classes())
+                .flat_map(|c| instance.coverable_class(c, v).to_vec())
+                .collect();
+            users.sort_unstable();
+            users.dedup();
+            users
+        };
+        while !left.is_empty() {
+            let gain = |v: usize| covered(v).iter().filter(|&&u| !claimed[u as usize]).count();
+            let (i, _) = left
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &v)| (gain(v), Reverse(v)))
+                .unwrap();
+            let v = left.remove(i);
+            for u in covered(v) {
+                claimed[u as usize] = true;
+            }
+            order.push(v);
+        }
+        order
+    }
+
+    #[test]
+    fn seed_pool_order_equals_the_eager_marginal_greedy() {
+        for (ranges, classes) in [(&[400.0, 400.0][..], 1), (&[400.0, 250.0][..], 2)] {
+            for seed in 0..6 {
+                let inst = seed_order_instance(seed, ranges);
+                assert_eq!(inst.num_radio_classes(), classes);
+                let lists: Vec<UserList<'_>> = (0..classes)
+                    .flat_map(|c| (0..inst.num_locations()).map(move |v| (c, v)))
+                    .map(|(c, v)| inst.coverable_class(c, v))
+                    .filter(|list| !list.is_empty())
+                    .collect();
+                assert!(lists.iter().any(|l| matches!(l, UserList::Ids(_))));
+                assert!(lists.iter().any(|l| matches!(l, UserList::Bits { .. })));
+                let sub = build_substrate(&inst).unwrap();
+                for config in [
+                    ApproxConfig::with_s(1),
+                    ApproxConfig::with_s(2).prune_empty_seeds(false),
+                ] {
+                    let pool = seed_pool(&inst, &config, &sub);
+                    let mut cells = pool.clone();
+                    cells.sort_unstable();
+                    assert_eq!(
+                        pool,
+                        eager_marginal_order(&inst, &cells),
+                        "{classes} class(es), seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub fn assign_users(instance: &Instance, placements: &[(usize, CellIndex)]) -> A
             matching.add_station_list(instance.uavs()[uav].capacity, instance.coverable(uav, loc));
         matching.saturate(st);
     }
-    let user_placement = matching.assignment().to_vec();
+    let user_placement = matching.assignment().collect();
     let loads = (0..placements.len())
         .map(|st| matching.station_load(st))
         .collect();

@@ -469,7 +469,6 @@ impl SolverLoop {
         let user_placement = self
             .matching
             .assignment()
-            .iter()
             .map(|a| a.map(|st| station_to_place[st]))
             .collect();
         let loads = self

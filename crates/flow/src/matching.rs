@@ -15,18 +15,31 @@
 //! queue and the rollback log are persistent scratch buffers that are
 //! reused (never freed) across searches, and [`evaluate_station`]
 //! (CapacitatedMatching::evaluate_station) borrows the candidate user
-//! list instead of copying it into a temporary station. A free-user
-//! bitset mirrors the assignment so pre-passes intersect bitset lists
-//! word-by-word instead of probing users one at a time. After warm-up,
+//! list instead of copying it into a temporary station. After warm-up,
 //! repeated gain queries and commits perform no heap allocation, which
 //! is what makes the subset-sweep oracle loop cheap enough to run
 //! millions of times.
+//!
+//! A free-user bitset (one bit per user, 125 KB at a million users)
+//! mirrors the assignment, and every membership test reads it first:
+//! pre-passes intersect bitset lists word-by-word instead of probing
+//! users one at a time, and a trial insertion *counts* the free users
+//! on its list before touching anything — when they already fill its
+//! capacity, the answer is the capacity, with nothing claimed and
+//! nothing to roll back. Only augmenting paths, commits and resets
+//! write the assignment itself, which stores one 4-byte station id per
+//! user.
 
 use crate::users::UserList;
 
 /// Identifier of a station returned by
 /// [`CapacitatedMatching::add_station`].
 pub type StationId = usize;
+
+/// The stored station id of an unmatched user. Station ids (and the
+/// trial station's, one past the last) stay below it, which
+/// [`CapacitatedMatching::add_station_list`] asserts.
+const UNMATCHED: u32 = u32::MAX;
 
 /// An all-ones free-user bitset for `num_users` users, with the bits
 /// past the last user masked off so word-wise intersections never
@@ -61,6 +74,9 @@ pub struct MatchingCounts {
     /// Users claimed by the free-user pre-pass of
     /// [`saturate`](CapacitatedMatching::saturate) and trial
     /// insertions: length-1 augmenting paths applied without a BFS.
+    /// A trial insertion whose list holds at least `cap` free users
+    /// adds `cap` here without claiming them — exactly what its
+    /// pre-pass would have claimed.
     pub prepass_hits: u64,
 }
 
@@ -82,10 +98,12 @@ pub struct MatchingCounts {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CapacitatedMatching {
-    user_station: Vec<Option<StationId>>,
-    // Mirror of `user_station`: bit u set ⇔ user u unmatched. Lets the
-    // pre-passes intersect 64-aligned bitset coverage lists one word
-    // at a time, skipping matched users wholesale.
+    // Station of each user, `UNMATCHED` for none (4 bytes per user).
+    user_station: Vec<u32>,
+    // Mirror of `user_station`: bit u set ⇔ user u unmatched. Every
+    // membership test reads it, and the pre-passes intersect 64-aligned
+    // bitset coverage lists with it one word at a time, skipping
+    // matched users wholesale.
     free: Vec<u64>,
     station_cap: Vec<u32>,
     station_load: Vec<u32>,
@@ -105,7 +123,7 @@ pub struct CapacitatedMatching {
     // Persistent scratch: BFS queue (head index instead of pop_front)
     // and the `(user, previous station)` log a trial insertion unwinds.
     queue: Vec<usize>,
-    rollback: Vec<(u32, Option<StationId>)>,
+    rollback: Vec<(u32, u32)>,
     counts: MatchingCounts,
 }
 
@@ -113,7 +131,7 @@ impl CapacitatedMatching {
     /// Creates an empty matching over `num_users` users.
     pub fn new(num_users: usize) -> Self {
         CapacitatedMatching {
-            user_station: vec![None; num_users],
+            user_station: vec![UNMATCHED; num_users],
             free: all_free_words(num_users),
             station_cap: Vec::new(),
             station_load: Vec::new(),
@@ -151,10 +169,18 @@ impl CapacitatedMatching {
         self.matched
     }
 
-    /// The station serving each user (`None` = unserved).
-    #[inline]
-    pub fn assignment(&self) -> &[Option<StationId>] {
-        &self.user_station
+    /// The station serving each user, in user order (`None` =
+    /// unserved).
+    pub fn assignment(&self) -> impl ExactSizeIterator<Item = Option<StationId>> + '_ {
+        self.user_station
+            .iter()
+            .map(|&st| (st != UNMATCHED).then_some(st as StationId))
+    }
+
+    /// Whether user `u` is unmatched, read from the free-user bitset.
+    #[inline(always)]
+    fn is_free(&self, u: usize) -> bool {
+        self.free[u / 64] >> (u % 64) & 1 == 1
     }
 
     /// Load (users currently served) of a station.
@@ -193,14 +219,18 @@ impl CapacitatedMatching {
     /// so freeing every listed user frees every matched one. A word
     /// station a search flipped to ids lists the same users, and a
     /// deactivated station holds none (walking its list is harmless).
+    /// The walk reads the free-user bitset and writes the assignment
+    /// only for the users whose free bit was clear — the matched ones.
     pub fn reset(&mut self) {
         for &adj in &self.station_adj {
             match adj {
                 StationAdj::Ids { start, len } => {
                     for &u in &self.adj[start..start + len] {
-                        let u = u as usize;
-                        self.user_station[u] = None;
-                        self.free[u / 64] |= 1u64 << (u % 64);
+                        let (word, bit) = ((u / 64) as usize, 1u64 << (u % 64));
+                        if self.free[word] & bit == 0 {
+                            self.user_station[u as usize] = UNMATCHED;
+                            self.free[word] |= bit;
+                        }
                     }
                 }
                 StationAdj::Words { start, len, base } => {
@@ -211,7 +241,7 @@ impl CapacitatedMatching {
                         while matched != 0 {
                             let u = (w0 + wi) * 64 + matched.trailing_zeros() as usize;
                             matched &= matched - 1;
-                            self.user_station[u] = None;
+                            self.user_station[u] = UNMATCHED;
                         }
                     }
                 }
@@ -220,7 +250,7 @@ impl CapacitatedMatching {
         #[cfg(feature = "debug-validate")]
         {
             assert!(
-                self.user_station.iter().all(Option::is_none),
+                self.user_station.iter().all(|&st| st == UNMATCHED),
                 "debug-validate: reset left a user matched"
             );
             assert!(
@@ -262,12 +292,19 @@ impl CapacitatedMatching {
     ///
     /// # Panics
     ///
-    /// Panics if any user id is out of range.
+    /// Panics if any user id is out of range, or if the new station's
+    /// id or the trial station's one past it would reach the stored
+    /// unmatched sentinel (`u32::MAX`).
     pub fn add_station_list(&mut self, cap: u32, users: UserList<'_>) -> StationId {
         let n = self.num_users();
         if let Some(max) = users.max_id() {
             assert!((max as usize) < n, "user {max} out of range for {n} users");
         }
+        assert!(
+            self.num_stations() + 1 < UNMATCHED as usize,
+            "station ids exhausted at {}",
+            self.num_stations()
+        );
         self.station_cap.push(cap);
         self.station_load.push(0);
         match users {
@@ -395,7 +432,7 @@ impl CapacitatedMatching {
         record: bool,
     ) -> bool {
         match self.user_station[u as usize] {
-            None => {
+            UNMATCHED => {
                 // Only the entry user of the chain was free; everyone
                 // else merely changes station.
                 self.free[(u / 64) as usize] &= !(1u64 << (u % 64));
@@ -406,7 +443,7 @@ impl CapacitatedMatching {
                     if record {
                         self.rollback.push((user, old));
                     }
-                    self.user_station[user as usize] = Some(station);
+                    self.user_station[user as usize] = station as u32;
                     if station == st {
                         break;
                     }
@@ -421,7 +458,8 @@ impl CapacitatedMatching {
                 self.matched += 1;
                 true
             }
-            Some(y) => {
+            y => {
+                let y = y as usize;
                 if self.visit_mark[y] != epoch {
                     self.visit_mark[y] = epoch;
                     self.parent_station[y] = x;
@@ -458,8 +496,8 @@ impl CapacitatedMatching {
                         break;
                     }
                     let u = self.adj[idx] as usize;
-                    if self.user_station[u].is_none() {
-                        self.user_station[u] = Some(st);
+                    if self.is_free(u) {
+                        self.user_station[u] = st as u32;
                         self.free[u / 64] &= !(1u64 << (u % 64));
                         self.station_load[st] += 1;
                         self.matched += 1;
@@ -481,7 +519,7 @@ impl CapacitatedMatching {
                         }
                         let u = base + wi as u32 * 64 + bits.trailing_zeros();
                         bits &= bits - 1;
-                        self.user_station[u as usize] = Some(st);
+                        self.user_station[u as usize] = st as u32;
                         self.free[w0 + wi] &= !(1u64 << (u % 64));
                         self.station_load[st] += 1;
                         self.matched += 1;
@@ -506,7 +544,7 @@ impl CapacitatedMatching {
     fn assert_consistent(&self) {
         let mut loads = vec![0u32; self.num_stations()];
         let mut matched = 0usize;
-        for &st in self.user_station.iter().flatten() {
+        for st in self.assignment().flatten() {
             loads[st] += 1;
             matched += 1;
         }
@@ -524,10 +562,9 @@ impl CapacitatedMatching {
                 "debug-validate: station {st} over capacity"
             );
         }
-        for (u, st) in self.user_station.iter().enumerate() {
-            let bit = self.free[u / 64] >> (u % 64) & 1 == 1;
+        for (u, st) in self.assignment().enumerate() {
             assert_eq!(
-                bit,
+                self.is_free(u),
                 st.is_none(),
                 "debug-validate: free bit drifted for user {u}"
             );
@@ -553,8 +590,13 @@ impl CapacitatedMatching {
     /// [`evaluate_station`](Self::evaluate_station) over any
     /// [`UserList`] encoding. The compressed list is never decoded into
     /// a buffer: 64-aligned bitset lists are intersected word-wise with
-    /// the free-user bitset in the pre-pass, everything else (and the
-    /// phantom-station BFS) walks the list in place.
+    /// the free-user bitset, everything else (and the phantom-station
+    /// BFS) walks the list in place.
+    ///
+    /// The free users on the list are counted first. When they reach
+    /// `cap`, the answer is `cap` and nothing is written: the claiming
+    /// pre-pass would have claimed exactly `cap` of them and run no
+    /// BFS, so [`counts`](Self::counts) moves exactly as it would have.
     ///
     /// # Panics
     ///
@@ -563,6 +605,12 @@ impl CapacitatedMatching {
         let n = self.num_users();
         if let Some(max) = users.max_id() {
             assert!((max as usize) < n, "user {max} out of range for {n} users");
+        }
+        if self.free_count_reaches(cap, users) {
+            self.counts.prepass_hits += u64::from(cap);
+            #[cfg(feature = "debug-validate")]
+            self.assert_consistent();
+            return cap;
         }
         let trial_id = self.station_cap.len();
         self.rollback.clear();
@@ -587,8 +635,8 @@ impl CapacitatedMatching {
                         }
                         let u = base + i as u32 * 64 + bits.trailing_zeros();
                         bits &= bits - 1;
-                        self.rollback.push((u, None));
-                        self.user_station[u as usize] = Some(trial_id);
+                        self.rollback.push((u, UNMATCHED));
+                        self.user_station[u as usize] = trial_id as u32;
                         self.free[w0 + i] &= !(1u64 << (u % 64));
                         self.matched += 1;
                         gained += 1;
@@ -599,9 +647,9 @@ impl CapacitatedMatching {
                 if gained >= cap {
                     return false;
                 }
-                if self.user_station[u as usize].is_none() {
-                    self.rollback.push((u, None));
-                    self.user_station[u as usize] = Some(trial_id);
+                if self.is_free(u as usize) {
+                    self.rollback.push((u, UNMATCHED));
+                    self.user_station[u as usize] = trial_id as u32;
                     self.free[(u / 64) as usize] &= !(1u64 << (u % 64));
                     self.matched += 1;
                     gained += 1;
@@ -616,7 +664,7 @@ impl CapacitatedMatching {
         // Roll back user assignments in reverse order of application.
         while let Some((user, old)) = self.rollback.pop() {
             self.user_station[user as usize] = old;
-            if old.is_none() {
+            if old == UNMATCHED {
                 self.free[(user / 64) as usize] |= 1u64 << (user % 64);
             }
         }
@@ -626,6 +674,30 @@ impl CapacitatedMatching {
         #[cfg(feature = "debug-validate")]
         self.assert_consistent();
         gained
+    }
+
+    /// Whether `users` holds at least `cap` free users: popcounts of
+    /// `word & free` for a 64-aligned bitset list, free-bit tests
+    /// otherwise. Stops as soon as the count reaches `cap`.
+    fn free_count_reaches(&self, cap: u32, users: UserList<'_>) -> bool {
+        let mut free = 0u32;
+        match users {
+            UserList::Bits { base, words } if base % 64 == 0 => {
+                let w0 = (base / 64) as usize;
+                let free_words = self.free.get(w0..).unwrap_or_default();
+                for (&w, &f) in words.iter().zip(free_words) {
+                    free += (w & f).count_ones();
+                    if free >= cap {
+                        return true;
+                    }
+                }
+            }
+            _ => users.for_each_while(|u| {
+                free += u32::from(self.is_free(u as usize));
+                free < cap
+            }),
+        }
+        free >= cap
     }
 
     /// [`evaluate_station_list`](Self::evaluate_station_list) without
@@ -656,10 +728,10 @@ impl CapacitatedMatching {
             new_num_users >= old,
             "cannot shrink users from {old} to {new_num_users}"
         );
-        self.user_station.resize(new_num_users, None);
+        self.user_station.resize(new_num_users, UNMATCHED);
         self.free = all_free_words(new_num_users);
-        for (u, st) in self.user_station.iter().enumerate() {
-            if st.is_some() {
+        for (u, &st) in self.user_station.iter().enumerate() {
+            if st != UNMATCHED {
                 self.free[u / 64] &= !(1u64 << (u % 64));
             }
         }
@@ -683,8 +755,8 @@ impl CapacitatedMatching {
             StationAdj::Ids { start, len } => {
                 for idx in start..start + len {
                     let u = self.adj[idx] as usize;
-                    if self.user_station[u] == Some(st) {
-                        self.user_station[u] = None;
+                    if self.user_station[u] == st as u32 {
+                        self.user_station[u] = UNMATCHED;
                         self.free[u / 64] |= 1u64 << (u % 64);
                         released += 1;
                     }
@@ -696,8 +768,8 @@ impl CapacitatedMatching {
                     while bits != 0 {
                         let u = (base + wi as u32 * 64 + bits.trailing_zeros()) as usize;
                         bits &= bits - 1;
-                        if self.user_station[u] == Some(st) {
-                            self.user_station[u] = None;
+                        if self.user_station[u] == st as u32 {
+                            self.user_station[u] = UNMATCHED;
                             self.free[u / 64] |= 1u64 << (u % 64);
                             released += 1;
                         }
@@ -756,6 +828,11 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// The assignment as a vector, for indexing and comparing.
+    fn assignment(m: &CapacitatedMatching) -> Vec<Option<StationId>> {
+        m.assignment().collect()
+    }
+
     /// Reference solver: max-flow on the 4-layer network of §II-D.
     fn flow_reference(num_users: usize, stations: &[(u32, Vec<u32>)]) -> i64 {
         let k = stations.len();
@@ -813,8 +890,8 @@ mod tests {
         let b = m.add_station(1, &[1]);
         assert_eq!(m.saturate(b), 1);
         assert_eq!(m.matched_count(), 2);
-        assert_eq!(m.assignment()[1], Some(b));
-        assert_eq!(m.assignment()[0], Some(a));
+        assert_eq!(assignment(&m)[1], Some(b));
+        assert_eq!(assignment(&m)[0], Some(a));
     }
 
     #[test]
@@ -832,7 +909,7 @@ mod tests {
         assert_eq!(m.saturate(c), 1);
         assert_eq!(m.matched_count(), 3);
         // Every user served by a station that covers it.
-        assert_eq!(m.assignment().iter().filter(|a| a.is_some()).count(), 3);
+        assert_eq!(assignment(&m).iter().filter(|a| a.is_some()).count(), 3);
     }
 
     #[test]
@@ -853,17 +930,31 @@ mod tests {
     }
 
     #[test]
+    fn empty_bitset_window_past_the_users_gains_nothing() {
+        // An empty list names no user, so the range check cannot see
+        // its window's base; counting must not index past the bitset.
+        let mut m = CapacitatedMatching::new(4);
+        let empty = UserList::Bits {
+            base: 1 << 20,
+            words: &[],
+        };
+        for cap in [0, 3] {
+            assert_eq!(m.evaluate_station_list(cap, empty), 0);
+        }
+    }
+
+    #[test]
     fn evaluate_leaves_state_untouched() {
         let mut m = CapacitatedMatching::new(4);
         let a = m.add_station(1, &[0, 1]);
         m.saturate(a);
-        let before: Vec<_> = m.assignment().to_vec();
+        let before: Vec<_> = assignment(&m);
         let loads: Vec<_> = (0..m.num_stations()).map(|s| m.station_load(s)).collect();
 
         let gain = m.evaluate_station(2, &[0, 1, 2]);
         assert_eq!(gain, 2);
 
-        assert_eq!(m.assignment(), &before[..]);
+        assert_eq!(assignment(&m), &before[..]);
         assert_eq!(m.num_stations(), 1);
         assert_eq!(m.matched_count(), 1);
         for (s, &l) in loads.iter().enumerate() {
@@ -895,6 +986,99 @@ mod tests {
             let actual = m.saturate(st);
             assert_eq!(predicted, actual);
         }
+    }
+
+    #[test]
+    fn trial_gain_and_counts_equal_a_commit_at_every_cap() {
+        let mut rng = SmallRng::seed_from_u64(4242);
+        for round in 0..60 {
+            let num_users = rng.gen_range(1..200);
+            let mut seed = CapacitatedMatching::new(num_users);
+            for _ in 0..rng.gen_range(0..5) {
+                let cap = rng.gen_range(0..40);
+                let users: Vec<u32> = (0..num_users as u32)
+                    .filter(|_| rng.gen_bool(0.4))
+                    .collect();
+                let st = seed.add_station(cap, &users);
+                seed.saturate(st);
+            }
+            let ids: Vec<u32> = (0..num_users as u32)
+                .filter(|_| rng.gen_bool(0.5))
+                .collect();
+            let (base, words) = bits_of(&ids, 64);
+            let (unaligned_base, unaligned) = bits_of(&ids, 1);
+            let free_covered = ids.iter().filter(|&&u| seed.is_free(u as usize)).count() as u32;
+            // Zero, below, at and above the free users the list covers.
+            let mut caps = vec![0, free_covered, free_covered + 1, free_covered + 5];
+            if free_covered > 1 {
+                caps.push(free_covered - 1);
+            }
+            for cap in caps {
+                for list in [
+                    UserList::Ids(&ids),
+                    UserList::Bits {
+                        base,
+                        words: &words,
+                    },
+                    UserList::Bits {
+                        base: unaligned_base,
+                        words: &unaligned,
+                    },
+                ] {
+                    let mut trial = seed.clone();
+                    let gain = trial.evaluate_station_list(cap, list);
+                    assert_eq!(
+                        assignment(&trial),
+                        assignment(&seed),
+                        "trial must roll back"
+                    );
+                    assert_eq!(trial.matched_count(), seed.matched_count());
+                    let mut commit = seed.clone();
+                    let st = commit.add_station_list(cap, list);
+                    assert_eq!(gain, commit.saturate(st), "round {round}, cap {cap}");
+                    let (t, c, s) = (trial.counts(), commit.counts(), seed.counts());
+                    assert_eq!(
+                        (
+                            t.bfs_restarts - s.bfs_restarts,
+                            t.prepass_hits - s.prepass_hits
+                        ),
+                        (
+                            c.bfs_restarts - s.bfs_restarts,
+                            c.prepass_hits - s.prepass_hits
+                        ),
+                        "round {round}, cap {cap}: counts delta"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn assignment_names_each_users_station_across_reset_and_replay() {
+        let words = [0b11_0000u64];
+        let replay = |m: &mut CapacitatedMatching| {
+            let a = m.add_station(2, &[0, 1, 2]);
+            m.saturate(a);
+            let b = m.add_station(1, &[2, 3]);
+            m.saturate(b);
+            let c = m.add_station_list(
+                1,
+                UserList::Bits {
+                    base: 0,
+                    words: &words,
+                },
+            );
+            m.saturate(c);
+        };
+        let want = [Some(0), Some(0), Some(1), None, Some(2), None, None];
+        let mut m = CapacitatedMatching::new(want.len());
+        replay(&mut m);
+        assert_eq!(assignment(&m), want);
+        assert_eq!(m.assignment().len(), want.len());
+        m.reset();
+        assert_eq!(assignment(&m), [None; 7]);
+        replay(&mut m);
+        assert_eq!(assignment(&m), want);
     }
 
     #[test]
@@ -934,7 +1118,7 @@ mod tests {
                 .collect();
             let m = CapacitatedMatching::solve(num_users, &stations);
             let mut loads = vec![0u32; stations.len()];
-            for (u, st) in m.assignment().iter().enumerate() {
+            for (u, st) in assignment(&m).iter().enumerate() {
                 if let Some(st) = *st {
                     assert!(
                         stations[st].1.contains(&(u as u32)),
@@ -963,7 +1147,7 @@ mod tests {
         assert_eq!(m.num_stations(), 0);
         assert_eq!(m.matched_count(), 0);
         assert_eq!(m.num_users(), 6);
-        assert!(m.assignment().iter().all(|a| a.is_none()));
+        assert!(assignment(&m).iter().all(|a| a.is_none()));
 
         // The reused structure behaves exactly like a fresh one.
         let st = m.add_station(2, &[0, 1, 2]);
@@ -973,7 +1157,7 @@ mod tests {
         let mut fresh = CapacitatedMatching::new(6);
         let fs = fresh.add_station(2, &[0, 1, 2]);
         fresh.saturate(fs);
-        assert_eq!(fresh.assignment(), m.assignment());
+        assert_eq!(assignment(&fresh), assignment(&m));
     }
 
     #[test]
@@ -1044,13 +1228,13 @@ mod tests {
             m.reset();
             assert_eq!(m.num_stations(), 0);
             assert_eq!(m.matched_count(), 0);
-            assert!(m.assignment().iter().all(Option::is_none));
+            assert!(assignment(&m).iter().all(Option::is_none));
             assert_eq!(m.free, all_free_words(n));
             // Replaying the stations gives the fresh matching's result.
             commit_all(&mut m);
             let mut fresh = CapacitatedMatching::new(n);
             commit_all(&mut fresh);
-            assert_eq!(m.assignment(), fresh.assignment());
+            assert_eq!(assignment(&m), assignment(&fresh));
             assert_eq!(m.matched_count(), fresh.matched_count());
             for st in 0..stations.len() {
                 assert_eq!(m.station_load(st), fresh.station_load(st));
@@ -1066,16 +1250,18 @@ mod tests {
         let mut m = CapacitatedMatching::new(3);
         let a = m.add_station(1, &[0, 1]);
         m.saturate(a); // a ← user 0
-        let before = m.assignment().to_vec();
+        let before = assignment(&m);
         let gain = m.evaluate_station(2, &[1, 2]);
         assert_eq!(gain, 2);
-        assert_eq!(m.assignment(), &before[..]);
+        assert_eq!(assignment(&m), &before[..]);
         assert_eq!(m.matched_count(), 1);
     }
 
-    /// Packs a sorted id slice into a bitset window based at the first id.
-    fn bits_of(ids: &[u32]) -> (u32, Vec<u64>) {
-        let base = ids.first().copied().unwrap_or(0);
+    /// Packs a sorted id slice into a bitset window based at the first
+    /// id rounded down to a multiple of `align` (64 is what the
+    /// coverage tables emit).
+    fn bits_of(ids: &[u32], align: u32) -> (u32, Vec<u64>) {
+        let base = ids.first().map_or(0, |&f| f - f % align);
         let span = ids.last().map_or(0, |&l| (l - base) as usize + 1);
         let mut words = vec![0u64; span.div_ceil(64)];
         for &u in ids {
@@ -1103,7 +1289,7 @@ mod tests {
             let ids: Vec<u32> = (0..num_users as u32)
                 .filter(|_| rng.gen_bool(0.5))
                 .collect();
-            let (base, words) = bits_of(&ids);
+            let (base, words) = bits_of(&ids, 1);
             let lists = [
                 UserList::Ids(&ids),
                 UserList::Bits {
@@ -1120,10 +1306,10 @@ mod tests {
             for list in lists {
                 let mut m = seed.clone();
                 assert_eq!(m.evaluate_station_list(cap, list), want);
-                assert_eq!(m.assignment(), seed.assignment(), "trial must roll back");
+                assert_eq!(assignment(&m), assignment(&seed), "trial must roll back");
                 let st = m.add_station_list(cap, list);
                 m.saturate(st);
-                assert_eq!(m.assignment(), reference.assignment());
+                assert_eq!(assignment(&m), assignment(&reference));
                 assert_eq!(m.matched_count(), reference.matched_count());
             }
         }
@@ -1207,9 +1393,9 @@ mod tests {
         assert_eq!(m.matched_count(), 2);
         assert_eq!(m.station_load(a), 0);
         assert_eq!(m.station_cap(a), 0);
-        assert_eq!(m.assignment()[0], None);
-        assert_eq!(m.assignment()[1], None);
-        assert_eq!(m.assignment()[2], Some(b));
+        assert_eq!(assignment(&m)[0], None);
+        assert_eq!(assignment(&m)[1], None);
+        assert_eq!(assignment(&m)[2], Some(b));
         // Re-deactivating is a no-op.
         assert_eq!(m.deactivate_station(a), 0);
         // A replacement station can re-claim the released users.
@@ -1233,7 +1419,7 @@ mod tests {
         assert_eq!(m.matched_count(), 3);
         assert_eq!(m.deactivate_station(st), 3);
         assert_eq!(m.matched_count(), 0);
-        assert!(m.assignment().iter().all(|a| a.is_none()));
+        assert!(assignment(&m).iter().all(|a| a.is_none()));
     }
 
     #[test]

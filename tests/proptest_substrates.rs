@@ -63,8 +63,8 @@ proptest! {
     fn matching_respects_capacity_and_coverage((num_users, stations) in station_instances()) {
         let matching = CapacitatedMatching::solve(num_users, &stations);
         let mut loads = vec![0u32; stations.len()];
-        for (user, st) in matching.assignment().iter().enumerate() {
-            if let Some(st) = *st {
+        for (user, st) in matching.assignment().enumerate() {
+            if let Some(st) = st {
                 prop_assert!(stations[st].1.contains(&(user as u32)));
                 loads[st] += 1;
             }
@@ -87,12 +87,12 @@ proptest! {
             p.dedup();
             p
         };
-        let before = matching.assignment().to_vec();
+        let before: Vec<_> = matching.assignment().collect();
         let matched_before = matching.matched_count();
         let g1 = matching.evaluate_station(cap, &probe);
         let g2 = matching.evaluate_station(cap, &probe);
         prop_assert_eq!(g1, g2);
-        prop_assert_eq!(matching.assignment(), &before[..]);
+        prop_assert_eq!(matching.assignment().collect::<Vec<_>>(), before);
         prop_assert_eq!(matching.matched_count(), matched_before);
     }
 

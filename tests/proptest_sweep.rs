@@ -4,14 +4,18 @@
 //! workspaces, the stop at the first subset that saturates the fleet)
 //! must reproduce the materialized reference sweep bit-for-bit — same
 //! solution, same winning seeds, statistics related as verify oracle 2
-//! demands — at every thread count. One ignored test runs oracle 2 on
-//! the pinned scenarios of the benchmark's three planning workloads,
-//! up to a million users (about 35 s in release on two cores):
+//! demands — at every thread count. One ignored test runs the whole
+//! `verify_pipeline` battery (oracle 2 first, then the relay bound,
+//! matching vs max-flow on the winning deployment, substrate vs BFS
+//! connection and `Solution::validate`) on the pinned scenarios of the
+//! benchmark's three planning workloads, up to a million users:
 //! `cargo test --release -q --test proptest_sweep -- --ignored`.
 
 use proptest::prelude::*;
 use uavnet::channel::UavRadio;
-use uavnet::core::{approx_alg_with_stats, check_sweep_oracles, ApproxConfig, Instance};
+use uavnet::core::{
+    approx_alg_with_stats, check_sweep_oracles, verify_pipeline, ApproxConfig, Instance,
+};
 use uavnet::geom::{AreaSpec, GridSpec, Point2};
 use uavnet::workload::{ScenarioSpec, UserDistribution};
 
@@ -85,12 +89,14 @@ proptest! {
     }
 }
 
-/// Oracle 2 at benchmarked scale: the pinned scenarios of the
-/// benchmark's planning workloads, built with the same `ScenarioSpec`
-/// parameters — fat-tailed users (12 clusters, Zipf 1.2) on 300 m
-/// cells — on 2 threads: `plan-paper` and `plan-large` at `s = 2`
-/// (seeds 1–4), and `plan-xlarge`, a million users, at `s = 1` (seeds
-/// 1–2). Seconds per scenario in release, hence ignored by default.
+/// The verify battery at benchmarked scale ([`verify_pipeline`]:
+/// oracle 2, the relay bound, matching vs max-flow, substrate vs BFS
+/// connection, validation) on the pinned scenarios of the benchmark's
+/// planning workloads, built with the same `ScenarioSpec` parameters —
+/// fat-tailed users (12 clusters, Zipf 1.2) on 300 m cells — on 2
+/// threads: `plan-paper` and `plan-large` at `s = 2` (seeds 1–4), and
+/// `plan-xlarge`, a million users, at `s = 1` (seeds 1–2). Seconds per
+/// scenario in release, hence ignored by default.
 #[test]
 #[ignore = "benchmark-scale scenarios; run in release with --ignored"]
 fn sweep_matches_materialized_reference_on_benchmark_scenarios() {
@@ -115,7 +121,7 @@ fn sweep_matches_materialized_reference_on_benchmark_scenarios() {
                 .build()
                 .and_then(|spec| spec.instantiate())
                 .expect("the pinned scenario builds");
-            if let Err(e) = check_sweep_oracles(&instance, &config) {
+            if let Err(e) = verify_pipeline(&instance, &config) {
                 panic!("{workload} seed {seed}: {e}");
             }
             if workload == "plan-paper" {
