@@ -144,11 +144,9 @@ fn stats_json(solver: &SolverLoop) -> Json {
         ("deltas_applied", Json::Num(s.deltas_applied as f64)),
         ("repairs", Json::Num(s.repairs as f64)),
         ("cold_solves", Json::Num(s.cold_solves as f64)),
-        ("dirty_tiles", Json::Num(s.dirty_tiles as f64)),
         ("stations_refreshed", Json::Num(s.stations_refreshed as f64)),
         ("relays_spent", Json::Num(s.relays_spent as f64)),
         ("dropped_placements", Json::Num(s.dropped_placements as f64)),
-        ("matching_rebuilds", Json::Num(s.matching_rebuilds as f64)),
     ])
 }
 

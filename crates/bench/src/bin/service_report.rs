@@ -193,8 +193,16 @@ fn main() -> ExitCode {
         let local = twin.apply(delta.clone()).expect("twin apply");
         let remote = &receipt.outcome;
         assert_eq!(
-            (remote.served, remote.dirty_tiles, remote.dropped_placements),
-            (local.served, local.dirty_tiles, local.dropped_placements),
+            (
+                remote.served,
+                remote.stations_refreshed,
+                remote.dropped_placements
+            ),
+            (
+                local.served,
+                local.stations_refreshed,
+                local.dropped_placements
+            ),
             "delta {i}: wire outcome diverged from the in-process solver"
         );
         match subscriber.next_event().expect("deployment event") {

@@ -221,15 +221,9 @@ impl Scale {
 
     /// The incremental-loop configuration the resolve and service
     /// reports run at this scale: `s = 1` cold solves on `threads`
-    /// threads. Quick's 5×5 grid fits one tile per station
-    /// neighborhood at side 2; larger grids keep the default 16-cell
-    /// tiles.
+    /// threads.
     pub fn loop_config(&self, threads: usize) -> LoopConfig {
-        let mut config = LoopConfig::new(ApproxConfig::with_s(1).threads(threads));
-        if self.name == "quick" {
-            config.tile_cells = 2;
-        }
-        config
+        LoopConfig::new(ApproxConfig::with_s(1).threads(threads))
     }
 
     /// Builds the instance for `n` users and `k` UAVs at this scale.

@@ -46,6 +46,7 @@
 //! to this function only when a delta drops too large a fraction of
 //! the fleet to be worth repairing in place.
 
+use crate::assign::match_placements;
 use crate::connecting::{connect_via_mst, connect_via_substrate};
 use crate::oracle::CoverageOracle;
 use crate::seed_matroid::{seed_matroid, seed_matroid_substrate};
@@ -752,12 +753,9 @@ pub(crate) fn deploy_leftovers(instance: &Instance, placements: &mut Vec<(usize,
         .copied()
         .filter(|u| !deployed.contains(u))
         .collect();
-    let mut matching = CapacitatedMatching::new(instance.num_users());
+    let mut matching = match_placements(instance, placements);
     let mut occupied = vec![false; m];
-    for &(uav, loc) in placements.iter() {
-        let st =
-            matching.add_station_list(instance.uavs()[uav].capacity, instance.coverable(uav, loc));
-        matching.saturate(st);
+    for &(_, loc) in placements.iter() {
         occupied[loc] = true;
     }
     while let Some(&server) = remaining.front() {

@@ -46,20 +46,39 @@ pub struct Assignment {
 /// # }
 /// ```
 pub fn assign_users(instance: &Instance, placements: &[(usize, CellIndex)]) -> Assignment {
-    let mut matching = CapacitatedMatching::new(instance.num_users());
-    for &(uav, loc) in placements {
-        let st =
-            matching.add_station_list(instance.uavs()[uav].capacity, instance.coverable(uav, loc));
-        matching.saturate(st);
-    }
-    let user_placement = matching.assignment().collect();
-    let loads = (0..placements.len())
-        .map(|st| matching.station_load(st))
-        .collect();
-    Assignment {
-        served: matching.matched_count(),
-        user_placement,
-        loads,
+    Assignment::of_matching(&match_placements(instance, placements))
+}
+
+/// The maximum matching of `placements` on `instance`
+/// ([`CapacitatedMatching::solve`]): station `i` is placement `i`,
+/// added and saturated in placement order.
+///
+/// # Panics
+///
+/// Panics if a placement references an out-of-range UAV or location.
+pub(crate) fn match_placements(
+    instance: &Instance,
+    placements: &[(usize, CellIndex)],
+) -> CapacitatedMatching {
+    CapacitatedMatching::solve(
+        instance.num_users(),
+        placements
+            .iter()
+            .map(|&(uav, loc)| (instance.uavs()[uav].capacity, instance.coverable(uav, loc))),
+    )
+}
+
+impl Assignment {
+    /// Reads the assignment off a matching whose station `i` is
+    /// placement `i` (see [`match_placements`]).
+    pub(crate) fn of_matching(matching: &CapacitatedMatching) -> Self {
+        Assignment {
+            user_placement: matching.assignment().collect(),
+            served: matching.matched_count(),
+            loads: (0..matching.num_stations())
+                .map(|st| matching.station_load(st))
+                .collect(),
+        }
     }
 }
 

@@ -1,25 +1,21 @@
 //! Incremental re-solve engine: a standing solver absorbing deltas.
 //!
 //! The batch pipeline ([`approx_alg`](crate::approx_alg)) solves one
-//! frozen instance; the ROADMAP's north-star is a long-running service
-//! that keeps a deployment current as users move, UAVs fail and links
-//! drop. [`SolverLoop`] is that service core: it owns a standing
-//! deployment, the matching kernel that scored it and the shared
-//! [`ConnectivitySubstrate`], consumes a typed [`Delta`] stream, and
-//! applies *localized* repair instead of a full re-solve:
+//! frozen instance; a long-running service must keep a deployment
+//! current as users move, UAVs fail and links drop. [`SolverLoop`] is
+//! that service core: it owns a standing deployment, its maximum
+//! matching and the shared [`ConnectivitySubstrate`], consumes a typed
+//! [`Delta`] stream, and repairs locally instead of re-solving:
 //!
 //! * **instance patch** — moves and surges re-encode only the coverage
 //!   lists within range of a changed user, in place
 //!   (see [`Instance::with_moved_users`]);
-//! * **dirty-tile invalidation** — user-affecting deltas mark the
-//!   [`TilePartition`] tiles around every changed position (dilated by
-//!   the fleet's maximum coverage radius), and only stations hovering
-//!   in a dirty tile have their coverage re-derived;
-//! * **matching maintenance** — refreshed stations are deactivated and
-//!   re-added in the epoch-stamped kernel
-//!   ([`CapacitatedMatching`]); one
-//!   [`resaturate`](CapacitatedMatching::resaturate) pass then restores
-//!   the maximum matching (no cold rebuild);
+//! * **matching re-derivation** — after every delta that changes the
+//!   users or the placements, the matching is rebuilt from scratch from
+//!   the placements by [`CapacitatedMatching::solve`], the routine
+//!   behind [`assign_users`]. Station `i` is placement `i`, so the
+//!   loop's state is a function of (instance, placements, dead set)
+//!   alone;
 //! * **connectivity repair** — kills and link cuts go through
 //!   [`plan_repair`]: component triage, MST re-bridging and gateway
 //!   re-extension on the substrate, spending spare UAVs as relays.
@@ -28,22 +24,21 @@
 //!
 //! Correctness is pinned by verify **oracle 7**
 //! ([`check_incremental`](crate::verify::check_incremental)): after any
-//! delta sequence the incrementally maintained assignment must serve
-//! exactly as many users as a cold rescore of the same placements on
-//! the mutated instance (the maximum matching value is unique), and the
-//! materialized solution must pass independent validation. Under
-//! `debug-validate` every [`SolverLoop::apply`] call runs that
-//! comparison inline.
+//! delta sequence the standing solution — placements, per-user
+//! assignment and loads — must equal a cold rescore of the same
+//! placements on the mutated instance, and pass independent
+//! validation. Under `debug-validate` every [`SolverLoop::apply`] call
+//! runs that comparison inline.
 
 use crate::approx::{approx_alg, build_substrate, ApproxConfig};
-use crate::assign::{assign_users, Assignment};
+use crate::assign::{assign_users, match_placements, Assignment};
 use crate::connecting::{connect_via_substrate, extend_to_gateway_substrate};
 use crate::model::User;
 use crate::solution::{check_placement_ranges, try_score_deployment, Solution};
 use crate::{CoreError, Instance};
 use std::cmp::Reverse;
 use uavnet_flow::CapacitatedMatching;
-use uavnet_geom::{CellIndex, Point2, TilePartition};
+use uavnet_geom::{CellIndex, Point2};
 use uavnet_graph::{connected_components, ConnectivitySubstrate};
 
 /// One mutation of the live scenario, as emitted by mobility ticks and
@@ -72,19 +67,12 @@ pub struct LoopConfig {
     /// Configuration for cold solves (the initial deployment and the
     /// full re-solve fallback).
     pub approx: ApproxConfig,
-    /// Tile side (grid cells) of the dirty-tile partition; `0` puts
-    /// the whole grid in one tile (every user delta refreshes every
-    /// station — correct, never fast).
-    pub tile_cells: usize,
 }
 
 impl LoopConfig {
-    /// A configuration with the default tile side (16 cells).
+    /// A loop whose cold solves run `approx`.
     pub fn new(approx: ApproxConfig) -> Self {
-        LoopConfig {
-            approx,
-            tile_cells: 16,
-        }
+        LoopConfig { approx }
     }
 }
 
@@ -105,15 +93,17 @@ pub struct ResolveStats {
     pub repairs: usize,
     /// Full cold re-solves (fallback path).
     pub cold_solves: usize,
-    /// Dirty tiles marked across all user deltas.
+    /// Always 0: no delta marks tiles since the matching is re-derived
+    /// whole (see the module docs). Kept for readers of the field.
     pub dirty_tiles: usize,
-    /// Stations whose coverage was re-derived.
+    /// Stations whose coverage moves and surges re-derived.
     pub stations_refreshed: usize,
     /// Spare UAVs spent as relays or gateway bridges.
     pub relays_spent: usize,
     /// Standing placements abandoned by repairs.
     pub dropped_placements: usize,
-    /// Matching-kernel compaction rebuilds.
+    /// Always 0: a matching re-derived whole has nothing to compact.
+    /// Kept for readers of the field.
     pub matching_rebuilds: usize,
 }
 
@@ -123,7 +113,7 @@ pub struct ResolveStats {
 pub struct DeltaOutcome {
     /// Users served after the delta.
     pub served: usize,
-    /// Dirty tiles this delta marked.
+    /// Always 0 (see [`ResolveStats::dirty_tiles`]).
     pub dirty_tiles: usize,
     /// Stations this delta refreshed.
     pub stations_refreshed: usize,
@@ -325,22 +315,13 @@ fn best_component(
 pub struct SolverLoop {
     instance: Instance,
     substrate: ConnectivitySubstrate,
-    partition: TilePartition,
     config: LoopConfig,
     /// Cumulatively killed UAVs — never redeployed, never spares.
     dead: Vec<bool>,
     placements: Vec<(usize, CellIndex)>,
-    /// The standing matching; `station_of[i]` is the kernel station
-    /// backing `placements[i]`. Deactivated (refreshed/dropped)
-    /// stations linger with zero capacity until a compaction rebuild.
+    /// The maximum matching of `placements` on `instance`: station `i`
+    /// is placement `i`, re-derived whenever either changes.
     matching: CapacitatedMatching,
-    station_of: Vec<usize>,
-    dead_stations: usize,
-    /// Chebyshev tile dilation radius covering the fleet's largest
-    /// coverage range (precomputed; see [`Self::mark_dirty`]).
-    dilation: usize,
-    /// Dirty-tile scratch, one flag per tile.
-    tile_dirty: Vec<bool>,
     stats: ResolveStats,
 }
 
@@ -373,53 +354,16 @@ impl SolverLoop {
     ) -> Result<Self, CoreError> {
         check_placement_ranges(&instance, solution.deployment().placements())?;
         let substrate = build_substrate(&instance)?;
-        let partition = TilePartition::build(
-            instance.grid().cols(),
-            instance.grid().rows(),
-            config.tile_cells,
-        );
-        let tile_m = partition.tile_cells() as f64 * instance.grid().spec().cell_m();
-        let max_range_m = instance
-            .uavs()
-            .iter()
-            .map(|u| u.radio.user_range_m())
-            .fold(0.0f64, f64::max);
-        if !max_range_m.is_finite() || !tile_m.is_finite() || tile_m <= 0.0 {
-            return Err(CoreError::InvalidParameters(format!(
-                "dilation inputs must be finite and positive: \
-                 max user range {max_range_m} m over {tile_m} m tiles"
-            )));
-        }
-        // A station's coverage can only change when an affected user
-        // position lies within its radio range; one extra tile absorbs
-        // the within-cell and within-tile offsets. Over-dilation is a
-        // performance loss, never a correctness one — but it must stay
-        // clamped to the partition dims: a degenerate tiny tile_m
-        // otherwise saturates the f64→usize cast and the `+ 1` / the
-        // `tr + d + 1` tile arithmetic in `mark_dirty` overflows.
-        let tile_cols = instance.grid().cols().div_ceil(partition.tile_cells());
-        let tile_rows = instance.grid().rows().div_ceil(partition.tile_cells());
-        let dilation = ((max_range_m / tile_m).ceil() as usize)
-            .saturating_add(1)
-            .min(tile_cols.max(tile_rows));
-        let num_tiles = partition.num_tiles();
-        let mut solver = SolverLoop {
+        let placements = solution.deployment().placements().to_vec();
+        Ok(SolverLoop {
             dead: vec![false; instance.num_uavs()],
-            placements: solution.deployment().placements().to_vec(),
-            matching: CapacitatedMatching::new(0),
-            station_of: Vec::new(),
-            dead_stations: 0,
-            dilation,
-            tile_dirty: vec![false; num_tiles],
+            matching: match_placements(&instance, &placements),
+            placements,
             stats: ResolveStats::default(),
             instance,
             substrate,
-            partition,
             config,
-        };
-        solver.rebuild_matching();
-        solver.stats.matching_rebuilds = 0; // the seed build is not a compaction
-        Ok(solver)
+        })
     }
 
     /// The (possibly mutated) instance the deployment lives on.
@@ -458,30 +402,13 @@ impl SolverLoop {
     }
 
     /// Materializes the standing deployment and assignment as a
-    /// [`Solution`] (valid against [`instance`](Self::instance)).
+    /// [`Solution`] (valid against [`instance`](Self::instance), and
+    /// equal to [`cold_rescore`](Self::cold_rescore)'s).
     pub fn solution(&self) -> Solution {
-        let mut station_to_place = vec![usize::MAX; self.matching.num_stations()];
-        for (i, &st) in self.station_of.iter().enumerate() {
-            station_to_place[st] = i;
-        }
-        // Deactivated stations serve nobody, so every mapped station id
-        // belongs to a live placement.
-        let user_placement = self
-            .matching
-            .assignment()
-            .map(|a| a.map(|st| station_to_place[st]))
-            .collect();
-        let loads = self
-            .station_of
-            .iter()
-            .map(|&st| self.matching.station_load(st))
-            .collect();
-        let assignment = Assignment {
-            user_placement,
-            served: self.matching.matched_count(),
-            loads,
-        };
-        Solution::from_parts(self.placements.clone(), assignment)
+        Solution::from_parts(
+            self.placements.clone(),
+            Assignment::of_matching(&self.matching),
+        )
     }
 
     /// Scores the standing placements from scratch on the current
@@ -513,15 +440,15 @@ impl SolverLoop {
         let cold_solved = match delta {
             Delta::KillUavs(ids) => self.apply_kill(&ids)?,
             Delta::SeverLinks(links) => self.apply_sever(&links)?,
-            Delta::UserSurge(users) => self.apply_surge(&users)?,
-            Delta::UserMoved(moves) => self.apply_moves(&moves)?,
+            Delta::UserSurge(users) => self.apply_users(&[], &users)?,
+            Delta::UserMoved(moves) => self.apply_users(&moves, &[])?,
         };
         self.stats.deltas_applied += 1;
         #[cfg(feature = "debug-validate")]
         self.assert_matches_cold_rescore();
         let outcome = DeltaOutcome {
             served: self.served_users(),
-            dirty_tiles: self.stats.dirty_tiles - before.dirty_tiles,
+            dirty_tiles: 0,
             stations_refreshed: self.stats.stations_refreshed - before.stations_refreshed,
             relays_spent: self.stats.relays_spent - before.relays_spent,
             dropped_placements: self.stats.dropped_placements - before.dropped_placements,
@@ -531,10 +458,9 @@ impl SolverLoop {
         Ok(outcome)
     }
 
-    /// Inline oracle 7: the incremental matching must serve exactly as
-    /// many users as a cold rescore of the same placements (the
-    /// maximum matching value is unique), and the materialized
-    /// solution must validate. Compiled only under `debug-validate`.
+    /// Inline oracle 7: the standing solution must equal a cold rescore
+    /// of the same placements — placements, per-user assignment and
+    /// loads — and validate. Compiled only under `debug-validate`.
     #[cfg(feature = "debug-validate")]
     fn assert_matches_cold_rescore(&self) {
         let cold = self
@@ -545,8 +471,11 @@ impl SolverLoop {
             cold.served_users(),
             "debug-validate: incremental served count diverged from cold rescore"
         );
-        self.solution()
-            .validate(&self.instance)
+        assert!(
+            self.solution() == cold,
+            "debug-validate: incremental assignment diverged from cold rescore"
+        );
+        cold.validate(&self.instance)
             .expect("debug-validate: incremental solution failed validation");
     }
 
@@ -559,36 +488,25 @@ impl SolverLoop {
         }
         let mut dead = self.dead.clone();
         let mut survivors = self.placements.clone();
-        let mut station_of = self.station_of.clone();
-        let mut casualties = Vec::new();
         for &u in ids {
             if dead[u] {
                 continue; // re-kill is a no-op
             }
             dead[u] = true;
             if let Some(i) = survivors.iter().position(|&(uav, _)| uav == u) {
-                casualties.push(station_of.swap_remove(i));
                 survivors.swap_remove(i);
             }
         }
         // Only spares died: the standing network is untouched.
-        let repair = if casualties.is_empty() {
-            None
-        } else {
-            let survivors = survivors.clone();
-            Some(self.plan_connectivity(&self.instance, &self.substrate, survivors, &dead)?)
-        };
-        self.dead = dead;
-        for st in casualties {
-            self.matching.deactivate_station(st);
-            self.dead_stations += 1;
+        if survivors.len() == self.placements.len() {
+            self.dead = dead;
+            return Ok(false);
         }
+        let repair =
+            self.plan_connectivity(&self.instance, &self.substrate, survivors.clone(), &dead)?;
+        self.dead = dead;
         self.placements = survivors;
-        self.station_of = station_of;
-        Ok(match repair {
-            Some(repair) => self.commit_repair(repair),
-            None => false,
-        })
+        Ok(self.commit_repair(repair))
     }
 
     fn apply_sever(&mut self, links: &[(CellIndex, CellIndex)]) -> Result<bool, CoreError> {
@@ -603,54 +521,19 @@ impl SolverLoop {
         Ok(self.commit_repair(repair))
     }
 
-    fn apply_surge(&mut self, users: &[User]) -> Result<bool, CoreError> {
-        self.patch_instance(&[], users)?;
-        // Existing ids are preserved, so the standing assignment stays
-        // valid; grow_users re-derives the free bitset so the surged
-        // ids become visible to the word-AND pre-passes.
-        self.matching.grow_users(self.instance.num_users());
-        // Stations near a surged user may now cover it; their kernel
-        // adjacency was frozen at add time, so refresh them.
-        self.begin_dirty();
-        for user in users {
-            if let Some(cell) = self.instance.grid().locate(user.pos) {
-                self.mark_dirty(cell);
-            }
+    /// Moves and surges: patches the standing instance in place (see
+    /// [`Instance::with_moved_users`]; all-or-nothing), then re-derives
+    /// the matching. Existing user ids are preserved.
+    fn apply_users(&mut self, moves: &[(u32, Point2)], extra: &[User]) -> Result<bool, CoreError> {
+        {
+            let _span = uavnet_obs::phases::RESOLVE_PATCH.span();
+            self.instance.patch_users(moves, extra)?;
         }
-        self.refresh_dirty_stations();
+        if !moves.is_empty() || !extra.is_empty() {
+            self.stats.stations_refreshed += self.placements.len();
+            self.rematch();
+        }
         Ok(false)
-    }
-
-    fn apply_moves(&mut self, moves: &[(u32, Point2)]) -> Result<bool, CoreError> {
-        // Old cells first: a station that only covered the *previous*
-        // position must be refreshed too. They are read before the
-        // patch and marked once it succeeded, so a rejected batch
-        // leaves the stats alone.
-        let grid = self.instance.grid();
-        let users = self.instance.users();
-        let old_cells: Vec<CellIndex> = moves
-            .iter()
-            .filter_map(|&(id, _)| grid.locate(users.get(id as usize)?.pos))
-            .collect();
-        self.patch_instance(moves, &[])?;
-        self.begin_dirty();
-        for cell in old_cells {
-            self.mark_dirty(cell);
-        }
-        for &(_, pos) in moves {
-            if let Some(cell) = self.instance.grid().locate(pos) {
-                self.mark_dirty(cell);
-            }
-        }
-        self.refresh_dirty_stations();
-        Ok(false)
-    }
-
-    /// Patches the standing instance in place (see
-    /// [`Instance::with_moved_users`]); all-or-nothing.
-    fn patch_instance(&mut self, moves: &[(u32, Point2)], extra: &[User]) -> Result<(), CoreError> {
-        let _span = uavnet_obs::phases::RESOLVE_PATCH.span();
-        self.instance.patch_users(moves, extra)
     }
 
     /// Plans connectivity for `survivors` on a (possibly new) instance
@@ -680,124 +563,47 @@ impl SolverLoop {
         Ok(Repair { plan, cold })
     }
 
-    /// Installs a planned repair, applying its drops and relay
-    /// additions to the matching (or the cold solve's placements).
+    /// Installs a planned repair — its drops and relay additions, or
+    /// the cold solve's placements — and re-derives the matching.
     /// Returns whether the cold-solve fallback fired.
     fn commit_repair(&mut self, repair: Repair) -> bool {
         let plan = repair.plan;
         self.stats.repairs += 1;
         self.stats.relays_spent += plan.relays_spent;
         self.stats.dropped_placements += plan.dropped;
+        let cold_solved = repair.cold.is_some();
         if let Some(placements) = repair.cold {
             self.stats.cold_solves += 1;
             self.placements = placements;
-            self.rebuild_matching();
-            return true;
-        }
-
-        // Diff the plan against the standing placements on exact
-        // (uav, cell) pairs: a stranded UAV can return as a relay at a
-        // *different* cell, which is a drop plus an addition — not a
-        // keep. Drop what the plan abandoned, add what it placed.
-        let mut i = 0;
-        while i < self.placements.len() {
-            if plan.placements.contains(&self.placements[i]) {
-                i += 1;
-            } else {
-                self.matching.deactivate_station(self.station_of[i]);
-                self.dead_stations += 1;
-                self.placements.swap_remove(i);
-                self.station_of.swap_remove(i);
+        } else {
+            // Diff the plan against the standing placements on exact
+            // (uav, cell) pairs: a stranded UAV can return as a relay
+            // at a *different* cell, which is a drop plus an addition —
+            // not a keep. Drop what the plan abandoned, append what it
+            // placed.
+            let mut i = 0;
+            while i < self.placements.len() {
+                if plan.placements.contains(&self.placements[i]) {
+                    i += 1;
+                } else {
+                    self.placements.swap_remove(i);
+                }
             }
-        }
-        for &(uav, cell) in &plan.placements {
-            if !self.placements.contains(&(uav, cell)) {
-                let st = self.matching.add_station_list(
-                    self.instance.uavs()[uav].capacity,
-                    self.instance.coverable(uav, cell),
-                );
-                self.placements.push((uav, cell));
-                self.station_of.push(st);
-            }
-        }
-        self.maybe_compact();
-        self.matching.resaturate();
-        false
-    }
-
-    /// Clears the dirty-tile scratch for a new user-affecting delta.
-    fn begin_dirty(&mut self) {
-        self.tile_dirty.fill(false);
-    }
-
-    /// Marks the tile of `cell` and its Chebyshev `dilation`
-    /// neighborhood dirty.
-    fn mark_dirty(&mut self, cell: CellIndex) {
-        let tile = self.partition.tile_cells();
-        let tile_cols = self.instance.grid().cols().div_ceil(tile);
-        let tile_rows = self.instance.grid().rows().div_ceil(tile);
-        let (c, r) = self.instance.grid().col_row(cell);
-        let (tc, tr) = (c / tile, r / tile);
-        let d = self.dilation;
-        for ty in tr.saturating_sub(d)..(tr + d + 1).min(tile_rows) {
-            for tx in tc.saturating_sub(d)..(tc + d + 1).min(tile_cols) {
-                let t = ty * tile_cols + tx;
-                if !self.tile_dirty[t] {
-                    self.tile_dirty[t] = true;
-                    self.stats.dirty_tiles += 1;
+            for &placement in &plan.placements {
+                if !self.placements.contains(&placement) {
+                    self.placements.push(placement);
                 }
             }
         }
+        self.rematch();
+        cold_solved
     }
 
-    /// Re-derives coverage for every station hovering in a dirty tile
-    /// (deactivate + re-add with the current instance's list), then
-    /// restores matching maximality with one resaturation pass.
-    fn refresh_dirty_stations(&mut self) {
+    /// Re-derives the standing matching from scratch from the
+    /// placements on the current instance.
+    fn rematch(&mut self) {
         let _span = uavnet_obs::phases::RESOLVE_REFRESH.span();
-        for i in 0..self.placements.len() {
-            let (uav, loc) = self.placements[i];
-            if !self.tile_dirty[self.partition.tile_of(loc)] {
-                continue;
-            }
-            self.matching.deactivate_station(self.station_of[i]);
-            self.dead_stations += 1;
-            let st = self.matching.add_station_list(
-                self.instance.uavs()[uav].capacity,
-                self.instance.coverable(uav, loc),
-            );
-            self.station_of[i] = st;
-            self.stats.stations_refreshed += 1;
-        }
-        self.maybe_compact();
-        self.matching.resaturate();
-    }
-
-    /// Rebuilds the matching from the live placements when deactivated
-    /// stations outnumber them (the kernel's arenas and BFS scratch
-    /// grow with every refresh; compaction bounds them to 2× live).
-    fn maybe_compact(&mut self) {
-        if self.dead_stations > self.placements.len() {
-            self.rebuild_matching();
-        }
-    }
-
-    /// Cold-rebuilds the standing matching from `placements` (each
-    /// station added and saturated in order — a maximum matching).
-    fn rebuild_matching(&mut self) {
-        let mut matching = CapacitatedMatching::new(self.instance.num_users());
-        self.station_of.clear();
-        for &(uav, loc) in &self.placements {
-            let st = matching.add_station_list(
-                self.instance.uavs()[uav].capacity,
-                self.instance.coverable(uav, loc),
-            );
-            matching.saturate(st);
-            self.station_of.push(st);
-        }
-        self.matching = matching;
-        self.dead_stations = 0;
-        self.stats.matching_rebuilds += 1;
+        self.matching = match_placements(&self.instance, &self.placements);
     }
 }
 
@@ -882,16 +688,15 @@ mod tests {
     }
 
     fn config() -> LoopConfig {
-        let mut cfg = LoopConfig::new(ApproxConfig::with_s(1));
-        cfg.tile_cells = 2;
-        cfg
+        LoopConfig::new(ApproxConfig::with_s(1))
     }
 
-    /// Oracle-7 helper: incremental served == cold rescore served and
-    /// the materialized solution validates.
+    /// Oracle-7 helper: the standing solution equals a cold rescore
+    /// (served count, per-user assignment and loads) and validates.
     fn assert_cold_equivalent(solver: &SolverLoop) {
         let cold = solver.cold_rescore().expect("cold rescore");
         assert_eq!(solver.served_users(), cold.served_users());
+        assert_eq!(solver.solution(), cold);
         solver
             .solution()
             .validate(solver.instance())
@@ -958,7 +763,7 @@ mod tests {
     }
 
     #[test]
-    fn moves_track_users_across_tiles() {
+    fn moves_track_users_across_cells() {
         let instance = build_instance(None);
         let mut solver = SolverLoop::new(instance, config()).unwrap();
         // March the first cluster toward the second, one hop at a time.
@@ -1042,7 +847,7 @@ mod tests {
         let instance = build_instance(None);
         let mut solver = SolverLoop::new(instance, config()).unwrap();
         let before = solver.clone();
-        // A valid move ahead of a bad id must not leave dirty-tile work
+        // A valid move ahead of a bad id must not leave anything
         // behind; neither may a kill list with a bad id.
         let moves = vec![(0, Point2::new(700.0, 700.0)), (999, Point2::new(0.0, 0.0))];
         assert!(solver.apply(Delta::UserMoved(moves)).is_err());
@@ -1142,21 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_equivalence() {
-        let instance = build_instance(None);
-        let mut solver = SolverLoop::new(instance, config()).unwrap();
-        // Enough refresh churn to force several compaction rebuilds.
-        for step in 0..20 {
-            let y = 150.0 + 50.0 * (step % 4) as f64;
-            solver
-                .apply(Delta::UserMoved(vec![(0, Point2::new(150.0, y))]))
-                .unwrap();
-        }
-        assert!(solver.stats().matching_rebuilds > 0);
-        assert_cold_equivalent(&solver);
-    }
-
-    #[test]
     fn kill_out_of_range_is_typed() {
         let instance = build_instance(None);
         let mut solver = SolverLoop::new(instance, config()).unwrap();
@@ -1174,13 +964,12 @@ mod tests {
         assert!(matches!(err, CoreError::InvalidParameters(_)));
     }
 
-    /// Regression: a huge-but-finite fleet range (or equivalently a
-    /// degenerate tiny `tile_m`) made the dilation ratio saturate the
-    /// f64→usize cast, and the unclamped `+ 1` overflowed in debug
-    /// builds (wrapping the tile arithmetic in release). The dilation
-    /// must clamp to the partition dims and stay correct.
+    /// Regression: a huge-but-finite fleet range once overflowed the
+    /// loop's set-up arithmetic (a range-to-cell ratio past 2^64) and
+    /// panicked inside `SolverLoop::new`. Such a UAV must stand up and
+    /// absorb moves like any other.
     #[test]
-    fn extreme_dilation_ratio_clamps_to_partition() {
+    fn huge_radio_range_stays_cold_equivalent() {
         let grid = GridSpec::new(
             AreaSpec::new(1_500.0, 1_500.0, 500.0).unwrap(),
             300.0,
@@ -1192,8 +981,6 @@ mod tests {
         for i in 0..8 {
             b.add_user(Point2::new(150.0 + 20.0 * i as f64, 150.0), 2_000.0);
         }
-        // Effective tile_m / range ratio beyond 2^64: the old code
-        // panicked inside `SolverLoop::new` before applying anything.
         b.add_uav(4, UavRadio::new(30.0, 5.0, 1e300));
         b.add_uav(4, UavRadio::new(30.0, 5.0, 400.0));
         let instance = b.build().unwrap();
@@ -1202,23 +989,6 @@ mod tests {
             .apply(Delta::UserMoved(vec![(0, Point2::new(1_200.0, 1_200.0))]))
             .unwrap();
         assert_cold_equivalent(&solver);
-    }
-
-    /// A `tile_cells` large enough to push `tile_m` past f64 range
-    /// must fail with a typed error, not a saturated dilation.
-    #[test]
-    fn non_finite_tile_m_is_typed() {
-        let grid = GridSpec::new(AreaSpec::new(1e300, 1e300, 500.0).unwrap(), 1e300, 300.0)
-            .unwrap()
-            .build();
-        let mut b = Instance::builder(grid, 450.0);
-        b.add_user(Point2::new(1.0, 1.0), 2_000.0);
-        b.add_uav(4, UavRadio::new(30.0, 5.0, 400.0));
-        let instance = b.build().unwrap();
-        let mut cfg = config();
-        cfg.tile_cells = usize::MAX; // tile_m = usize::MAX · 1e300 m = inf
-        let err = SolverLoop::new(instance, cfg).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidParameters(_)));
     }
 
     #[test]

@@ -87,7 +87,6 @@ pub(crate) fn record_sweep(config: &ApproxConfig, stats: &ApproxStats, solution:
 /// Rejected deltas leave no counts; the `resolve.apply` phase counts
 /// every call.
 pub(crate) fn record_delta(outcome: &DeltaOutcome) {
-    counters::RESOLVE_DIRTY_TILES.add(outcome.dirty_tiles as u64);
     counters::RESOLVE_STATIONS_REFRESHED.add(outcome.stations_refreshed as u64);
     counters::RESOLVE_COLD_SOLVES.add(u64::from(outcome.cold_solved));
 }

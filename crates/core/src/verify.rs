@@ -99,7 +99,8 @@ pub enum VerifyError {
     /// The incremental solver loop diverged from a cold rescore of
     /// the same placements on the mutated instance (oracle 7).
     IncrementalMismatch {
-        /// Which quantity diverged (`"served_users"`).
+        /// Which quantity diverged (`"served_users"`, or `"assignment"`
+        /// for the per-user assignment or the loads).
         field: &'static str,
         /// Value maintained incrementally by the solver loop.
         incremental: String,
@@ -700,14 +701,15 @@ fn tally<T>(result: Result<T, CoreError>) -> Result<T, CoreError> {
 /// Verify oracle 7: drives a [`SolverLoop`] from a cold solve through
 /// `deltas`, and after **every** delta checks the incremental state
 /// against a cold rescore of the same placements on the mutated
-/// instance — served counts must be equal (the maximum matching value
-/// is unique) and the materialized incremental solution must pass
-/// independent validation.
+/// instance — the whole solution must be equal (served count,
+/// per-user assignment and loads) and the materialized incremental
+/// solution must pass independent validation.
 ///
 /// # Errors
 ///
 /// * [`VerifyError::IncrementalMismatch`] (as
-///   [`CoreError::Verification`]) on a served-count divergence;
+///   [`CoreError::Verification`]) on a served-count divergence, or on
+///   an assignment or load divergence (`field: "assignment"`);
 /// * [`CoreError::Validation`] if the incremental solution fails
 ///   validation;
 /// * any typed error of the loop itself (e.g. [`CoreError::Connect`]
@@ -736,9 +738,41 @@ fn check_incremental_inner(
                 cold: cold.served_users().to_string(),
             }));
         }
-        solver.solution().validate(solver.instance())?;
+        let standing = solver.solution();
+        if standing != cold {
+            let (incremental, cold) = first_difference(&standing, &cold);
+            return Err(CoreError::from(VerifyError::IncrementalMismatch {
+                field: "assignment",
+                incremental,
+                cold,
+            }));
+        }
+        standing.validate(solver.instance())?;
     }
     Ok(())
+}
+
+/// Where two unequal solutions of the same placements and served count
+/// differ, as `(a, b)` descriptions: the loads, else the first user
+/// served differently.
+fn first_difference(a: &Solution, b: &Solution) -> (String, String) {
+    if a.loads() != b.loads() {
+        return (
+            format!("loads {:?}", a.loads()),
+            format!("loads {:?}", b.loads()),
+        );
+    }
+    let user = a
+        .user_placement()
+        .iter()
+        .zip(b.user_placement())
+        .position(|(x, y)| x != y)
+        .unwrap_or(0);
+    let at = |s: &Solution| match s.user_placement().get(user).copied().flatten() {
+        Some(p) => format!("user {user} at placement {p}"),
+        None => format!("user {user} unserved"),
+    };
+    (at(a), at(b))
 }
 
 #[cfg(test)]

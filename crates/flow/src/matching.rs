@@ -217,10 +217,9 @@ impl CapacitatedMatching {
     /// user count: a matched user is always held through an adjacency
     /// edge of its station (trial insertions unwind their own changes),
     /// so freeing every listed user frees every matched one. A word
-    /// station a search flipped to ids lists the same users, and a
-    /// deactivated station holds none (walking its list is harmless).
-    /// The walk reads the free-user bitset and writes the assignment
-    /// only for the users whose free bit was clear — the matched ones.
+    /// station a search flipped to ids lists the same users. The walk
+    /// reads the free-user bitset and writes the assignment only for
+    /// the users whose free bit was clear — the matched ones.
     pub fn reset(&mut self) {
         for &adj in &self.station_adj {
             match adj {
@@ -711,110 +710,21 @@ impl CapacitatedMatching {
         gained
     }
 
-    /// Extends the user universe to `new_num_users`; new users start
-    /// unmatched. The free-user bitset is re-derived from
-    /// `user_station` instead of widened in place: the old last word
-    /// had its tail bits masked *off*, and those positions now name
-    /// real users that must read as free — widening the mask would
-    /// leave them permanently invisible to the word-AND pre-passes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_num_users` is smaller than the current user
-    /// count (the kernel never forgets users).
-    pub fn grow_users(&mut self, new_num_users: usize) {
-        let old = self.num_users();
-        assert!(
-            new_num_users >= old,
-            "cannot shrink users from {old} to {new_num_users}"
-        );
-        self.user_station.resize(new_num_users, UNMATCHED);
-        self.free = all_free_words(new_num_users);
-        for (u, &st) in self.user_station.iter().enumerate() {
-            if st != UNMATCHED {
-                self.free[u / 64] &= !(1u64 << (u % 64));
-            }
-        }
-        #[cfg(feature = "debug-validate")]
-        self.assert_consistent();
-    }
-
-    /// Takes a station out of service: every user it currently serves
-    /// is released back to the free pool, its load drops to zero and
-    /// its capacity is zeroed so no later pass re-saturates it. The
-    /// station id stays valid (ids are stable); only its ability to
-    /// carry load is gone. Returns the number of users released.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `st` is out of range.
-    pub fn deactivate_station(&mut self, st: StationId) -> u32 {
-        assert!(st < self.num_stations(), "station {st} out of range");
-        let mut released = 0u32;
-        match self.station_adj[st] {
-            StationAdj::Ids { start, len } => {
-                for idx in start..start + len {
-                    let u = self.adj[idx] as usize;
-                    if self.user_station[u] == st as u32 {
-                        self.user_station[u] = UNMATCHED;
-                        self.free[u / 64] |= 1u64 << (u % 64);
-                        released += 1;
-                    }
-                }
-            }
-            StationAdj::Words { start, len, base } => {
-                for wi in 0..len {
-                    let mut bits = self.adj_words[start + wi];
-                    while bits != 0 {
-                        let u = (base + wi as u32 * 64 + bits.trailing_zeros()) as usize;
-                        bits &= bits - 1;
-                        if self.user_station[u] == st as u32 {
-                            self.user_station[u] = UNMATCHED;
-                            self.free[u / 64] |= 1u64 << (u % 64);
-                            released += 1;
-                        }
-                    }
-                }
-            }
-        }
-        // Every user a station serves is in its adjacency, so the walk
-        // must have found exactly the station's load.
-        debug_assert_eq!(released, self.station_load[st]);
-        self.matched -= released as usize;
-        self.station_load[st] = 0;
-        self.station_cap[st] = 0;
-        #[cfg(feature = "debug-validate")]
-        self.assert_consistent();
-        released
-    }
-
-    /// One maximality-restoring pass: saturates every station that
-    /// still has residual capacity, in id order, and returns the
-    /// number of newly matched users.
-    ///
-    /// Starting from *any* valid matching (no over-capacity load,
-    /// every assignment covered), a single pass suffices: by the
-    /// standard augmenting-path lemma, a station with no augmenting
-    /// path cannot gain one from later augmentations (no user ever
-    /// becomes free during the pass), so after the pass no deficient
-    /// station has an augmenting path and the matching is maximum.
-    pub fn resaturate(&mut self) -> u32 {
-        let mut gained = 0;
-        for st in 0..self.num_stations() {
-            if self.station_load[st] < self.station_cap[st] {
-                gained += self.saturate(st);
-            }
-        }
-        gained
-    }
-
     /// Builds a matching from scratch: adds every `(capacity, coverable
     /// users)` station in order, saturating each, and returns the
-    /// structure. The result is a *maximum* assignment.
-    pub fn solve(num_users: usize, stations: &[(u32, Vec<u32>)]) -> Self {
+    /// structure. Station `i` is the `i`-th item, and the result is a
+    /// *maximum* assignment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any user id is out of range.
+    pub fn solve<'a>(
+        num_users: usize,
+        stations: impl IntoIterator<Item = (u32, UserList<'a>)>,
+    ) -> Self {
         let mut m = CapacitatedMatching::new(num_users);
         for (cap, users) in stations {
-            let st = m.add_station(*cap, users);
+            let st = m.add_station_list(cap, users);
             m.saturate(st);
         }
         m
@@ -831,6 +741,16 @@ mod tests {
     /// The assignment as a vector, for indexing and comparing.
     fn assignment(m: &CapacitatedMatching) -> Vec<Option<StationId>> {
         m.assignment().collect()
+    }
+
+    /// [`CapacitatedMatching::solve`] over plain id lists.
+    fn solve_ids(num_users: usize, stations: &[(u32, Vec<u32>)]) -> CapacitatedMatching {
+        CapacitatedMatching::solve(
+            num_users,
+            stations
+                .iter()
+                .map(|(cap, users)| (*cap, UserList::Ids(users))),
+        )
     }
 
     /// Reference solver: max-flow on the 4-layer network of §II-D.
@@ -1096,7 +1016,7 @@ mod tests {
                     (cap, users)
                 })
                 .collect();
-            let m = CapacitatedMatching::solve(num_users, &stations);
+            let m = solve_ids(num_users, &stations);
             let reference = flow_reference(num_users, &stations);
             assert_eq!(m.matched_count() as i64, reference, "round {round}");
         }
@@ -1116,7 +1036,7 @@ mod tests {
                     (cap, users)
                 })
                 .collect();
-            let m = CapacitatedMatching::solve(num_users, &stations);
+            let m = solve_ids(num_users, &stations);
             let mut loads = vec![0u32; stations.len()];
             for (u, st) in assignment(&m).iter().enumerate() {
                 if let Some(st) = *st {
@@ -1165,7 +1085,7 @@ mod tests {
         let n = 200;
         // 64-aligned bitset windows stay in the word arena.
         let (half_taken, saturated) = ([!0u64, (1 << 36) - 1], [!0u64]);
-        let (held, deactivated, partial): (Vec<u32>, Vec<u32>, Vec<u32>) = (
+        let (held, saturated_ids, partial): (Vec<u32>, Vec<u32>, Vec<u32>) = (
             (20..45).collect(),
             (192..200).collect(),
             (100..110).collect(),
@@ -1190,8 +1110,8 @@ mod tests {
             // Users 20..45, all held by station 0: its augmenting paths
             // walk station 0's list, which flips it to ids.
             (10, UserList::Ids(&held)),
-            // Users 192..200, saturated, then deactivated.
-            (8, UserList::Ids(&deactivated)),
+            // Users 192..200, saturated.
+            (8, UserList::Ids(&saturated_ids)),
             // Users 100..110, below capacity.
             (20, UserList::Ids(&partial)),
         ];
@@ -1200,7 +1120,6 @@ mod tests {
                 let st = m.add_station_list(cap, users);
                 m.saturate(st);
             }
-            m.deactivate_station(3);
         };
         let mut m = CapacitatedMatching::new(n);
         commit_all(&mut m);
@@ -1210,7 +1129,7 @@ mod tests {
         );
         assert!(matches!(m.station_adj[1], StationAdj::Words { .. }));
         assert_eq!(m.station_load(2), 10);
-        assert_eq!(m.matched_count(), 50 + 64 + 10 + 10);
+        assert_eq!(m.matched_count(), 50 + 64 + 10 + 8 + 10);
         // Trial insertions of both encodings leave nothing behind.
         let words = [!0u64, !0];
         assert!(
@@ -1327,165 +1246,5 @@ mod tests {
     fn evaluate_rejects_bad_user_id() {
         let mut m = CapacitatedMatching::new(2);
         m.evaluate_station(1, &[5]);
-    }
-
-    #[test]
-    fn grow_users_unmasks_tail_word() {
-        // 3 users: the first free word is ..0111. Growing to 70 users
-        // must make users 3..70 visible to the word-AND pre-pass — a
-        // widened mask would leave 3..63 permanently "matched".
-        let mut m = CapacitatedMatching::new(3);
-        let a = m.add_station(3, &[0, 1, 2]);
-        m.saturate(a);
-        m.grow_users(70);
-        assert_eq!(m.num_users(), 70);
-        assert_eq!(m.matched_count(), 3);
-        // A 64-aligned bitset station covering the grown tail must be
-        // able to claim it through the word-wise pre-pass.
-        let words = [!0u64, (1u64 << 6) - 1]; // users 0..70
-        let st = m.add_station_list(
-            67,
-            UserList::Bits {
-                base: 0,
-                words: &words,
-            },
-        );
-        assert_eq!(m.saturate(st), 67);
-        assert_eq!(m.matched_count(), 70);
-    }
-
-    #[test]
-    fn grow_users_matches_fresh_matching() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        for _ in 0..30 {
-            let n0 = rng.gen_range(1..40);
-            let n1 = n0 + rng.gen_range(0..80usize);
-            let stations: Vec<(u32, Vec<u32>)> = (0..rng.gen_range(1..5))
-                .map(|_| {
-                    let cap = rng.gen_range(0..6);
-                    let users = (0..n0 as u32).filter(|_| rng.gen_bool(0.4)).collect();
-                    (cap, users)
-                })
-                .collect();
-            let mut grown = CapacitatedMatching::solve(n0, &stations);
-            grown.grow_users(n1);
-            let late_cap = rng.gen_range(1..6);
-            let late: Vec<u32> = (0..n1 as u32).filter(|_| rng.gen_bool(0.4)).collect();
-            let st = grown.add_station(late_cap, &late);
-            grown.saturate(st);
-
-            let mut all = stations.clone();
-            all.push((late_cap, late));
-            let fresh = CapacitatedMatching::solve(n1, &all);
-            assert_eq!(grown.matched_count(), fresh.matched_count());
-        }
-    }
-
-    #[test]
-    fn deactivate_releases_exactly_its_users() {
-        let mut m = CapacitatedMatching::new(4);
-        let a = m.add_station(2, &[0, 1]);
-        m.saturate(a);
-        let b = m.add_station(2, &[2, 3]);
-        m.saturate(b);
-        assert_eq!(m.matched_count(), 4);
-        assert_eq!(m.deactivate_station(a), 2);
-        assert_eq!(m.matched_count(), 2);
-        assert_eq!(m.station_load(a), 0);
-        assert_eq!(m.station_cap(a), 0);
-        assert_eq!(assignment(&m)[0], None);
-        assert_eq!(assignment(&m)[1], None);
-        assert_eq!(assignment(&m)[2], Some(b));
-        // Re-deactivating is a no-op.
-        assert_eq!(m.deactivate_station(a), 0);
-        // A replacement station can re-claim the released users.
-        let c = m.add_station(2, &[0, 1]);
-        assert_eq!(m.saturate(c), 2);
-        assert_eq!(m.matched_count(), 4);
-    }
-
-    #[test]
-    fn deactivate_word_station_releases_users() {
-        let words = [0b1111u64];
-        let mut m = CapacitatedMatching::new(4);
-        let st = m.add_station_list(
-            3,
-            UserList::Bits {
-                base: 0,
-                words: &words,
-            },
-        );
-        m.saturate(st);
-        assert_eq!(m.matched_count(), 3);
-        assert_eq!(m.deactivate_station(st), 3);
-        assert_eq!(m.matched_count(), 0);
-        assert!(assignment(&m).iter().all(|a| a.is_none()));
-    }
-
-    #[test]
-    fn resaturate_restores_maximum_after_deactivation() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        for round in 0..40 {
-            let num_users = rng.gen_range(1..30);
-            let stations: Vec<(u32, Vec<u32>)> = (0..rng.gen_range(2..6))
-                .map(|_| {
-                    let cap = rng.gen_range(0..5);
-                    let users = (0..num_users as u32)
-                        .filter(|_| rng.gen_bool(0.35))
-                        .collect();
-                    (cap, users)
-                })
-                .collect();
-            let mut m = CapacitatedMatching::solve(num_users, &stations);
-            let dead = rng.gen_range(0..stations.len());
-            m.deactivate_station(dead);
-            m.resaturate();
-
-            // The incremental result must equal a cold rebuild without
-            // the dead station (max matching value is unique).
-            let survivors: Vec<(u32, Vec<u32>)> = stations
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != dead)
-                .map(|(_, s)| s.clone())
-                .collect();
-            let fresh = CapacitatedMatching::solve(num_users, &survivors);
-            assert_eq!(m.matched_count(), fresh.matched_count(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn resaturate_after_grow_equals_cold_solve() {
-        let mut rng = SmallRng::seed_from_u64(31);
-        for round in 0..30 {
-            let n0 = rng.gen_range(1..25);
-            let n1 = n0 + rng.gen_range(1..70usize);
-            // Stations whose coverage extends past the original user
-            // count (as coverage tables would after a surge rebuild).
-            let full: Vec<(u32, Vec<u32>)> = (0..rng.gen_range(1..5))
-                .map(|_| {
-                    let cap = rng.gen_range(0..6);
-                    let users = (0..n1 as u32).filter(|_| rng.gen_bool(0.4)).collect();
-                    (cap, users)
-                })
-                .collect();
-            // Seed the standing matching on the truncated universe.
-            let truncated: Vec<(u32, Vec<u32>)> = full
-                .iter()
-                .map(|(c, us)| (*c, us.iter().copied().filter(|&u| u < n0 as u32).collect()))
-                .collect();
-            let mut m = CapacitatedMatching::solve(n0, &truncated);
-            m.grow_users(n1);
-            // Surged users appear as fresh stations carrying the new
-            // coverage (the loop re-adds refreshed stations this way).
-            for (i, (cap, users)) in full.iter().enumerate() {
-                m.deactivate_station(i);
-                let st = m.add_station(*cap, users);
-                assert_eq!(st, full.len() + i);
-            }
-            m.resaturate();
-            let fresh = CapacitatedMatching::solve(n1, &full);
-            assert_eq!(m.matched_count(), fresh.matched_count(), "round {round}");
-        }
     }
 }

@@ -38,7 +38,7 @@ mod spatial;
 pub use area::AreaSpec;
 pub use grid::{CellIndex, Grid, GridSpec, NeighborIter};
 pub use point::{Point2, Point3};
-pub use spatial::{SpatialIndex, TilePartition};
+pub use spatial::SpatialIndex;
 
 use std::error::Error;
 use std::fmt;

@@ -191,125 +191,6 @@ impl SpatialIndex {
     }
 }
 
-/// A partition of a `cols × rows` cell grid into square tiles of
-/// `tile × tile` cells (edge tiles may be smaller). Tiles are the unit
-/// of dirty-region invalidation in the incremental solver: each tile
-/// owns the cells inside it, and tile ids follow row-major order over
-/// the tile grid.
-///
-/// # Examples
-///
-/// ```
-/// use uavnet_geom::TilePartition;
-///
-/// // A 5×4 grid in 2×2-cell tiles → 3×2 = 6 tiles.
-/// let tiles = TilePartition::build(5, 4, 2);
-/// assert_eq!(tiles.num_tiles(), 6);
-/// assert_eq!(tiles.tile_of(0), 0);
-/// assert_eq!(tiles.tile_of(4), 2); // col 4 → third tile column
-/// let mut all: Vec<u32> = (0..tiles.num_tiles()).flat_map(|t| tiles.cells(t).to_vec()).collect();
-/// all.sort_unstable();
-/// assert_eq!(all, (0..20).collect::<Vec<u32>>());
-/// ```
-#[derive(Debug, Clone)]
-pub struct TilePartition {
-    tile: usize,
-    grid_cols: usize,
-    tile_cols: usize,
-    tile_rows: usize,
-    /// CSR offsets: tile `t` owns `cells[starts[t]..starts[t + 1]]`.
-    starts: Vec<u32>,
-    /// Cell indices grouped by tile, ascending within each tile.
-    cells: Vec<u32>,
-}
-
-impl TilePartition {
-    /// Partitions a `cols × rows` grid into `tile_cells`-sided tiles.
-    /// A zero `tile_cells` (or one covering the whole grid) yields a
-    /// single tile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid has zero cells or more than `u32::MAX`.
-    pub fn build(cols: usize, rows: usize, tile_cells: usize) -> Self {
-        assert!(cols > 0 && rows > 0, "empty grid");
-        assert!(
-            cols.saturating_mul(rows) <= u32::MAX as usize,
-            "grid too large"
-        );
-        let tile = if tile_cells == 0 {
-            cols.max(rows)
-        } else {
-            tile_cells
-        };
-        let tile_cols = cols.div_ceil(tile);
-        let tile_rows = rows.div_ceil(tile);
-        let num_tiles = tile_cols * tile_rows;
-        // Counting sort of cells into tiles, mirroring SpatialIndex's
-        // CSR build.
-        let mut counts = vec![0u32; num_tiles + 1];
-        let tile_of = |cell: usize| {
-            let (c, r) = (cell % cols, cell / cols);
-            (r / tile) * tile_cols + c / tile
-        };
-        for cell in 0..cols * rows {
-            counts[tile_of(cell) + 1] += 1;
-        }
-        for t in 0..num_tiles {
-            counts[t + 1] += counts[t];
-        }
-        let mut cursor = counts.clone();
-        let mut cells = vec![0u32; cols * rows];
-        for cell in 0..cols * rows {
-            let t = tile_of(cell);
-            cells[cursor[t] as usize] = cell as u32;
-            cursor[t] += 1;
-        }
-        TilePartition {
-            tile,
-            grid_cols: cols,
-            tile_cols,
-            tile_rows,
-            starts: counts,
-            cells,
-        }
-    }
-
-    /// Number of tiles.
-    #[inline]
-    pub fn num_tiles(&self) -> usize {
-        self.tile_cols * self.tile_rows
-    }
-
-    /// Tile side length in cells.
-    #[inline]
-    pub fn tile_cells(&self) -> usize {
-        self.tile
-    }
-
-    /// The tile owning `cell` (row-major cell index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is outside the grid.
-    #[inline]
-    pub fn tile_of(&self, cell: usize) -> usize {
-        assert!(cell < self.cells.len(), "cell {cell} outside the grid");
-        let (c, r) = (cell % self.grid_cols, cell / self.grid_cols);
-        (r / self.tile) * self.tile_cols + c / self.tile
-    }
-
-    /// The cells owned by tile `t`, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range.
-    #[inline]
-    pub fn cells(&self, t: usize) -> &[u32] {
-        &self.cells[self.starts[t] as usize..self.starts[t + 1] as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,44 +298,5 @@ mod tests {
         idx.for_each_within(Point2::new(0.0, 0.0), 100.0, |id, _| got.push(id));
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]); // d == r is inside
-    }
-
-    #[test]
-    fn tiles_partition_every_cell_exactly_once() {
-        for (cols, rows, tile) in [(7, 5, 3), (8, 8, 4), (1, 9, 2), (6, 6, 10), (5, 5, 1)] {
-            let p = TilePartition::build(cols, rows, tile);
-            let mut seen = vec![false; cols * rows];
-            for t in 0..p.num_tiles() {
-                let cells = p.cells(t);
-                assert!(cells.windows(2).all(|w| w[0] < w[1]), "unsorted tile {t}");
-                for &c in cells {
-                    assert_eq!(p.tile_of(c as usize), t);
-                    assert!(!seen[c as usize], "cell {c} in two tiles");
-                    seen[c as usize] = true;
-                }
-            }
-            assert!(
-                seen.iter().all(|&s| s),
-                "{cols}x{rows}/{tile} missed a cell"
-            );
-        }
-    }
-
-    #[test]
-    fn tile_geometry_is_row_major_blocks() {
-        // 6×4 grid, 2-cell tiles → 3×2 tile grid.
-        let p = TilePartition::build(6, 4, 2);
-        assert_eq!(p.num_tiles(), 6);
-        assert_eq!(p.cells(0), &[0, 1, 6, 7]);
-        assert_eq!(p.cells(2), &[4, 5, 10, 11]);
-        assert_eq!(p.cells(3), &[12, 13, 18, 19]);
-    }
-
-    #[test]
-    fn zero_tile_side_is_one_tile() {
-        let p = TilePartition::build(4, 3, 0);
-        assert_eq!(p.num_tiles(), 1);
-        assert_eq!(p.cells(0).len(), 12);
-        assert_eq!(p.tile_cells(), 4);
     }
 }

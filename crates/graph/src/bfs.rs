@@ -51,35 +51,6 @@ pub fn multi_source_hops(g: &Graph, sources: impl IntoIterator<Item = usize>) ->
     dist
 }
 
-/// Hop distances from `source` using only nodes for which
-/// `allowed(node)` is true (the source must itself be allowed).
-///
-/// Used to route relay paths around forbidden cells.
-pub fn bfs_hops_restricted(
-    g: &Graph,
-    source: usize,
-    mut allowed: impl FnMut(usize) -> bool,
-) -> Vec<Option<Hops>> {
-    let n = g.num_nodes();
-    let mut dist: Vec<Option<Hops>> = vec![None; n];
-    if source >= n || !allowed(source) {
-        return dist;
-    }
-    let mut queue = VecDeque::new();
-    dist[source] = Some(0);
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u].expect("queued nodes have distances");
-        for &v in g.neighbors(u) {
-            if dist[v].is_none() && allowed(v) {
-                dist[v] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 /// The hop distance between two nodes, or `None` if disconnected.
 pub fn hop_distance(g: &Graph, u: usize, v: usize) -> Option<Hops> {
     if u == v {
@@ -109,21 +80,8 @@ pub fn hop_distance(g: &Graph, u: usize, v: usize) -> Option<Hops> {
 /// assert_eq!(p[2], 3);
 /// ```
 pub fn shortest_path(g: &Graph, u: usize, v: usize) -> Option<Vec<usize>> {
-    shortest_path_restricted(g, u, v, |_| true)
-}
-
-/// A shortest path from `u` to `v` using only `allowed` nodes (both
-/// endpoints must be allowed), or `None` if no such path exists.
-///
-/// Same discovery-order tie-break as [`shortest_path`].
-pub fn shortest_path_restricted(
-    g: &Graph,
-    u: usize,
-    v: usize,
-    mut allowed: impl FnMut(usize) -> bool,
-) -> Option<Vec<usize>> {
     let n = g.num_nodes();
-    if u >= n || v >= n || !allowed(u) || !allowed(v) {
+    if u >= n || v >= n {
         return None;
     }
     if u == v {
@@ -136,7 +94,7 @@ pub fn shortest_path_restricted(
     queue.push_back(u);
     'outer: while let Some(x) = queue.pop_front() {
         for &y in g.neighbors(x) {
-            if !seen[y] && allowed(y) {
+            if !seen[y] {
                 seen[y] = true;
                 parent[y] = Some(x);
                 if y == v {
@@ -197,31 +155,6 @@ pub fn connected_components(g: &Graph) -> Vec<Vec<usize>> {
     out
 }
 
-/// The hop diameter of `g`: the largest finite hop distance between
-/// any two nodes, or `None` for an empty graph. Disconnected pairs are
-/// ignored (use [`connected_components`] to detect them).
-///
-/// # Examples
-///
-/// ```
-/// use uavnet_graph::{Graph, hop_diameter};
-/// let g = Graph::from_edges(4, (0..3).map(|i| (i, i + 1)));
-/// assert_eq!(hop_diameter(&g), Some(3));
-/// ```
-pub fn hop_diameter(g: &Graph) -> Option<Hops> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return None;
-    }
-    let mut best = 0;
-    for v in 0..n {
-        for d in bfs_hops(g, v).into_iter().flatten() {
-            best = best.max(d);
-        }
-    }
-    Some(best)
-}
-
 /// Whether the sub-graph induced by `subset` is connected (an empty or
 /// singleton subset counts as connected).
 ///
@@ -240,12 +173,22 @@ pub fn is_connected_subset(g: &Graph, subset: &[usize]) -> bool {
     if subset.len() <= 1 {
         return true;
     }
-    let mut in_set = vec![false; g.num_nodes()];
+    let mut unreached = vec![false; g.num_nodes()];
     for &v in subset {
-        in_set[v] = true;
+        unreached[v] = true;
     }
-    let reach = bfs_hops_restricted(g, subset[0], |x| in_set[x]);
-    subset.iter().all(|&v| reach[v].is_some())
+    // BFS from the first member through members only.
+    unreached[subset[0]] = false;
+    let mut queue = VecDeque::from([subset[0]]);
+    while let Some(u) = queue.pop_front() {
+        for &v in g.neighbors(u) {
+            if unreached[v] {
+                unreached[v] = false;
+                queue.push_back(v);
+            }
+        }
+    }
+    subset.iter().all(|&v| !unreached[v])
 }
 
 #[cfg(test)]
@@ -326,26 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn restricted_path_respects_filter() {
-        // 0-1-2 and 0-3-4-2: shortest is via 1, but forbid node 1.
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)]);
-        let p = shortest_path_restricted(&g, 0, 2, |x| x != 1).unwrap();
-        assert_eq!(p, vec![0, 3, 4, 2]);
-        // Forbidding both routes disconnects.
-        assert_eq!(
-            shortest_path_restricted(&g, 0, 2, |x| x != 1 && x != 4),
-            None
-        );
-    }
-
-    #[test]
-    fn restricted_bfs_excluded_source() {
-        let g = path_graph(3);
-        let d = bfs_hops_restricted(&g, 0, |x| x != 0);
-        assert!(d.iter().all(|x| x.is_none()));
-    }
-
-    #[test]
     fn connected_subset_checks() {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4)]);
         assert!(is_connected_subset(&g, &[]));
@@ -376,19 +299,5 @@ mod tests {
     fn components_of_empty_graph() {
         assert!(connected_components(&Graph::new(0)).is_empty());
         assert_eq!(connected_components(&Graph::new(1)), vec![vec![0]]);
-    }
-
-    #[test]
-    fn diameter_cases() {
-        assert_eq!(hop_diameter(&Graph::new(0)), None);
-        assert_eq!(hop_diameter(&Graph::new(3)), Some(0)); // no edges
-        assert_eq!(hop_diameter(&path_graph(5)), Some(4));
-        // Cycle of 6: diameter 3.
-        let mut g = path_graph(6);
-        g.add_edge(5, 0);
-        assert_eq!(hop_diameter(&g), Some(3));
-        // Disconnected: diameter over the largest reachable pair only.
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
-        assert_eq!(hop_diameter(&g), Some(2));
     }
 }

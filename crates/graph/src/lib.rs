@@ -44,8 +44,8 @@ mod unionfind;
 
 pub use adj::Graph;
 pub use bfs::{
-    bfs_hops, bfs_hops_restricted, connected_components, hop_diameter, hop_distance,
-    is_connected_subset, multi_source_hops, shortest_path, shortest_path_restricted,
+    bfs_hops, connected_components, hop_distance, is_connected_subset, multi_source_hops,
+    shortest_path,
 };
 pub use mst::{prim_mst, MstError};
 pub use substrate::{ConnectivitySubstrate, SubstrateError, UNREACHABLE_HOPS};

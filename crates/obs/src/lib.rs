@@ -1535,8 +1535,6 @@ pub mod counters {
     pub static VERIFY_FAILURES: Counter = Counter::new("verify.failures");
     /// Full cold re-solves the incremental loop fell back to.
     pub static RESOLVE_COLD_SOLVES: Counter = Counter::new("resolve.cold_solves");
-    /// Tiles invalidated by user-affecting deltas.
-    pub static RESOLVE_DIRTY_TILES: Counter = Counter::new("resolve.dirty_tiles");
     /// Stations whose coverage was re-derived after a delta.
     pub static RESOLVE_STATIONS_REFRESHED: Counter = Counter::new("resolve.stations_refreshed");
     /// Sweeps that ran a guided (non-exhaustive) seed strategy.
@@ -1581,7 +1579,6 @@ pub mod counters {
         &VERIFY_CHECKS,
         &VERIFY_FAILURES,
         &RESOLVE_COLD_SOLVES,
-        &RESOLVE_DIRTY_TILES,
         &RESOLVE_STATIONS_REFRESHED,
         &STRATEGY_GUIDED_RUNS,
         &STRATEGY_BOUND_PRUNED,
@@ -1628,15 +1625,15 @@ pub mod phases {
     /// gateway re-extension) in the incremental loop or fault harness.
     pub static REPAIR: Phase = Phase::new("repair");
     /// One `SolverLoop::apply` call — the incremental re-solve of a
-    /// single delta (dirty-tile triage, coverage refresh, repair or
+    /// single delta (instance patch, matching re-derivation, repair or
     /// cold fallback).
     pub static RESOLVE_APPLY: Phase = Phase::new("resolve.apply");
     /// The in-place instance patch of a mobility or surge delta
     /// (re-encoding the coverage lists the changed users can affect),
     /// inside `resolve.apply`.
     pub static RESOLVE_PATCH: Phase = Phase::new("resolve.patch");
-    /// Re-deriving the dirty-tile stations of a mobility or surge
-    /// delta, including compaction and the resaturation pass, inside
+    /// Re-deriving the standing matching from scratch from the
+    /// placements after a mobility, surge or repair delta, inside
     /// `resolve.apply`.
     pub static RESOLVE_REFRESH: Phase = Phase::new("resolve.refresh");
     /// The solver-service worker thread's whole lifetime — the root

@@ -341,7 +341,6 @@ impl Reply {
                     "outcome",
                     obj(vec![
                         ("served", unum(outcome.served)),
-                        ("dirty_tiles", unum(outcome.dirty_tiles)),
                         ("stations_refreshed", unum(outcome.stations_refreshed)),
                         ("relays_spent", unum(outcome.relays_spent)),
                         ("dropped_placements", unum(outcome.dropped_placements)),
@@ -425,7 +424,6 @@ impl Reply {
                     .ok_or_else(|| proto_err("ack frame missing outcome"))?;
                 let mut outcome = DeltaOutcome::default();
                 outcome.served = want_index(o, "served")?;
-                outcome.dirty_tiles = want_index(o, "dirty_tiles")?;
                 outcome.stations_refreshed = want_index(o, "stations_refreshed")?;
                 outcome.relays_spent = want_index(o, "relays_spent")?;
                 outcome.dropped_placements = want_index(o, "dropped_placements")?;
@@ -650,7 +648,7 @@ mod tests {
     fn replies_round_trip() {
         let mut outcome = DeltaOutcome::default();
         outcome.served = 14;
-        outcome.dirty_tiles = 3;
+        outcome.stations_refreshed = 3;
         outcome.cold_solved = true;
         let replies = [
             Reply::Ack {

@@ -45,9 +45,7 @@ fn build_instance() -> Instance {
 }
 
 fn loop_config() -> LoopConfig {
-    let mut cfg = LoopConfig::new(ApproxConfig::with_s(1));
-    cfg.tile_cells = 2;
-    cfg
+    LoopConfig::new(ApproxConfig::with_s(1))
 }
 
 /// The delta stream replayed in the bit-identity test: mobility,
@@ -143,10 +141,6 @@ fn loopback_stream_is_bit_identical_to_in_process_solver() {
         let remote = publisher.publish(&delta).expect("publish delta");
         let local = twin.apply(delta).expect("twin apply");
         assert_eq!(remote.served, local.served, "delta {i}: served");
-        assert_eq!(
-            remote.dirty_tiles, local.dirty_tiles,
-            "delta {i}: dirty tiles"
-        );
         assert_eq!(
             remote.stations_refreshed, local.stations_refreshed,
             "delta {i}: stations refreshed"

@@ -235,9 +235,7 @@ fn service_instance() -> Instance {
 }
 
 fn service_loop_config() -> LoopConfig {
-    let mut cfg = LoopConfig::new(ApproxConfig::with_s(1));
-    cfg.tile_cells = 2;
-    cfg
+    LoopConfig::new(ApproxConfig::with_s(1))
 }
 
 /// A randomized delta plan over [`service_instance`]. The kill target
@@ -474,7 +472,6 @@ fn assert_resolve_counters_match(metrics: &obs::MetricsSnapshot, stats: &Resolve
     let mut seen = 0;
     for &(name, value) in &metrics.counters {
         let owner = match name {
-            "resolve.dirty_tiles" => stats.dirty_tiles,
             "resolve.stations_refreshed" => stats.stations_refreshed,
             "resolve.cold_solves" => stats.cold_solves,
             _ if name.starts_with("resolve.") => panic!("{name} has no ResolveStats owner"),
@@ -483,7 +480,7 @@ fn assert_resolve_counters_match(metrics: &obs::MetricsSnapshot, stats: &Resolve
         assert_eq!(value, owner as u64, "{name}");
         seen += 1;
     }
-    assert_eq!(seen, 3, "every resolve counter is in the snapshot");
+    assert_eq!(seen, 2, "every resolve counter is in the snapshot");
 }
 
 /// The resolve counters are derived from the loop's own stats, so they
@@ -519,7 +516,7 @@ fn resolve_counters_agree_with_resolve_stats() {
         }
     }
     assert_eq!(solver.stats().deltas_applied, 4);
-    assert!(solver.stats().dirty_tiles > 0 && solver.stats().repairs == 1);
+    assert!(solver.stats().stations_refreshed > 0 && solver.stats().repairs == 1);
     obs::session_end();
     obs::drain_events();
 }

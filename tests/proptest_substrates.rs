@@ -4,7 +4,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use uavnet::flow::{CapacitatedMatching, FlowNetwork};
+use uavnet::flow::{CapacitatedMatching, FlowNetwork, UserList};
 use uavnet::graph::{bfs_hops, hop_distance, prim_mst, Graph, UnionFind};
 use uavnet::matroid::{check_axioms_exhaustive, Matroid, NestedFamilyMatroid, PartitionMatroid};
 
@@ -25,6 +25,16 @@ fn flow_value(num_users: usize, stations: &[(u32, Vec<u32>)]) -> i64 {
         net.add_arc(st, sink, i64::from(*cap));
     }
     net.max_flow(source, sink)
+}
+
+/// [`CapacitatedMatching::solve`] over plain id lists.
+fn solve_ids(num_users: usize, stations: &[(u32, Vec<u32>)]) -> CapacitatedMatching {
+    CapacitatedMatching::solve(
+        num_users,
+        stations
+            .iter()
+            .map(|(cap, users)| (*cap, UserList::Ids(users))),
+    )
 }
 
 prop_compose! {
@@ -54,14 +64,14 @@ prop_compose! {
 proptest! {
     #[test]
     fn matching_cardinality_equals_max_flow((num_users, stations) in station_instances()) {
-        let matching = CapacitatedMatching::solve(num_users, &stations);
+        let matching = solve_ids(num_users, &stations);
         let flow = flow_value(num_users, &stations);
         prop_assert_eq!(matching.matched_count() as i64, flow);
     }
 
     #[test]
     fn matching_respects_capacity_and_coverage((num_users, stations) in station_instances()) {
-        let matching = CapacitatedMatching::solve(num_users, &stations);
+        let matching = solve_ids(num_users, &stations);
         let mut loads = vec![0u32; stations.len()];
         for (user, st) in matching.assignment().enumerate() {
             if let Some(st) = st {
@@ -80,7 +90,7 @@ proptest! {
         cap in 0u32..5,
         probe in vec(0u32..15, 0..10)
     ) {
-        let mut matching = CapacitatedMatching::solve(num_users, &stations);
+        let mut matching = solve_ids(num_users, &stations);
         let probe: Vec<u32> = {
             let mut p: Vec<u32> = probe.into_iter().map(|u| u % num_users as u32).collect();
             p.sort_unstable();

@@ -3,15 +3,20 @@
 //! validator accepts every solver output (including degenerate
 //! instances), the solver loop's repair of random faults is panic-free
 //! and validate-clean, and the loop tracks a cold solve across random
-//! delta interleavings (verify oracle 7).
+//! delta interleavings (verify oracle 7). One ignored test runs oracle
+//! 7 over a seeded delta stream on the benchmark's live zone, 100 000
+//! users: `cargo test --release -q --test proptest_verify -- --ignored`.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use uavnet::channel::UavRadio;
 use uavnet::core::{
     approx_alg, assign_users, assign_users_max_flow, check_assignment_oracles, check_incremental,
     ApproxConfig, CoreError, Delta, Instance, LoopConfig, SolverLoop, User,
 };
 use uavnet::geom::{AreaSpec, GridSpec, Point2};
+use uavnet::workload::{ScenarioSpec, UserDistribution};
 
 fn build_instance(
     seed_users: &[(f64, f64)],
@@ -215,4 +220,80 @@ prop_compose! {
             _ => DeltaSpec::Surge(surge),
         }
     }
+}
+
+/// Verify oracle 7 at benchmarked scale: [`check_incremental`] over a
+/// seeded 100-delta stream on the pinned zone of the benchmark's
+/// `stream-large` workload, built with the same `ScenarioSpec`
+/// parameters — 6 km square, 300 m cells, 100 000 fat-tailed users (12
+/// clusters, Zipf 1.2), 8 UAVs with capacities 50–300, scenario seed 7
+/// — at `s = 1` on 2 threads. Seconds in release, hence ignored by
+/// default.
+#[test]
+#[ignore = "benchmark-scale zone; run in release with --ignored"]
+fn incremental_matches_cold_rescore_on_the_stream_zone() {
+    let instance = ScenarioSpec::builder()
+        .area_m(6_000.0, 6_000.0)
+        .cell_m(300.0)
+        .users(100_000)
+        .distribution(UserDistribution::FatTailed {
+            clusters: 12,
+            zipf_exponent: 1.2,
+        })
+        .uavs(8)
+        .capacity_range(50, 300)
+        .seed(7)
+        .build()
+        .and_then(|spec| spec.instantiate())
+        .expect("the pinned zone builds");
+    let deltas = stream_deltas(&instance, 100, 1);
+    let config = ApproxConfig::with_s(1).threads(2);
+    if let Err(e) = check_incremental(&instance, &config, &deltas) {
+        panic!("oracle 7 on the stream-large zone: {e}");
+    }
+}
+
+/// A seeded stream of `len` deltas over `instance`, shaped like the
+/// benchmark's live mix: each moves 1 % of the users by up to 25 m per
+/// axis, except every tenth, which severs one link, kills one UAV or
+/// surges 50 users within 100 m of a user, in turn.
+fn stream_deltas(instance: &Instance, len: usize, seed: u64) -> Vec<Delta> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let area = instance.grid().spec().area();
+    let min_rate_bps = instance.users()[0].min_rate_bps;
+    let mut positions: Vec<Point2> = instance.users().iter().map(|u| u.pos).collect();
+    let mut links: Vec<(usize, usize)> = instance.location_graph().edges().collect();
+    let mut alive: Vec<usize> = (0..instance.num_uavs()).collect();
+    let near = |rng: &mut SmallRng, p: Point2, r: f64| {
+        area.clamp(Point2::new(
+            p.x + rng.gen_range(-r..r),
+            p.y + rng.gen_range(-r..r),
+        ))
+    };
+    (1..=len)
+        .map(|i| match (i % 10, i / 10 % 3) {
+            (0, 1) => Delta::SeverLinks(vec![links.swap_remove(rng.gen_range(0..links.len()))]),
+            (0, 2) => Delta::KillUavs(vec![alive.swap_remove(rng.gen_range(0..alive.len()))]),
+            (0, _) => {
+                let hub = positions[rng.gen_range(0..positions.len())];
+                let users: Vec<User> = (0..50)
+                    .map(|_| User {
+                        pos: near(&mut rng, hub, 100.0),
+                        min_rate_bps,
+                    })
+                    .collect();
+                positions.extend(users.iter().map(|u| u.pos));
+                Delta::UserSurge(users)
+            }
+            _ => Delta::UserMoved(
+                (0..positions.len() / 100)
+                    .map(|_| {
+                        let id = rng.gen_range(0..positions.len());
+                        positions[id] = near(&mut rng, positions[id], 25.0);
+                        (id as u32, positions[id])
+                    })
+                    .collect(),
+            ),
+        })
+        .collect()
 }
