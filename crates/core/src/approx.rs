@@ -567,9 +567,11 @@ pub(crate) fn seed_pool(
 ///
 /// Claimed users live in a bitset that the lists are read against a
 /// word at a time (see [`for_each_user_word`]). With one radio class a
-/// marginal is a popcount of `list & !claimed`; with several, a `seen`
-/// bitset dedupes the union and is cleared through the words the count
-/// touched.
+/// marginal is a popcount of `list & !claimed`, and the first round
+/// reads no list: nothing is claimed yet, so each cell's marginal is
+/// its cached list count. With several classes, a `seen` bitset dedupes
+/// the union and is cleared through the words the count touched, and
+/// the first round counts every union.
 fn marginal_coverage_order(instance: &Instance, pool: &mut [usize]) {
     if pool.len() <= 1 {
         return;
@@ -605,9 +607,17 @@ fn marginal_coverage_order(instance: &Instance, pool: &mut [usize]) {
         count
     };
     // (cached gain, Reverse(cell), commit round the cache was taken in).
+    // With one class, `best_coverage_count` is that class's list count.
     let mut heap: BinaryHeap<(u64, Reverse<usize>, usize)> = pool
         .iter()
-        .map(|&v| (marginal(v, &claimed), Reverse(v), 0))
+        .map(|&v| {
+            let gain = if classes == 1 {
+                instance.best_coverage_count(v) as u64
+            } else {
+                marginal(v, &claimed)
+            };
+            (gain, Reverse(v), 0)
+        })
         .collect();
     let mut round = 0usize;
     let mut order = Vec::with_capacity(pool.len());

@@ -20,9 +20,10 @@ use uavnet_matroid::MarginalOracle;
 /// rolls it back to the no-UAV state while keeping the matching's
 /// internal buffers allocated, so a sweep that evaluates thousands of
 /// seed subsets against the same instance pays for its scratch memory
-/// once, and each reset costs the committed locations' coverable lists
-/// rather than the user count. Gain queries themselves are
-/// allocation-free trial insertions into the incremental matching.
+/// once, and each reset costs the users the committed locations serve,
+/// not the user count nor their coverable lists. Gain queries
+/// themselves are allocation-free trial insertions into the incremental
+/// matching.
 ///
 /// # Examples
 ///
@@ -65,9 +66,8 @@ impl<'a> CoverageOracle<'a> {
 
     /// Rolls the oracle back to the no-UAV state, keeping the
     /// matching's scratch buffers (and the cumulative query counter) so
-    /// the next run allocates nothing. Costs the committed locations'
-    /// coverable lists, not the user count
-    /// ([`CapacitatedMatching::reset`]).
+    /// the next run allocates nothing. Costs the served users, not the
+    /// user count ([`CapacitatedMatching::reset`]).
     pub fn reset(&mut self) {
         self.matching.reset();
         self.placements.clear();

@@ -23,11 +23,11 @@
 //! first pool member is `i`, one contiguous range of the lexicographic
 //! order. The workers claim the blocks in rank order from an atomic
 //! cursor and evaluate every subset in one workspace each, whose
-//! matching spans the whole instance (its reset costs the committed
-//! stations' lists, not the user count). Every block runs the same
-//! per-rank body — watermark check, unrank, fault-injection hook, chain
-//! check, evaluate — with the worker's [`GainMemo`] cleared at its
-//! start, so the subsets of a block share their gain queries.
+//! matching spans the whole instance (its reset costs the users the
+//! committed stations serve, not the user count). Every block runs the
+//! same per-rank body — watermark check, unrank, fault-injection hook,
+//! chain check, evaluate — with the worker's [`GainMemo`] cleared at
+//! its start, so the subsets of a block share their gain queries.
 //!
 //! Every search is deterministic and thread-count invariant: ties
 //! break on enumeration rank (equivalently the lexicographic order of

@@ -26,9 +26,13 @@
 //! users one at a time, and a trial insertion *counts* the free users
 //! on its list before touching anything — when they already fill its
 //! capacity, the answer is the capacity, with nothing claimed and
-//! nothing to roll back. Only augmenting paths, commits and resets
-//! write the assignment itself, which stores one 4-byte station id per
-//! user.
+//! nothing to roll back. An id list longer than the matched-user count
+//! by at least the capacity gets that answer without the count. Only
+//! augmenting paths, commits and resets write the assignment itself,
+//! which stores one 4-byte station id per user.
+//!
+//! Commits log every user they claim, so a reset frees exactly the
+//! matched users instead of walking the stations' lists.
 
 use crate::users::UserList;
 
@@ -124,6 +128,9 @@ pub struct CapacitatedMatching {
     // and the `(user, previous station)` log a trial insertion unwinds.
     queue: Vec<usize>,
     rollback: Vec<(u32, u32)>,
+    // Every user a commit claimed, in claim order: what `reset` frees.
+    // Only a trial's rollback unmatches anyone, so no user enters twice.
+    claimed: Vec<u32>,
     counts: MatchingCounts,
 }
 
@@ -147,6 +154,7 @@ impl CapacitatedMatching {
             parent_user: vec![u32::MAX],
             queue: Vec::new(),
             rollback: Vec::new(),
+            claimed: Vec::new(),
             counts: MatchingCounts::default(),
         }
     }
@@ -213,38 +221,14 @@ impl CapacitatedMatching {
     /// capacity, so a reused instance performs no fresh allocations.
     /// The user count and the [`counts`](Self::counts) are unchanged.
     ///
-    /// Costs the total length of the stations' adjacency lists, not the
-    /// user count: a matched user is always held through an adjacency
-    /// edge of its station (trial insertions unwind their own changes),
-    /// so freeing every listed user frees every matched one. A word
-    /// station a search flipped to ids lists the same users. The walk
-    /// reads the free-user bitset and writes the assignment only for
-    /// the users whose free bit was clear — the matched ones.
+    /// Costs the matched users, not the user count nor the stations'
+    /// lists: every commit logs the users it claims (trial insertions
+    /// unwind their own claims), so freeing the log frees every matched
+    /// user.
     pub fn reset(&mut self) {
-        for &adj in &self.station_adj {
-            match adj {
-                StationAdj::Ids { start, len } => {
-                    for &u in &self.adj[start..start + len] {
-                        let (word, bit) = ((u / 64) as usize, 1u64 << (u % 64));
-                        if self.free[word] & bit == 0 {
-                            self.user_station[u as usize] = UNMATCHED;
-                            self.free[word] |= bit;
-                        }
-                    }
-                }
-                StationAdj::Words { start, len, base } => {
-                    let w0 = (base / 64) as usize;
-                    for (wi, &word) in self.adj_words[start..start + len].iter().enumerate() {
-                        let mut matched = word & !self.free[w0 + wi];
-                        self.free[w0 + wi] |= word;
-                        while matched != 0 {
-                            let u = (w0 + wi) * 64 + matched.trailing_zeros() as usize;
-                            matched &= matched - 1;
-                            self.user_station[u] = UNMATCHED;
-                        }
-                    }
-                }
-            }
+        for &u in &self.claimed {
+            self.user_station[u as usize] = UNMATCHED;
+            self.free[(u / 64) as usize] |= 1u64 << (u % 64);
         }
         #[cfg(feature = "debug-validate")]
         {
@@ -270,6 +254,7 @@ impl CapacitatedMatching {
         // can never collide with a future epoch.
         self.queue.clear();
         self.rollback.clear();
+        self.claimed.clear();
     }
 
     /// Adds a station with capacity `cap` able to cover `users`, without
@@ -435,6 +420,9 @@ impl CapacitatedMatching {
                 // Only the entry user of the chain was free; everyone
                 // else merely changes station.
                 self.free[(u / 64) as usize] &= !(1u64 << (u % 64));
+                if !record {
+                    self.claimed.push(u);
+                }
                 let mut user = u;
                 let mut station = x;
                 loop {
@@ -498,6 +486,7 @@ impl CapacitatedMatching {
                     if self.is_free(u) {
                         self.user_station[u] = st as u32;
                         self.free[u / 64] &= !(1u64 << (u % 64));
+                        self.claimed.push(u as u32);
                         self.station_load[st] += 1;
                         self.matched += 1;
                         gained += 1;
@@ -520,6 +509,7 @@ impl CapacitatedMatching {
                         bits &= bits - 1;
                         self.user_station[u as usize] = st as u32;
                         self.free[w0 + wi] &= !(1u64 << (u % 64));
+                        self.claimed.push(u);
                         self.station_load[st] += 1;
                         self.matched += 1;
                         gained += 1;
@@ -550,6 +540,11 @@ impl CapacitatedMatching {
         assert_eq!(
             matched, self.matched,
             "debug-validate: matched count drifted"
+        );
+        assert_eq!(
+            self.claimed.len(),
+            self.matched,
+            "debug-validate: claim log drifted"
         );
         for (st, &load) in loads.iter().enumerate() {
             assert_eq!(
@@ -596,6 +591,9 @@ impl CapacitatedMatching {
     /// `cap`, the answer is `cap` and nothing is written: the claiming
     /// pre-pass would have claimed exactly `cap` of them and run no
     /// BFS, so [`counts`](Self::counts) moves exactly as it would have.
+    /// An id list at least `cap` longer than the matched-user count
+    /// needs no count at all: the matched users fill at most `matched`
+    /// of its entries.
     ///
     /// # Panics
     ///
@@ -675,12 +673,14 @@ impl CapacitatedMatching {
         gained
     }
 
-    /// Whether `users` holds at least `cap` free users: popcounts of
-    /// `word & free` for a 64-aligned bitset list, free-bit tests
-    /// otherwise. Stops as soon as the count reaches `cap`.
+    /// Whether `users` holds at least `cap` free users: `true` at once
+    /// for an id list of at least `matched + cap` ids, else popcounts of
+    /// `word & free` for a 64-aligned bitset list and free-bit tests
+    /// otherwise, stopping as soon as the count reaches `cap`.
     fn free_count_reaches(&self, cap: u32, users: UserList<'_>) -> bool {
         let mut free = 0u32;
         match users {
+            UserList::Ids(ids) if ids.len() >= self.matched + cap as usize => return true,
             UserList::Bits { base, words } if base % 64 == 0 => {
                 let w0 = (base / 64) as usize;
                 let free_words = self.free.get(w0..).unwrap_or_default();
@@ -945,32 +945,80 @@ mod tests {
                         words: &unaligned,
                     },
                 ] {
-                    let mut trial = seed.clone();
-                    let gain = trial.evaluate_station_list(cap, list);
-                    assert_eq!(
-                        assignment(&trial),
-                        assignment(&seed),
-                        "trial must roll back"
-                    );
-                    assert_eq!(trial.matched_count(), seed.matched_count());
-                    let mut commit = seed.clone();
-                    let st = commit.add_station_list(cap, list);
-                    assert_eq!(gain, commit.saturate(st), "round {round}, cap {cap}");
-                    let (t, c, s) = (trial.counts(), commit.counts(), seed.counts());
-                    assert_eq!(
-                        (
-                            t.bfs_restarts - s.bfs_restarts,
-                            t.prepass_hits - s.prepass_hits
-                        ),
-                        (
-                            c.bfs_restarts - s.bfs_restarts,
-                            c.prepass_hits - s.prepass_hits
-                        ),
-                        "round {round}, cap {cap}: counts delta"
-                    );
+                    assert_trial_equals_commit(&seed, cap, list, &format!("round {round}"));
                 }
             }
+            // Id lists at the length bound (`len = cap + matched`, the
+            // answer is `cap` without a count) and one id below it:
+            // every matched user plus the first `cap` or `cap − 1` free.
+            let free: Vec<u32> = (0..num_users as u32)
+                .filter(|&u| seed.is_free(u as usize))
+                .collect();
+            let cap = free.len().min(rng.gen_range(1..12));
+            if cap == 0 {
+                continue;
+            }
+            for (taken, at_bound) in [(cap, true), (cap - 1, false)] {
+                let mut list: Vec<u32> = (0..num_users as u32)
+                    .filter(|&u| !seed.is_free(u as usize))
+                    .chain(free[..taken].iter().copied())
+                    .collect();
+                list.sort_unstable();
+                assert_eq!(
+                    list.len() == seed.matched_count() + cap,
+                    at_bound,
+                    "round {round}"
+                );
+                let what = format!("round {round}, bound fixture of {} ids", list.len());
+                assert_trial_equals_commit(&seed, cap as u32, UserList::Ids(&list), &what);
+            }
         }
+        // One below the bound with no augmenting path: station 0 holds
+        // users 0..3 and lists nothing else, so the trial serves the two
+        // free users it lists and not the capacity.
+        let mut seed = CapacitatedMatching::new(10);
+        let st = seed.add_station(3, &[0, 1, 2]);
+        seed.saturate(st);
+        assert_eq!(
+            assert_trial_equals_commit(&seed, 3, UserList::Ids(&[0, 1, 2, 5, 6]), "below"),
+            2
+        );
+        assert_eq!(
+            assert_trial_equals_commit(&seed, 3, UserList::Ids(&[0, 1, 2, 5, 6, 7]), "at"),
+            3
+        );
+    }
+
+    /// Checks that a trial insertion of `(cap, list)` into a clone of
+    /// `seed` rolls back and answers what committing it into another
+    /// clone gains, with the same change to [`CapacitatedMatching::counts`].
+    /// Returns the gain.
+    fn assert_trial_equals_commit(
+        seed: &CapacitatedMatching,
+        cap: u32,
+        list: UserList<'_>,
+        what: &str,
+    ) -> u32 {
+        let mut trial = seed.clone();
+        let gain = trial.evaluate_station_list(cap, list);
+        assert_eq!(assignment(&trial), assignment(seed), "trial must roll back");
+        assert_eq!(trial.matched_count(), seed.matched_count());
+        let mut commit = seed.clone();
+        let st = commit.add_station_list(cap, list);
+        assert_eq!(gain, commit.saturate(st), "{what}, cap {cap}");
+        let (t, c, s) = (trial.counts(), commit.counts(), seed.counts());
+        assert_eq!(
+            (
+                t.bfs_restarts - s.bfs_restarts,
+                t.prepass_hits - s.prepass_hits
+            ),
+            (
+                c.bfs_restarts - s.bfs_restarts,
+                c.prepass_hits - s.prepass_hits
+            ),
+            "{what}, cap {cap}: counts delta"
+        );
+        gain
     }
 
     #[test]
@@ -1090,6 +1138,7 @@ mod tests {
             (192..200).collect(),
             (100..110).collect(),
         );
+        let (chain_end, chain_mid, chain_head) = ([112, 113], [111, 112], [111]);
         let stations = [
             // Users 0..100, half of them taken.
             (
@@ -1114,6 +1163,13 @@ mod tests {
             (8, UserList::Ids(&saturated_ids)),
             // Users 100..110, below capacity.
             (20, UserList::Ids(&partial)),
+            // A three-station chain: the last station's only user 111
+            // is held by station 6, whose other user 112 is held by
+            // station 5, so its augmenting path claims the free entry
+            // user 113 for station 5 and moves 112 and 111 along.
+            (1, UserList::Ids(&chain_end)),
+            (1, UserList::Ids(&chain_mid)),
+            (1, UserList::Ids(&chain_head)),
         ];
         let commit_all = |m: &mut CapacitatedMatching| {
             for &(cap, users) in &stations {
@@ -1129,7 +1185,12 @@ mod tests {
         );
         assert!(matches!(m.station_adj[1], StationAdj::Words { .. }));
         assert_eq!(m.station_load(2), 10);
-        assert_eq!(m.matched_count(), 50 + 64 + 10 + 8 + 10);
+        assert_eq!(
+            assignment(&m)[111..114],
+            [Some(7), Some(6), Some(5)],
+            "the chain must have moved users 111 and 112"
+        );
+        assert_eq!(m.matched_count(), 50 + 64 + 10 + 8 + 10 + 3);
         // Trial insertions of both encodings leave nothing behind.
         let words = [!0u64, !0];
         assert!(

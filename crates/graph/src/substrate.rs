@@ -7,8 +7,9 @@
 //! answers all of them from tables built **once** per instance:
 //!
 //! * the full all-pairs hop matrix in `u16` (`u16::MAX` = unreachable),
-//!   one BFS per node at build time, over a CSR copy of the adjacency
-//!   local to the build;
+//!   filled 64 sources at a time by bit-parallel BFS layers (the
+//!   multi-source BFS of Then et al., VLDB 2015) over a CSR copy of the
+//!   adjacency local to the build;
 //! * component ids plus one membership bitset per component, so
 //!   reachability is a word-indexed bit test and "how many candidates
 //!   can this seed reach" is a precomputed count.
@@ -57,9 +58,9 @@ impl std::error::Error for SubstrateError {}
 /// All-pairs hop distances, components and reachability bitsets of a
 /// fixed graph, built once and then queried lock-free from any thread.
 ///
-/// Memory: `2 n²` bytes for the hop matrix plus `n²/8` for the
-/// component bitsets — ~26 MB at the paper's `m = 3600` candidate
-/// locations, negligible at evaluation scales.
+/// Memory: `2 n²` bytes for the hop matrix plus `⌈n/64⌉` words per
+/// component for the component bitsets — ~26 MB at the paper's
+/// `m = 3600` candidate locations, negligible at evaluation scales.
 ///
 /// # Examples
 ///
@@ -88,8 +89,10 @@ pub struct ConnectivitySubstrate {
 }
 
 impl ConnectivitySubstrate {
-    /// Builds the substrate: one BFS per node for the hop matrix, one
-    /// labeling pass for components and their bitsets.
+    /// Builds the substrate: bit-parallel BFS layers from 64 sources
+    /// at a time for the hop matrix (`⌈n/64⌉` batches, each costing at
+    /// most what 64 single-source BFS runs would), one labeling pass for
+    /// components and their bitsets.
     ///
     /// # Errors
     ///
@@ -148,27 +151,60 @@ impl ConnectivitySubstrate {
             component_bits[c as usize * words_per_row + v / 64] |= 1u64 << (v % 64);
         }
 
-        // All-pairs hops: one BFS per source over the CSR, writing
-        // straight into the row.
+        // All-pairs hops, 64 sources at a time: bit `i` of a node's word
+        // stands for source `b0 + i`, so one pass over a BFS layer
+        // advances all 64 searches. `seen[v]` holds the sources that
+        // have reached `v`, `next[v]` those a layer's frontier offers
+        // it; `frontier` lists the layer's nodes with their newly
+        // reached sources and `offered` the nodes `next` touched, so a
+        // batch costs at most 64 BFS runs on any graph. Distances are
+        // symmetric, so `v`'s new sources land in the contiguous span
+        // `b0..b0 + 64` of `v`'s own row.
         let mut hops = vec![UNREACHABLE_HOPS; n * n];
-        let mut bfs_queue: Vec<u32> = Vec::with_capacity(n);
-        for src in 0..n {
-            let row = &mut hops[src * n..(src + 1) * n];
-            row[src] = 0;
-            bfs_queue.clear();
-            bfs_queue.push(src as u32);
-            let mut head = 0usize;
-            while head < bfs_queue.len() {
-                let u = bfs_queue[head] as usize;
-                head += 1;
-                let du = row[u];
-                let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
-                for &v in &neighbors[s..e] {
-                    if row[v as usize] == UNREACHABLE_HOPS {
-                        row[v as usize] = du + 1;
-                        bfs_queue.push(v);
+        let mut seen = vec![0u64; n];
+        let mut next = vec![0u64; n];
+        let mut frontier: Vec<(u32, u64)> = Vec::new();
+        let mut offered: Vec<u32> = Vec::new();
+        for b0 in (0..n).step_by(64) {
+            let batch = (n - b0).min(64);
+            seen.fill(0);
+            for i in 0..batch {
+                let src = b0 + i;
+                seen[src] = 1 << i;
+                frontier.push((src as u32, 1 << i));
+                hops[src * n + src] = 0;
+            }
+            // `n < u16::MAX` (checked above) bounds every level.
+            let mut level = 0u16;
+            while !frontier.is_empty() {
+                level += 1;
+                for &(u, sources) in &frontier {
+                    let u = u as usize;
+                    let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
+                    for &v in &neighbors[s..e] {
+                        if next[v as usize] == 0 {
+                            offered.push(v);
+                        }
+                        next[v as usize] |= sources;
                     }
                 }
+                frontier.clear();
+                for &v in &offered {
+                    let v = v as usize;
+                    let fresh = next[v] & !seen[v];
+                    next[v] = 0;
+                    if fresh != 0 {
+                        seen[v] |= fresh;
+                        frontier.push((v as u32, fresh));
+                        let span = &mut hops[v * n + b0..v * n + b0 + batch];
+                        let mut bits = fresh;
+                        while bits != 0 {
+                            span[bits.trailing_zeros() as usize] = level;
+                            bits &= bits - 1;
+                        }
+                    }
+                }
+                offered.clear();
             }
         }
 
@@ -279,6 +315,8 @@ impl ConnectivitySubstrate {
 mod tests {
     use super::*;
     use crate::{bfs_hops, connected_components};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn grid_graph(cols: usize, rows: usize) -> Graph {
         let mut g = Graph::new(cols * rows);
@@ -296,19 +334,67 @@ mod tests {
         g
     }
 
+    /// The location graph of a `cols × rows` grid of 300 m cells at
+    /// 600 m range (cells at most two steps apart are linked), less the
+    /// links `severed` rejects.
+    fn range_grid(cols: usize, rows: usize, severed: impl Fn(usize, usize) -> bool) -> Graph {
+        let mut g = Graph::new(cols * rows);
+        for (r, c) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+            for (dr, dc) in [(0i64, 1i64), (0, 2), (1, -1), (1, 0), (1, 1), (2, 0)] {
+                let (r2, c2) = (r as i64 + dr, c as i64 + dc);
+                if (0..rows as i64).contains(&r2) && (0..cols as i64).contains(&c2) {
+                    let (u, v) = (r * cols + c, r2 as usize * cols + c2 as usize);
+                    if !severed(u, v) {
+                        g.add_edge(u, v);
+                    }
+                }
+            }
+        }
+        g
+    }
+
     #[test]
     fn hops_match_bfs_everywhere() {
-        for g in [
+        let mut rng = SmallRng::seed_from_u64(64);
+        let mut graphs = vec![
             grid_graph(4, 3),
             Graph::from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6)]),
             Graph::new(3),
             Graph::new(0),
-        ] {
+            // Isolated nodes and several components across two batches.
+            Graph::from_edges(
+                100,
+                (0..30)
+                    .map(|v| (v, v + 1))
+                    .chain((40..50).map(|v| (v, 99 - v)))
+                    .chain([(70, 71), (71, 72)]),
+            ),
+            range_grid(20, 8, |u, v| (u * 7 + v) % 5 == 0),
+        ];
+        // Around the 64-source batch edges: a path (one layer per
+        // node) and sparse random graphs.
+        for n in [63, 64, 65, 129] {
+            graphs.push(Graph::from_edges(n, (1..n).map(|v| (v - 1, v))));
+            let mut g = Graph::new(n);
+            for _ in 0..n {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v && !g.has_edge(u, v) {
+                    g.add_edge(u, v);
+                }
+            }
+            graphs.push(g);
+        }
+        for g in graphs {
             let sub = ConnectivitySubstrate::build(&g).unwrap();
             for u in 0..g.num_nodes() {
                 let fresh = bfs_hops(&g, u);
                 for (v, &expected) in fresh.iter().enumerate() {
-                    assert_eq!(sub.hops(u, v), expected, "({u}, {v})");
+                    assert_eq!(
+                        sub.hops(u, v),
+                        expected,
+                        "({u}, {v}) of {} nodes",
+                        g.num_nodes()
+                    );
                 }
             }
         }
